@@ -40,10 +40,16 @@ class LinearBound:
 
 @dataclass
 class PreActBounds:
-    """Per-neuron pre-activation interval [L, U], one array pair per layer."""
+    """Per-neuron pre-activation interval [L, U], one array pair per layer.
+
+    `relaxation` holds, per layer, the DeepPoly sandwich of every neuron on
+    these intervals; `deeppoly_bounds` fills it, and `output_linear_bound`
+    rebuilds it from the intervals when it is empty.
+    """
 
     lower: list[np.ndarray] = field(default_factory=list)
     upper: list[np.ndarray] = field(default_factory=list)
+    relaxation: list["_LayerRelax"] = field(default_factory=list)
 
     def interval(self, layer: int, neuron: int) -> tuple[float, float]:
         return float(self.lower[layer][neuron]), float(self.upper[layer][neuron])
@@ -56,8 +62,8 @@ class PreActBounds:
         return out
 
 
-def _layer_output_interval(layer, lo_in, hi_in, pre_lo, pre_hi):
-    """Activation output intervals given input and pre-activation intervals."""
+def _layer_output_interval(layer, pre_lo, pre_hi):
+    """Activation output intervals given the pre-activation intervals."""
     out_lo = np.empty(layer.out_dim)
     out_hi = np.empty(layer.out_dim)
     for j in range(layer.out_dim):
@@ -81,7 +87,7 @@ def interval_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
         pre_hi = w_pos @ hi + w_neg @ lo + layer.bias
         out.lower.append(pre_lo)
         out.upper.append(pre_hi)
-        lo, hi = _layer_output_interval(layer, lo, hi, pre_lo, pre_hi)
+        lo, hi = _layer_output_interval(layer, pre_lo, pre_hi)
     return out
 
 
@@ -194,12 +200,22 @@ def _secant_sandwich(f: PiecewiseLinear, L: float, U: float
 
 
 class _LayerRelax:
-    """Per-layer data for back-substitution: affine map plus neuron sandwiches."""
+    """Back-substitution data: affine map plus each neuron's sandwich on [pre_lo, pre_hi]."""
 
-    def __init__(self, layer, cu, bu, cl, bl):
+    def __init__(self, layer, pre_lo, pre_hi):
         self.weights = layer.weights
         self.bias = layer.bias
-        self.cu, self.bu, self.cl, self.bl = cu, bu, cl, bl
+        self.cu, self.bu, self.cl, self.bl = np.empty((4, layer.out_dim))
+        for j in range(layer.out_dim):
+            spec = layer.activations[j]
+            if spec is None:
+                self.cu[j] = self.cl[j] = 1.0
+                self.bu[j] = self.bl[j] = 0.0
+                continue
+            f = spec.instantiate(pre_lo[j], pre_hi[j])
+            ub, lb = relax_activation(f, f.lo, f.hi)
+            self.cu[j], self.bu[j] = float(ub.coeffs[0]), ub.const
+            self.cl[j], self.bl[j] = float(lb.coeffs[0]), lb.const
 
 
 def _back_substitute(coeffs: np.ndarray, const: float, relaxed: list[_LayerRelax],
@@ -249,22 +265,8 @@ def deeppoly_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
                 pre_lo[j] = pre_hi[j] = mid
         out.lower.append(pre_lo)
         out.upper.append(pre_hi)
-
-        cu = np.empty(layer.out_dim)
-        bu = np.empty(layer.out_dim)
-        cl = np.empty(layer.out_dim)
-        bl = np.empty(layer.out_dim)
-        for j in range(layer.out_dim):
-            spec = layer.activations[j]
-            if spec is None:
-                cu[j] = cl[j] = 1.0
-                bu[j] = bl[j] = 0.0
-                continue
-            f = spec.instantiate(pre_lo[j], pre_hi[j])
-            ub, lb = relax_activation(f, f.lo, f.hi)
-            cu[j], bu[j] = float(ub.coeffs[0]), ub.const
-            cl[j], bl[j] = float(lb.coeffs[0]), lb.const
-        relaxed.append(_LayerRelax(layer, cu, bu, cl, bl))
+        relaxed.append(_LayerRelax(layer, pre_lo, pre_hi))
+    out.relaxation = relaxed
     return out
 
 
@@ -273,30 +275,8 @@ def output_linear_bound(net: Network, input_box: BoxDomain, c: np.ndarray,
     """Upper bound on c . N(x) over the box, DeepPoly style (used as a verifier)."""
     if preact is None:
         preact = deeppoly_bounds(net, input_box)
-    relaxed = []
-    for li, layer in enumerate(net.layers):
-        cu = np.empty(layer.out_dim)
-        bu = np.empty(layer.out_dim)
-        cl = np.empty(layer.out_dim)
-        bl = np.empty(layer.out_dim)
-        for j in range(layer.out_dim):
-            spec = layer.activations[j]
-            if spec is None:
-                cu[j] = cl[j] = 1.0
-                bu[j] = bl[j] = 0.0
-                continue
-            lo, hi = preact.interval(li, j)
-            f = spec.instantiate(lo, hi)
-            ub, lb = relax_activation(f, f.lo, f.hi)
-            cu[j], bu[j] = float(ub.coeffs[0]), ub.const
-            cl[j], bl[j] = float(lb.coeffs[0]), lb.const
-        relaxed.append(_LayerRelax(layer, cu, bu, cl, bl))
-    # expression over the last layer's activations
-    c = np.asarray(c, dtype=float)
-    pos = np.maximum(c, 0.0)
-    neg = np.minimum(c, 0.0)
-    last = relaxed[-1]
-    slope = pos * last.cu + neg * last.cl
-    const = float(pos @ last.bu + neg @ last.bl) + float(slope @ last.bias)
-    coeffs = slope @ last.weights
-    return _back_substitute(coeffs, const, relaxed[:-1], input_box, "upper")
+    relaxed = preact.relaxation
+    if len(relaxed) != len(net.layers):
+        relaxed = [_LayerRelax(layer, lo, hi)
+                   for layer, lo, hi in zip(net.layers, preact.lower, preact.upper)]
+    return _back_substitute(np.asarray(c, dtype=float), 0.0, relaxed, input_box, "upper")

@@ -25,7 +25,7 @@ from .errors import FormulationError, InputError
 from .lp import EQUAL, GREATER, LESS, LinearProgram
 from .network import BoxDomain, Network, Neuron
 from .pwl import staircase_slope
-from .separation import Cut, LOWER, UPPER, retrieve_cut
+from .separation import Cut, LOWER, UPPER, is_pinned, retrieve_cut
 
 BIGM, CAYLEY = "bigm", "cayley"
 
@@ -93,6 +93,10 @@ class NeuronFormulation:
     y_var: int
     z_vars: list[int]
     pool: dict = field(default_factory=dict)   # cut key -> (Cut, row index)
+    pinned: bool = field(init=False)  # constant pre-activation: nothing to separate
+
+    def __post_init__(self):
+        self.pinned = is_pinned(self.neuron)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -262,10 +266,6 @@ class NeuronModel(_RowModel):
         self._attach_neuron(nf)
         self.nf = nf
         self.objective = np.zeros(self.num_vars())
-
-    def with_objective(self, coeffs) -> "NeuronModel":
-        self.objective = np.asarray(coeffs, dtype=float)
-        return self
 
 
 def build_bigm(neuron: Neuron, L: float | None = None, U: float | None = None) -> NeuronModel:

@@ -123,18 +123,17 @@ class _Tableau:
 
 
 def _initial_point(tab: _Tableau) -> np.ndarray:
-    x = np.zeros(tab.ncols)
-    for j in range(tab.ncols):
-        lo, hi = tab.lower[j], tab.upper[j]
-        if lo > -INF and hi < INF:
-            x[j] = lo if abs(lo) <= abs(hi) else hi
-        elif lo > -INF:
-            x[j] = lo
-        elif hi < INF:
-            x[j] = hi
-        else:
-            x[j] = 0.0
-    return x
+    """Every column at its bound nearest zero, or at zero when it has none."""
+    has_lo, has_hi = tab.lower > -INF, tab.upper < INF
+    at_lo = has_lo & (~has_hi | (np.abs(tab.lower) <= np.abs(tab.upper)))
+    return np.where(at_lo, tab.lower, np.where(has_hi, tab.upper, 0.0))
+
+
+def _set_basic_values(tab: _Tableau, x: np.ndarray) -> None:
+    """Solve for the basic values given the nonbasic ones."""
+    nonbasic = np.ones(tab.ncols, dtype=bool)
+    nonbasic[tab.basis] = False
+    x[tab.basis] = tab.binv @ (tab.b - tab.A[:, nonbasic] @ x[nonbasic])
 
 
 def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
@@ -267,8 +266,7 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
     if tab.binv is None:
         tab.refactor()
 
-    nonbasic = [j for j in range(tab.ncols) if j not in set(tab.basis)]
-    x[tab.basis] = tab.binv @ (tab.b - tab.A[:, nonbasic] @ x[nonbasic])
+    _set_basic_values(tab, x)
 
     # Phase 1: shift infeasible basic values onto artificial columns.
     viol_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
@@ -277,13 +275,9 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
     if np.any(viol_lo > FEAS_TOL) or np.any(viol_hi > FEAS_TOL):
         sign = np.where(viol_lo > 0, -1.0, 1.0)
         mag = viol_lo + viol_hi
-        extra = np.zeros((m, m))
-        keep = []
-        for i in range(m):
-            if mag[i] > FEAS_TOL:
-                extra[i, i] = sign[i]
-                keep.append(i)
-        extra = extra[:, keep]
+        keep = np.flatnonzero(mag > FEAS_TOL)
+        extra = np.zeros((m, keep.size))
+        extra[keep, np.arange(keep.size)] = sign[keep]
         tab.A = np.hstack([tab.A, extra])
         tab.lower = np.concatenate([tab.lower, np.zeros(len(keep))])
         tab.upper = np.concatenate([tab.upper, np.full(len(keep), INF)])
@@ -296,8 +290,7 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
             x[art_cols[pos]] = mag[i]
             tab.basis[i] = art_cols[pos]
         tab.refactor()
-        nonbasic = [j for j in range(tab.ncols) if j not in set(tab.basis)]
-        x[tab.basis] = tab.binv @ (tab.b - tab.A[:, nonbasic] @ x[nonbasic])
+        _set_basic_values(tab, x)
         # with a non-identity (warm) basis, moving the clipped variables can
         # push other basic values out of bounds; the cold identity start
         # cannot, so fall back rather than start phase 1 infeasible
@@ -330,8 +323,7 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
 
     # clean recomputation of the basic values from the final basis
     tab.refactor()
-    nonbasic = [j for j in range(tab.ncols) if j not in set(tab.basis)]
-    x[tab.basis] = tab.binv @ (tab.b - tab.A[:, nonbasic] @ x[nonbasic])
+    _set_basic_values(tab, x)
 
     y = cost[tab.basis] @ tab.binv
     d = cost - y @ tab.A

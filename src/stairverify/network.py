@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,7 +110,8 @@ class Neuron:
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """Declarative activation, instantiated on a concrete pre-activation range."""
+    """Declarative activation, instantiated on a concrete pre-activation range;
+    the base function is built from `params` on first use, so keep them fixed."""
 
     kind: str  # relu | dorefa | pwl | staircase | identity (None in files)
     params: dict
@@ -122,15 +124,9 @@ class ActivationSpec:
         if self.kind == "relu":
             return pwl.relu(lo, hi)
         if self.kind == "dorefa":
-            base = pwl.dorefa(int(self.params["bits"]),
-                              float(self.params["lo"]), float(self.params["hi"]))
-            return _extend_then_clip(base, lo, hi)
+            return _extend_then_clip(self._base, lo, hi)
         if self.kind in ("pwl", "staircase"):
-            f = PiecewiseLinear(np.asarray(self.params["breakpoints"], dtype=float),
-                                np.asarray(self.params["slopes"], dtype=float),
-                                np.asarray(self.params["intercepts"], dtype=float))
-            if self.kind == "staircase":
-                f = pwl.as_staircase(f)
+            f = self._base
             if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
                 raise InputError(
                     f"declared {self.kind} domain [{f.lo}, {f.hi}] does not cover "
@@ -138,17 +134,25 @@ class ActivationSpec:
             return pwl.clip(f, lo, hi)
         raise InputError(f"unknown activation kind {self.kind!r}")
 
+    @cached_property
+    def _base(self) -> PiecewiseLinear:
+        """The dorefa quantizer or declared function on its own domain, built once."""
+        if self.kind == "dorefa":
+            return pwl.dorefa(int(self.params["bits"]),
+                              float(self.params["lo"]), float(self.params["hi"]))
+        f = PiecewiseLinear(np.asarray(self.params["breakpoints"], dtype=float),
+                            np.asarray(self.params["slopes"], dtype=float),
+                            np.asarray(self.params["intercepts"], dtype=float))
+        return pwl.as_staircase(f) if self.kind == "staircase" else f
+
 
 def _extend_then_clip(f: PiecewiseLinear, lo: float, hi: float) -> PiecewiseLinear:
-    """Clip f to [lo, hi], extending the outer constant pieces when needed."""
-    bp = f.breakpoints.copy()
-    if lo < bp[0]:
-        bp[0] = lo
-    if hi > bp[-1]:
-        bp[-1] = hi
-    widened = pwl.replace_pieces(PiecewiseLinear(bp, f.slopes, f.intercepts),
-                                 f.slopes, f.intercepts)
-    return pwl.clip(widened, lo, hi)
+    """Clip f to [lo, hi], extending the outer constant pieces when needed;
+    [lo, hi] then lies inside the domain, so `clip`'s checks are skipped."""
+    bp = f.breakpoints
+    if lo < bp[0] or hi > bp[-1]:
+        bp = np.concatenate(([min(bp[0], lo)], bp[1:-1], [max(bp[-1], hi)]))
+    return pwl.clip_arrays(bp, f.slopes, f.intercepts, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -202,10 +206,6 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    def hidden_neuron_count(self) -> int:
-        return sum(layer.out_dim for layer in self.layers
-                   if any(a is not None for a in layer.activations))
 
     def forward(self, x, preact_bounds=None) -> np.ndarray:
         """Evaluate the network on one input (or a batch, rows = samples).

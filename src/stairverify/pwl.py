@@ -31,17 +31,16 @@ class PiecewiseLinear:
     intercepts: np.ndarray   # shape (k,)
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", np.asarray(self.breakpoints, dtype=float))
-        object.__setattr__(self, "slopes", np.asarray(self.slopes, dtype=float))
-        object.__setattr__(self, "intercepts", np.asarray(self.intercepts, dtype=float))
-        if self.breakpoints.ndim != 1 or self.breakpoints.size < 2:
+        for name in ("breakpoints", "slopes", "intercepts"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        bp, slopes, intercepts = self.breakpoints, self.slopes, self.intercepts
+        if bp.ndim != 1 or bp.size < 2:
             raise ParameterError("need at least one piece (two breakpoints)")
-        if self.slopes.shape != (self.num_pieces,) or self.intercepts.shape != (self.num_pieces,):
+        if slopes.shape != (bp.size - 1,) or intercepts.shape != (bp.size - 1,):
             raise ParameterError("slopes/intercepts must have one entry per piece")
-        if not np.all(np.diff(self.breakpoints) > 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise ParameterError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(self.breakpoints)) and np.all(np.isfinite(self.slopes))
-                and np.all(np.isfinite(self.intercepts))):
+        if not np.isfinite(np.concatenate((bp, slopes, intercepts))).all():
             raise ParameterError("breakpoints, slopes and intercepts must be finite")
 
     @property
@@ -114,7 +113,11 @@ class PiecewiseLinear:
 
 def staircase_slope(f: PiecewiseLinear, tol: float = 1e-9) -> float | None:
     """Common slope s if f is a staircase (slopes within tol of {0, s}), else None."""
-    nonzero = f.slopes[np.abs(f.slopes) > tol]
+    return _common_slope(f.slopes, tol)
+
+
+def _common_slope(slopes: np.ndarray, tol: float = 1e-9) -> float | None:
+    nonzero = slopes[np.abs(slopes) > tol]
     if nonzero.size == 0:
         return 0.0
     s = float(nonzero[0])
@@ -131,8 +134,11 @@ class Staircase(PiecewiseLinear):
 
     def __post_init__(self):
         super().__post_init__()
-        ok = np.isclose(self.slopes, 0.0, atol=1e-12) | np.isclose(self.slopes, self.s, atol=1e-12)
-        if not np.all(ok):
+        # np.isclose(a, b, atol=1e-12) against b = 0 and b = s, written out
+        ok = np.abs(self.slopes) <= 1e-12
+        if np.isfinite(self.s):
+            ok |= np.abs(self.slopes - self.s) <= 1e-12 + 1e-5 * abs(self.s)
+        if not ok.all():
             raise ParameterError("staircase slopes must lie in {0, s}")
 
     def negate(self) -> "Staircase":
@@ -153,9 +159,16 @@ def as_staircase(f: PiecewiseLinear) -> Staircase:
 
 
 def replace_pieces(f: PiecewiseLinear, slopes, intercepts) -> PiecewiseLinear:
-    g = PiecewiseLinear(f.breakpoints, slopes, intercepts)
-    s = staircase_slope(g)
-    return g if s is None else Staircase(g.breakpoints, g.slopes, g.intercepts, s=s)
+    return _build(f.breakpoints, slopes, intercepts)
+
+
+def _build(breakpoints, slopes, intercepts) -> PiecewiseLinear:
+    """One validated Staircase if the slopes lie in {0, s}, else one PiecewiseLinear."""
+    slopes = np.asarray(slopes, dtype=float)
+    s = _common_slope(slopes)
+    if s is None:
+        return PiecewiseLinear(breakpoints, slopes, intercepts)
+    return Staircase(breakpoints, slopes, intercepts, s=s)
 
 
 def evaluate(f: PiecewiseLinear, t: float) -> float:
@@ -208,21 +221,28 @@ def clip(f: PiecewiseLinear, lo: float, hi: float) -> PiecewiseLinear:
         raise DomainError(f"empty clip interval [{lo}, {hi}]")
     if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
         raise DomainError("clip interval must be inside the function's domain")
-    lo = max(lo, f.lo)
-    hi = min(hi, f.hi)
-    merge = BREAKPOINT_MERGE_TOL * max(1.0, f.hi - f.lo)
+    return clip_arrays(f.breakpoints, f.slopes, f.intercepts, lo, hi)
+
+
+def clip_arrays(bp: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
+                lo: float, hi: float) -> PiecewiseLinear:
+    """`clip` on the raw arrays of a valid function, without `clip`'s interval checks."""
+    f_lo, f_hi = float(bp[0]), float(bp[-1])
+    lo = max(lo, f_lo)
+    hi = min(hi, f_hi)
+    k = bp.size - 1
+    merge = BREAKPOINT_MERGE_TOL * max(1.0, f_hi - f_lo)
     if hi - lo <= merge:
         # degenerate pre-activation: keep a single thin piece around lo
-        i = f.piece_index(lo)
-        width = max(merge, 1e-12)
-        return replace_pieces(
-            PiecewiseLinear([lo, lo + width], [f.slopes[i]], [f.intercepts[i]]),
-            [f.slopes[i]], [f.intercepts[i]])
-    interior = [h for h in f.breakpoints[1:-1] if lo + merge < h < hi - merge]
-    bp = np.array([lo] + interior + [hi])
-    idx = [f.piece_index(b) for b in bp[:-1]]
-    g = PiecewiseLinear(bp, f.slopes[idx], f.intercepts[idx])
-    return replace_pieces(g, g.slopes, g.intercepts)
+        if lo > f_hi:
+            raise DomainError(f"t={lo} outside [{f_lo}, {f_hi}]")
+        i = min(max(int(np.searchsorted(bp, lo, side="right")) - 1, 0), k - 1)
+        return _build([lo, lo + merge], slopes[i:i + 1], intercepts[i:i + 1])
+    inner = bp[1:-1]
+    cuts = np.concatenate(([lo], inner[(inner > lo + merge) & (inner < hi - merge)], [hi]))
+    # lo >= bp[0] keeps every index >= 0; only a NaN lo would run past the end
+    idx = np.minimum(np.searchsorted(bp, cuts[:-1], side="right") - 1, k - 1)
+    return _build(cuts, slopes[idx], intercepts[idx])
 
 
 def decompose_staircase(f: PiecewiseLinear) -> tuple[Staircase | None, list[Staircase]]:
@@ -241,9 +261,7 @@ def decompose_staircase(f: PiecewiseLinear) -> tuple[Staircase | None, list[Stai
     bp = f.breakpoints
 
     # continuous part: same slopes, jumps removed by chaining piece values
-    jumps = np.zeros(k)
-    for i in range(1, k):
-        jumps[i] = f.jump_at(i)
+    jumps = np.array([0.0] + [f.jump_at(i) for i in range(1, k)])
     cum_jump = np.cumsum(jumps)
     cont_intercepts = f.intercepts - cum_jump
     f0 = None

@@ -184,15 +184,6 @@ class SweepResult:
     frac_amount: float = 0.0
     early_exit: bool = False
 
-    def q_vector(self, k: int, forced: np.ndarray | None = None) -> np.ndarray:
-        q = np.zeros(k)
-        q[self.K] = 1.0
-        if self.frac_piece >= 0:
-            q[self.frac_piece] = self.frac_amount
-        if forced is not None:
-            q[forced] = 1.0
-        return q
-
 
 def minimize_psi_c(inst: PsiInstance, allowed=None, early_exit: bool = False) -> SweepResult:
     """Minimize the concave continuous extension of psi over the unit box.
@@ -393,13 +384,23 @@ class _Canonical:
                            self.zhat, orientation, free, forced, base)
 
 
+def _free_coordinates(neuron: Neuron):
+    """Mask of pinned input coordinates, and the free ones with nonzero weight."""
+    lo, hi = neuron.box.lower, neuron.box.upper
+    fixed = hi - lo <= 1e-12 * np.maximum(1.0, np.abs(hi) + np.abs(lo))
+    return fixed, np.flatnonzero((np.abs(neuron.weight) > 0) & ~fixed)
+
+
+def is_pinned(neuron: Neuron) -> bool:
+    """True when no free input has a nonzero weight; the oracle rejects such a neuron."""
+    return _free_coordinates(neuron)[1].size == 0
+
+
 def _fold_fixed_coordinates(neuron: Neuron):
     """Identify zero-weight and pinned coordinates; fold the pinned into b."""
     w = neuron.weight
     lo, hi = neuron.box.lower, neuron.box.upper
-    span = hi - lo
-    fixed = span <= 1e-12 * np.maximum(1.0, np.abs(hi) + np.abs(lo))
-    active = np.flatnonzero((np.abs(w) > 0) & ~fixed)
+    fixed, active = _free_coordinates(neuron)
     b = float(neuron.bias + w[fixed] @ ((lo[fixed] + hi[fixed]) / 2.0))
     if active.size == 0:
         raise DomainError("degenerate neuron: no free coordinate with nonzero weight")

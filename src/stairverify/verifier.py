@@ -62,6 +62,7 @@ class VerifyReport:
     solve_time: float = 0.0
     separation_time: float = 0.0
     rounds: int = 0
+    separation_failures: int = 0      # oracle errors inside the cut loop
     diagnostic: str = ""
 
     def as_dict(self) -> dict:
@@ -76,6 +77,7 @@ class VerifyReport:
             "solve_time": self.solve_time,
             "separation_time": self.separation_time,
             "rounds": self.rounds,
+            "separation_failures": self.separation_failures,
             "diagnostic": self.diagnostic,
         }
 
@@ -87,10 +89,17 @@ def _replay(network, x, label) -> bool:
         return False
 
 
-def _cut_round(model: QueryModel, x: np.ndarray, tol: float) -> int:
-    """Separate every activated neuron at the LP point; returns cuts added."""
+def _cut_round(model: QueryModel, x: np.ndarray, tol: float,
+               report: VerifyReport | None = None) -> int:
+    """Separate every activated neuron at the LP point; returns cuts added.
+
+    Pinned neurons have a constant pre-activation and are skipped; any oracle
+    error on another neuron is counted in `report.separation_failures`.
+    """
     added = 0
     for nf in model.activated_neurons():
+        if nf.pinned:
+            continue
         xin, yv, zv = model.neuron_point(x, nf.key)
         xin = nf.neuron.box.clamp(xin)
         zv = np.maximum(zv, 0.0)
@@ -101,6 +110,8 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float) -> int:
                 cut = separate_pwl(nf.neuron, xin, yv, zv, direction,
                                    tol=tol, neuron_id=nf.name)
             except StairVerifyError:
+                if report is not None:
+                    report.separation_failures += 1
                 continue
             if cut is not None and cut.violation(xin, yv, zv) > tol:
                 if model.add_cut(nf, cut):
@@ -124,10 +135,7 @@ def verify_relaxed(query: VerificationQuery, config: VerifyConfig) -> VerifyRepo
     t0 = time.monotonic()
     for target in query.targets():
         model = build_query_model(query.with_target(target), config.formulation)
-        value, rounds, cuts, sep_time, diag = _solve_with_cuts(model, config)
-        report.rounds += rounds
-        report.cuts_added += cuts
-        report.separation_time += sep_time
+        value, diag = _solve_with_cuts(model, config, report)
         if value is None:
             report.verdict = "unknown"
             report.diagnostic = diag
@@ -146,35 +154,35 @@ def verify_relaxed(query: VerificationQuery, config: VerifyConfig) -> VerifyRepo
     return report
 
 
-def _solve_with_cuts(model: QueryModel, config: VerifyConfig):
+def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    Returns (value, rounds, cuts_added, separation_time, diagnostic). The
-    objective is non-increasing round over round since rows only accumulate.
+    Returns (value, diagnostic) and adds the rounds, cuts and separation time
+    to `report`. The objective is non-increasing round over round since rows
+    only accumulate.
     """
-    cuts = 0
-    sep_time = 0.0
     prev = np.inf
     rounds = 0
     while True:
         sol = solve(model.to_lp())
         if sol.status == "infeasible":
-            return None, rounds, cuts, sep_time, "relaxation infeasible (stale bounds?)"
+            return None, "relaxation infeasible (stale bounds?)"
         if sol.status != "optimal":
-            return None, rounds, cuts, sep_time, f"LP {sol.status}"
+            return None, f"LP {sol.status}"
         model._last_x = sol.x
         value = sol.objective
         if value > prev + 1e-9:
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
         if model.mode != CAYLEY or rounds >= config.max_cut_rounds:
-            return value, rounds, cuts, sep_time, ""
+            return value, ""
         t0 = time.monotonic()
-        added = _cut_round(model, sol.x, config.cut_tol)
-        sep_time += time.monotonic() - t0
+        added = _cut_round(model, sol.x, config.cut_tol, report)
+        report.separation_time += time.monotonic() - t0
         if added == 0:
-            return value, rounds, cuts, sep_time, ""
-        cuts += added
+            return value, ""
+        report.cuts_added += added
+        report.rounds += 1
         rounds += 1
 
 
@@ -280,7 +288,7 @@ def _branch_and_bound(tq: VerificationQuery, config: VerifyConfig,
             continue
         if config.formulation == CAYLEY:
             t0 = time.monotonic()
-            added = _cut_round(model, sol.x, config.cut_tol)
+            added = _cut_round(model, sol.x, config.cut_tol, report)
             report.separation_time += time.monotonic() - t0
             if added:
                 report.cuts_added += added

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stairverify import pwl
-from stairverify.bounds import (deeppoly_activation_relax, deeppoly_bounds,
+from stairverify.bounds import (PreActBounds, deeppoly_activation_relax, deeppoly_bounds,
                                 interval_bounds, output_linear_bound, relax_activation)
 from stairverify.errors import ParameterError
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
@@ -198,3 +198,22 @@ def test_output_linear_bound_dominates_samples():
     xs = net.input_box.sample(rng, 3000)
     vals = net.forward(xs) @ c
     assert vals.max() <= bound + 1e-9
+
+
+@pytest.mark.parametrize("activation", ["dorefa", "relu"])
+def test_output_bound_shares_the_deeppoly_relaxation(activation, monkeypatch):
+    rng = np.random.default_rng(27)
+    net = random_quantized_network(rng, n_in=3, hidden=(5, 4), n_out=3, bits=2,
+                                   activation=activation)
+    dp = deeppoly_bounds(net, net.input_box)
+    assert len(dp.relaxation) == len(net.layers)
+    assert interval_bounds(net, net.input_box).relaxation == []
+    cs = [rng.normal(size=3) for _ in range(5)]
+    rebuilt = [output_linear_bound(net, net.input_box, c, PreActBounds(dp.lower, dp.upper))
+               for c in cs]
+
+    def fail(*args):
+        raise AssertionError("output_linear_bound rebuilt the deeppoly relaxation")
+
+    monkeypatch.setattr(ActivationSpec, "instantiate", fail)
+    assert [output_linear_bound(net, net.input_box, c, dp) for c in cs] == rebuilt

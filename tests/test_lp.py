@@ -167,3 +167,27 @@ def test_lp_text_export_mentions_all_sections():
     text = write_lp_text(lp)
     for token in ("Maximize", "Subject To", "Bounds", "End", "a", "b"):
         assert token in text
+
+
+def test_initial_point_matches_per_column_rule():
+    from stairverify.lp import _initial_point, _Tableau
+
+    def reference(tab):
+        x = np.zeros(tab.ncols)
+        for j in range(tab.ncols):
+            lo, hi = tab.lower[j], tab.upper[j]
+            if lo > -INF and hi < INF:
+                x[j] = lo if abs(lo) <= abs(hi) else hi
+            elif lo > -INF:
+                x[j] = lo
+            elif hi < INF:
+                x[j] = hi
+        return x
+
+    lower = np.array([-INF, -INF, -3.0, -1.0, -2.0, 0.5, -0.0, 4.0])
+    upper = np.array([INF, 2.0, INF, 1.0, 1.0, 3.0, 0.0, 4.0])
+    lp = LinearProgram("max", np.zeros(8), lower=lower, upper=upper)
+    for sense in (LESS, GREATER, EQUAL):
+        lp.add_row(np.ones(8), sense, 1.0)
+    tab = _Tableau(lp)
+    assert _initial_point(tab).tobytes() == reference(tab).tobytes()

@@ -118,3 +118,103 @@ def test_preact_range_alignment():
         L, U = neuron.preact_range()
         assert abs(neuron.activation.lo - L) <= 1e-12
         assert abs(neuron.activation.hi - U) <= 1e-12
+
+
+# -- instantiate against a copy of the original multi-object construction ------
+
+def _reference_replace_pieces(f, slopes, intercepts):
+    g = pwl.PiecewiseLinear(f.breakpoints, slopes, intercepts)
+    s = pwl.staircase_slope(g)
+    return g if s is None else pwl.Staircase(g.breakpoints, g.slopes, g.intercepts, s=s)
+
+
+def _reference_clip(f, lo, hi):
+    if lo > hi:
+        raise DomainError("empty clip interval")
+    if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
+        raise DomainError("clip interval must be inside the function's domain")
+    lo = max(lo, f.lo)
+    hi = min(hi, f.hi)
+    merge = pwl.BREAKPOINT_MERGE_TOL * max(1.0, f.hi - f.lo)
+    if hi - lo <= merge:
+        i = f.piece_index(lo)
+        width = max(merge, 1e-12)
+        return _reference_replace_pieces(
+            pwl.PiecewiseLinear([lo, lo + width], [f.slopes[i]], [f.intercepts[i]]),
+            [f.slopes[i]], [f.intercepts[i]])
+    interior = [h for h in f.breakpoints[1:-1] if lo + merge < h < hi - merge]
+    bp = np.array([lo] + interior + [hi])
+    idx = [f.piece_index(b) for b in bp[:-1]]
+    g = pwl.PiecewiseLinear(bp, f.slopes[idx], f.intercepts[idx])
+    return _reference_replace_pieces(g, g.slopes, g.intercepts)
+
+
+def _reference_instantiate(spec, lo, hi):
+    if hi <= lo:
+        hi = lo + 1e-9
+    if spec.kind == "relu":
+        return pwl.relu(lo, hi)
+    if spec.kind == "dorefa":
+        f = pwl.dorefa(int(spec.params["bits"]),
+                       float(spec.params["lo"]), float(spec.params["hi"]))
+        bp = f.breakpoints.copy()
+        if lo < bp[0]:
+            bp[0] = lo
+        if hi > bp[-1]:
+            bp[-1] = hi
+        widened = _reference_replace_pieces(pwl.PiecewiseLinear(bp, f.slopes, f.intercepts),
+                                            f.slopes, f.intercepts)
+        return _reference_clip(widened, lo, hi)
+    f = pwl.PiecewiseLinear(spec.params["breakpoints"], spec.params["slopes"],
+                            spec.params["intercepts"])
+    if spec.kind == "staircase":
+        f = pwl.as_staircase(f)
+    if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
+        raise InputError("declared domain does not cover the pre-activation range")
+    return _reference_clip(f, lo, hi)
+
+
+_SPECS = [ActivationSpec("dorefa", {"bits": b, "lo": -1.0, "hi": 1.0}) for b in (1, 2, 3)] + [
+    ActivationSpec("relu", {}),
+    ActivationSpec("staircase", {"breakpoints": [-2.0, -0.5, 0.25, 1.5],
+                                 "slopes": [0.0, 0.5, 0.0], "intercepts": [0.1, 0.4, 0.6]}),
+    ActivationSpec("pwl", {"breakpoints": [-2.0, -0.5, 0.25, 1.5],
+                           "slopes": [0.3, -1.0, 2.0], "intercepts": [0.0, 1.0, -0.2]}),
+]
+
+
+def _instantiate_grid(spec):
+    if spec.kind == "dorefa":
+        marks = list(np.linspace(-1.0, 1.0, 2 ** spec.params["bits"] + 1))
+    elif spec.kind == "relu":
+        marks = [-1.0, 0.0, 1.0]
+    else:
+        marks = list(spec.params["breakpoints"])
+    # exactly on breakpoints, and within / just past the merge tolerance of them
+    points = set(marks)
+    for h in marks:
+        for off in (0.4e-12, 0.9e-12, 1.5e-12, 3e-12, 1e-10):
+            points.update((h - off, h + off))
+    pairs = [(a, b) for a in sorted(points) for b in sorted(points)
+             if a <= b and (a in marks or b in marks)]
+    pairs += [(-0.3, 0.4), (-0.9, 0.95), (-2.5, 0.3), (-0.2, 3.0), (-5.0, 5.0),
+              (2.0, 3.0), (-4.0, -2.0), (0.2, 0.2), (0.3, 0.1), (1.0, -1.0),
+              (1.0, 1.0 + 5e-13), (-1.0 - 5e-13, -1.0)]
+    return pairs
+
+
+def _outcome(fn, spec, lo, hi):
+    try:
+        f = fn(spec, lo, hi)
+    except Exception as exc:  # the exception type must match too
+        return type(exc)
+    return (type(f), f.breakpoints.tobytes(), f.slopes.tobytes(), f.intercepts.tobytes(),
+            f.breakpoints.dtype, getattr(f, "s", None))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{s.kind}{s.params.get('bits', '')}")
+def test_instantiate_matches_reference_construction(spec):
+    for lo, hi in _instantiate_grid(spec):
+        new = _outcome(ActivationSpec.instantiate, spec, lo, hi)
+        old = _outcome(_reference_instantiate, spec, lo, hi)
+        assert new == old, (spec.kind, lo, hi)

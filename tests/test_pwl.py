@@ -181,3 +181,54 @@ def test_reverse_preserves_graph():
         if np.min(np.abs(f.breakpoints - t)) < 1e-6:
             continue
         assert abs(g(c - t) - f(t)) <= 1e-9
+
+
+@pytest.mark.parametrize("bp", [[0.0, 1.0, 0.5], [0.0, 1.0, 1.0, 2.0], [1.0, 0.0]])
+def test_non_increasing_or_repeated_breakpoints_rejected(bp):
+    k = len(bp) - 1
+    with pytest.raises(ParameterError):
+        PiecewiseLinear(bp, np.zeros(k), np.zeros(k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_non_finite_entries_rejected(which, bad):
+    arrays = [np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]), np.array([0.0, -1.0])]
+    for pos in range(arrays[which].size):
+        args = [a.copy() for a in arrays]
+        args[which][pos] = bad
+        with pytest.raises(ParameterError):
+            PiecewiseLinear(*args)
+        with pytest.raises(ParameterError):
+            Staircase(*args, s=1.0)
+
+
+@pytest.mark.parametrize("args", [
+    ([[0.0, 1.0]], [0.0], [0.0]),               # 2-d breakpoints
+    ([0.0], [], []),                             # no piece
+    (0.0, [], []),                               # scalar breakpoints
+    ([0.0, 1.0, 2.0], [0.0], [0.0, 0.0]),        # too few slopes
+    ([0.0, 1.0, 2.0], [0.0, 0.0], [0.0]),        # too few intercepts
+    ([0.0, 1.0], [[0.0]], [0.0]),                # 2-d slopes
+])
+def test_wrong_shapes_rejected(args):
+    with pytest.raises(ParameterError):
+        PiecewiseLinear(*args)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1.0, -2.5, 300.0])
+def test_staircase_slope_tolerance_edge(s):
+    tol = 1e-12 + 1e-5 * abs(s)
+    Staircase([0.0, 1.0, 2.0], [0.0, s + 0.9 * tol], [0.0, 0.0], s=s)
+    Staircase([0.0, 1.0, 2.0], [0.9e-12, s], [0.0, 0.0], s=s)
+    with pytest.raises(ParameterError):
+        Staircase([0.0, 1.0, 2.0], [0.0, s + 1.1 * tol], [0.0, 0.0], s=s)
+    with pytest.raises(ParameterError):
+        Staircase([0.0, 1.0, 2.0], [1.1e-12, s], [0.0, 0.0], s=s)
+
+
+def test_staircase_with_non_finite_s_accepts_only_flat_slopes():
+    Staircase([0.0, 1.0], [0.0], [0.0], s=np.inf)
+    for s in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            Staircase([0.0, 1.0], [1.0], [0.0], s=s)

@@ -180,6 +180,37 @@ def test_zero_weight_neuron_tolerated():
             assert bound >= truth - 1e-7
 
 
+def test_pinned_neurons_are_skipped_and_oracle_errors_counted(monkeypatch):
+    from stairverify import verifier
+    from stairverify.errors import DomainError
+    from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
+
+    W1 = np.array([[0.0, 0.0], [1.0, -0.5], [0.7, 0.4]])
+    net = Network((Layer.dense(W1, [0.2, 0.0, 0.1], ActivationSpec("relu", {})),
+                   Layer.dense([[1.0, 1.0, -0.3], [-1.0, 0.5, 0.2]], [0.0, 0.0], None)),
+                  BoxDomain([-1, -1], [1, 1]))
+    q = VerificationQuery(net, np.array([0.1, 0.2]), 0.5, 0)
+    model = build_query_model(q.with_target(1), "cayley")
+    pinned = {nf.key: nf.pinned for nf in model.activated_neurons()}
+    assert pinned == {(0, 0): True, (0, 1): False, (0, 2): False}
+    rep = verify(q, VerifyConfig(mode="cayley-lp"))
+    assert rep.separation_failures == 0
+    assert rep.as_dict()["separation_failures"] == 0
+
+    calls = []
+
+    def failing(neuron, *args, **kwargs):
+        calls.append(kwargs.get("neuron_id"))
+        raise DomainError("injected")
+
+    monkeypatch.setattr(verifier, "separate_pwl", failing)
+    sol = solve(model.to_lp())
+    report = verifier.VerifyReport(verdict="robust")
+    assert _cut_round(model, sol.x, 1e-6, report) == 0
+    assert report.separation_failures == 4   # two free neurons, both directions
+    assert "layer0/neuron0" not in calls
+
+
 def test_declared_pwl_activation_end_to_end():
     from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 
