@@ -42,9 +42,10 @@ class LinearBound:
 class PreActBounds:
     """Per-neuron pre-activation interval [L, U], one array pair per layer.
 
-    `relaxation` holds, per layer, the DeepPoly sandwich of every neuron on
-    these intervals; `deeppoly_bounds` fills it, and `output_linear_bound`
-    rebuilds it from the intervals when it is empty.
+    `relaxation` holds, per layer, every neuron's activation clipped to these
+    intervals and its DeepPoly sandwich there; `deeppoly_bounds` fills it,
+    `output_linear_bound` rebuilds it from the intervals when it is empty, and
+    `QueryModel` takes its clipped functions from it.
     """
 
     lower: list[np.ndarray] = field(default_factory=list)
@@ -64,15 +65,10 @@ class PreActBounds:
 
 def _layer_output_interval(layer, pre_lo, pre_hi):
     """Activation output intervals given the pre-activation intervals."""
-    out_lo = np.empty(layer.out_dim)
-    out_hi = np.empty(layer.out_dim)
-    for j in range(layer.out_dim):
-        spec = layer.activations[j]
-        if spec is None:
-            out_lo[j], out_hi[j] = pre_lo[j], pre_hi[j]
-        else:
-            f = spec.instantiate(pre_lo[j], pre_hi[j])
-            out_lo[j], out_hi[j] = f.output_range()
+    out_lo, out_hi = pre_lo.copy(), pre_hi.copy()
+    for j, spec in enumerate(layer.activations):
+        if spec is not None:
+            out_lo[j], out_hi[j] = spec.output_range(pre_lo[j], pre_hi[j])
     return out_lo, out_hi
 
 
@@ -200,73 +196,69 @@ def _secant_sandwich(f: PiecewiseLinear, L: float, U: float
 
 
 class _LayerRelax:
-    """Back-substitution data: affine map plus each neuron's sandwich on [pre_lo, pre_hi]."""
+    """Back-substitution data: affine map plus each neuron's clipped activation
+    on [pre_lo, pre_hi] (None for affine neurons) and its sandwich there."""
 
     def __init__(self, layer, pre_lo, pre_hi):
         self.weights = layer.weights
         self.bias = layer.bias
+        self.functions: list[PiecewiseLinear | None] = []
         self.cu, self.bu, self.cl, self.bl = np.empty((4, layer.out_dim))
-        for j in range(layer.out_dim):
-            spec = layer.activations[j]
-            if spec is None:
+        for j, spec in enumerate(layer.activations):
+            f = None if spec is None else spec.instantiate(pre_lo[j], pre_hi[j])
+            self.functions.append(f)
+            if f is None:
                 self.cu[j] = self.cl[j] = 1.0
                 self.bu[j] = self.bl[j] = 0.0
                 continue
-            f = spec.instantiate(pre_lo[j], pre_hi[j])
             ub, lb = relax_activation(f, f.lo, f.hi)
             self.cu[j], self.bu[j] = float(ub.coeffs[0]), ub.const
             self.cl[j], self.bl[j] = float(lb.coeffs[0]), lb.const
 
 
-def _back_substitute(coeffs: np.ndarray, const: float, relaxed: list[_LayerRelax],
-                     input_box: BoxDomain, sense: str) -> float:
-    """Tightest bound on coeffs . activations(layer len(relaxed)-1) + const."""
+def _back_substitute(coeffs: np.ndarray, const: np.ndarray, relaxed: list[_LayerRelax],
+                     input_box: BoxDomain) -> np.ndarray:
+    """Tightest upper bound on each row of coeffs @ activations(layer len(relaxed)-1) + const.
+
+    `coeffs` holds one row per bound; a lower bound is minus the upper bound
+    of the negated row.
+    """
     for lr in reversed(relaxed):
         pos = np.maximum(coeffs, 0.0)
         neg = np.minimum(coeffs, 0.0)
-        if sense == "upper":
-            slope = pos * lr.cu + neg * lr.cl
-            const += float(pos @ lr.bu + neg @ lr.bl)
-        else:
-            slope = pos * lr.cl + neg * lr.cu
-            const += float(pos @ lr.bl + neg @ lr.bu)
+        slope = pos * lr.cu + neg * lr.cl
         # pre-activation t = W v + b, so the expression drops one layer down
-        const += float(slope @ lr.bias)
+        const = const + (pos @ lr.bu + neg @ lr.bl) + slope @ lr.bias
         coeffs = slope @ lr.weights
     pos = np.maximum(coeffs, 0.0)
     neg = np.minimum(coeffs, 0.0)
-    if sense == "upper":
-        return const + float(pos @ input_box.upper + neg @ input_box.lower)
-    return const + float(pos @ input_box.lower + neg @ input_box.upper)
+    return const + (pos @ input_box.upper + neg @ input_box.lower)
 
 
 def deeppoly_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
     """DeepPoly-style bounds via full back-substitution to the input box.
 
     Every neuron's [L, U] is intersected with the interval-arithmetic bound,
-    so the result is at least as tight on both sides.
+    so the result is at least as tight on both sides. Each layer is
+    back-substituted at once, one row per neuron and side.
     """
     ivals = interval_bounds(net, input_box)
     out = PreActBounds()
-    relaxed: list[_LayerRelax] = []
     for li, layer in enumerate(net.layers):
-        pre_lo = np.empty(layer.out_dim)
-        pre_hi = np.empty(layer.out_dim)
-        for j in range(layer.out_dim):
-            ilo, ihi = ivals.interval(li, j)
-            lo = _back_substitute(layer.weights[j], float(layer.bias[j]),
-                                  relaxed, input_box, "lower")
-            hi = _back_substitute(layer.weights[j], float(layer.bias[j]),
-                                  relaxed, input_box, "upper")
-            pre_lo[j] = max(lo, ilo)
-            pre_hi[j] = min(hi, ihi)
-            if pre_lo[j] > pre_hi[j]:  # float noise on a pinned neuron
-                mid = 0.5 * (pre_lo[j] + pre_hi[j])
-                pre_lo[j] = pre_hi[j] = mid
+        n = layer.out_dim
+        upper = _back_substitute(np.concatenate((layer.weights, -layer.weights)),
+                                 np.concatenate((layer.bias, -layer.bias)),
+                                 out.relaxation, input_box)
+        pre_lo = np.maximum(-upper[n:], ivals.lower[li])
+        pre_hi = np.minimum(upper[:n], ivals.upper[li])
+        # float noise on a pinned neuron can cross its bounds: meet in the middle
+        crossed = pre_lo > pre_hi
+        mid = 0.5 * (pre_lo + pre_hi)
+        pre_lo = np.where(crossed, mid, pre_lo)
+        pre_hi = np.where(crossed, mid, pre_hi)
         out.lower.append(pre_lo)
         out.upper.append(pre_hi)
-        relaxed.append(_LayerRelax(layer, pre_lo, pre_hi))
-    out.relaxation = relaxed
+        out.relaxation.append(_LayerRelax(layer, pre_lo, pre_hi))
     return out
 
 
@@ -279,4 +271,5 @@ def output_linear_bound(net: Network, input_box: BoxDomain, c: np.ndarray,
     if len(relaxed) != len(net.layers):
         relaxed = [_LayerRelax(layer, lo, hi)
                    for layer, lo, hi in zip(net.layers, preact.lower, preact.upper)]
-    return _back_substitute(np.asarray(c, dtype=float), 0.0, relaxed, input_box, "upper")
+    row = np.asarray(c, dtype=float)[None, :]
+    return float(_back_substitute(row, np.zeros(1), relaxed, input_box)[0])

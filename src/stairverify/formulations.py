@@ -300,6 +300,7 @@ class QueryModel(_RowModel):
         self.net = net
         self.region = query.input_region()
         self.bounds = bounds if bounds is not None else deeppoly_bounds(net, self.region)
+        relaxed = self.bounds.relaxation
 
         self.layer_inputs: list[list[int]] = []
         self.y_vars: list[list[int]] = []
@@ -321,7 +322,8 @@ class QueryModel(_RowModel):
                     self._add_row(row, EQUAL, -float(layer.bias[j]))
                     ys.append(y)
                     continue
-                f = spec.instantiate(pre_lo, pre_hi)
+                f = (relaxed[li].functions[j] if len(relaxed) == len(net.layers)
+                     else spec.instantiate(pre_lo, pre_hi))
                 out_lo, out_hi = f.output_range()
                 y = self._new_var(out_lo, out_hi, f"y{li}_{j}")
                 zs = [self._new_var(0.0, 1.0, f"z{li}_{j}_{i}")

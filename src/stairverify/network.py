@@ -117,22 +117,36 @@ class ActivationSpec:
     params: dict
 
     def instantiate(self, lo: float, hi: float) -> PiecewiseLinear:
+        if self.kind not in ("identity", "relu"):
+            return pwl.from_pieces(*self._clipped_pieces(lo, hi))
         if hi <= lo:
             hi = lo + 1e-9
-        if self.kind == "identity":
-            return pwl.identity(lo, hi)
-        if self.kind == "relu":
-            return pwl.relu(lo, hi)
+        return pwl.identity(lo, hi) if self.kind == "identity" else pwl.relu(lo, hi)
+
+    def output_range(self, lo: float, hi: float) -> tuple[float, float]:
+        """`instantiate(lo, hi).output_range()` to the bit, without building a
+        dorefa or declared function: its range is read from the clipped arrays."""
+        if self.kind in ("identity", "relu"):
+            return self.instantiate(lo, hi).output_range()
+        return pwl.pieces_range(*self._clipped_pieces(lo, hi))
+
+    def _clipped_pieces(self, lo: float, hi: float):
+        """Arrays of the dorefa or declared base function clipped to [lo, hi]."""
+        if self.kind not in ("dorefa", "pwl", "staircase"):
+            raise InputError(f"unknown activation kind {self.kind!r}")
+        if hi <= lo:
+            hi = lo + 1e-9
+        f = self._base
+        bp = f.breakpoints
         if self.kind == "dorefa":
-            return _extend_then_clip(self._base, lo, hi)
-        if self.kind in ("pwl", "staircase"):
-            f = self._base
-            if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
-                raise InputError(
-                    f"declared {self.kind} domain [{f.lo}, {f.hi}] does not cover "
-                    f"the pre-activation range [{lo}, {hi}]")
-            return pwl.clip(f, lo, hi)
-        raise InputError(f"unknown activation kind {self.kind!r}")
+            if lo < bp[0] or hi > bp[-1]:  # extend the outer constant pieces
+                bp = np.concatenate(([min(bp[0], lo)], bp[1:-1], [max(bp[-1], hi)]))
+        elif lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
+            raise InputError(
+                f"declared {self.kind} domain [{f.lo}, {f.hi}] does not cover "
+                f"the pre-activation range [{lo}, {hi}]")
+        # [lo, hi] now lies inside the domain, so `clip`'s checks are not needed
+        return pwl.clip_arrays(bp, f.slopes, f.intercepts, lo, hi)
 
     @cached_property
     def _base(self) -> PiecewiseLinear:
@@ -144,15 +158,6 @@ class ActivationSpec:
                             np.asarray(self.params["slopes"], dtype=float),
                             np.asarray(self.params["intercepts"], dtype=float))
         return pwl.as_staircase(f) if self.kind == "staircase" else f
-
-
-def _extend_then_clip(f: PiecewiseLinear, lo: float, hi: float) -> PiecewiseLinear:
-    """Clip f to [lo, hi], extending the outer constant pieces when needed;
-    [lo, hi] then lies inside the domain, so `clip`'s checks are skipped."""
-    bp = f.breakpoints
-    if lo < bp[0] or hi > bp[-1]:
-        bp = np.concatenate(([min(bp[0], lo)], bp[1:-1], [max(bp[-1], hi)]))
-    return pwl.clip_arrays(bp, f.slopes, f.intercepts, lo, hi)
 
 
 @dataclass(frozen=True)

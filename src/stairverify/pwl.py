@@ -81,9 +81,7 @@ class PiecewiseLinear:
 
     def output_range(self) -> tuple[float, float]:
         """Min/max of the closure of the graph over the full domain."""
-        left = self.slopes * self.breakpoints[:-1] + self.intercepts
-        right = self.slopes * self.breakpoints[1:] + self.intercepts
-        return float(min(left.min(), right.min())), float(max(left.max(), right.max()))
+        return pieces_range(self.breakpoints, self.slopes, self.intercepts)
 
     def is_continuous(self, tol: float = 1e-12) -> bool:
         scale = max(1.0, float(np.abs(self.intercepts).max()), float(np.abs(self.slopes).max()))
@@ -158,11 +156,18 @@ def as_staircase(f: PiecewiseLinear) -> Staircase:
     return Staircase(f.breakpoints, f.slopes, f.intercepts, s=s)
 
 
+def pieces_range(bp, slopes, intercepts) -> tuple[float, float]:
+    """Min/max of the closure of the graph of the pieces (slopes, intercepts) on bp."""
+    left = slopes * bp[:-1] + intercepts
+    right = slopes * bp[1:] + intercepts
+    return float(min(left.min(), right.min())), float(max(left.max(), right.max()))
+
+
 def replace_pieces(f: PiecewiseLinear, slopes, intercepts) -> PiecewiseLinear:
-    return _build(f.breakpoints, slopes, intercepts)
+    return from_pieces(f.breakpoints, slopes, intercepts)
 
 
-def _build(breakpoints, slopes, intercepts) -> PiecewiseLinear:
+def from_pieces(breakpoints, slopes, intercepts) -> PiecewiseLinear:
     """One validated Staircase if the slopes lie in {0, s}, else one PiecewiseLinear."""
     slopes = np.asarray(slopes, dtype=float)
     s = _common_slope(slopes)
@@ -221,12 +226,12 @@ def clip(f: PiecewiseLinear, lo: float, hi: float) -> PiecewiseLinear:
         raise DomainError(f"empty clip interval [{lo}, {hi}]")
     if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
         raise DomainError("clip interval must be inside the function's domain")
-    return clip_arrays(f.breakpoints, f.slopes, f.intercepts, lo, hi)
+    return from_pieces(*clip_arrays(f.breakpoints, f.slopes, f.intercepts, lo, hi))
 
 
 def clip_arrays(bp: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
-                lo: float, hi: float) -> PiecewiseLinear:
-    """`clip` on the raw arrays of a valid function, without `clip`'s interval checks."""
+                lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`clip`'s breakpoints, slopes and intercepts, without its interval checks."""
     f_lo, f_hi = float(bp[0]), float(bp[-1])
     lo = max(lo, f_lo)
     hi = min(hi, f_hi)
@@ -237,12 +242,12 @@ def clip_arrays(bp: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
         if lo > f_hi:
             raise DomainError(f"t={lo} outside [{f_lo}, {f_hi}]")
         i = min(max(int(np.searchsorted(bp, lo, side="right")) - 1, 0), k - 1)
-        return _build([lo, lo + merge], slopes[i:i + 1], intercepts[i:i + 1])
+        return np.array([lo, lo + merge], dtype=float), slopes[i:i + 1], intercepts[i:i + 1]
     inner = bp[1:-1]
     cuts = np.concatenate(([lo], inner[(inner > lo + merge) & (inner < hi - merge)], [hi]))
     # lo >= bp[0] keeps every index >= 0; only a NaN lo would run past the end
     idx = np.minimum(np.searchsorted(bp, cuts[:-1], side="right") - 1, k - 1)
-    return _build(cuts, slopes[idx], intercepts[idx])
+    return cuts, slopes[idx], intercepts[idx]
 
 
 def decompose_staircase(f: PiecewiseLinear) -> tuple[Staircase | None, list[Staircase]]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds as bounds_mod
 from .errors import InputError, NumericalError, StairVerifyError
 from .formulations import (BIGM, CAYLEY, QueryModel, VerificationQuery,
                            attack_objective, build_query_model)
@@ -24,6 +25,7 @@ from .lp import solve
 from .separation import LOWER, UPPER, separate_pwl
 
 MODES = ("deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")
+TIMEOUT = "timeout limit reached"
 
 
 @dataclass
@@ -125,7 +127,8 @@ def verify_relaxed(query: VerificationQuery, config: VerifyConfig) -> VerifyRepo
     Robust iff every target bound stays at or below the threshold. A target
     LP optimum above the threshold yields a falsification only when the LP
     input replays to a label flip through the real network; otherwise the
-    verdict is unknown.
+    verdict is unknown. The deadline is checked before each target and each
+    cut round.
     """
     if config.is_exact:
         raise InputError("verify_relaxed requires a relaxation mode")
@@ -133,69 +136,76 @@ def verify_relaxed(query: VerificationQuery, config: VerifyConfig) -> VerifyRepo
         return _verify_deeppoly(query, config)
     report = VerifyReport(verdict="robust")
     t0 = time.monotonic()
+    deadline = t0 + config.timeout
+    preact = bounds_mod.deeppoly_bounds(query.network, query.input_region())
     for target in query.targets():
-        model = build_query_model(query.with_target(target), config.formulation)
-        value, diag = _solve_with_cuts(model, config, report)
+        if time.monotonic() > deadline:
+            report.verdict = "unknown"
+            report.diagnostic = TIMEOUT
+            break
+        model = build_query_model(query.with_target(target), config.formulation, preact)
+        value, sol_x, diag = _solve_with_cuts(model, config, report, deadline)
         if value is None:
             report.verdict = "unknown"
             report.diagnostic = diag
             break
         report.target_bounds[target] = value
         if value > query.xi + 1e-9:
-            report.verdict = "unknown"
-            sol_x = getattr(model, "_last_x", None)
-            if sol_x is not None:
-                x_cand = model.input_point(sol_x)
-                if _replay(query.network, x_cand, query.label):
-                    report.verdict = "falsified"
-                    report.counterexample = x_cand
+            x_cand = model.input_point(sol_x)
+            if _replay(query.network, x_cand, query.label):
+                report.verdict = "falsified"
+                report.counterexample = x_cand
+            else:
+                report.verdict = "unknown"
+                report.diagnostic = diag
             break
     report.solve_time = time.monotonic() - t0 - report.separation_time
     return report
 
 
-def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport):
+def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
+                     deadline: float):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    Returns (value, diagnostic) and adds the rounds, cuts and separation time
-    to `report`. The objective is non-increasing round over round since rows
-    only accumulate.
+    Returns (value, LP point, diagnostic) and adds the rounds, cuts and
+    separation time to `report`. Past the deadline no round runs, and the last
+    (sound) value comes with the timeout diagnostic. The objective is
+    non-increasing round over round since rows only accumulate.
     """
     prev = np.inf
     rounds = 0
     while True:
         sol = solve(model.to_lp())
         if sol.status == "infeasible":
-            return None, "relaxation infeasible (stale bounds?)"
+            return None, None, "relaxation infeasible (stale bounds?)"
         if sol.status != "optimal":
-            return None, f"LP {sol.status}"
-        model._last_x = sol.x
+            return None, None, f"LP {sol.status}"
         value = sol.objective
         if value > prev + 1e-9:
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
         if model.mode != CAYLEY or rounds >= config.max_cut_rounds:
-            return value, ""
+            return value, sol.x, ""
+        if time.monotonic() > deadline:
+            return value, sol.x, TIMEOUT
         t0 = time.monotonic()
         added = _cut_round(model, sol.x, config.cut_tol, report)
         report.separation_time += time.monotonic() - t0
         if added == 0:
-            return value, ""
+            return value, sol.x, ""
         report.cuts_added += added
         report.rounds += 1
         rounds += 1
 
 
 def _verify_deeppoly(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    from .bounds import deeppoly_bounds, output_linear_bound
-
     report = VerifyReport(verdict="robust")
     t0 = time.monotonic()
     region = query.input_region()
-    preact = deeppoly_bounds(query.network, region)
+    preact = bounds_mod.deeppoly_bounds(query.network, region)
     for target in query.targets():
         c = attack_objective(query.network.output_dim, query.label, target)
-        bound = output_linear_bound(query.network, region, c, preact)
+        bound = bounds_mod.output_linear_bound(query.network, region, c, preact)
         report.target_bounds[target] = bound
         if bound > query.xi + 1e-9:
             report.verdict = "unknown"
@@ -229,8 +239,10 @@ def verify_exact(query: VerificationQuery, config: VerifyConfig) -> VerifyReport
     report = VerifyReport(verdict="robust")
     t_start = time.monotonic()
     deadline = t_start + config.timeout
+    preact = bounds_mod.deeppoly_bounds(query.network, query.input_region())
     for target in query.targets():
-        value, info = _branch_and_bound(query.with_target(target), config, deadline, report)
+        model = build_query_model(query.with_target(target), config.formulation, preact)
+        value, info = _branch_and_bound(model, config, deadline, report)
         report.target_bounds[target] = value
         if info == "timeout" or info == "nodes":
             report.verdict = "unknown"
@@ -250,9 +262,8 @@ def verify_exact(query: VerificationQuery, config: VerifyConfig) -> VerifyReport
     return report
 
 
-def _branch_and_bound(tq: VerificationQuery, config: VerifyConfig,
+def _branch_and_bound(model: QueryModel, config: VerifyConfig,
                       deadline: float, report: VerifyReport):
-    model = build_query_model(tq, config.formulation)
     serial = itertools.count()
     root_allowed = {nf.key: tuple(range(nf.neuron.activation.num_pieces))
                     for nf in model.activated_neurons()}

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stairverify import pwl
-from stairverify.bounds import (PreActBounds, deeppoly_activation_relax, deeppoly_bounds,
-                                interval_bounds, output_linear_bound, relax_activation)
+from stairverify.bounds import (PreActBounds, _LayerRelax, deeppoly_activation_relax,
+                                deeppoly_bounds, interval_bounds, output_linear_bound,
+                                relax_activation)
 from stairverify.errors import ParameterError
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 
@@ -217,3 +218,105 @@ def test_output_bound_shares_the_deeppoly_relaxation(activation, monkeypatch):
 
     monkeypatch.setattr(ActivationSpec, "instantiate", fail)
     assert [output_linear_bound(net, net.input_box, c, dp) for c in cs] == rebuilt
+
+
+# -- whole-layer back-substitution against the per-neuron loop it replaced ------
+
+def _reference_back_substitute(coeffs, const, relaxed, input_box, sense):
+    for lr in reversed(relaxed):
+        pos = np.maximum(coeffs, 0.0)
+        neg = np.minimum(coeffs, 0.0)
+        if sense == "upper":
+            slope = pos * lr.cu + neg * lr.cl
+            const += float(pos @ lr.bu + neg @ lr.bl)
+        else:
+            slope = pos * lr.cl + neg * lr.cu
+            const += float(pos @ lr.bl + neg @ lr.bu)
+        const += float(slope @ lr.bias)
+        coeffs = slope @ lr.weights
+    pos = np.maximum(coeffs, 0.0)
+    neg = np.minimum(coeffs, 0.0)
+    if sense == "upper":
+        return const + float(pos @ input_box.upper + neg @ input_box.lower)
+    return const + float(pos @ input_box.lower + neg @ input_box.upper)
+
+
+def _reference_interval_bounds(net, input_box):
+    lowers, uppers = [], []
+    lo, hi = input_box.lower, input_box.upper
+    for layer in net.layers:
+        w_pos = np.maximum(layer.weights, 0.0)
+        w_neg = np.minimum(layer.weights, 0.0)
+        pre_lo = w_pos @ lo + w_neg @ hi + layer.bias
+        pre_hi = w_pos @ hi + w_neg @ lo + layer.bias
+        lowers.append(pre_lo)
+        uppers.append(pre_hi)
+        lo, hi = np.empty(layer.out_dim), np.empty(layer.out_dim)
+        for j, spec in enumerate(layer.activations):
+            if spec is None:
+                lo[j], hi[j] = pre_lo[j], pre_hi[j]
+            else:
+                lo[j], hi[j] = spec.instantiate(pre_lo[j], pre_hi[j]).output_range()
+    return lowers, uppers
+
+
+def _reference_deeppoly(net, input_box):
+    lowers, uppers = _reference_interval_bounds(net, input_box)
+    out_lo, out_hi, relaxed = [], [], []
+    for li, layer in enumerate(net.layers):
+        pre_lo = np.empty(layer.out_dim)
+        pre_hi = np.empty(layer.out_dim)
+        for j in range(layer.out_dim):
+            w, b = layer.weights[j], float(layer.bias[j])
+            lo = _reference_back_substitute(w, b, relaxed, input_box, "lower")
+            hi = _reference_back_substitute(w, b, relaxed, input_box, "upper")
+            pre_lo[j] = max(lo, float(lowers[li][j]))
+            pre_hi[j] = min(hi, float(uppers[li][j]))
+            if pre_lo[j] > pre_hi[j]:
+                pre_lo[j] = pre_hi[j] = 0.5 * (pre_lo[j] + pre_hi[j])
+        out_lo.append(pre_lo)
+        out_hi.append(pre_hi)
+        relaxed.append(_LayerRelax(layer, pre_lo, pre_hi))
+    return out_lo, out_hi, relaxed
+
+
+def _matrix_form_nets(rng):
+    """Criterion-9-style nets, some wider ones and one declared-pwl net."""
+    for i in range(60):
+        hidden = (int(rng.integers(2, 5)),) if rng.random() < 0.7 else \
+            (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        if i % 6 == 0:
+            hidden = (int(rng.integers(8, 24)), int(rng.integers(8, 24)))
+        net = random_quantized_network(
+            rng, n_in=int(rng.integers(2, 9)), hidden=hidden, n_out=3,
+            bits=int(rng.integers(1, 3)),
+            activation="dorefa" if rng.random() < 0.7 else "relu")
+        yield net, net.input_box
+    spec = ActivationSpec("pwl", {"breakpoints": [-20.0, -1.0, 0.5, 20.0],
+                                  "slopes": [0.5, 2.0, 0.0], "intercepts": [0.0, 1.5, 2.5]})
+    net = Network((Layer.dense(rng.normal(size=(5, 3)), rng.normal(size=5) * 0.3, spec),
+                   Layer.dense(rng.normal(size=(4, 5)), rng.normal(size=4) * 0.3, spec),
+                   Layer.dense(rng.normal(size=(3, 4)), np.zeros(3), None)),
+                  BoxDomain(-np.ones(3), np.ones(3)))
+    yield net, BoxDomain(-0.5 * np.ones(3), 0.5 * np.ones(3))
+
+
+def test_matrix_deeppoly_matches_per_neuron_form():
+    rng = np.random.default_rng(9)
+
+    def close(new, old):
+        return np.all(np.abs(new - old) <= 1e-12 * np.maximum(1.0, np.abs(old)))
+
+    for net, box in _matrix_form_nets(rng):
+        iv = interval_bounds(net, box)
+        ref_lo, ref_hi = _reference_interval_bounds(net, box)
+        for new, old in zip(iv.lower + iv.upper, ref_lo + ref_hi):
+            assert new.tobytes() == old.tobytes()
+        dp = deeppoly_bounds(net, box)
+        ref_lo, ref_hi, relaxed = _reference_deeppoly(net, box)
+        for new, old in zip(dp.lower + dp.upper, ref_lo + ref_hi):
+            assert close(new, old)
+        for _ in range(3):
+            c = rng.normal(size=net.output_dim)
+            old = _reference_back_substitute(c, 0.0, relaxed, box, "upper")
+            assert close(output_linear_bound(net, box, c, dp), old)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from stairverify import pwl
+from stairverify.bounds import PreActBounds, deeppoly_bounds
 from stairverify.errors import FormulationError, InputError
 from stairverify.formulations import (BIGM, CAYLEY, VerificationQuery, build_bigm,
                                       build_cayley, build_query_lp, build_query_model)
 from stairverify.lp import EQUAL, GREATER, LESS, solve, write_lp_text
-from stairverify.network import BoxDomain, Layer, Network, Neuron
+from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.oracles import enumerate_cayley_vertices
 from stairverify.separation import UPPER, separate_pwl
 
@@ -248,3 +249,22 @@ def test_builders_clip_to_explicit_bounds():
         assert clipped.num_pieces == f.num_pieces - 2
     with pytest.raises(FormulationError):
         build_bigm(neuron, U, L)
+
+
+def test_query_model_takes_clipped_functions_from_the_bounds(monkeypatch):
+    rng = np.random.default_rng(57)
+    net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3)
+    q = VerificationQuery(net, np.array([0.1, -0.2, 0.3]), 0.2, 0, 2)
+    dp = deeppoly_bounds(net, q.input_region())
+    rebuilt = {mode: build_query_model(q, mode, PreActBounds(dp.lower, dp.upper))
+               for mode in (BIGM, CAYLEY)}
+
+    def fail(*args):
+        raise AssertionError("QueryModel rebuilt an activation")
+
+    monkeypatch.setattr(ActivationSpec, "instantiate", fail)
+    for mode, ref in rebuilt.items():
+        model = build_query_model(q, mode, dp)
+        for nf in model.activated_neurons():
+            assert nf.neuron.activation is dp.relaxation[nf.layer].functions[nf.index]
+        assert (model.rows, model.lower, model.upper) == (ref.rows, ref.lower, ref.upper)

@@ -154,6 +154,8 @@ def _reference_instantiate(spec, lo, hi):
         hi = lo + 1e-9
     if spec.kind == "relu":
         return pwl.relu(lo, hi)
+    if spec.kind == "identity":
+        return pwl.identity(lo, hi)
     if spec.kind == "dorefa":
         f = pwl.dorefa(int(spec.params["bits"]),
                        float(spec.params["lo"]), float(spec.params["hi"]))
@@ -176,6 +178,7 @@ def _reference_instantiate(spec, lo, hi):
 
 _SPECS = [ActivationSpec("dorefa", {"bits": b, "lo": -1.0, "hi": 1.0}) for b in (1, 2, 3)] + [
     ActivationSpec("relu", {}),
+    ActivationSpec("identity", {}),
     ActivationSpec("staircase", {"breakpoints": [-2.0, -0.5, 0.25, 1.5],
                                  "slopes": [0.0, 0.5, 0.0], "intercepts": [0.1, 0.4, 0.6]}),
     ActivationSpec("pwl", {"breakpoints": [-2.0, -0.5, 0.25, 1.5],
@@ -186,7 +189,7 @@ _SPECS = [ActivationSpec("dorefa", {"bits": b, "lo": -1.0, "hi": 1.0}) for b in 
 def _instantiate_grid(spec):
     if spec.kind == "dorefa":
         marks = list(np.linspace(-1.0, 1.0, 2 ** spec.params["bits"] + 1))
-    elif spec.kind == "relu":
+    elif spec.kind in ("relu", "identity"):
         marks = [-1.0, 0.0, 1.0]
     else:
         marks = list(spec.params["breakpoints"])
@@ -218,3 +221,23 @@ def test_instantiate_matches_reference_construction(spec):
         new = _outcome(ActivationSpec.instantiate, spec, lo, hi)
         old = _outcome(_reference_instantiate, spec, lo, hi)
         assert new == old, (spec.kind, lo, hi)
+
+
+def _range_outcome(fn, spec, lo, hi):
+    try:
+        out = fn(spec, lo, hi)
+    except Exception as exc:  # the exception type must match too
+        return type(exc)
+    return np.array(out, dtype=float).tobytes()  # bitwise, so -0.0 != 0.0
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{s.kind}{s.params.get('bits', '')}")
+def test_output_range_matches_instantiated_range(spec):
+    outcomes = []
+    for lo, hi in _instantiate_grid(spec):
+        new = _range_outcome(ActivationSpec.output_range, spec, lo, hi)
+        old = _range_outcome(lambda sp, a, b: sp.instantiate(a, b).output_range(), spec, lo, hi)
+        assert new == old, (spec.kind, lo, hi)
+        outcomes.append(new)
+    # declared domains end at -2 and 1.5, so the grid also checks the error path
+    assert any(o is InputError for o in outcomes) == (spec.kind in ("pwl", "staircase"))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from stairverify import bounds, formulations
 from stairverify.errors import InputError
 from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
 from stairverify.oracles import exhaustive_verify
-from stairverify.verifier import (VerifyConfig, _cut_round, verify,
-                                  verify_exact, verify_relaxed)
+from stairverify.verifier import (VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts,
+                                  verify, verify_exact, verify_relaxed)
 
 from helpers import random_quantized_network
 
@@ -251,3 +252,47 @@ def test_negative_slope_staircase_end_to_end():
         assert rep.target_bounds[1 - label] == pytest.approx(truth, abs=1e-6)
     relax = verify_relaxed(q, VerifyConfig(mode="cayley-lp"))
     assert relax.target_bounds[1 - label] >= truth - 1e-7
+
+
+@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
+def test_each_query_builds_its_bounds_once(mode, monkeypatch):
+    rng = np.random.default_rng(73)
+    net = random_quantized_network(rng, n_in=3, hidden=(3,), n_out=3)
+    q = VerificationQuery(net, np.zeros(3), 0.05, int(np.argmax(net.forward(np.zeros(3)))),
+                          xi=1e9)
+    calls = []
+    original = bounds.deeppoly_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for owner in (bounds, formulations):
+        monkeypatch.setattr(owner, "deeppoly_bounds", counted)
+    report = verify(q, VerifyConfig(mode=mode, timeout=60))
+    assert report.verdict == "robust" and len(report.target_bounds) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp"])
+def test_relaxed_timeout_reports_the_limit(mode):
+    rng = np.random.default_rng(74)
+    net = random_quantized_network(rng, n_in=3, hidden=(4,), n_out=4)
+    q = VerificationQuery(net, np.zeros(3), 0.3, 0, xi=1e9)
+    assert verify(q, VerifyConfig(mode=mode)).verdict == "robust"
+    report = verify(q, VerifyConfig(mode=mode, timeout=1e-6))
+    assert report.verdict == "unknown"
+    assert report.diagnostic == "timeout limit reached"
+
+
+def test_cut_loop_stops_at_the_deadline():
+    rng = np.random.default_rng(64)
+    q = _tiny_query(rng, hidden=(4,), bits=2, eps=0.25, weight_scale=1.5)
+    tq = q.with_target(q.targets()[0])
+    late, full = VerifyReport("robust"), VerifyReport("robust")
+    value, x, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), late,
+                                      deadline=-np.inf)
+    assert (diag, late.rounds) == ("timeout limit reached", 0) and x is not None
+    tight, _, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), full,
+                                      deadline=np.inf)
+    assert diag == "" and full.rounds > 0 and tight < value - 1e-6
