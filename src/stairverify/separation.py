@@ -905,17 +905,51 @@ def membership_certificate(neuron: Neuron, xhat, zhat, direction: str) -> float:
     return total if direction == UPPER else -total
 
 
+def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
+                    tol: float = VIOLATION_TOL) -> bool:
+    """Exact inside test at a simplex vertex, answered without the oracle.
+
+    e_i is a vertex of the simplex, so the hull's fiber over z = e_i is the
+    graph of piece i over its closed slab. True only when z has exactly one
+    nonzero entry i equal to 1.0, x lies in the box, t = w.x + b lies in
+    [h_i, h_{i+1}] and y is on the inside of a_i t + d_i by the margin tol/2;
+    any other point, invalid ones included, answers False.
+    """
+    f = neuron.activation
+    zhat = np.asarray(zhat, dtype=float)
+    if direction not in (UPPER, LOWER) or zhat.shape != (f.num_pieces,):
+        return False
+    support = np.flatnonzero(zhat)
+    if support.size != 1 or zhat[support[0]] != 1.0:
+        return False
+    i = int(support[0])
+    xhat = np.asarray(xhat, dtype=float)
+    lo, hi = neuron.box.lower, neuron.box.upper
+    if xhat.shape != lo.shape or np.any(xhat < lo) or np.any(xhat > hi):
+        return False
+    t = float(neuron.weight @ xhat + neuron.bias)
+    if not f.breakpoints[i] <= t <= f.breakpoints[i + 1]:
+        return False
+    gap = float(yhat) - float(f.slopes[i] * t + f.intercepts[i])
+    inside = gap <= tol / 2 if direction == UPPER else gap >= -tol / 2
+    # the oracle rejects a pinned neuron; leave that error to it
+    return inside and not is_pinned(neuron)
+
+
 def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
                  tol: float = VIOLATION_TOL, neuron_id: str = "",
                  validate: bool = False) -> Cut | None:
     """Separation for general piecewise-linear activations via decomposition.
 
-    The activation splits into an optional jump part plus continuous
-    staircases on the shared breakpoint grid. The hull of the sum projects to
-    the sum of component hulls over a shared z, so the envelope at (x, z) is
-    the sum of component envelopes and one staircase separation per component
-    assembles the violated inequality.
+    Points on the graph at a simplex vertex are answered by `on_vertex_graph`
+    first. Otherwise the activation splits into an optional jump part plus
+    continuous staircases on the shared breakpoint grid. The hull of the sum
+    projects to the sum of component hulls over a shared z, so the envelope
+    at (x, z) is the sum of component envelopes and one staircase separation
+    per component assembles the violated inequality.
     """
+    if on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol):
+        return None
     f = neuron.activation
     if staircase_slope(f) is not None:
         return separate_staircase(neuron, xhat, yhat, zhat, direction, tol,

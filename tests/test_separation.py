@@ -460,3 +460,98 @@ def test_lower_direction_mirrors_upper_on_negated_activation():
         if lo_cut is not None and lo_cut.y_coef and up_cut.y_coef:
             assert np.allclose(lo_cut.alpha, -up_cut.alpha)
             assert np.allclose(lo_cut.zcoef, -up_cut.zcoef)
+
+
+# -- vertex screen -------------------------------------------------------------
+
+
+def _oracle_only(monkeypatch):
+    """separate_pwl with the vertex screen switched off."""
+    import stairverify.separation as sep
+    monkeypatch.setattr(sep, "on_vertex_graph", lambda *a, **k: False)
+    return sep.separate_pwl
+
+
+def _point_at(neuron, x, t_target):
+    """x moved along its largest-weight coordinate so that w.x + b = t_target."""
+    j = int(np.argmax(np.abs(neuron.weight)))
+    x = x.copy()
+    rest = float(neuron.weight @ x + neuron.bias) - neuron.weight[j] * x[j]
+    x[j] = np.clip((t_target - rest) / neuron.weight[j],
+                   neuron.box.lower[j], neuron.box.upper[j])
+    return x
+
+
+def _screen_cases(rng, neuron):
+    """(x, y, z, kind) at one-hot graph points and at 1e-12..1e-6 perturbations."""
+    f = neuron.activation
+    k = f.num_pieces
+    x = neuron.box.sample(rng)
+    if rng.random() < 0.4:
+        x = _point_at(neuron, x, float(f.breakpoints[rng.integers(k + 1)]))
+    t = float(neuron.weight @ x + neuron.bias)
+    i = f.piece_index(t)
+    if i > 0 and t == f.breakpoints[i] and rng.random() < 0.5:
+        i -= 1  # closure side of a breakpoint
+    z = np.zeros(k)
+    z[i] = 1.0
+    y = float(f.slopes[i] * t + f.intercepts[i])
+    cases = [(x, y, z, "graph")]
+    for delta in (1e-12, 1e-10, 1e-8, 1e-7, 1e-6):
+        for sign in (1.0, -1.0):
+            cases.append((x, y + sign * delta, z, "off graph"))
+        edge = float(f.breakpoints[i + 1] if rng.random() < 0.5 else f.breakpoints[i])
+        out = edge + (delta if edge == f.breakpoints[i + 1] else -delta)
+        xs = _point_at(neuron, x, out)
+        ts = float(neuron.weight @ xs + neuron.bias)
+        cases.append((xs, float(f.slopes[i] * ts + f.intercepts[i]), z, "off slab"))
+        if k > 1:
+            zs = z * (1.0 - delta)
+            zs[(i + 1) % k] = delta
+            cases.append((x, y, zs, "off vertex"))
+    return cases
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_vertex_screen_never_skips_a_cut(general, monkeypatch):
+    rng = np.random.default_rng(91 if general else 90)
+    from stairverify.separation import on_vertex_graph
+    oracle = _oracle_only(monkeypatch)
+    screened = {"graph": 0, "off graph": 0, "off slab": 0, "off vertex": 0}
+    for _ in range(60):
+        neuron = random_neuron(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)),
+                               pwl_activation=general)
+        for x, y, z, kind in _screen_cases(rng, neuron):
+            for direction in (UPPER, LOWER):
+                for tol in (1e-7, 1e-6):
+                    if on_vertex_graph(neuron, x, y, z, direction, tol):
+                        screened[kind] += 1
+                        assert oracle(neuron, x, y, z, direction, tol=tol) is None, kind
+    # every exact graph point is screened, one-hot or not never wrongly
+    assert screened["graph"] == 60 * 2 * 2
+    assert screened["off vertex"] == 0
+    assert screened["off graph"] > 0 and screened["off slab"] > 0
+
+
+def test_vertex_screen_margin_is_half_the_tolerance():
+    neuron = Neuron(np.array([1.0]), 0.0, pwl.relu(-1.0, 1.0), BoxDomain([-1.0], [1.0]))
+    x, z = np.array([0.5]), np.array([0.0, 1.0])
+    from stairverify.separation import on_vertex_graph
+    assert on_vertex_graph(neuron, x, 0.5 + 0.4e-6, z, UPPER, tol=1e-6)
+    assert not on_vertex_graph(neuron, x, 0.5 + 0.6e-6, z, UPPER, tol=1e-6)
+    assert on_vertex_graph(neuron, x, 0.5 - 1.0, z, UPPER, tol=1e-6)
+    assert not on_vertex_graph(neuron, x, 0.5 - 1.0, z, LOWER, tol=1e-6)
+    assert not on_vertex_graph(neuron, x, 0.5, np.array([1e-300, 1.0]), UPPER)
+    assert not on_vertex_graph(neuron, x, 0.5, np.array([0.0, 1.0 - 1e-16]), UPPER)
+    assert not on_vertex_graph(neuron, np.array([1.0 + 1e-15]), 1.0, z, UPPER)
+
+
+def test_vertex_screen_leaves_invalid_inputs_to_the_oracle():
+    flat = Neuron(np.zeros(2), 0.0, pwl.relu(-1.0, 1.0), BoxDomain([-1, -1], [1, 1]))
+    with pytest.raises(DomainError):
+        separate_pwl(flat, np.zeros(2), 0.0, np.array([1.0, 0.0]), UPPER)
+    neuron = Neuron(np.array([1.0]), 0.0, pwl.relu(-1.0, 1.0), BoxDomain([-1.0], [1.0]))
+    with pytest.raises(InputError):
+        separate_pwl(neuron, np.array([0.5]), 0.5, np.array([0.0, 1.0]), "sideways")
+    with pytest.raises(InputError):
+        separate_pwl(neuron, np.array([0.5]), 0.5, np.array([0.0, 1.0, 0.0]), UPPER)
