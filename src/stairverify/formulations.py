@@ -380,12 +380,15 @@ class QueryModel(_RowModel):
             out.append(keep or list(range(f.num_pieces)))
         return out
 
-    def pattern_lp(self, pattern) -> LinearProgram:
+    def pattern_lp(self, pattern, margin: float = 0.0) -> LinearProgram:
         """One closure branch: every activated neuron pinned to one piece.
 
         Built from the network data directly (affine rows, slab pins, graph
         equalities) so the exhaustive oracle does not reuse the Big-M or
-        Cayley rows it is meant to check.
+        Cayley rows it is meant to check. A positive `margin` pulls each
+        interior slab edge in by margin * max(1, |rhs|): at an upper edge the
+        network takes the next piece, and a point the LP puts on a lower edge
+        may sit a rounding error below it.
         """
         neurons = self.activated_neurons()
         if len(pattern) != len(neurons):
@@ -409,8 +412,14 @@ class QueryModel(_RowModel):
             pre = np.zeros(n)
             for p, v in enumerate(nf.x_vars):
                 pre[v] = w[p]
-            lp.add_row(pre, GREATER, float(f.breakpoints[piece]) - b)
-            lp.add_row(pre, LESS, float(f.breakpoints[piece + 1]) - b)
+            lower = float(f.breakpoints[piece]) - b
+            upper = float(f.breakpoints[piece + 1]) - b
+            if piece > 0:
+                lower += margin * max(1.0, abs(lower))
+            if piece + 1 < f.num_pieces:
+                upper -= margin * max(1.0, abs(upper))
+            lp.add_row(pre, GREATER, lower)
+            lp.add_row(pre, LESS, upper)
             graph = -float(f.slopes[piece]) * pre
             graph[nf.y_var] += 1.0
             lp.add_row(graph, EQUAL,

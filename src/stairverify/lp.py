@@ -71,7 +71,9 @@ class LpSolution:
     duals: np.ndarray | None = None          # per row, user sense
     reduced_costs: np.ndarray | None = None  # per structural variable, user sense
     basis: list[int] | None = None           # column indices incl. slacks
-    iterations: int = 0
+    iterations: int = 0                      # phase 2
+    phase1_iterations: int = 0
+    warm_used: bool = False                  # started from the `warm` solution
 
     def dual_objective(self, lp: LinearProgram) -> float:
         """Bounded-variable dual value; equals the primal objective at optimality."""
@@ -158,21 +160,21 @@ def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
                 continue  # pinned variable, can never move
             at_lower = tab.lower[j] > -INF and x[j] <= tab.lower[j] + FEAS_TOL
             at_upper = tab.upper[j] < INF and x[j] >= tab.upper[j] - FEAS_TOL
+            on_bound = at_lower or at_upper
             if at_lower and d[j] < -PIVOT_TOL:
                 entering, direction = j, 1.0
                 break
             if at_upper and d[j] > PIVOT_TOL:
                 entering, direction = j, -1.0
                 break
-            if not at_lower and not at_upper and abs(d[j]) > PIVOT_TOL:
+            if not on_bound and abs(d[j]) > PIVOT_TOL:
                 entering, direction = j, (1.0 if d[j] < 0 else -1.0)
                 break
         if entering < 0:
             return "optimal", iters
 
-        u = tab.binv @ tab.A[:, entering]
-        if direction < 0:
-            u = -u
+        col = tab.binv @ tab.A[:, entering]
+        u = col if direction > 0 else -col
         # max step before a basic variable or the entering bound blocks
         step = INF
         leaving = -1
@@ -191,8 +193,14 @@ def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
                     r = (hi - x[bi]) / (-u[i])
                     if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
                         step, leaving, leave_to = r, i, hi
-        span = tab.upper[entering] - tab.lower[entering]
-        flip = span if (tab.lower[entering] > -INF and tab.upper[entering] < INF) else INF
+        target = tab.upper[entering] if direction > 0 else tab.lower[entering]
+        if abs(target) >= INF:
+            flip = INF
+        elif on_bound:
+            flip = tab.upper[entering] - tab.lower[entering]
+        else:
+            # a column inside its box (a warm start's point) stops at the target
+            flip = direction * (target - x[entering])
         if flip < step - PIVOT_TOL:
             # bound flip: entering crosses its box without changing the basis
             x[entering] += direction * flip
@@ -214,36 +222,51 @@ def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
         if since_refactor >= 64:
             tab.refactor()
             since_refactor = 0
+        elif abs(col[leaving]) < PIVOT_TOL:
+            tab.refactor()
         else:
-            # product-form update of the basis inverse
-            col = tab.binv @ tab.A[:, entering]
-            piv = col[leaving]
-            if abs(piv) < PIVOT_TOL:
-                tab.refactor()
-            else:
-                tab.binv[leaving, :] /= piv
-                rows = [i for i in range(m) if i != leaving]
-                tab.binv[rows, :] -= np.outer(col[rows], tab.binv[leaving, :])
+            _update_inverse(tab.binv, col, leaving)
         iters += 1
 
 
-def solve(lp: LinearProgram, warm_basis: list[int] | None = None,
+def _update_inverse(binv: np.ndarray, col: np.ndarray, leaving: int) -> None:
+    """Product-form update of the basis inverse in place; `col` = binv @ entering column."""
+    binv[leaving, :] /= col[leaving]
+    pivot_row = binv[leaving, :].copy()
+    binv -= np.outer(col, pivot_row)
+    binv[leaving, :] = pivot_row
+
+
+def solve(lp: LinearProgram, warm: LpSolution | None = None,
           max_iter: int | None = None) -> LpSolution:
     """Solve the LP; optimal solutions are vertex (basic) solutions.
 
-    `warm_basis` restarts from a previously returned basis when its columns
-    still form a nonsingular matrix; any numerical failure under a warm start
-    falls back to the cold start before being reported.
+    `warm` is an earlier solution of the same LP before rows were appended
+    (row i keeps slack column n + i) or bounds were tightened. Its basis,
+    extended by the slacks of the appended rows, and its point, clipped into
+    the current bounds, start the solve when that basis is still nonsingular;
+    any numerical failure under a warm start falls back to the cold start
+    before being reported.
     """
     try:
-        return _solve_once(lp, warm_basis, max_iter)
+        return _solve_once(lp, warm, max_iter)
     except NumericalError:
-        if warm_basis is None:
+        if warm is None:
             raise
         return _solve_once(lp, None, max_iter)
 
 
-def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
+def _extended_basis(warm: LpSolution | None, n: int, m: int) -> list[int] | None:
+    """The warm basis plus the slacks of the rows appended since, if usable."""
+    if warm is None or warm.basis is None or warm.x is None or warm.x.size != n:
+        return None
+    old_m = len(warm.basis)
+    if old_m > m or any(j >= n + old_m for j in warm.basis):
+        return None
+    return list(warm.basis) + list(range(n + old_m, n + m))
+
+
+def _solve_once(lp: LinearProgram, warm: LpSolution | None,
                 max_iter: int | None) -> LpSolution:
     tab = _Tableau(lp)
     m, n = tab.m, tab.n
@@ -255,30 +278,38 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
     x = _initial_point(tab)
     tab.basis = list(range(n, n + m))
     warm_used = False
-    if warm_basis is not None and len(set(warm_basis)) == m and max(warm_basis) < tab.ncols:
+    basis = _extended_basis(warm, n, m)
+    if basis is not None:
         try:
-            tab.basis = list(warm_basis)
+            tab.basis = basis
             tab.refactor()
-            warm_used = True
         except NumericalError:
             tab.basis = list(range(n, n + m))
             tab.binv = None
+        else:
+            warm_used = True
+            # nonbasic structurals resume at the previous vertex; the slack
+            # basis of a rejected warm start needs its columns on bounds
+            x[:n] = np.clip(warm.x, lp.lower, lp.upper)
     if tab.binv is None:
         tab.refactor()
 
     _set_basic_values(tab, x)
 
-    # Phase 1: shift infeasible basic values onto artificial columns.
+    # Phase 1: shift infeasible basic values onto artificial columns, each
+    # the (signed) column of the basic variable it displaces, so the other
+    # basic values stay put; on the cold slack basis these are +-e_i.
     viol_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
     viol_hi = np.maximum(x[tab.basis] - tab.upper[tab.basis], 0.0)
-    art_cols = []
+    art_cols: list[int] = []
+    displaced: list[int] = []
+    it1 = 0
     if np.any(viol_lo > FEAS_TOL) or np.any(viol_hi > FEAS_TOL):
         sign = np.where(viol_lo > 0, -1.0, 1.0)
         mag = viol_lo + viol_hi
         keep = np.flatnonzero(mag > FEAS_TOL)
-        extra = np.zeros((m, keep.size))
-        extra[keep, np.arange(keep.size)] = sign[keep]
-        tab.A = np.hstack([tab.A, extra])
+        displaced = [tab.basis[i] for i in keep]
+        tab.A = np.hstack([tab.A, tab.A[:, displaced] * sign[keep]])
         tab.lower = np.concatenate([tab.lower, np.zeros(len(keep))])
         tab.upper = np.concatenate([tab.upper, np.full(len(keep), INF)])
         x = np.concatenate([x, np.zeros(len(keep))])
@@ -291,22 +322,27 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
             tab.basis[i] = art_cols[pos]
         tab.refactor()
         _set_basic_values(tab, x)
-        # with a non-identity (warm) basis, moving the clipped variables can
-        # push other basic values out of bounds; the cold identity start
-        # cannot, so fall back rather than start phase 1 infeasible
         still_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
         still_hi = np.maximum(x[tab.basis] - tab.upper[tab.basis], 0.0)
         if float(np.maximum(still_lo, still_hi).max()) > FEAS_TOL:
-            if warm_used:
-                raise NumericalError("warm basis leaves an infeasible phase-1 start")
-            raise NumericalError("cold phase-1 start inconsistent")
+            raise NumericalError("inconsistent phase-1 start")
 
         cost1 = np.zeros(tab.ncols)
         cost1[art_cols] = 1.0
         fixed = np.zeros(tab.ncols, dtype=bool)
+        threshold = FEAS_TOL * max(1.0, np.abs(tab.b).max())
         status, it1 = _simplex_loop(tab, cost1, x, max_iter, fixed)
-        if status != "optimal" or float(cost1 @ x) > FEAS_TOL * max(1.0, np.abs(tab.b).max()):
-            return LpSolution(status="infeasible", iterations=it1)
+        if status == "optimal" and float(cost1 @ x) > threshold:
+            # the updated inverse may have drifted: refresh it, and if the
+            # artificials still carry weight, let phase 1 go on from there
+            tab.refactor()
+            _set_basic_values(tab, x)
+            if float(cost1 @ x) > threshold:
+                status, more = _simplex_loop(tab, cost1, x, max_iter, fixed)
+                it1 += more
+        if status != "optimal" or float(cost1 @ x) > threshold:
+            return LpSolution(status="infeasible", phase1_iterations=it1,
+                              warm_used=warm_used)
         # pin artificials at zero for phase 2
         tab.lower[art_cols] = 0.0
         tab.upper[art_cols] = 0.0
@@ -319,7 +355,8 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
     fixed[art_cols] = True
     status, iters = _simplex_loop(tab, cost, x, max_iter, fixed)
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=iters)
+        return LpSolution(status="unbounded", iterations=iters,
+                          phase1_iterations=it1, warm_used=warm_used)
 
     # clean recomputation of the basic values from the final basis
     tab.refactor()
@@ -329,14 +366,18 @@ def _solve_once(lp: LinearProgram, warm_basis: list[int] | None,
     d = cost - y @ tab.A
     sense_sign = 1.0 if lp.sense == "min" else -1.0
     obj = float(lp.objective @ x[:n])
+    # an artificial still basic (at zero) stands for the column it displaced
+    back = dict(zip(art_cols, displaced))
     return LpSolution(
         status="optimal",
         x=x[:n].copy(),
         objective=obj,
         duals=sense_sign * y,
         reduced_costs=sense_sign * d[:n],
-        basis=list(tab.basis),
+        basis=[back.get(j, j) for j in tab.basis],
         iterations=iters,
+        phase1_iterations=it1,
+        warm_used=warm_used,
     )
 
 

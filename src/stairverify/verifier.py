@@ -21,8 +21,8 @@ from . import bounds as bounds_mod
 from .errors import InputError, NumericalError, StairVerifyError
 from .formulations import (BIGM, CAYLEY, QueryModel, VerificationQuery,
                            attack_objective, build_query_model)
-from .lp import solve
-from .separation import LOWER, UPPER, separate_pwl
+from .lp import LpSolution, solve
+from .separation import LOWER, UPPER, on_vertex_graph, separate_pwl
 
 MODES = ("deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")
 TIMEOUT = "timeout limit reached"
@@ -65,6 +65,11 @@ class VerifyReport:
     separation_time: float = 0.0
     rounds: int = 0
     separation_failures: int = 0      # oracle errors inside the cut loop
+    separation_calls: int = 0         # (neuron, direction) points the cut loop checked
+    separation_screened: int = 0      # of those, answered by the vertex screen
+    lp_phase1_iterations: int = 0
+    lp_phase2_iterations: int = 0
+    warm_solves: int = 0              # LP solves that started from a warm solution
     diagnostic: str = ""
 
     def as_dict(self) -> dict:
@@ -80,8 +85,22 @@ class VerifyReport:
             "separation_time": self.separation_time,
             "rounds": self.rounds,
             "separation_failures": self.separation_failures,
+            "separation_calls": self.separation_calls,
+            "separation_screened": self.separation_screened,
+            "lp_phase1_iterations": self.lp_phase1_iterations,
+            "lp_phase2_iterations": self.lp_phase2_iterations,
+            "warm_solves": self.warm_solves,
             "diagnostic": self.diagnostic,
         }
+
+
+def _solve(lp, warm, report: VerifyReport):
+    """`lp.solve` with its iteration and warm-start counts added to `report`."""
+    sol = solve(lp, warm)
+    report.lp_phase1_iterations += sol.phase1_iterations
+    report.lp_phase2_iterations += sol.iterations
+    report.warm_solves += sol.warm_used
+    return sol
 
 
 def _replay(network, x, label) -> bool:
@@ -95,8 +114,10 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float,
                report: VerifyReport | None = None) -> int:
     """Separate every activated neuron at the LP point; returns cuts added.
 
-    Pinned neurons have a constant pre-activation and are skipped; any oracle
-    error on another neuron is counted in `report.separation_failures`.
+    Pinned neurons have a constant pre-activation and are skipped. Points on
+    the graph at a simplex vertex are answered by `on_vertex_graph` without
+    the oracle; the report counts checked and screened points, and any oracle
+    error in `separation_failures`.
     """
     added = 0
     for nf in model.activated_neurons():
@@ -108,6 +129,12 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float,
         total = zv.sum()
         zv = zv / total if total > 0 else np.full_like(zv, 1.0 / zv.size)
         for direction in (UPPER, LOWER):
+            if report is not None:
+                report.separation_calls += 1
+            if on_vertex_graph(nf.neuron, xin, yv, zv, direction, tol):
+                if report is not None:
+                    report.separation_screened += 1
+                continue
             try:
                 cut = separate_pwl(nf.neuron, xin, yv, zv, direction,
                                    tol=tol, neuron_id=nf.name)
@@ -167,15 +194,17 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
                      deadline: float):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    Returns (value, LP point, diagnostic) and adds the rounds, cuts and
-    separation time to `report`. Past the deadline no round runs, and the last
+    Each re-solve starts from the previous solution. Returns (value, LP
+    point, diagnostic) and adds the rounds, cuts, separation and LP counts to
+    `report`. Past the deadline no round runs, and the last
     (sound) value comes with the timeout diagnostic. The objective is
     non-increasing round over round since rows only accumulate.
     """
     prev = np.inf
     rounds = 0
+    sol = None
     while True:
-        sol = solve(model.to_lp())
+        sol = _solve(model.to_lp(), sol, report)
         if sol.status == "infeasible":
             return None, None, "relaxation infeasible (stale bounds?)"
         if sol.status != "optimal":
@@ -219,7 +248,7 @@ class _Node:
     neg_bound: float
     serial: int
     allowed: dict = field(compare=False)
-    basis: list | None = field(compare=False, default=None)
+    warm: LpSolution | None = field(compare=False, default=None)  # parent's solution
 
 
 def _fractionality(zv: np.ndarray) -> float:
@@ -230,9 +259,11 @@ def verify_exact(query: VerificationQuery, config: VerifyConfig) -> VerifyReport
     """Best-first branch-and-bound on the piece indicators of each neuron.
 
     Branching bisects the allowed index set of the least integral neuron and
-    fixes the complementary indicators to zero. Node LPs reuse the parent
-    basis; cayley-exact separates lazily at node optima. Terminates with the
-    exact verdict, or unknown plus a gap at the node/time limit.
+    fixes the complementary indicators to zero. Node LPs start from the
+    parent's solution (basis and point); cayley-exact separates lazily at node
+    optima. Terminates with the exact verdict, or unknown plus a gap at the
+    node/time limit. An optimum above the threshold whose input does not flip
+    the label goes through `_counterexample` before the verdict is unknown.
     """
     if not config.is_exact:
         raise InputError("verify_exact requires an exact mode")
@@ -242,56 +273,78 @@ def verify_exact(query: VerificationQuery, config: VerifyConfig) -> VerifyReport
     preact = bounds_mod.deeppoly_bounds(query.network, query.input_region())
     for target in query.targets():
         model = build_query_model(query.with_target(target), config.formulation, preact)
-        value, info = _branch_and_bound(model, config, deadline, report)
+        value, info, point = _branch_and_bound(model, config, deadline, report)
         report.target_bounds[target] = value
         if info == "timeout" or info == "nodes":
             report.verdict = "unknown"
             report.diagnostic = f"{info} limit reached"
             break
         if value > query.xi + 1e-9:
-            x_cand = report.counterexample
-            if x_cand is not None and _replay(query.network, x_cand, query.label):
+            x_cand = None if point is None else _counterexample(model, point, report)
+            if x_cand is not None:
                 report.verdict = "falsified"
+                report.counterexample = x_cand
             else:
                 report.verdict = "unknown"
                 report.diagnostic = "optimum above threshold but replay failed"
             break
-    if report.verdict != "falsified":
-        report.counterexample = None
     report.solve_time = time.monotonic() - t_start - report.separation_time
     return report
 
 
+def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
+    """An input in the region that flips the label, found from an exact optimum.
+
+    The optimum's own input comes first. Closure semantics let it sit on a
+    breakpoint where the network takes another piece, so the fallback keeps
+    its piece pattern (argmax z per neuron) and solves `pattern_lp` with the
+    interior slab edges pulled in by each margin in turn, taking the first
+    optimum above the threshold that replays to a flip. None if none does.
+    """
+    query = model.query
+    x_cand = model.input_point(point)
+    if _replay(query.network, x_cand, query.label):
+        return x_cand
+    pattern = [int(np.argmax(model.neuron_point(point, nf.key)[2]))
+               for nf in model.activated_neurons()]
+    for margin in (1e-9, 1e-7, 1e-5):
+        sol = _solve(model.pattern_lp(pattern, margin), None, report)
+        if sol.status == "optimal" and sol.objective > query.xi + 1e-9:
+            x_cand = model.input_point(sol.x)
+            if _replay(query.network, x_cand, query.label):
+                return x_cand
+    return None
+
+
 def _branch_and_bound(model: QueryModel, config: VerifyConfig,
                       deadline: float, report: VerifyReport):
+    """Best-first search; returns (incumbent value, status, incumbent LP point)."""
     serial = itertools.count()
     root_allowed = {nf.key: tuple(range(nf.neuron.activation.num_pieces))
                     for nf in model.activated_neurons()}
     incumbent = -np.inf
-    incumbent_x = None
+    incumbent_point = None
     best_bound = np.inf
     heap: list[_Node] = []
 
-    def push(allowed, bound, basis):
-        heapq.heappush(heap, _Node(-bound, next(serial), allowed, basis))
+    def push(allowed, bound, warm):
+        heapq.heappush(heap, _Node(-bound, next(serial), allowed, warm))
 
     push(root_allowed, np.inf, None)
     while heap:
         best_bound = -heap[0].neg_bound
         if time.monotonic() > deadline:
             report.gap_percent = max(report.gap_percent, _gap_percent(best_bound, incumbent))
-            report.counterexample = incumbent_x
-            return incumbent, "timeout"
+            return incumbent, "timeout", incumbent_point
         if report.nodes >= config.node_limit:
             report.gap_percent = max(report.gap_percent, _gap_percent(best_bound, incumbent))
-            report.counterexample = incumbent_x
-            return incumbent, "nodes"
+            return incumbent, "nodes", incumbent_point
         node = heapq.heappop(heap)
         parent_bound = -node.neg_bound
         if parent_bound <= incumbent + config.mip_gap:
             continue
         report.nodes += 1
-        sol = solve(model.to_lp(fixed_z=node.allowed), warm_basis=node.basis)
+        sol = _solve(model.to_lp(fixed_z=node.allowed), node.warm, report)
         if sol.status != "optimal":
             continue
         bound = sol.objective
@@ -303,7 +356,7 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
             report.separation_time += time.monotonic() - t0
             if added:
                 report.cuts_added += added
-                push(node.allowed, bound, sol.basis)
+                push(node.allowed, bound, sol)
                 continue
         frac_key, frac_score = None, 1e-6
         for nf in model.activated_neurons():
@@ -314,23 +367,22 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
         if frac_key is None:
             if bound > incumbent:
                 incumbent = bound
-                incumbent_x = model.input_point(sol.x)
+                incumbent_point = sol.x
             continue
         allowed = [i for i in node.allowed[frac_key]]
         if len(allowed) <= 1:
             # numerically fractional but structurally fixed; accept as integral
             if bound > incumbent:
                 incumbent = bound
-                incumbent_x = model.input_point(sol.x)
+                incumbent_point = sol.x
             continue
         half = len(allowed) // 2
         for part in (allowed[:half], allowed[half:]):
             child = dict(node.allowed)
             child[frac_key] = tuple(part)
-            push(child, bound, sol.basis)
-    report.counterexample = incumbent_x
+            push(child, bound, sol)
     report.gap_percent = 0.0
-    return incumbent, "optimal"
+    return incumbent, "optimal", incumbent_point
 
 
 def _gap_percent(bound: float, incumbent: float) -> float:

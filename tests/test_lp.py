@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stairverify.lp import (INF, LESS, EQUAL, GREATER, InfeasibleError,
-                            LinearProgram, solve, solve_box_knapsack, write_lp_text)
+                            LinearProgram, LpSolution, solve, solve_box_knapsack, write_lp_text)
 
 from helpers import NaiveSimplex
 
@@ -101,6 +104,14 @@ def test_optimal_solutions_are_vertices():
             continue
         at_bound = np.sum((np.abs(sol.x - lo) <= 1e-8) | (np.abs(sol.x - hi) <= 1e-8))
         assert at_bound >= n - m
+        # a warm re-solve after an appended row also ends on a vertex
+        lp.add_row(rng.normal(size=n), LESS, 0.5)
+        warm = solve(lp, sol)
+        if warm.status != "optimal":
+            continue
+        assert warm.warm_used
+        at_bound = np.sum((np.abs(warm.x - lo) <= 1e-8) | (np.abs(warm.x - hi) <= 1e-8))
+        assert at_bound >= n - m - 1
 
 
 def test_knapsack_box_optimum_inside_slice():
@@ -191,3 +202,190 @@ def test_initial_point_matches_per_column_rule():
         lp.add_row(np.ones(8), sense, 1.0)
     tab = _Tableau(lp)
     assert _initial_point(tab).tobytes() == reference(tab).tobytes()
+
+
+# -- warm starts -----------------------------------------------------------------
+
+
+def _random_bounded_lp(rng, n, m):
+    """Box-bounded LP with mixed row senses, feasible at a random box point."""
+    lo = rng.uniform(-2, 0, size=n)
+    hi = lo + rng.uniform(0.2, 2, size=n)
+    x0 = rng.uniform(lo, hi)
+    lp = LinearProgram(str(rng.choice(["max", "min"])), rng.normal(size=n), lower=lo, upper=hi)
+    for _ in range(m):
+        row = rng.normal(size=n) * (rng.random(n) < 0.6)
+        sense = [LESS, GREATER, EQUAL][int(rng.integers(3))]
+        gap = 0.0 if sense == EQUAL else float(rng.uniform(0, 0.5))
+        lp.add_row(row, sense, float(row @ x0) + (gap if sense == LESS else -gap))
+    return lp
+
+
+def _assert_same_solve(warm, cold, lp):
+    n, m = lp.num_vars, len(lp.rows)
+    assert warm.status == cold.status
+    if warm.status == "optimal":
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        assert len(warm.basis) == m and max(warm.basis, default=0) < n + m
+        assert len(set(warm.basis)) == m
+        assert np.all(warm.x >= lp.lower - 1e-7) and np.all(warm.x <= lp.upper + 1e-7)
+
+
+def test_warm_resolve_after_appended_rows_matches_cold():
+    rng = np.random.default_rng(21)
+    attempts = warm_used = 0
+    phase1 = [0, 0]   # warm, cold
+    for _ in range(80):
+        n, m = int(rng.integers(3, 12)), int(rng.integers(1, 10))
+        lp = _random_bounded_lp(rng, n, m)
+        sol = solve(lp)
+        for _ in range(3):
+            if sol.status != "optimal":
+                break
+            for _ in range(int(rng.integers(1, 4))):
+                # a cut through the current optimum, so the old basis is infeasible
+                row = rng.normal(size=n)
+                lp.add_row(row, LESS, float(row @ sol.x) - abs(float(rng.normal())) * 0.3)
+            warm, cold = solve(lp, sol), solve(lp)
+            _assert_same_solve(warm, cold, lp)
+            attempts += 1
+            warm_used += warm.warm_used
+            phase1[0] += warm.phase1_iterations
+            phase1[1] += cold.phase1_iterations
+            sol = warm
+    assert attempts >= 100 and warm_used >= 0.9 * attempts
+    assert phase1[0] < phase1[1] / 2   # the old vertex is most of the way there
+
+
+def test_warm_resolve_after_tightened_bounds_matches_cold():
+    rng = np.random.default_rng(22)
+    attempts = warm_used = 0
+    phase1 = [0, 0]   # warm, cold
+    for _ in range(80):
+        n, m = int(rng.integers(3, 12)), int(rng.integers(1, 10))
+        lp = _random_bounded_lp(rng, n, m)
+        sol = solve(lp)
+        for _ in range(3):
+            if sol.status != "optimal":
+                break
+            pick = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            for j in pick:
+                if rng.random() < 0.5:   # pin at a bound, as branching pins z
+                    lp.upper[j] = lp.lower[j]
+                else:                    # or cut the interval around the optimum
+                    mid = float(np.clip(sol.x[j], lp.lower[j], lp.upper[j]))
+                    if rng.random() < 0.5:
+                        lp.upper[j] = lp.lower[j] + 0.5 * (mid - lp.lower[j])
+                    else:
+                        lp.lower[j] = mid + 0.5 * (lp.upper[j] - mid)
+            warm, cold = solve(lp, sol), solve(lp)
+            _assert_same_solve(warm, cold, lp)
+            attempts += 1
+            warm_used += warm.warm_used
+            phase1[0] += warm.phase1_iterations
+            phase1[1] += cold.phase1_iterations
+            sol = warm
+    assert attempts >= 100 and warm_used >= 0.9 * attempts
+    assert phase1[0] < 0.75 * phase1[1]
+
+
+def test_off_bound_entering_column_stops_at_its_bound():
+    # optimum (1, 1) with both columns nonbasic at their upper bounds
+    lp = LinearProgram("max", [1.0, 1.0], lower=np.zeros(2), upper=np.ones(2))
+    lp.add_row([1.0, -1.0], LESS, 10.0)
+    sol = solve(lp)
+    assert sol.status == "optimal" and np.allclose(sol.x, [1.0, 1.0])
+    # loosened: x0 restarts strictly inside [0, 3] and must stop at 3, not 1 + 3
+    lp.upper[0] = 3.0
+    warm = solve(lp, sol)
+    assert warm.warm_used
+    assert np.allclose(warm.x, [3.0, 1.0]) and abs(warm.objective - 4.0) <= 1e-12
+
+
+def test_warm_resolve_after_loosened_bounds_stays_in_bounds():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n, m = int(rng.integers(3, 10)), int(rng.integers(1, 8))
+        lp = _random_bounded_lp(rng, n, m)
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        pick = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        lp.lower[pick] -= rng.uniform(0, 1, size=pick.size)
+        lp.upper[pick] += rng.uniform(0, 1, size=pick.size)
+        _assert_same_solve(solve(lp, sol), solve(lp), lp)
+
+
+def test_warm_start_ignores_an_unusable_solution():
+    rng = np.random.default_rng(24)
+    lp = _random_bounded_lp(rng, 5, 4)
+    cold = solve(lp)
+    other = _random_bounded_lp(rng, 6, 3)
+    for warm in (LpSolution("infeasible"), solve(other),
+                 LpSolution("optimal", x=np.zeros(5), basis=list(range(5, 11)))):
+        sol = solve(lp, warm)
+        assert not sol.warm_used
+        assert sol.status == cold.status and sol.objective == cold.objective
+
+
+def _fixture_lp(name):
+    doc = json.loads((Path(__file__).parent / "data" / name).read_text())
+    lp = LinearProgram(doc["sense"], doc["objective"], lower=np.array(doc["lower"]),
+                       upper=np.array(doc["upper"]))
+    for row in doc["rows"]:
+        coeffs = np.zeros(lp.num_vars)
+        coeffs[row["cols"]] = row["coefs"]
+        lp.add_row(coeffs, row["sense"], row["rhs"])
+    return lp
+
+
+def _dual_bound(lp, duals):
+    """Weak-duality upper bound of a max LP from any row multipliers.
+
+    Multipliers of the wrong sign for their row are dropped first, so the
+    bound holds whatever the solver returned.
+    """
+    senses = np.array([sense for _, sense, _ in lp.rows])
+    y = np.where(senses == LESS, np.maximum(duals, 0.0),
+                 np.where(senses == GREATER, np.minimum(duals, 0.0), duals))
+    A = np.array([coeffs for coeffs, _, _ in lp.rows])
+    b = np.array([rhs for _, _, rhs in lp.rows])
+    d = lp.objective - A.T @ y
+    return float(y @ b + np.maximum(d * lp.lower, d * lp.upper).sum())
+
+
+def test_phase_one_refreshes_before_reporting_infeasible():
+    # a Cayley re-solve after two cut rounds, on which phase 1 used to stop at
+    # an artificial sum of 1e-4 that a refactorization turns into 1e-16
+    lp = _fixture_lp("cayley_resolve_66x36.json")
+    assert lp.sense == "max"
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    # a feasible point whose value meets a dual bound is optimal
+    assert _dual_bound(lp, sol.duals) - sol.objective <= 1e-7 * max(1.0, abs(sol.objective))
+    assert np.all(sol.x >= lp.lower - 1e-7) and np.all(sol.x <= lp.upper + 1e-7)
+    for coeffs, sense, rhs in lp.rows:
+        lhs = float(coeffs @ sol.x)
+        assert (lhs <= rhs + 1e-7) if sense == LESS else \
+            (lhs >= rhs - 1e-7) if sense == GREATER else abs(lhs - rhs) <= 1e-7
+
+
+def test_inverse_update_matches_the_row_list_form():
+    from stairverify.lp import _update_inverse
+
+    def reference(binv, col, leaving):
+        binv[leaving, :] /= col[leaving]
+        rows = [i for i in range(binv.shape[0]) if i != leaving]
+        binv[rows, :] -= np.outer(col[rows], binv[leaving, :])
+
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        m = int(rng.integers(1, 30))
+        binv = rng.normal(size=(m, m))
+        col = rng.normal(size=m) * (rng.random(m) < 0.7)
+        leaving = int(rng.integers(m))
+        col[leaving] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        expect = binv.copy()
+        reference(expect, col, leaving)
+        _update_inverse(binv, col, leaving)
+        assert binv.tobytes() == expect.tobytes()

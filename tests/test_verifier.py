@@ -205,6 +205,7 @@ def test_pinned_neurons_are_skipped_and_oracle_errors_counted(monkeypatch):
         raise DomainError("injected")
 
     monkeypatch.setattr(verifier, "separate_pwl", failing)
+    monkeypatch.setattr(verifier, "on_vertex_graph", lambda *a, **k: False)
     sol = solve(model.to_lp())
     report = verifier.VerifyReport(verdict="robust")
     assert _cut_round(model, sol.x, 1e-6, report) == 0
@@ -296,3 +297,106 @@ def test_cut_loop_stops_at_the_deadline():
     tight, _, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), full,
                                       deadline=np.inf)
     assert diag == "" and full.rounds > 0 and tight < value - 1e-6
+
+
+@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
+def test_report_counters_agree(mode, monkeypatch):
+    from stairverify import verifier
+    rng = np.random.default_rng(75)
+    net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3, weight_scale=1.5)
+    q = VerificationQuery(net, np.zeros(3), 0.25, int(np.argmax(net.forward(np.zeros(3)))),
+                          xi=1e9)
+    sols, warm_given, oracle_calls = [], [], []
+    solve_, separate_ = verifier.solve, verifier.separate_pwl
+
+    def spy_solve(lp, warm=None, *args):
+        sols.append(solve_(lp, warm, *args))
+        warm_given.append(warm is not None)
+        return sols[-1]
+
+    def spy_separate(*args, **kwargs):
+        oracle_calls.append(args)
+        return separate_(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "solve", spy_solve)
+    monkeypatch.setattr(verifier, "separate_pwl", spy_separate)
+    report = verify(q, VerifyConfig(mode=mode, timeout=60))
+    assert report.verdict == "robust"
+    assert report.lp_phase1_iterations == sum(s.phase1_iterations for s in sols)
+    assert report.lp_phase2_iterations == sum(s.iterations for s in sols)
+    assert report.warm_solves == sum(s.warm_used for s in sols)
+    # every solve after the first of a target or node starts warm, and is taken
+    assert report.warm_solves == sum(warm_given) > 0 or mode == "bigm-lp"
+    assert report.separation_calls - report.separation_screened == len(oracle_calls)
+    if mode.startswith("bigm"):
+        assert report.separation_calls == 0
+    else:
+        assert report.separation_screened > 0 and report.separation_calls % 2 == 0
+    if mode == "cayley-lp":
+        assert report.warm_solves >= report.rounds > 0
+    doc = report.as_dict()
+    for key in ("lp_phase1_iterations", "lp_phase2_iterations", "warm_solves",
+                "separation_calls", "separation_screened"):
+        assert doc[key] == getattr(report, key)
+
+
+# (network seed, anchor, label) of exact-bnb benchmark queries whose exact
+# optimum did not replay to a label flip before the breakpoint repair
+BREAKPOINT_QUERIES = {
+    # the optimum sits on a breakpoint where the network takes the next piece
+    "upper edge": (1, [0.09084619240691827, 0.5599948744654059, -0.05030452741665692,
+                       0.4049657061580857, -0.5329536419617545], 1),
+    # the branch LP puts a pre-activation a rounding error below its slab
+    "lower edge": (5, [0.36664354928418497, -0.06567838251315428, -0.1417965210565873,
+                       -0.5377315753371203, 0.23779373187575725], 1),
+}
+
+
+def _breakpoint_query(case="upper edge"):
+    seed, x0, label = BREAKPOINT_QUERIES[case]
+    net = random_quantized_network(np.random.default_rng(seed), n_in=5, hidden=(6, 6), n_out=3)
+    return VerificationQuery(net, np.array(x0), 0.02, label)
+
+
+@pytest.mark.parametrize("case", sorted(BREAKPOINT_QUERIES))
+@pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
+def test_breakpoint_optimum_is_repaired_into_a_counterexample(mode, case, monkeypatch):
+    q = _breakpoint_query(case)
+    margins = []
+    pattern_lp = formulations.QueryModel.pattern_lp
+
+    def spy(self, pattern, margin=0.0):
+        margins.append(margin)
+        return pattern_lp(self, pattern, margin)
+
+    monkeypatch.setattr(formulations.QueryModel, "pattern_lp", spy)
+    report = verify(q, VerifyConfig(mode=mode, timeout=60))
+    assert report.verdict == "falsified", report.diagnostic
+    assert margins and margins[0] == 1e-9          # the optimum's own input failed
+    x = report.counterexample
+    assert np.all(np.abs(x - q.x0) <= q.eps + 1e-12)
+    assert int(np.argmax(q.network.forward(x))) != q.label
+    model = build_query_model(q.with_target(0), BIGM)
+    assert report.target_bounds[0] == pytest.approx(exhaustive_verify(model), abs=1e-7)
+
+
+def test_pattern_lp_margin_pulls_interior_slab_edges_in():
+    q = _breakpoint_query()
+    model = build_query_model(q.with_target(0), BIGM)
+    neurons = model.activated_neurons()
+    split = [nf.neuron.activation.num_pieces > 1 for nf in neurons]
+    assert any(split)
+    for side in ("first", "last"):
+        pattern = [0 if side == "first" else nf.neuron.activation.num_pieces - 1
+                   for nf in neurons]
+        plain, pulled = model.pattern_lp(pattern), model.pattern_lp(pattern, 1e-5)
+        assert len(plain.rows) == len(pulled.rows)
+        moved = []
+        for (c0, s0, r0), (c1, s1, r1) in zip(plain.rows, pulled.rows):
+            assert np.array_equal(c0, c1) and s0 == s1
+            if r0 != r1:
+                inward = -1.0 if s0 == "<=" else 1.0
+                assert r1 == pytest.approx(r0 + inward * 1e-5 * max(1.0, abs(r0)), abs=1e-15)
+                moved.append(s0)
+        # the first piece keeps its lower edge, the last its upper edge
+        assert moved == ["<=" if side == "first" else ">="] * sum(split)
