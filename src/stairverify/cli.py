@@ -10,10 +10,11 @@ import argparse
 import csv
 import json
 import logging
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -106,9 +107,11 @@ def cmd_verify(args) -> int:
     rows = _load_dataset(args.dataset)
     config = VerifyConfig(mode=args.mode, max_cut_rounds=args.max_cut_rounds,
                           cut_tol=args.tol, node_limit=args.node_limit,
-                          timeout=args.timeout, seed=args.seed)
+                          timeout=args.timeout)
     if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        # queries are independent; processes, since threads share one GIL
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = [pool.submit(_verify_one, net, i, x0, lab, args.eps, config)
                        for i, (x0, lab) in enumerate(rows)]
             entries = [f.result() for f in futures]
@@ -131,7 +134,6 @@ def cmd_verify(args) -> int:
         "version": __version__,
         "net": args.net,
         "dataset": args.dataset,
-        "seed": args.seed,
         "config": {"mode": args.mode, "eps": args.eps, "timeout": args.timeout,
                    "max_cut_rounds": args.max_cut_rounds, "tol": args.tol,
                    "node_limit": args.node_limit, "jobs": args.jobs},
@@ -223,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--timeout", type=float, default=120.0)
     v.add_argument("--node-limit", type=int, default=20000)
     v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", choices=("json", "csv"), default="json")
     v.set_defaults(func=cmd_verify)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import pwl as pwl_mod
 from .bounds import PreActBounds, deeppoly_bounds
 from .errors import FormulationError, InputError
-from .lp import EQUAL, GREATER, LESS, LinearProgram
+from .lp import EQUAL, GREATER, LESS, LinearProgram, make_row
 from .network import BoxDomain, Network, Neuron
 from .pwl import staircase_slope
 from .separation import Cut, LOWER, UPPER, is_pinned, retrieve_cut
@@ -69,11 +69,6 @@ class VerificationQuery:
             raise InputError("perturbation ball misses the network input box")
         return BoxDomain(lower, upper)
 
-    def objective_vector(self) -> np.ndarray:
-        if self.target is None:
-            raise InputError("objective needs a concrete target label")
-        return attack_objective(self.network.output_dim, self.label, self.target)
-
 
 def attack_objective(n_out: int, label: int, target: int) -> np.ndarray:
     c = np.zeros(n_out)
@@ -108,7 +103,11 @@ class NeuronFormulation:
 
 
 class _RowModel:
-    """Shared variable/row bookkeeping for neuron and query models."""
+    """Shared variable/row bookkeeping for neuron and query models.
+
+    Every variable exists before the first row, so each row is built once as
+    a dense `make_row` tuple, the form `LinearProgram` reads.
+    """
 
     def __init__(self, mode: str):
         if mode not in (BIGM, CAYLEY):
@@ -117,7 +116,7 @@ class _RowModel:
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.names: list[str] = []
-        self.rows: list[tuple[dict, str, float]] = []
+        self.rows: list[tuple[np.ndarray, str, float]] = []
         self.objective: np.ndarray | None = None
         self.neurons: dict[tuple[int, int], NeuronFormulation] = {}
 
@@ -127,8 +126,8 @@ class _RowModel:
         self.names.append(name)
         return len(self.lower) - 1
 
-    def _add_row(self, coeffs: dict, sense: str, rhs: float) -> int:
-        self.rows.append((coeffs, sense, float(rhs)))
+    def _add_row(self, coeffs: np.ndarray, sense: str, rhs: float) -> int:
+        self.rows.append(make_row(coeffs, sense, rhs, self.num_vars()))
         return len(self.rows) - 1
 
     def num_vars(self) -> int:
@@ -137,14 +136,15 @@ class _RowModel:
     def _attach_neuron(self, nf: NeuronFormulation) -> None:
         self.neurons[nf.key] = nf
         f = nf.neuron.activation
-        w = nf.neuron.weight
         b = nf.neuron.bias
-        self._add_row({z: 1.0 for z in nf.z_vars}, EQUAL, 1.0)
-        low = {v: float(w[p]) for p, v in enumerate(nf.x_vars) if w[p]}
-        high = dict(low)
-        for i, z in enumerate(nf.z_vars):
-            low[z] = low.get(z, 0.0) - float(f.breakpoints[i])
-            high[z] = high.get(z, 0.0) - float(f.breakpoints[i + 1])
+        simplex = np.zeros(self.num_vars())
+        simplex[nf.z_vars] = 1.0
+        self._add_row(simplex, EQUAL, 1.0)
+        low = np.zeros(self.num_vars())
+        low[nf.x_vars] = nf.neuron.weight
+        high = low.copy()
+        low[nf.z_vars] -= f.breakpoints[:-1]
+        high[nf.z_vars] -= f.breakpoints[1:]
         self._add_row(low, GREATER, -b)
         self._add_row(high, LESS, -b)
         if self.mode == BIGM:
@@ -158,9 +158,9 @@ class _RowModel:
         b = nf.neuron.bias
         if np.all(np.abs(f.slopes) <= 1e-12):
             # constant pieces never need the M constants
-            row = {nf.y_var: 1.0}
-            for i, z in enumerate(nf.z_vars):
-                row[z] = -float(f.intercepts[i])
+            row = np.zeros(self.num_vars())
+            row[nf.y_var] = 1.0
+            row[nf.z_vars] = -f.intercepts
             self._add_row(row, EQUAL, 0.0)
             return
         # corner values of f over the whole range; the M constants must bound
@@ -173,12 +173,12 @@ class _RowModel:
             d_i = float(f.intercepts[i])
             diff = corner_fs - (a_i * corner_ts + d_i)
             m1, m2 = float(diff.min()), float(diff.max())
-            up = {nf.y_var: 1.0, z: m2}
-            low = {nf.y_var: 1.0, z: m1}
-            for p, v in enumerate(nf.x_vars):
-                if a_i * w[p]:
-                    up[v] = up.get(v, 0.0) - a_i * float(w[p])
-                    low[v] = low.get(v, 0.0) - a_i * float(w[p])
+            up = np.zeros(self.num_vars())
+            up[nf.x_vars] -= a_i * w
+            up[nf.y_var] = 1.0
+            low = up.copy()
+            up[z] = m2
+            low[z] = m1
             self._add_row(up, LESS, m2 + a_i * b + d_i)
             self._add_row(low, GREATER, m1 + a_i * b + d_i)
 
@@ -204,15 +204,10 @@ class _RowModel:
         key = cut.key()
         if key in nf.pool:
             return False
-        row = {}
-        for p, v in enumerate(nf.x_vars):
-            if cut.alpha[p]:
-                row[v] = row.get(v, 0.0) + float(cut.alpha[p])
-        for i, z in enumerate(nf.z_vars):
-            if cut.zcoef[i]:
-                row[z] = row.get(z, 0.0) + float(cut.zcoef[i])
-        if cut.y_coef:
-            row[nf.y_var] = row.get(nf.y_var, 0.0) - float(cut.y_coef)
+        row = np.zeros(self.num_vars())
+        row[nf.x_vars] += cut.alpha
+        row[nf.z_vars] += cut.zcoef
+        row[nf.y_var] -= cut.y_coef
         sense = LESS if (cut.y_coef != 0.0 and cut.direction == LOWER) else GREATER
         ridx = self._add_row(row, sense, -cut.const)
         nf.pool[key] = (cut, ridx)
@@ -220,9 +215,7 @@ class _RowModel:
 
     def neuron_point(self, x: np.ndarray, key: tuple[int, int]):
         nf = self.neurons[key]
-        xin = np.array([x[v] for v in nf.x_vars])
-        zhat = np.array([x[v] for v in nf.z_vars])
-        return xin, float(x[nf.y_var]), zhat
+        return x[nf.x_vars], float(x[nf.y_var]), x[nf.z_vars]
 
     def to_lp(self, sense: str = "max", fixed_z: dict | None = None) -> LinearProgram:
         """Dense LinearProgram; `fixed_z` pins allowed piece sets per neuron key."""
@@ -236,15 +229,8 @@ class _RowModel:
                     if i not in allowed:
                         lower[z] = 0.0
                         upper[z] = 0.0
-        lp = LinearProgram(sense, self.objective.copy(), lower=lower, upper=upper,
-                           names=list(self.names))
-        n = self.num_vars()
-        for coeffs, rsense, rhs in self.rows:
-            dense = np.zeros(n)
-            for v, c in coeffs.items():
-                dense[v] = c
-            lp.add_row(dense, rsense, rhs)
-        return lp
+        return LinearProgram(sense, self.objective.copy(), list(self.rows), lower, upper,
+                             self.names)
 
     def activated_neurons(self) -> list[NeuronFormulation]:
         return [self.neurons[k] for k in sorted(self.neurons)]
@@ -262,9 +248,8 @@ class NeuronModel(_RowModel):
         y = self._new_var(out_lo, out_hi, "y")
         zs = [self._new_var(0.0, 1.0, f"z{i}")
               for i in range(neuron.activation.num_pieces)]
-        nf = NeuronFormulation(0, 0, neuron, xs, y, zs)
-        self._attach_neuron(nf)
-        self.nf = nf
+        self.nf = NeuronFormulation(0, 0, neuron, xs, y, zs)
+        self._attach_neuron(self.nf)
         self.objective = np.zeros(self.num_vars())
 
 
@@ -290,7 +275,12 @@ def _clipped(neuron: Neuron, L, U) -> Neuron:
 
 
 class QueryModel(_RowModel):
-    """Assembled LP/MIP over input, activation and piece-indicator variables."""
+    """Assembled LP/MIP over input, activation and piece-indicator variables.
+
+    One model serves every target of its query: `set_target` changes only the
+    objective, so rows and pooled cuts carry over from target to target. A
+    query with a target gets its objective here.
+    """
 
     def __init__(self, query: VerificationQuery, mode: str,
                  bounds: PreActBounds | None = None):
@@ -304,6 +294,7 @@ class QueryModel(_RowModel):
 
         self.layer_inputs: list[list[int]] = []
         self.y_vars: list[list[int]] = []
+        activated: dict[tuple[int, int], NeuronFormulation] = {}
         current = [self._new_var(self.region.lower[j], self.region.upper[j], f"x{j}")
                    for j in range(net.input_dim)]
         for li, layer in enumerate(net.layers):
@@ -315,12 +306,7 @@ class QueryModel(_RowModel):
                 pre_lo, pre_hi = self.bounds.interval(li, j)
                 spec = layer.activations[j]
                 if spec is None:
-                    y = self._new_var(pre_lo, pre_hi, f"y{li}_{j}")
-                    row = {v: float(layer.weights[j, p])
-                           for p, v in enumerate(current) if layer.weights[j, p]}
-                    row[y] = row.get(y, 0.0) - 1.0
-                    self._add_row(row, EQUAL, -float(layer.bias[j]))
-                    ys.append(y)
+                    ys.append(self._new_var(pre_lo, pre_hi, f"y{li}_{j}"))
                     continue
                 f = (relaxed[li].functions[j] if len(relaxed) == len(net.layers)
                      else spec.instantiate(pre_lo, pre_hi))
@@ -330,14 +316,31 @@ class QueryModel(_RowModel):
                       for i in range(f.num_pieces)]
                 nrn = Neuron(layer.weights[j], float(layer.bias[j]), f,
                              BoxDomain(in_lo, in_hi))
-                self._attach_neuron(NeuronFormulation(li, j, nrn, list(current), y, zs))
+                activated[(li, j)] = NeuronFormulation(li, j, nrn, list(current), y, zs)
                 ys.append(y)
             self.y_vars.append(ys)
             current = ys
+        # rows only once every variable exists, in the order of a one-pass build
+        for li, layer in enumerate(net.layers):
+            for j, y in enumerate(self.y_vars[li]):
+                if (li, j) in activated:
+                    self._attach_neuron(activated[(li, j)])
+                    continue
+                row = np.zeros(self.num_vars())
+                row[self.layer_inputs[li]] = layer.weights[j]
+                row[y] -= 1.0
+                self._add_row(row, EQUAL, -float(layer.bias[j]))
         self.objective = np.zeros(self.num_vars())
-        c = query.objective_vector()
-        for j, y in enumerate(self.y_vars[-1]):
-            self.objective[y] = c[j]
+        if query.target is not None:
+            self.set_target(query.target)
+
+    def set_target(self, target: int) -> None:
+        """Objective out[target] - out[label]; rows and cut pools stay as they are."""
+        if target == self.query.label or not 0 <= target < self.net.output_dim:
+            raise InputError("target must be a different valid label")
+        self.objective = np.zeros(self.num_vars())
+        self.objective[self.y_vars[-1]] = attack_objective(self.net.output_dim,
+                                                           self.query.label, target)
 
     # -- solution probing -----------------------------------------------------
 
@@ -401,8 +404,7 @@ class QueryModel(_RowModel):
                 if (li, j) in self.neurons:
                     continue
                 row = np.zeros(n)
-                for p, v in enumerate(self.layer_inputs[li]):
-                    row[v] = layer.weights[j, p]
+                row[self.layer_inputs[li]] = layer.weights[j]
                 row[self.y_vars[li][j]] -= 1.0
                 lp.add_row(row, EQUAL, -float(layer.bias[j]))
         for nf, piece in zip(neurons, pattern):
@@ -410,8 +412,7 @@ class QueryModel(_RowModel):
             w = nf.neuron.weight
             b = nf.neuron.bias
             pre = np.zeros(n)
-            for p, v in enumerate(nf.x_vars):
-                pre[v] = w[p]
+            pre[nf.x_vars] = w
             lower = float(f.breakpoints[piece]) - b
             upper = float(f.breakpoints[piece + 1]) - b
             if piece > 0:

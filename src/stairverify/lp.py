@@ -23,17 +23,13 @@ FEAS_TOL = 1e-7
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
 
-class InfeasibleError(StairVerifyError):
-    """The constraint system admits no feasible point."""
-
-
 @dataclass
 class LinearProgram:
     """min/max c.x  subject to  row senses and per-variable bounds."""
 
     sense: str  # "max" | "min"
     objective: np.ndarray
-    rows: list = field(default_factory=list)        # (coeffs, sense, rhs)
+    rows: list = field(default_factory=list)        # make_row tuples
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     names: list[str] | None = None                  # optional, for LP export
@@ -53,14 +49,19 @@ class LinearProgram:
         return self.objective.size
 
     def add_row(self, coeffs, sense: str, rhs: float) -> None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.num_vars,):
-            raise ParameterError("row length must match the variable count")
-        if sense not in (LESS, EQUAL, GREATER):
-            raise ParameterError(f"bad row sense {sense!r}")
-        if not np.all(np.isfinite(coeffs)) or not np.isfinite(rhs):
-            raise ParameterError("row coefficients must be finite")
-        self.rows.append((coeffs, sense, float(rhs)))
+        self.rows.append(make_row(coeffs, sense, rhs, self.num_vars))
+
+
+def make_row(coeffs, sense: str, rhs: float, n: int) -> tuple[np.ndarray, str, float]:
+    """A validated (dense coefficients, sense, rhs) row over `n` variables."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (n,):
+        raise ParameterError("row length must match the variable count")
+    if sense not in (LESS, EQUAL, GREATER):
+        raise ParameterError(f"bad row sense {sense!r}")
+    if not np.all(np.isfinite(coeffs)) or not np.isfinite(rhs):
+        raise ParameterError("row coefficients must be finite")
+    return coeffs, sense, float(rhs)
 
 
 @dataclass
@@ -391,65 +392,6 @@ def _solve_boxonly(lp: LinearProgram) -> LpSolution:
     x = np.clip(x, np.maximum(lp.lower, -INF), np.minimum(lp.upper, INF))
     return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x),
                       duals=np.zeros(0), reduced_costs=lp.objective.copy(), basis=[])
-
-
-def solve_box_knapsack(c, w, lhs, rhs, lower, upper, sense: str = "max"):
-    """Optimize c.x over {l <= x <= u, lhs <= w.x <= rhs} by greedy shifting.
-
-    Starts from the box optimum of c.x and moves coordinates in order of
-    increasing objective sacrifice per unit of w.x change until the ranged
-    constraint is met; at most one coordinate ends up strictly between its
-    bounds. Raises InfeasibleError when the slice misses the box entirely.
-    """
-    c = np.asarray(c, dtype=float)
-    w = np.asarray(w, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if sense == "min":
-        x, _ = solve_box_knapsack(-c, w, lhs, rhs, lower, upper, "max")
-        return x, float(c @ x)
-    if np.any(lower > upper + 1e-12):
-        raise InfeasibleError("empty box")
-
-    tmin = float(w @ np.where(w >= 0, lower, upper))
-    tmax = float(w @ np.where(w >= 0, upper, lower))
-    safety = 1e-9 * max(1.0, abs(tmin), abs(tmax))
-    if rhs < tmin - safety or lhs > tmax + safety:
-        raise InfeasibleError(f"slice [{lhs}, {rhs}] misses the box range [{tmin}, {tmax}]")
-
-    x = np.where(c > 0, upper, lower).astype(float)
-    t = float(w @ x)
-    if t > rhs:
-        target, sign = rhs, -1.0   # must decrease w.x
-    elif t < lhs:
-        target, sign = lhs, 1.0    # must increase w.x
-    else:
-        return x, float(c @ x)
-
-    # coordinate moves that shift w.x toward the target, cheapest first
-    moves = []
-    for j in range(c.size):
-        if w[j] == 0.0 or upper[j] <= lower[j]:
-            continue
-        dest = lower[j] if (w[j] > 0) == (sign < 0) else upper[j]
-        shift = w[j] * (dest - x[j])
-        if sign * shift > 0:
-            moves.append((abs(c[j] / w[j]), j, dest, shift))
-    moves.sort(key=lambda item: (item[0], item[1]))
-    remaining = target - t
-    for _, j, dest, shift in moves:
-        if abs(remaining) <= 1e-15 * max(1.0, abs(target)):
-            break
-        if abs(shift) <= abs(remaining):
-            x[j] = dest
-            remaining -= shift
-        else:
-            x[j] += (remaining / w[j])
-            remaining = 0.0
-            break
-    if abs(remaining) > safety:
-        raise InfeasibleError("greedy failed to reach the slice (inconsistent bounds)")
-    return x, float(c @ x)
 
 
 def write_lp_text(lp: LinearProgram) -> str:

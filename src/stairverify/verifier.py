@@ -1,11 +1,14 @@
 """Inexact (LP + cutting planes) and exact (branch-and-bound) verification.
 
 A query is robust when every target-attack optimum stays below the threshold.
-The relaxed driver solves one LP per target; in cayley mode it alternates
-solving with per-neuron separation until no pooled-new cut is violated. The
-exact driver runs best-first branch-and-bound on the piece indicators,
-branching by bisecting the allowed index set of the least integral neuron,
-with lazy hull cuts at node optima in cayley mode.
+Every LP mode builds one model per query and runs one loop over the targets;
+a target changes only the model's objective, so rows and pooled hull cuts
+carry over. Relaxed modes bound a target by its LP, warm-started from the
+previous target's last solution; in cayley mode they alternate solving with
+per-neuron separation until no pooled-new cut is violated. Exact modes run
+best-first branch-and-bound on the piece indicators, branching by bisecting
+the allowed index set of the least integral neuron, with lazy hull cuts at
+node optima in cayley mode.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ class VerifyConfig:
     node_limit: int = 20000
     timeout: float = 120.0
     mip_gap: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -149,60 +151,79 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float,
 
 
 def verify_relaxed(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    """LP-relaxation verification; cayley-lp interleaves cutting-plane rounds.
-
-    Robust iff every target bound stays at or below the threshold. A target
-    LP optimum above the threshold yields a falsification only when the LP
-    input replays to a label flip through the real network; otherwise the
-    verdict is unknown. The deadline is checked before each target and each
-    cut round.
-    """
+    """LP-relaxation verification; cayley-lp interleaves cutting-plane rounds."""
     if config.is_exact:
         raise InputError("verify_relaxed requires a relaxation mode")
     if config.mode == "deeppoly":
         return _verify_deeppoly(query, config)
+    return _verify_targets(query, config)
+
+
+def verify_exact(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
+    """Best-first branch-and-bound on the piece indicators of each neuron."""
+    if not config.is_exact:
+        raise InputError("verify_exact requires an exact mode")
+    return _verify_targets(query, config)
+
+
+def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
+    """The target loop of every LP mode, over one model built for the query.
+
+    The deadline is checked before each target. Each target's upper bound,
+    from `_solve_with_cuts` or `_branch_and_bound`, is recorded. Robust iff
+    every bound stays at or below the threshold; the first bound above it
+    ends the loop, `falsified` when `_counterexample` turns the bounding point
+    into a label flip and `unknown` otherwise. A limit's diagnostic stays on
+    the report, since a bound cut short by a limit is sound but not tight.
+    """
     report = VerifyReport(verdict="robust")
     t0 = time.monotonic()
     deadline = t0 + config.timeout
     preact = bounds_mod.deeppoly_bounds(query.network, query.input_region())
+    model = build_query_model(query, config.formulation, preact)
+    sol = None
     for target in query.targets():
         if time.monotonic() > deadline:
             report.verdict = "unknown"
             report.diagnostic = TIMEOUT
             break
-        model = build_query_model(query.with_target(target), config.formulation, preact)
-        value, sol_x, diag = _solve_with_cuts(model, config, report, deadline)
+        model.set_target(target)
+        if config.is_exact:
+            value, sol, diag = _branch_and_bound(model, config, deadline, report)
+        else:
+            value, sol, diag = _solve_with_cuts(model, config, report, deadline, sol)
+        report.diagnostic = diag or report.diagnostic
         if value is None:
             report.verdict = "unknown"
-            report.diagnostic = diag
             break
         report.target_bounds[target] = value
         if value > query.xi + 1e-9:
-            x_cand = model.input_point(sol_x)
-            if _replay(query.network, x_cand, query.label):
+            x_cand = None if sol is None else _counterexample(model, sol.x, report)
+            if x_cand is None:
+                report.verdict = "unknown"
+                report.diagnostic = diag or "optimum above threshold but replay failed"
+            else:
                 report.verdict = "falsified"
                 report.counterexample = x_cand
-            else:
-                report.verdict = "unknown"
-                report.diagnostic = diag
             break
     report.solve_time = time.monotonic() - t0 - report.separation_time
     return report
 
 
 def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
-                     deadline: float):
+                     deadline: float, warm: LpSolution | None = None):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    Each re-solve starts from the previous solution. Returns (value, LP
-    point, diagnostic) and adds the rounds, cuts, separation and LP counts to
-    `report`. Past the deadline no round runs, and the last
+    The first solve starts from `warm`, each re-solve from the previous
+    solution. Returns (value, last LpSolution, diagnostic), value None when
+    the LP has no optimum, and adds the rounds, cuts, separation and LP
+    counts to `report`. Past the deadline no round runs, and the last
     (sound) value comes with the timeout diagnostic. The objective is
     non-increasing round over round since rows only accumulate.
     """
     prev = np.inf
     rounds = 0
-    sol = None
+    sol = warm
     while True:
         sol = _solve(model.to_lp(), sol, report)
         if sol.status == "infeasible":
@@ -214,14 +235,14 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
         if model.mode != CAYLEY or rounds >= config.max_cut_rounds:
-            return value, sol.x, ""
+            return value, sol, ""
         if time.monotonic() > deadline:
-            return value, sol.x, TIMEOUT
+            return value, sol, TIMEOUT
         t0 = time.monotonic()
         added = _cut_round(model, sol.x, config.cut_tol, report)
         report.separation_time += time.monotonic() - t0
         if added == 0:
-            return value, sol.x, ""
+            return value, sol, ""
         report.cuts_added += added
         report.rounds += 1
         rounds += 1
@@ -255,51 +276,16 @@ def _fractionality(zv: np.ndarray) -> float:
     return 1.0 - float(zv.max())
 
 
-def verify_exact(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    """Best-first branch-and-bound on the piece indicators of each neuron.
-
-    Branching bisects the allowed index set of the least integral neuron and
-    fixes the complementary indicators to zero. Node LPs start from the
-    parent's solution (basis and point); cayley-exact separates lazily at node
-    optima. Terminates with the exact verdict, or unknown plus a gap at the
-    node/time limit. An optimum above the threshold whose input does not flip
-    the label goes through `_counterexample` before the verdict is unknown.
-    """
-    if not config.is_exact:
-        raise InputError("verify_exact requires an exact mode")
-    report = VerifyReport(verdict="robust")
-    t_start = time.monotonic()
-    deadline = t_start + config.timeout
-    preact = bounds_mod.deeppoly_bounds(query.network, query.input_region())
-    for target in query.targets():
-        model = build_query_model(query.with_target(target), config.formulation, preact)
-        value, info, point = _branch_and_bound(model, config, deadline, report)
-        report.target_bounds[target] = value
-        if info == "timeout" or info == "nodes":
-            report.verdict = "unknown"
-            report.diagnostic = f"{info} limit reached"
-            break
-        if value > query.xi + 1e-9:
-            x_cand = None if point is None else _counterexample(model, point, report)
-            if x_cand is not None:
-                report.verdict = "falsified"
-                report.counterexample = x_cand
-            else:
-                report.verdict = "unknown"
-                report.diagnostic = "optimum above threshold but replay failed"
-            break
-    report.solve_time = time.monotonic() - t_start - report.separation_time
-    return report
-
-
 def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
-    """An input in the region that flips the label, found from an exact optimum.
+    """An input in the region that flips the label, found from a bounding point.
 
-    The optimum's own input comes first. Closure semantics let it sit on a
-    breakpoint where the network takes another piece, so the fallback keeps
-    its piece pattern (argmax z per neuron) and solves `pattern_lp` with the
-    interior slab edges pulled in by each margin in turn, taking the first
-    optimum above the threshold that replays to a flip. None if none does.
+    The point is a relaxed LP optimum or a branch-and-bound incumbent, and
+    its own input comes first. Closure semantics let it sit on a breakpoint
+    where the network takes another piece, and a relaxed point need not lie
+    on the graph at all, so the fallback keeps its piece pattern (argmax z
+    per neuron) and solves `pattern_lp` with the interior slab edges pulled
+    in by each margin in turn, taking the first optimum above the threshold
+    that replays to a flip. None if none does.
     """
     query = model.query
     x_cand = model.input_point(point)
@@ -318,13 +304,19 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
 
 def _branch_and_bound(model: QueryModel, config: VerifyConfig,
                       deadline: float, report: VerifyReport):
-    """Best-first search; returns (incumbent value, status, incumbent LP point)."""
+    """Best-first search; returns (upper bound, incumbent LpSolution, diagnostic).
+
+    Node LPs start from the parent's solution (basis and point); cayley mode
+    separates lazily at node optima. Without a limit the bound is the exact
+    optimum, attained by the incumbent (None when no node is feasible). At a
+    node or time limit it is the larger of the best open node's bound and the
+    incumbent's value, which is sound, and the diagnostic names the limit.
+    """
     serial = itertools.count()
     root_allowed = {nf.key: tuple(range(nf.neuron.activation.num_pieces))
                     for nf in model.activated_neurons()}
     incumbent = -np.inf
-    incumbent_point = None
-    best_bound = np.inf
+    incumbent_sol = None
     heap: list[_Node] = []
 
     def push(allowed, bound, warm):
@@ -333,12 +325,11 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     push(root_allowed, np.inf, None)
     while heap:
         best_bound = -heap[0].neg_bound
-        if time.monotonic() > deadline:
+        limit = (TIMEOUT if time.monotonic() > deadline
+                 else "nodes limit reached" if report.nodes >= config.node_limit else "")
+        if limit:
             report.gap_percent = max(report.gap_percent, _gap_percent(best_bound, incumbent))
-            return incumbent, "timeout", incumbent_point
-        if report.nodes >= config.node_limit:
-            report.gap_percent = max(report.gap_percent, _gap_percent(best_bound, incumbent))
-            return incumbent, "nodes", incumbent_point
+            return max(best_bound, incumbent), incumbent_sol, limit
         node = heapq.heappop(heap)
         parent_bound = -node.neg_bound
         if parent_bound <= incumbent + config.mip_gap:
@@ -364,25 +355,19 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
             score = _fractionality(zv)
             if score > frac_score:
                 frac_key, frac_score = nf.key, score
-        if frac_key is None:
+        # a numerically fractional but structurally fixed neuron counts as integral
+        if frac_key is None or len(node.allowed[frac_key]) <= 1:
             if bound > incumbent:
                 incumbent = bound
-                incumbent_point = sol.x
+                incumbent_sol = sol
             continue
-        allowed = [i for i in node.allowed[frac_key]]
-        if len(allowed) <= 1:
-            # numerically fractional but structurally fixed; accept as integral
-            if bound > incumbent:
-                incumbent = bound
-                incumbent_point = sol.x
-            continue
+        allowed = node.allowed[frac_key]
         half = len(allowed) // 2
         for part in (allowed[:half], allowed[half:]):
             child = dict(node.allowed)
-            child[frac_key] = tuple(part)
+            child[frac_key] = part
             push(child, bound, sol)
-    report.gap_percent = 0.0
-    return incumbent, "optimal", incumbent_point
+    return incumbent, incumbent_sol, ""
 
 
 def _gap_percent(bound: float, incumbent: float) -> float:

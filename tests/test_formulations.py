@@ -4,8 +4,9 @@ import pytest
 from stairverify import pwl
 from stairverify.bounds import PreActBounds, deeppoly_bounds
 from stairverify.errors import FormulationError, InputError
-from stairverify.formulations import (BIGM, CAYLEY, VerificationQuery, build_bigm,
-                                      build_cayley, build_query_lp, build_query_model)
+from stairverify.formulations import (BIGM, CAYLEY, VerificationQuery, attack_objective,
+                                      build_bigm, build_cayley, build_query_lp,
+                                      build_query_model)
 from stairverify.lp import EQUAL, GREATER, LESS, solve, write_lp_text
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.oracles import enumerate_cayley_vertices
@@ -15,7 +16,7 @@ from helpers import random_neuron, random_quantized_network
 
 
 def _row_holds(coeffs, sense, rhs, vals, tol=1e-8):
-    lhs = sum(c * vals[v] for v, c in coeffs.items())
+    lhs = float(coeffs @ vals)
     if sense == LESS:
         return lhs <= rhs + tol
     if sense == GREATER:
@@ -53,7 +54,7 @@ def test_bigm_constant_pieces_drop_m_rows():
     model = build_bigm(neuron)
     # simplex + two slabs + the single y = sum d_i z_i equality
     assert len(model.rows) == 4
-    eq_rows = [r for r in model.rows if r[1] == EQUAL and model.nf.y_var in r[0]]
+    eq_rows = [r for r in model.rows if r[1] == EQUAL and r[0][model.nf.y_var] != 0.0]
     assert len(eq_rows) == 1
     coeffs = eq_rows[0][0]
     f = neuron.activation
@@ -89,10 +90,9 @@ def test_cayley_alpha_zero_seed_caps_y():
     seed = retrieve_cut(neuron, np.zeros(2), UPPER)
     found = False
     for coeffs, sense, rhs in model.rows:
-        if coeffs.get(model.nf.y_var) == -1.0 and sense == GREATER:
-            zc = [coeffs.get(z, 0.0) for z in model.nf.z_vars]
-            if np.allclose(zc, seed.zcoef) and all(
-                    coeffs.get(v, 0.0) == 0.0 for v in model.nf.x_vars):
+        if coeffs[model.nf.y_var] == -1.0 and sense == GREATER:
+            zc = coeffs[model.nf.z_vars]
+            if np.allclose(zc, seed.zcoef) and np.all(coeffs[model.nf.x_vars] == 0.0):
                 found = True
     assert found
 
@@ -166,7 +166,7 @@ def test_query_lp_upper_bounds_sampled_attacks():
     label = int(np.argmax(net.forward(x0)))
     q = VerificationQuery(net, x0, 0.1, label, 1 - label)
     region = q.input_region()
-    c = q.objective_vector()
+    c = attack_objective(net.output_dim, label, 1 - label)
     samples = region.sample(rng, 1000)
     truth = (net.forward(samples) @ c).max()
     for mode in (BIGM, CAYLEY):
@@ -267,4 +267,7 @@ def test_query_model_takes_clipped_functions_from_the_bounds(monkeypatch):
         model = build_query_model(q, mode, dp)
         for nf in model.activated_neurons():
             assert nf.neuron.activation is dp.relaxation[nf.layer].functions[nf.index]
-        assert (model.rows, model.lower, model.upper) == (ref.rows, ref.lower, ref.upper)
+        assert (model.lower, model.upper) == (ref.lower, ref.upper)
+        assert len(model.rows) == len(ref.rows)
+        for (c0, s0, r0), (c1, s1, r1) in zip(model.rows, ref.rows):
+            assert np.array_equal(c0, c1) and (s0, r0) == (s1, r1)

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stairverify.lp import (INF, LESS, EQUAL, GREATER, InfeasibleError,
-                            LinearProgram, LpSolution, solve, solve_box_knapsack, write_lp_text)
+from stairverify.errors import FormulationError
+from stairverify.lp import (INF, LESS, EQUAL, GREATER, LinearProgram, LpSolution, solve,
+                            write_lp_text)
+from stairverify.separation import _box_slice_series
 
 from helpers import NaiveSimplex
 
@@ -121,12 +123,12 @@ def test_knapsack_box_optimum_inside_slice():
     hi = np.ones(2)
     # slice 3 of 4 equal slices of [0, 2] is [1.0, 1.5] and misses (1,1);
     # the top slice [1.5, 2] contains the box optimum
-    x, val = solve_box_knapsack(c, w, 1.5, 2.0, lo, hi)
-    assert np.allclose(x, [1.0, 1.0]) and abs(val - 2.0) <= 1e-12
-    # walking down into slice [1.0, 1.5]: one coordinate turns fractional
-    x, val = solve_box_knapsack(c, w, 1.0, 1.5, lo, hi)
-    assert abs(val - 1.5) <= 1e-12
-    assert sum(1 for v in x if 1e-9 < v < 1 - 1e-9) <= 1
+    assert _box_slice_series(c, w, lo, hi, [1.5], [2.0]) == pytest.approx([2.0], abs=1e-12)
+    # walking down into slice [1.0, 1.5] pins w.x at 1.5
+    assert _box_slice_series(c, w, lo, hi, [1.0], [1.5]) == pytest.approx([1.5], abs=1e-12)
+    # all four slices in one series
+    vals = _box_slice_series(c, w, lo, hi, [0.0, 0.5, 1.0, 1.5], [0.5, 1.0, 1.5, 2.0])
+    assert vals == pytest.approx([0.5, 1.0, 1.5, 2.0], abs=1e-12)
 
 
 def test_knapsack_whole_box_slice_returns_box_optimum():
@@ -139,9 +141,17 @@ def test_knapsack_whole_box_slice_returns_box_optimum():
         hi = lo + rng.uniform(0.1, 2, size=n)
         tmin = float(w @ np.where(w >= 0, lo, hi))
         tmax = float(w @ np.where(w >= 0, hi, lo))
-        x, _ = solve_box_knapsack(c, w, tmin - 1.0, tmax + 1.0, lo, hi)
-        expect = np.where(c > 0, hi, lo)
-        assert np.allclose(x, expect)
+        vals = _box_slice_series(c, w, lo, hi, [tmin - 1.0], [tmax + 1.0])
+        assert vals[0] == float(c @ np.where(c > 0, hi, lo))
+
+
+def _slice_lp_optimum(c, w, a, b, lo, hi):
+    lp = LinearProgram("max", c, lower=lo, upper=hi)
+    lp.add_row(w, GREATER, a)
+    lp.add_row(w, LESS, b)
+    ref = solve(lp)
+    assert ref.status == "optimal"
+    return ref.objective
 
 
 def test_knapsack_matches_simplex_on_random_instances():
@@ -155,20 +165,19 @@ def test_knapsack_matches_simplex_on_random_instances():
         tmin = float(w @ np.where(w >= 0, lo, hi))
         tmax = float(w @ np.where(w >= 0, hi, lo))
         a, b = sorted(rng.uniform(tmin, tmax, size=2))
-        x, val = solve_box_knapsack(c, w, a, b, lo, hi)
-        assert np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9)
-        assert a - 1e-9 <= float(w @ x) <= b + 1e-9
-        lp = LinearProgram("max", c, lower=lo, upper=hi)
-        lp.add_row(w, GREATER, a)
-        lp.add_row(w, LESS, b)
-        ref = solve(lp)
-        assert ref.status == "optimal"
-        assert abs(val - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
+        # one slice, then consecutive slices tiling the whole range
+        edges = np.concatenate([[tmin], np.sort(rng.uniform(tmin, tmax, size=3)), [tmax]])
+        for lo_ts, hi_ts in (([a], [b]), (list(edges[:-1]), list(edges[1:]))):
+            vals = _box_slice_series(c, w, lo, hi, lo_ts, hi_ts)
+            for val, lo_t, hi_t in zip(vals, lo_ts, hi_ts):
+                ref = _slice_lp_optimum(c, w, lo_t, hi_t, lo, hi)
+                assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 def test_knapsack_empty_slice_raises():
-    with pytest.raises(InfeasibleError):
-        solve_box_knapsack([1.0], [1.0], 5.0, 6.0, [0.0], [1.0])
+    with pytest.raises(FormulationError):
+        _box_slice_series(np.array([1.0]), np.array([1.0]), np.array([0.0]),
+                          np.array([1.0]), [5.0], [6.0])
 
 
 def test_lp_text_export_mentions_all_sections():

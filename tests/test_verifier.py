@@ -291,9 +291,9 @@ def test_cut_loop_stops_at_the_deadline():
     q = _tiny_query(rng, hidden=(4,), bits=2, eps=0.25, weight_scale=1.5)
     tq = q.with_target(q.targets()[0])
     late, full = VerifyReport("robust"), VerifyReport("robust")
-    value, x, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), late,
-                                      deadline=-np.inf)
-    assert (diag, late.rounds) == ("timeout limit reached", 0) and x is not None
+    value, sol, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), late,
+                                        deadline=-np.inf)
+    assert (diag, late.rounds) == ("timeout limit reached", 0) and sol.x is not None
     tight, _, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), full,
                                       deadline=np.inf)
     assert diag == "" and full.rounds > 0 and tight < value - 1e-6
@@ -400,3 +400,101 @@ def test_pattern_lp_margin_pulls_interior_slab_edges_in():
                 moved.append(s0)
         # the first piece keeps its lower edge, the last its upper edge
         assert moved == ["<=" if side == "first" else ">="] * sum(split)
+
+
+def _three_label_query():
+    rng = np.random.default_rng(75)
+    net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3, weight_scale=1.5)
+    return VerificationQuery(net, np.zeros(3), 0.25, int(np.argmax(net.forward(np.zeros(3)))),
+                             xi=1e9)
+
+
+@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
+def test_one_model_per_query(mode, monkeypatch):
+    built = []
+    init = formulations.QueryModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(formulations.QueryModel, "__init__", counted)
+    report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))
+    assert report.verdict == "robust" and len(report.target_bounds) == 2
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("mode", ["cayley-lp", "cayley-exact"])
+def test_cuts_carry_over_to_the_next_target(mode, monkeypatch):
+    from stairverify import verifier
+    name = "_branch_and_bound" if mode.endswith("exact") else "_solve_with_cuts"
+    bound_target = getattr(verifier, name)
+    entry, exit_, calls = [], [], []
+
+    def pooled(model):
+        return {(nf.key, key) for nf in model.activated_neurons() for key in nf.pool}
+
+    def spy(model, *args):
+        entry.append(pooled(model))
+        calls.append((args, bound_target(model, *args)))
+        exit_.append(pooled(model))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verifier, name, spy)
+    report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))
+    assert report.verdict == "robust" and len(calls) == 2
+    assert exit_[0] > entry[0] and exit_[0] == entry[1]
+    if mode == "cayley-lp":
+        # the second target starts from the first target's last LP solution
+        first_sol, second_args = calls[0][1][1], calls[1][0]
+        assert second_args[-1] is first_sol and report.warm_solves >= report.rounds + 1
+
+
+# (network seed, anchor, label) of relaxed-lp benchmark queries whose LP
+# optimum does not replay to a label flip, while its piece pattern does
+RELAXED_REPAIR_QUERIES = {
+    "net 1": (1, [-0.5072114215411193, 0.5202306060432432, 0.542082957379637,
+                  -0.016605341983228383, -0.5358687162200043], 0),
+    "net 5": (5, [-0.40500399100965734, 0.2353534091685897, 0.3911801132124224,
+                  0.16295710751608228, 0.09573947347428813], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELAXED_REPAIR_QUERIES))
+@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp"])
+def test_relaxed_optimum_is_repaired_into_a_counterexample(mode, case, monkeypatch):
+    seed, x0, label = RELAXED_REPAIR_QUERIES[case]
+    net = random_quantized_network(np.random.default_rng(seed), n_in=5, hidden=(6, 6), n_out=3)
+    q = VerificationQuery(net, np.array(x0), 0.02, label)
+    margins = []
+    pattern_lp = formulations.QueryModel.pattern_lp
+
+    def spy(self, pattern, margin=0.0):
+        margins.append(margin)
+        return pattern_lp(self, pattern, margin)
+
+    monkeypatch.setattr(formulations.QueryModel, "pattern_lp", spy)
+    report = verify(q, VerifyConfig(mode=mode))
+    assert report.verdict == "falsified", report.diagnostic
+    assert margins and margins[0] == 1e-9          # the LP point's own input failed
+    x = report.counterexample
+    assert np.all(np.abs(x - q.x0) <= q.eps + 1e-12)
+    assert int(np.argmax(q.network.forward(x))) != q.label
+
+
+@pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
+def test_limit_bounds_stay_above_the_exact_optimum(mode):
+    limited = 0
+    for seed in range(60, 90):
+        q = _tiny_query(np.random.default_rng(seed), hidden=(4,), eps=0.3, weight_scale=1.5)
+        target = q.targets()[0]
+        truth = exhaustive_verify(build_query_model(q.with_target(target), BIGM))
+        for node_limit in (1, 2, 3):
+            rep = verify_exact(q, VerifyConfig(mode=mode, node_limit=node_limit, timeout=60))
+            if "limit" not in rep.diagnostic:
+                continue
+            limited += 1
+            assert rep.target_bounds[target] >= truth - 1e-7, (seed, node_limit)
+            if rep.verdict == "robust":
+                assert truth <= q.xi + 1e-9
+    assert limited >= 30
