@@ -217,11 +217,12 @@ class _LayerRelax:
 
 
 def _back_substitute(coeffs: np.ndarray, const: np.ndarray, relaxed: list[_LayerRelax],
-                     input_box: BoxDomain) -> np.ndarray:
+                     input_box: BoxDomain) -> tuple[np.ndarray, np.ndarray]:
     """Tightest upper bound on each row of coeffs @ activations(layer len(relaxed)-1) + const.
 
     `coeffs` holds one row per bound; a lower bound is minus the upper bound
-    of the negated row.
+    of the negated row. Also returns the rows over the input: their signs pick
+    the corner each bound is taken at.
     """
     for lr in reversed(relaxed):
         pos = np.maximum(coeffs, 0.0)
@@ -232,7 +233,7 @@ def _back_substitute(coeffs: np.ndarray, const: np.ndarray, relaxed: list[_Layer
         coeffs = slope @ lr.weights
     pos = np.maximum(coeffs, 0.0)
     neg = np.minimum(coeffs, 0.0)
-    return const + (pos @ input_box.upper + neg @ input_box.lower)
+    return const + (pos @ input_box.upper + neg @ input_box.lower), coeffs
 
 
 def deeppoly_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
@@ -246,9 +247,9 @@ def deeppoly_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
     out = PreActBounds()
     for li, layer in enumerate(net.layers):
         n = layer.out_dim
-        upper = _back_substitute(np.concatenate((layer.weights, -layer.weights)),
-                                 np.concatenate((layer.bias, -layer.bias)),
-                                 out.relaxation, input_box)
+        upper, _ = _back_substitute(np.concatenate((layer.weights, -layer.weights)),
+                                    np.concatenate((layer.bias, -layer.bias)),
+                                    out.relaxation, input_box)
         pre_lo = np.maximum(-upper[n:], ivals.lower[li])
         pre_hi = np.minimum(upper[:n], ivals.upper[li])
         # float noise on a pinned neuron can cross its bounds: meet in the middle
@@ -272,4 +273,10 @@ def output_linear_bound(net: Network, input_box: BoxDomain, c: np.ndarray,
         relaxed = [_LayerRelax(layer, lo, hi)
                    for layer, lo, hi in zip(net.layers, preact.lower, preact.upper)]
     row = np.asarray(c, dtype=float)[None, :]
-    return float(_back_substitute(row, np.zeros(1), relaxed, input_box)[0])
+    return float(_back_substitute(row, np.zeros(1), relaxed, input_box)[0][0])
+
+
+def upper_corner(input_box: BoxDomain, c: np.ndarray, preact: PreActBounds) -> np.ndarray:
+    """The input box corner at which DeepPoly takes its upper bound on c . N(x)."""
+    _, coeffs = _back_substitute(np.atleast_2d(c), np.zeros(1), preact.relaxation, input_box)
+    return np.where(coeffs[0] > 0, input_box.upper, input_box.lower)

@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
         "aggregate": aggregate,
     }
     if args.out == "json":
-        json.dump(manifest, sys.stdout, indent=1, sort_keys=True)
+        json.dump(_json_safe(manifest), sys.stdout, indent=1, sort_keys=True, allow_nan=False)
         sys.stdout.write("\n")
     else:
         writer = csv.writer(sys.stdout)
@@ -154,6 +154,15 @@ def cmd_verify(args) -> int:
                              e.get("solve_time", 0.0), e.get("separation_time", 0.0)])
         log.info("aggregate: %s", aggregate)
     return 0
+
+
+def _json_safe(doc):
+    """`doc` with every non-finite float as None, since standard JSON has no Infinity."""
+    if isinstance(doc, dict):
+        return {k: _json_safe(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_json_safe(v) for v in doc]
+    return None if isinstance(doc, float) and not np.isfinite(doc) else doc
 
 
 def _neuron_from_json(doc: dict) -> Neuron:

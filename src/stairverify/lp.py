@@ -123,6 +123,7 @@ class _Tableau:
             self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis") from exc
+        self.updates = 0   # product-form updates since this factorization
 
 
 def _initial_point(tab: _Tableau) -> np.ndarray:
@@ -142,9 +143,8 @@ def _set_basic_values(tab: _Tableau, x: np.ndarray) -> None:
 def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
                   max_iter: int, fixed: np.ndarray) -> tuple[str, int]:
     """Bland-rule bounded-variable primal simplex on a feasible basis."""
-    m = tab.m
     iters = 0
-    since_refactor = 0
+    tab.updates = 0   # the refactor schedule restarts with every loop
     basic_mask = np.zeros(tab.ncols, dtype=bool)
     basic_mask[tab.basis] = True
     while True:
@@ -173,61 +173,85 @@ def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
                 break
         if entering < 0:
             return "optimal", iters
-
-        col = tab.binv @ tab.A[:, entering]
-        u = col if direction > 0 else -col
-        # max step before a basic variable or the entering bound blocks
-        step = INF
-        leaving = -1
-        leave_to = 0.0
-        for i in range(m):
-            bi = tab.basis[i]
-            if u[i] > PIVOT_TOL:
-                lo = tab.lower[bi]
-                if lo > -INF:
-                    r = (x[bi] - lo) / u[i]
-                    if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
-                        step, leaving, leave_to = r, i, lo
-            elif u[i] < -PIVOT_TOL:
-                hi = tab.upper[bi]
-                if hi < INF:
-                    r = (hi - x[bi]) / (-u[i])
-                    if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
-                        step, leaving, leave_to = r, i, hi
-        target = tab.upper[entering] if direction > 0 else tab.lower[entering]
-        if abs(target) >= INF:
-            flip = INF
-        elif on_bound:
-            flip = tab.upper[entering] - tab.lower[entering]
-        else:
-            # a column inside its box (a warm start's point) stops at the target
-            flip = direction * (target - x[entering])
-        if flip < step - PIVOT_TOL:
-            # bound flip: entering crosses its box without changing the basis
-            x[entering] += direction * flip
-            x[tab.basis] -= flip * u
-            iters += 1
-            continue
-        if step >= INF:
+        if not _move(tab, x, entering, direction, on_bound, basic_mask):
             return "unbounded", iters
-
-        step = max(step, 0.0)
-        x[entering] += direction * step
-        x[tab.basis] -= step * u
-        out = tab.basis[leaving]
-        x[out] = leave_to
-        tab.basis[leaving] = entering
-        basic_mask[out] = False
-        basic_mask[entering] = True
-        since_refactor += 1
-        if since_refactor >= 64:
-            tab.refactor()
-            since_refactor = 0
-        elif abs(col[leaving]) < PIVOT_TOL:
-            tab.refactor()
-        else:
-            _update_inverse(tab.binv, col, leaving)
         iters += 1
+
+
+def _move(tab: _Tableau, x: np.ndarray, entering: int, direction: float,
+          on_bound: bool, basic_mask: np.ndarray) -> bool:
+    """Move `entering` in `direction` until its own bound or a basic variable
+    blocks, pivoting it into the basis in the second case; False when nothing
+    blocks (an unbounded ray)."""
+    col = tab.binv @ tab.A[:, entering]
+    u = col if direction > 0 else -col
+    # max step before a basic variable or the entering bound blocks
+    step = INF
+    leaving = -1
+    leave_to = 0.0
+    for i in range(tab.m):
+        bi = tab.basis[i]
+        if u[i] > PIVOT_TOL:
+            lo = tab.lower[bi]
+            if lo > -INF:
+                r = (x[bi] - lo) / u[i]
+                if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
+                    step, leaving, leave_to = r, i, lo
+        elif u[i] < -PIVOT_TOL:
+            hi = tab.upper[bi]
+            if hi < INF:
+                r = (hi - x[bi]) / (-u[i])
+                if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
+                    step, leaving, leave_to = r, i, hi
+    target = tab.upper[entering] if direction > 0 else tab.lower[entering]
+    if abs(target) >= INF:
+        flip = INF
+    elif on_bound:
+        flip = tab.upper[entering] - tab.lower[entering]
+    else:
+        # a column inside its box (a warm start's point) stops at the target
+        flip = direction * (target - x[entering])
+    if flip < step - PIVOT_TOL:
+        # bound flip: entering crosses its box without changing the basis
+        x[entering] += direction * flip
+        x[tab.basis] -= flip * u
+        return True
+    if step >= INF:
+        return False
+    if abs(col[leaving]) < FEAS_TOL and tab.updates:
+        # a tiny pivot on an updated inverse may be drift: recheck on a fresh one
+        tab.refactor()
+        return _move(tab, x, entering, direction, on_bound, basic_mask)
+
+    step = max(step, 0.0)
+    x[entering] += direction * step
+    x[tab.basis] -= step * u
+    out = tab.basis[leaving]
+    x[out] = leave_to
+    tab.basis[leaving] = entering
+    basic_mask[out] = False
+    basic_mask[entering] = True
+    tab.updates += 1
+    if tab.updates >= 64:
+        tab.refactor()
+    else:
+        _update_inverse(tab.binv, col, leaving)
+    return True
+
+
+def _settle_interior(tab: _Tableau, cost: np.ndarray, x: np.ndarray, fixed: np.ndarray) -> None:
+    """Move each nonbasic column that phase 2 left strictly inside its box (a
+    start point's y, at a reduced cost of about 0) along its ratio test, against
+    that cost's sign, to a bound or into the basis: a vertex, of the same value
+    within PIVOT_TOL. A free column that nothing blocks either way stays put."""
+    basic_mask = np.zeros(tab.ncols, dtype=bool)
+    basic_mask[tab.basis] = True
+    inside = (x > tab.lower + FEAS_TOL) & (x < tab.upper - FEAS_TOL) & ~basic_mask & ~fixed
+    for j in np.flatnonzero(inside):
+        d = cost[j] - (cost[tab.basis] @ tab.binv) @ tab.A[:, j]
+        direction = -1.0 if d > 0 else 1.0
+        if not _move(tab, x, j, direction, False, basic_mask):
+            _move(tab, x, j, -direction, False, basic_mask)
 
 
 def _update_inverse(binv: np.ndarray, col: np.ndarray, leaving: int) -> None:
@@ -247,7 +271,9 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None,
     extended by the slacks of the appended rows, and its point, clipped into
     the current bounds, start the solve when that basis is still nonsingular;
     any numerical failure under a warm start falls back to the cold start
-    before being reported.
+    before being reported. A `warm` with an empty basis is a start point, its
+    x clipped into the bounds on the slack basis: phase 1 runs only from a
+    point that misses a row by more than FEAS_TOL.
     """
     try:
         return _solve_once(lp, warm, max_iter)
@@ -358,6 +384,7 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None,
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iters,
                           phase1_iterations=it1, warm_used=warm_used)
+    _settle_interior(tab, cost, x, fixed)
 
     # clean recomputation of the basic values from the final basis
     tab.refactor()

@@ -3,12 +3,13 @@
 A query is robust when every target-attack optimum stays below the threshold.
 Every LP mode builds one model per query and runs one loop over the targets;
 a target changes only the model's objective, so rows and pooled hull cuts
-carry over. Relaxed modes bound a target by its LP, warm-started from the
-previous target's last solution; in cayley mode they alternate solving with
-per-neuron separation until no pooled-new cut is violated. Exact modes run
-best-first branch-and-bound on the piece indicators, branching by bisecting
-the allowed index set of the least integral neuron, with lazy hull cuts at
-node optima in cayley mode.
+carry over. The first LP of a query and every branch-and-bound root start at
+a feasible forward-pass point. Relaxed modes bound a target by its LP, later
+targets warm-started from the previous target's last solution; in cayley
+mode they alternate solving with per-neuron separation until no pooled-new
+cut is violated. Exact modes run best-first branch-and-bound on the piece
+indicators, branching by bisecting the allowed index set of the least
+integral neuron, with lazy hull cuts at node optima in cayley mode.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ TIMEOUT = "timeout limit reached"
 
 @dataclass
 class VerifyConfig:
+    """Verification settings; `node_limit` caps the nodes of each target's search."""
+
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
     cut_tol: float = 1e-6
@@ -103,6 +106,15 @@ def _solve(lp, warm, report: VerifyReport):
     report.lp_phase2_iterations += sol.iterations
     report.warm_solves += sol.warm_used
     return sol
+
+
+def _forward_start(model: QueryModel) -> LpSolution:
+    """The forward pass of the input corner where DeepPoly bounds the current
+    objective, on the slack basis (empty `basis`). With sound bounds it meets
+    every row of both formulations, pooled cuts included: no phase 1."""
+    corner = bounds_mod.upper_corner(model.region, model.objective[model.y_vars[-1]],
+                                     model.bounds)
+    return LpSolution("optimal", x=model.trace_assignment(corner), basis=[])
 
 
 def _replay(network, x, label) -> bool:
@@ -191,7 +203,8 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
         if config.is_exact:
             value, sol, diag = _branch_and_bound(model, config, deadline, report)
         else:
-            value, sol, diag = _solve_with_cuts(model, config, report, deadline, sol)
+            warm = _forward_start(model) if sol is None else sol
+            value, sol, diag = _solve_with_cuts(model, config, report, deadline, warm)
         report.diagnostic = diag or report.diagnostic
         if value is None:
             report.verdict = "unknown"
@@ -285,7 +298,8 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
     on the graph at all, so the fallback keeps its piece pattern (argmax z
     per neuron) and solves `pattern_lp` with the interior slab edges pulled
     in by each margin in turn, taking the first optimum above the threshold
-    that replays to a flip. None if none does.
+    that replays to a flip. Any input of the region that flips the label will
+    do, so the `_forward_start` corner is the last try. None if none does.
     """
     query = model.query
     x_cand = model.input_point(point)
@@ -299,17 +313,19 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
             x_cand = model.input_point(sol.x)
             if _replay(query.network, x_cand, query.label):
                 return x_cand
-    return None
+    x_cand = model.input_point(_forward_start(model).x)
+    return x_cand if _replay(query.network, x_cand, query.label) else None
 
 
 def _branch_and_bound(model: QueryModel, config: VerifyConfig,
                       deadline: float, report: VerifyReport):
     """Best-first search; returns (upper bound, incumbent LpSolution, diagnostic).
 
-    Node LPs start from the parent's solution (basis and point); cayley mode
-    separates lazily at node optima. Without a limit the bound is the exact
-    optimum, attained by the incumbent (None when no node is feasible). At a
-    node or time limit it is the larger of the best open node's bound and the
+    The root LP starts from `_forward_start`, node LPs from the parent's
+    solution (basis and point); cayley mode separates lazily at node optima.
+    Without a limit the bound is the exact optimum, attained by the incumbent
+    (None when no node is feasible). At this target's node limit or the
+    deadline it is the larger of the best open node's bound and the
     incumbent's value, which is sound, and the diagnostic names the limit.
     """
     serial = itertools.count()
@@ -318,15 +334,16 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     incumbent = -np.inf
     incumbent_sol = None
     heap: list[_Node] = []
+    node_budget = report.nodes + config.node_limit
 
     def push(allowed, bound, warm):
         heapq.heappush(heap, _Node(-bound, next(serial), allowed, warm))
 
-    push(root_allowed, np.inf, None)
+    push(root_allowed, np.inf, _forward_start(model))
     while heap:
         best_bound = -heap[0].neg_bound
         limit = (TIMEOUT if time.monotonic() > deadline
-                 else "nodes limit reached" if report.nodes >= config.node_limit else "")
+                 else "nodes limit reached" if report.nodes >= node_budget else "")
         if limit:
             report.gap_percent = max(report.gap_percent, _gap_percent(best_bound, incumbent))
             return max(best_bound, incumbent), incumbent_sol, limit

@@ -160,7 +160,9 @@ class NaiveSimplex:
 
     Solves min c.x s.t. A x <= b, x >= 0 via the full tableau with Bland's
     rule, converting free/bounded variables by splitting and shifting. Slow
-    and simple on purpose.
+    and simple on purpose. Phase 1 minimizes the artificials; the ones still
+    basic (at zero) are pivoted out, their columns dropped, and phase 2 runs
+    on the structurals and slacks alone.
     """
 
     def __init__(self, c, A_ub, b_ub):
@@ -184,11 +186,17 @@ class NaiveSimplex:
         status, basis = self._iterate(T, b, cost1, basis)
         if status != "optimal" or self._objective(T, b, cost1, basis) > 1e-7:
             return "infeasible", None, None
-        cost2 = np.concatenate([self.c, np.zeros(m), np.full(m, 1e9)])
+        for i, j in enumerate(basis):
+            if j >= n + m:
+                # row i of B^-1 T; the slack columns make it nonzero somewhere
+                row = np.linalg.solve(T[:, basis].T, np.eye(m)[i]) @ T[:, :n + m]
+                basis[i] = int(np.argmax(np.abs(row)))
+        T = T[:, :n + m]
+        cost2 = np.concatenate([self.c, np.zeros(m)])
         status, basis = self._iterate(T, b, cost2, basis)
         if status == "unbounded":
             return "unbounded", None, None
-        x = np.zeros(n + 2 * m)
+        x = np.zeros(n + m)
         xb = np.linalg.solve(T[:, basis], b)
         x[basis] = xb
         return "optimal", float(self.c @ x[:n]), x[:n]

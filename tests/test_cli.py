@@ -1,8 +1,10 @@
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -91,6 +93,28 @@ def test_verify_json_manifest(net_file, dataset_file):
     assert len(doc["queries"]) == 4
     for entry in doc["queries"]:
         assert entry["verdict"] in ("robust", "falsified", "unknown")
+
+
+def test_verify_manifest_is_standard_json(net_file, dataset_file, monkeypatch):
+    # a clock that reaches the deadline as branch-and-bound starts: every row
+    # times out before its root, with an infinite bound and gap
+    from stairverify import verifier
+    clock = itertools.count()
+    monkeypatch.setattr(verifier, "time", types.SimpleNamespace(monotonic=lambda: float(next(clock))))
+    _, netp = net_file
+    code, out = _run(["verify", "--net", netp, "--dataset", dataset_file,
+                      "--eps", "0.05", "--mode", "bigm-exact", "--timeout", "1.5"])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert len(doc["queries"]) == 4
+    for entry in doc["queries"]:
+        assert entry["diagnostic"] == "timeout limit reached"
+        assert entry["gap_percent"] is None
+        assert list(entry["target_bounds"].values()) == [None]
 
 
 def test_verify_empty_dataset(net_file, tmp_path):

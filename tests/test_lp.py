@@ -114,6 +114,25 @@ def test_optimal_solutions_are_vertices():
         assert warm.warm_used
         at_bound = np.sum((np.abs(warm.x - lo) <= 1e-8) | (np.abs(warm.x - hi) <= 1e-8))
         assert at_bound >= n - m - 1
+    # started from an interior feasible point (an empty basis), with costless
+    # columns that phase 2 has no reason to move off it
+    started = 0
+    for _ in range(40):
+        n, m = 8, 3
+        lo, hi = np.zeros(n), np.ones(n)
+        x0 = rng.uniform(0.1, 0.9, size=n)
+        lp = LinearProgram("max", rng.normal(size=n) * (rng.random(n) < 0.5), lower=lo, upper=hi)
+        for _ in range(m):
+            row = rng.normal(size=n) * (rng.random(n) < 0.5)
+            lp.add_row(row, LESS, float(row @ x0) + float(rng.uniform(0, 0.3)))
+        sol = solve(lp, LpSolution("optimal", x=x0, basis=[]))
+        assert sol.status == "optimal" and sol.warm_used and sol.phase1_iterations == 0
+        cold = solve(lp)
+        assert abs(sol.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        at_bound = np.sum((np.abs(sol.x - lo) <= 1e-8) | (np.abs(sol.x - hi) <= 1e-8))
+        assert at_bound >= n - m
+        started += 1
+    assert started == 40
 
 
 def test_knapsack_box_optimum_inside_slice():
@@ -377,6 +396,29 @@ def test_phase_one_refreshes_before_reporting_infeasible():
         lhs = float(coeffs @ sol.x)
         assert (lhs <= rhs + 1e-7) if sense == LESS else \
             (lhs >= rhs - 1e-7) if sense == GREATER else abs(lhs - rhs) <= 1e-7
+    # the textbook referee on the LP shifted to x' = x - lower >= 0, with the
+    # upper bounds as rows
+    status, obj, _ = NaiveSimplex(*_shifted_standard_form(lp)).solve()
+    assert status == "optimal"
+    value = float(lp.objective @ lp.lower) - obj
+    assert abs(value - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
+
+
+def _shifted_standard_form(lp):
+    """min c.x' s.t. A x' <= b, x' >= 0 for a max LP with finite lower bounds."""
+    A, b = [], []
+    for coeffs, sense, rhs in lp.rows:
+        rhs = rhs - float(coeffs @ lp.lower)
+        if sense != GREATER:
+            A.append(coeffs)
+            b.append(rhs)
+        if sense != LESS:
+            A.append(-coeffs)
+            b.append(-rhs)
+    for j in np.flatnonzero(lp.upper < INF):
+        A.append(np.eye(lp.num_vars)[j])
+        b.append(lp.upper[j] - lp.lower[j])
+    return -lp.objective, np.array(A), np.array(b)
 
 
 def test_inverse_update_matches_the_row_list_form():
@@ -398,3 +440,15 @@ def test_inverse_update_matches_the_row_list_form():
         reference(expect, col, leaving)
         _update_inverse(binv, col, leaving)
         assert binv.tobytes() == expect.tobytes()
+
+
+def test_start_point_solve_rechecks_a_tiny_pivot_on_a_fresh_inverse():
+    # a cayley-exact root LP with its forward-pass start: a pivot of 4e-9 on
+    # the updated inverse is 1e-15 on a fresh one, and taking it made the
+    # basis exactly singular at the next refactorization
+    name = "cayley_root_start_59x36.json"
+    lp = _fixture_lp(name)
+    start = np.array(json.loads((Path(__file__).parent / "data" / name).read_text())["start"])
+    sol, cold = solve(lp, LpSolution("optimal", x=start, basis=[])), solve(lp)
+    assert sol.warm_used and sol.phase1_iterations == 0
+    _assert_same_solve(sol, cold, lp)

@@ -344,11 +344,13 @@ def test_report_counters_agree(mode, monkeypatch):
 # optimum did not replay to a label flip before the breakpoint repair
 BREAKPOINT_QUERIES = {
     # the optimum sits on a breakpoint where the network takes the next piece
-    "upper edge": (1, [0.09084619240691827, 0.5599948744654059, -0.05030452741665692,
-                       0.4049657061580857, -0.5329536419617545], 1),
+    # (seed-1 item 368)
+    "upper edge": (9, [-0.19720264479103006, 0.2349863331638753, -0.1046941740848592,
+                       -0.5877786438832409, 0.06660058535860947], 2),
     # the branch LP puts a pre-activation a rounding error below its slab
-    "lower edge": (5, [0.36664354928418497, -0.06567838251315428, -0.1417965210565873,
-                       -0.5377315753371203, 0.23779373187575725], 1),
+    # (seed-1 item 87)
+    "lower edge": (11, [-0.5072114215411193, 0.5202306060432432, 0.542082957379637,
+                        -0.016605341983228383, -0.5358687162200043], 2),
 }
 
 
@@ -453,10 +455,12 @@ def test_cuts_carry_over_to_the_next_target(mode, monkeypatch):
 # (network seed, anchor, label) of relaxed-lp benchmark queries whose LP
 # optimum does not replay to a label flip, while its piece pattern does
 RELAXED_REPAIR_QUERIES = {
-    "net 1": (1, [-0.5072114215411193, 0.5202306060432432, 0.542082957379637,
-                  -0.016605341983228383, -0.5358687162200043], 0),
-    "net 5": (5, [-0.40500399100965734, 0.2353534091685897, 0.3911801132124224,
-                  0.16295710751608228, 0.09573947347428813], 0),
+    # seed-1 item 325
+    "net 1": (1, [0.17184232262531263, -0.26797586497633047, 0.18343461724181576,
+                  0.3565514840263665, 0.15549897305731342], 1),
+    # seed-101 item 247
+    "net 5": (5, [0.39170934331052176, -0.0499596907598705, -0.17797552657637633,
+                  -0.5274898423384413, 0.2591275865367304], 1),
 }
 
 
@@ -498,3 +502,109 @@ def test_limit_bounds_stay_above_the_exact_optimum(mode):
             if rep.verdict == "robust":
                 assert truth <= q.xi + 1e-9
     assert limited >= 30
+
+
+# -- the forward-pass start ------------------------------------------------------
+
+
+def _start_queries():
+    """Untargeted queries on small quantized nets, every target bounded (xi huge)."""
+    for seed in range(90, 96):
+        rng = np.random.default_rng(seed)
+        net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3, weight_scale=1.5)
+        x0 = rng.uniform(-0.5, 0.5, size=3)
+        yield VerificationQuery(net, x0, 0.25, int(np.argmax(net.forward(x0))), xi=1e9)
+
+
+def _meets_every_row(lp, x, tol):
+    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
+        return False
+    for coeffs, sense, rhs in lp.rows:
+        lhs = float(coeffs @ x)
+        if (lhs > rhs + tol) if sense == "<=" else \
+                (lhs < rhs - tol) if sense == ">=" else abs(lhs - rhs) > tol:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
+def test_first_solve_and_every_root_skip_phase_one(mode, monkeypatch):
+    from stairverify import verifier
+    solve_ = verifier.solve
+    starts = []
+
+    def spy(lp, warm=None, *args):
+        sol = solve_(lp, warm, *args)
+        if warm is not None and warm.basis == []:
+            starts.append(sol)
+        return sol
+
+    monkeypatch.setattr(verifier, "solve", spy)
+    for q in _start_queries():
+        starts.clear()
+        report = verify(q, VerifyConfig(mode=mode, timeout=60))
+        assert report.verdict == "robust" and len(report.target_bounds) == 2
+        # the first relaxed solve of the query, or the root of every target
+        assert len(starts) == (2 if mode.endswith("exact") else 1)
+        for sol in starts:
+            assert sol.status == "optimal" and sol.warm_used
+            assert sol.phase1_iterations == 0
+
+
+@pytest.mark.parametrize("mode", ["bigm", "cayley"])
+def test_forward_start_meets_every_row_and_matches_cold(mode):
+    from stairverify import verifier
+    from stairverify.lp import FEAS_TOL
+    report = VerifyReport("robust")
+    for q in _start_queries():
+        model = build_query_model(q, mode, bounds.deeppoly_bounds(q.network, q.input_region()))
+        for target in q.targets():
+            model.set_target(target)
+            start = verifier._forward_start(model)
+            # in cayley mode, the second target's rows include the cuts pooled
+            # for the first, and the last check runs on this target's own cuts
+            for _ in range(2 if mode == "cayley" else 1):
+                lp = model.to_lp()
+                assert _meets_every_row(lp, start.x, FEAS_TOL)
+                sol, cold = solve(lp, start), solve(lp)
+                assert sol.phase1_iterations == 0 and sol.warm_used
+                assert abs(sol.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+                _solve_with_cuts(model, VerifyConfig(), report, np.inf, start)
+    assert (report.cuts_added > 0) == (mode == "cayley")
+
+
+def test_forward_start_is_the_trace_of_a_box_corner():
+    from stairverify import verifier
+    for q in _start_queries():
+        model = build_query_model(q, BIGM)
+        region = q.input_region()
+        for target in q.targets():
+            model.set_target(target)
+            start = verifier._forward_start(model)
+            assert start.basis == []
+            corner = model.input_point(start.x)
+            assert np.all((corner == region.lower) | (corner == region.upper))
+            assert np.array_equal(start.x, model.trace_assignment(corner))
+
+
+def test_node_limit_applies_to_each_target(monkeypatch):
+    from stairverify import verifier
+    q = _three_label_query()
+    exact = verify(q, VerifyConfig(mode="bigm-exact", timeout=60)).target_bounds
+    bnb = verifier._branch_and_bound
+    nodes = []
+
+    def spy(model, config, deadline, report):
+        before = report.nodes
+        out = bnb(model, config, deadline, report)
+        nodes.append(report.nodes - before)
+        return out
+
+    monkeypatch.setattr(verifier, "_branch_and_bound", spy)
+    for node_limit in range(1, 12):
+        nodes.clear()
+        report = verify(q, VerifyConfig(mode="bigm-exact", node_limit=node_limit, timeout=60))
+        assert report.target_bounds.keys() == exact.keys() and len(nodes) == 2
+        for target, bound in report.target_bounds.items():
+            assert np.isfinite(bound) and bound >= exact[target] - 1e-9, (node_limit, target)
+        assert all(1 <= n <= node_limit for n in nodes), node_limit
