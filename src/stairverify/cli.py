@@ -103,6 +103,8 @@ def _verify_one(net, row_idx, x0, label, eps, config: VerifyConfig):
 
 
 def cmd_verify(args) -> int:
+    if not args.eps >= 0.0:
+        raise InputError(f"--eps must be a nonnegative number, got {args.eps}")
     net = load_network(args.net)
     rows = _load_dataset(args.dataset)
     config = VerifyConfig(mode=args.mode, max_cut_rounds=args.max_cut_rounds,
@@ -188,11 +190,15 @@ def cmd_separate(args) -> int:
         raise InputError(f"cannot read {args.instance}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.instance}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    neuron = _neuron_from_json(doc["neuron"])
-    xhat = np.asarray(doc["xhat"], dtype=float)
-    yhat = float(doc["yhat"])
-    zhat = np.asarray(doc["zhat"], dtype=float)
-    direction = doc.get("direction", "upper")
+    try:
+        neuron_doc = doc["neuron"]
+        xhat = np.asarray(doc["xhat"], dtype=float)
+        yhat = float(doc["yhat"])
+        zhat = np.asarray(doc["zhat"], dtype=float)
+        direction = doc.get("direction", "upper")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed instance document: {exc}") from exc
+    neuron = _neuron_from_json(neuron_doc)
     certificate = membership_certificate(neuron, xhat, zhat, direction)
     cut = separate_pwl(neuron, xhat, yhat, zhat, direction)
     if cut is None:

@@ -45,6 +45,10 @@ class VerificationQuery:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if self.x0.shape != (self.network.input_dim,):
             raise InputError("anchor input has the wrong dimension")
+        if not np.all(np.isfinite(self.x0)):
+            raise InputError("anchor input must be finite")
+        if not self.eps >= 0.0:
+            raise InputError(f"eps must be a nonnegative number, got {self.eps}")
         if not (0 <= self.label < self.network.output_dim):
             raise InputError("label out of range")
         if self.target is not None and (

@@ -20,9 +20,14 @@ Candidate families searched on the canonical problem:
 * two ray families (one per slab-multiplier orientation); a negative minimum
   certifies an unbounded dual, i.e. a violated inequality in (x, z) alone;
 * extreme-point families obtained by toggling slab multipliers against the
-  slope pattern of the pieces; each candidate is expanded to a full dual
-  solution, its genuine objective evaluated, and the minimum compared
-  against y to decide membership.
+  slope pattern of the pieces (two sweeps, two pinned-alpha patterns, or
+  the zero solution when s = 0); the genuine objective of each is evaluated
+  in O(n + k) and the minimum compared against y to decide membership.
+
+Every candidate has one form: a per-piece multiplier pattern m in
+{-1, 0, 1, 2}^k and a per-coordinate alpha sign c in {-1, 0, 1}^n, which fix
+the whole dual solution. General piecewise-linear activations are separated
+one staircase component at a time (a staircase is its own single component).
 
 Cut coefficients are always recomputed by exact per-slice maximization
 (retrieve_cut), so any alpha yields a valid inequality; candidate-search
@@ -182,7 +187,6 @@ class SweepResult:
     K: np.ndarray                  # fully selected free pieces
     frac_piece: int = -1           # piece with fractional amount, or -1
     frac_amount: float = 0.0
-    early_exit: bool = False
 
 
 def minimize_psi_c(inst: PsiInstance, allowed=None, early_exit: bool = False) -> SweepResult:
@@ -263,8 +267,7 @@ def minimize_psi_c(inst: PsiInstance, allowed=None, early_exit: bool = False) ->
     if t < num_items and rem > 1e-12 * max(1.0, best_sigma):
         frac_piece = int(items[t])
         frac_amount = rem / float(wz[t])
-    return SweepResult(float(best_val), best_sigma, K, frac_piece, frac_amount,
-                       early_exit=early_exit and best_val < -1e-15)
+    return SweepResult(float(best_val), best_sigma, K, frac_piece, frac_amount)
 
 
 def round_fractional(result: SweepResult, inst: PsiInstance) -> tuple[np.ndarray, float]:
@@ -311,8 +314,6 @@ class _Canonical:
     zhat: np.ndarray
     active: np.ndarray         # indices into the full coordinate space
     n_full: int
-    negated: bool
-    reversed_pieces: bool
 
     def __post_init__(self):
         self.absw = np.abs(self.w)
@@ -320,6 +321,9 @@ class _Canonical:
         self.m1 = self.upper * self.absw
         self.m2 = self.lower * self.absw
         self.delta = self.m1 - self.m2
+        # per-coordinate multiplier cost of a row with right-hand side +wbar / -wbar
+        self.cost_plus = np.where(self.wbar > 0, self.m1, -self.m2)
+        self.cost_minus = np.where(self.wbar > 0, -self.m2, self.m1)
         if self.s > 0:
             self.a1_mask = np.abs(self.a - self.s) <= 1e-9 * max(1.0, abs(self.s))
         else:
@@ -341,19 +345,12 @@ class _Canonical:
         """Cost of the first-slab multipliers on every slope piece."""
         return float((self.zhat[self.a1_mask] * (self.h[1:] - self.b)[self.a1_mask]).sum())
 
-    def row_cost_plus(self) -> np.ndarray:
-        """Per-coordinate multiplier cost of a row with right-hand side +wbar."""
-        return np.where(self.wbar > 0, self.m1, -self.m2)
-
-    def row_cost_minus(self) -> np.ndarray:
-        """Per-coordinate multiplier cost of a row with right-hand side -wbar."""
-        return np.where(self.wbar > 0, -self.m2, self.m1)
-
-    def instance(self, orientation: str, ep_family: str | None = None) -> PsiInstance:
+    def instance(self, orientation: str, family: str = "ray") -> PsiInstance:
         """Psi data for one sweep-based candidate family.
 
-        Ray families may toggle every piece. The extreme-point families work
-        against the slope pattern (A_1 = slope-s pieces, A_0 = flat pieces):
+        Ray families (any `family` but "grow" and "drop") may toggle every
+        piece. The extreme-point families work against the slope pattern
+        (A_1 = slope-s pieces, A_0 = flat pieces):
 
         * "grow" adds first-slab multipliers on flat pieces (the toggled rows
           move their right-hand side to -wbar);
@@ -373,10 +370,10 @@ class _Canonical:
         forced = np.zeros(k, dtype=bool)
         free = np.ones(k, dtype=bool)
         base = 0.0
-        if ep_family == "grow":
+        if family == "grow":
             free = ~self.a1_mask
             base = self.theta_base()
-        elif ep_family == "drop":
+        elif family == "drop":
             theta = np.where(self.a1_mask, self.b - h[1:], self.b - h[:-1])
             base = self.theta_base()
         hbar = theta + self.pulled_const(wbar_eff)
@@ -407,13 +404,14 @@ def _fold_fixed_coordinates(neuron: Neuron):
     return active, b
 
 
-def _canonicalize(neuron: Neuron, xhat, yhat: float, zhat, direction: str
-                  ) -> tuple[_Canonical, float]:
+def _canonicalize(neuron: Neuron, xhat, zhat, direction: str) -> _Canonical:
     if direction not in (UPPER, LOWER):
         raise InputError(f"direction must be 'upper' or 'lower', got {direction!r}")
     xhat = np.asarray(xhat, dtype=float)
     zhat = np.asarray(zhat, dtype=float)
     f = neuron.activation
+    if xhat.shape != (neuron.dim,):
+        raise InputError("xhat length must equal the neuron's input dimension")
     if zhat.shape != (f.num_pieces,):
         raise InputError("zhat length must equal the piece count")
     if np.any(zhat < -VIOLATION_TOL) or abs(zhat.sum() - 1.0) > VIOLATION_TOL:
@@ -437,12 +435,8 @@ def _canonicalize(neuron: Neuron, xhat, yhat: float, zhat, direction: str
     d = stair.intercepts.copy()
     s = staircase_slope(stair)
     z = zhat.copy()
-    negated = False
     if direction == LOWER:
         a, d, s = -a, -d, -s
-        yhat = -yhat
-        negated = True
-    reversed_pieces = False
     if s < 0:
         # reflect the pre-activation axis: pieces reverse, w and b flip
         c = h[0] + h[-1]
@@ -453,21 +447,9 @@ def _canonicalize(neuron: Neuron, xhat, yhat: float, zhat, direction: str
         w = -w
         z = z[::-1].copy()
         s = -s
-        reversed_pieces = True
     dbar = a * b + d
-    canon = _Canonical(w, b, lo, hi, h, a, dbar, float(s),
-                       float(s) if s > 0 else 1.0, xa, z, active,
-                       neuron.dim, negated, reversed_pieces)
-    return canon, float(yhat)
-
-
-def build_psi(neuron: Neuron, xhat, zhat, orientation: str = THETA2_ZERO,
-              direction: str = UPPER) -> PsiInstance:
-    """Scaled ray-family psi data for a staircase neuron at (xhat, zhat)."""
-    if orientation not in (THETA2_ZERO, THETA1_ZERO):
-        raise InputError(f"unknown orientation {orientation!r}")
-    canon, _ = _canonicalize(neuron, xhat, 0.0, zhat, direction)
-    return canon.instance(orientation)
+    return _Canonical(w, b, lo, hi, h, a, dbar, float(s),
+                      float(s) if s > 0 else 1.0, xa, z, active, neuron.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -476,168 +458,128 @@ def build_psi(neuron: Neuron, xhat, zhat, orientation: str = THETA2_ZERO,
 
 @dataclass
 class _Candidate:
-    """One structured dual solution. Two flavors:
+    """One structured dual solution, fixed by a piece pattern and an alpha sign.
 
-    * sweep candidates carry a PsiInstance and a toggled subset K; their rows
-      have right-hand side -wbar_eff on the members and 0 elsewhere, with the
-      per-coordinate branch choosing between the box-mass and alpha sides;
-    * pattern candidates carry an explicit per-piece multiplier vector m in
-      {-1, 0, 1, 2} and a global alpha flag (0 or wbar), covering the mixed
-      vertices whose alpha is pinned.
+    ``m`` in {-1, 0, 1, 2}^k is the per-piece multiplier pattern: the slab
+    multipliers realize ``coeff_i - theta1_i + theta2_i = m_i`` (coeff_i = 1
+    on the slope pieces of a point candidate, 0 otherwise). ``c`` in
+    {-1, 0, 1}^n is the per-coordinate alpha sign, alpha_scaled = c * wbar.
+    Row (i, j) of the scaled equalities then reads
+    ``beta_ij - gamma_ij = (m_i - c_j) * wbar_j``.
     """
 
     family: str
-    inst: PsiInstance | None
-    K: np.ndarray
-    psi_value: float           # formula value in scaled units
+    m: np.ndarray
+    c: np.ndarray
     is_ray: bool
-    pattern: np.ndarray | None = None     # multiplier vector for pattern kind
-    alpha_is_wbar: bool = False
-    value: float = np.nan                 # genuine scaled objective
-
-    def member_mask(self, k: int) -> np.ndarray:
-        mask = self.inst.forced.copy() if self.inst is not None else np.zeros(k, dtype=bool)
-        if self.K.size:
-            mask[self.K] = True
-        return mask
-
-    def branch_take_xbar(self) -> np.ndarray:
-        """Per-coordinate branch: True where alpha leaves zero (box-mass side)."""
-        sigma = float(self.inst.zhat[self.member_mask(self.inst.k)].sum())
-        return self.inst.xbar < sigma * self.inst.delta - 1e-15
-
-    def alpha_scaled(self, canon: "_Canonical") -> np.ndarray:
-        if self.pattern is not None:
-            return canon.wbar.astype(float) if self.alpha_is_wbar \
-                else np.zeros(canon.active.size)
-        if self.inst is None:
-            return np.zeros(canon.active.size)
-        return np.where(self.branch_take_xbar(), -self.inst.wbar_eff, 0.0)
+    psi_value: float           # formula value in scaled units
+    value: float = np.nan      # genuine scaled objective
 
 
-def _pattern_thetas(canon: _Canonical, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cheapest multiplier realization of a piece-pattern m.
+def _sweep_candidate(family: str, inst: PsiInstance, K, psi_value: float) -> _Candidate:
+    """Candidate of a sweep subset K, in (m, c) form.
 
-    Slope pieces realize m via (theta1, theta2) = (1-m, 0) for m in {0, 1}
-    and (0, 1) for m = 2; flat pieces use (−m)+ on the first slab and (m)+ on
-    the second.
+    With sign = +1 for THETA2_ZERO and -1 for THETA1_ZERO, the members of K
+    carry m = -sign; alpha moves off zero (c = -sign) on the coordinates
+    whose box mass falls short of the members' z-mass times delta.
     """
-    a1 = canon.a1_mask
-    theta1 = np.where(a1, np.where(m <= 0, 1.0, 0.0), np.where(m < 0, 1.0, 0.0))
-    theta2 = np.where(a1, np.where(m >= 2, 1.0, 0.0), np.where(m > 0, 1.0, 0.0))
-    return theta1, theta2
+    sign = 1.0 if inst.orientation == THETA2_ZERO else -1.0
+    members = inst.forced.copy()
+    members[K] = True
+    mass = float(inst.zhat[members].sum())
+    c = np.where(inst.xbar < mass * inst.delta - 1e-15, -sign, 0.0)
+    return _Candidate(family, np.where(members, -sign, 0.0), c,
+                      family.startswith("ray"), psi_value)
 
 
-def _theta_patterns(canon: _Canonical, cand: _Candidate) -> tuple[np.ndarray, np.ndarray]:
-    k = canon.k
-    theta1 = np.zeros(k)
-    theta2 = np.zeros(k)
-    if cand.pattern is not None:
-        return _pattern_thetas(canon, cand.pattern)
-    if cand.family == "ray_theta2":
-        theta1[cand.K] = 1.0
-    elif cand.family == "ray_theta1":
-        theta2[cand.K] = 1.0
-    elif cand.family == "grow":
-        theta1[canon.a1_mask] = 1.0
-        theta1[cand.K] = 1.0
-    elif cand.family == "drop":
-        theta1[canon.a1_mask] = 1.0
-        in_k = np.zeros(k, dtype=bool)
-        in_k[cand.K] = True
-        theta1[in_k & canon.a1_mask] = 0.0
-        theta2[in_k & ~canon.a1_mask] = 1.0
-    return theta1, theta2
+def _thetas(m: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slab multipliers realizing pattern m = coeff - theta1 + theta2.
+
+    coeff is 1 on slope pieces and 0 on flat ones (a ray has no slope
+    pieces), so theta1 = [m < coeff] and theta2 = [m > coeff].
+    """
+    return (m < slope).astype(float), (m > slope).astype(float)
 
 
-def _evaluate_candidate(canon: _Canonical, cand: _Candidate) -> float:
-    """Genuine scaled dual objective of the expanded candidate, O(n + k)."""
-    theta1, theta2 = _theta_patterns(canon, cand)
-    zh = canon.zhat
-    val = float(zh @ (theta1 * (canon.h[1:] - canon.b) - theta2 * (canon.h[:-1] - canon.b)))
-    if cand.pattern is not None:
-        alpha = cand.alpha_scaled(canon)
-        row = cand.pattern[:, None] * canon.wbar[None, :] - alpha[None, :]
-        cost = np.where(row > 0, canon.m1[None, :],
-                        np.where(row < 0, -canon.m2[None, :], 0.0)) * np.abs(row)
-        val += float(zh @ cost.sum(axis=1))
-        val += float((canon.xhat * canon.absw) @ alpha)
-    elif cand.inst is not None:
-        members = cand.member_mask(canon.k)
-        sigma = float(zh[members].sum())
-        take_x = cand.branch_take_xbar()
-        feff = cand.inst.wbar_eff
-        # members carry the slab-side multipliers on alpha = 0 coordinates,
-        # non-members carry them where alpha moved off zero
-        delta_side = np.where(feff > 0, -canon.m2, canon.m1)
-        xbar_side = np.where(feff > 0, canon.m1, -canon.m2)
-        val += sigma * float(delta_side[~take_x].sum())
-        val += (1.0 - sigma) * float(xbar_side[take_x].sum())
-        val += float(((canon.xhat * canon.absw) * (-feff))[take_x].sum())
-    cand.value = val
-    return val
+def _alpha_scaled(canon: _Canonical, cand: _Candidate) -> np.ndarray:
+    """c * wbar, with +0.0 where c = 0 (the product is -0.0 where wbar < 0)."""
+    return np.where(cand.c == 0, 0.0, cand.c * canon.wbar)
+
+
+def _evaluate(canon: _Canonical, cand: _Candidate) -> float:
+    """Genuine scaled dual objective of a candidate, O(n + k).
+
+    Coordinates are grouped by their alpha sign g: on piece i the group pays
+    |m_i - g| times its +wbar row cost P+_g when m_i > g, and times its -wbar
+    row cost P-_g otherwise. The alpha term xhat . (|w| alpha_scaled) is
+    (xhat * w) . c.
+    """
+    theta1, theta2 = _thetas(cand.m, canon.a1_mask & (not cand.is_ray))
+    group = cand.c.astype(int) + 1
+    plus = np.bincount(group, canon.cost_plus, minlength=3)
+    minus = np.bincount(group, canon.cost_minus, minlength=3)
+    gap = cand.m[:, None] - np.arange(-1.0, 2.0)
+    rows = (np.abs(gap) * np.where(gap > 0, plus, minus)).sum(axis=1)
+    slabs = theta1 * (canon.h[1:] - canon.b) - theta2 * (canon.h[:-1] - canon.b)
+    cand.value = float(canon.zhat @ (slabs + rows) + (canon.xhat * canon.w) @ cand.c)
+    return cand.value
 
 
 def _reconstruct(canon: _Canonical, cand: _Candidate) -> DualSolution:
     """Full scaled dual solution for a candidate (validation / inspection)."""
-    k, n = canon.k, canon.active.size
-    theta1, theta2 = _theta_patterns(canon, cand)
-    beta = np.zeros((k, n))
-    gamma = np.zeros((k, n))
-    alpha_scaled = cand.alpha_scaled(canon)
-    if cand.pattern is not None:
-        row = cand.pattern[:, None] * canon.wbar[None, :] - alpha_scaled[None, :]
-        beta = np.maximum(row, 0.0)
-        gamma = np.maximum(-row, 0.0)
-    elif cand.inst is not None:
-        members = cand.member_mask(k)
-        take_x = cand.branch_take_xbar()
-        feff = cand.inst.wbar_eff
-        beta += np.outer(~members, take_x & (feff > 0))
-        gamma += np.outer(~members, take_x & (feff < 0))
-        gamma += np.outer(members, ~take_x & (feff > 0))
-        beta += np.outer(members, ~take_x & (feff < 0))
-    value = cand.value if np.isfinite(cand.value) else _evaluate_candidate(canon, cand)
-    return DualSolution(beta, gamma, theta1, theta2, alpha_scaled,
-                        canon.scale * value, is_ray=cand.is_ray)
+    theta1, theta2 = _thetas(cand.m, canon.a1_mask & (not cand.is_ray))
+    row = (cand.m[:, None] - cand.c[None, :]) * canon.wbar[None, :]
+    value = cand.value if np.isfinite(cand.value) else _evaluate(canon, cand)
+    return DualSolution(np.maximum(row, 0.0), np.maximum(-row, 0.0), theta1, theta2,
+                        _alpha_scaled(canon, cand), canon.scale * value, is_ray=cand.is_ray)
 
 
 def _pattern_candidate(canon: _Canonical, alpha_is_wbar: bool) -> _Candidate:
-    """Best vertex whose alpha is pinned globally (mixed multiplier rows).
+    """Best vertex whose alpha is pinned globally (mixed multiplier rows), O(n + k).
 
-    With alpha = 0 the piece choices decouple: a slope piece either keeps its
-    first-slab multiplier or pays the +wbar row mass; a flat piece stays
-    neutral or pays one of the two slab reliefs plus its row mass. With
-    alpha = wbar everything shifts by one row unit. The minimum is separable,
-    so each piece picks its cheapest option independently.
+    With alpha = c0 * wbar (c0 = 0 or 1) the piece choices decouple: each
+    piece takes a pattern m within one row unit of c0 that its slab
+    multipliers realize (slope pieces reach {0, 1, 2}, flat pieces
+    {-1, 0, 1}), paying their slab cost plus |m - c0| times the +wbar or
+    -wbar row mass. The minimum is separable, so each piece picks the
+    cheapest column of a k x 4 cost table over m in {-1, 0, 1, 2}; ties go
+    to the smaller m.
     """
-    zh = canon.zhat
-    h = canon.h
-    b = canon.b
-    cplus = float(canon.row_cost_plus().sum())
-    cminus = float(canon.row_cost_minus().sum())
-    k = canon.k
-    m = np.zeros(k, dtype=float)
-    total = 0.0
-    for i in range(k):
-        if not alpha_is_wbar:
-            if canon.a1_mask[i]:
-                opts = {0.0: h[i + 1] - b, 1.0: cplus}
-            else:
-                opts = {0.0: 0.0, 1.0: (b - h[i]) + cplus, -1.0: (h[i + 1] - b) + cminus}
-        else:
-            if canon.a1_mask[i]:
-                opts = {1.0: 0.0, 2.0: (b - h[i]) + cplus, 0.0: (h[i + 1] - b) + cminus}
-            else:
-                opts = {1.0: b - h[i], 0.0: cminus}
-        best = min(opts.items(), key=lambda kv: (kv[1], kv[0]))
-        m[i] = best[0]
-        total += zh[i] * best[1]
+    c0 = 1.0 if alpha_is_wbar else 0.0
+    slope = canon.a1_mask[:, None]
+    m = np.broadcast_to(np.arange(-1.0, 3.0), (canon.k, 4))
+    theta1, theta2 = _thetas(m, slope)
+    cost = theta1 * (canon.h[1:] - canon.b)[:, None] + theta2 * (canon.b - canon.h[:-1])[:, None]
+    cplus = float(canon.cost_plus.sum())
+    cminus = float(canon.cost_minus.sum())
+    cost = cost + np.abs(m - c0) * np.where(m > c0, cplus, cminus)
+    valid = (np.abs(m - c0) <= 1) & np.where(slope, m >= 0, m <= 1)
+    cost = np.where(valid, cost, np.inf)
+    pick = np.argmin(cost, axis=1)   # first minimum: the smaller m on ties
+    total = float(canon.zhat @ cost[np.arange(canon.k), pick])
     if alpha_is_wbar:
         total += float((canon.xhat * canon.absw) @ canon.wbar)
     name = "alpha_wbar" if alpha_is_wbar else "mixed_zero"
-    return _Candidate(name, None, np.array([], dtype=int), total, False,
-                      pattern=m, alpha_is_wbar=alpha_is_wbar)
+    return _Candidate(name, m[0, pick], np.full(canon.active.size, c0), False, total)
+
+
+def _candidates(canon: _Canonical):
+    """Every candidate the oracle compares: the two ray families, then the points.
+
+    Lazy, so the oracle builds no point candidate once a ray certifies.
+    """
+    families = [("ray_theta2", THETA2_ZERO), ("ray_theta1", THETA1_ZERO)]
+    if canon.s > 0:
+        families += [("grow", THETA2_ZERO), ("drop", THETA1_ZERO)]
+    for family, orientation in families:
+        inst = canon.instance(orientation, family)
+        K, val = round_fractional(minimize_psi_c(inst), inst)
+        yield _sweep_candidate(family, inst, K, val)
+    if canon.s > 0:
+        yield _pattern_candidate(canon, alpha_is_wbar=False)
+        yield _pattern_candidate(canon, alpha_is_wbar=True)
+    else:
+        yield _Candidate("zero", np.zeros(canon.k), np.zeros(canon.active.size), False, 0.0, 0.0)
 
 
 def _check_candidate(canon: _Canonical, cand: _Candidate, dual: DualSolution) -> None:
@@ -645,9 +587,7 @@ def _check_candidate(canon: _Canonical, cand: _Candidate, dual: DualSolution) ->
     dual.check_structure(single_theta_family=cand.family in
                          ("ray_theta2", "ray_theta1", "grow", "zero"))
     diff = dual.beta - dual.gamma
-    coeff = (canon.a / canon.s) if canon.s > 0 else np.zeros(canon.k)
-    if cand.is_ray:
-        coeff = np.zeros(canon.k)
+    coeff = canon.a / canon.s if canon.s > 0 and not cand.is_ray else np.zeros(canon.k)
     lhs = (diff + np.outer(dual.theta1 - dual.theta2, 1.0) * canon.wbar[None, :]
            + dual.alpha_scaled[None, :])
     target = np.outer(coeff, canon.wbar)
@@ -672,58 +612,32 @@ class OracleOutcome:
     bounded: bool
     lp_value: float | None
     envelope: float
-    alpha_scaled: np.ndarray
     candidate: _Candidate
     canon: _Canonical
 
     def alpha_full(self) -> np.ndarray:
         alpha = np.zeros(self.canon.n_full)
-        alpha[self.canon.active] = self.canon.scale * self.canon.absw * self.alpha_scaled
+        alpha[self.canon.active] = (self.canon.scale * self.canon.absw
+                                    * _alpha_scaled(self.canon, self.candidate))
         return alpha
 
     def dual(self) -> DualSolution:
         return _reconstruct(self.canon, self.candidate)
 
 
-def _oracle(canon: _Canonical, early_exit: bool = False,
-            validate: bool = False) -> OracleOutcome:
-    rays = []
-    for fam, orientation in (("ray_theta2", THETA2_ZERO), ("ray_theta1", THETA1_ZERO)):
-        inst = canon.instance(orientation)
-        res = minimize_psi_c(inst, early_exit=early_exit)
-        K, val = round_fractional(res, inst)
-        rays.append(_Candidate(fam, inst, K, val, True))
-    ray_best = min(rays, key=lambda c: c.psi_value)
-    if ray_best.psi_value < -VIOLATION_TOL:
-        _evaluate_candidate(canon, ray_best)
-        if validate:
-            _check_candidate(canon, ray_best, _reconstruct(canon, ray_best))
-        return OracleOutcome(False, None, -np.inf,
-                             ray_best.alpha_scaled(canon), ray_best, canon)
-
-    points = []
-    if canon.s > 0:
-        for fam, orientation in (("grow", THETA2_ZERO), ("drop", THETA1_ZERO)):
-            inst = canon.instance(orientation, ep_family=fam)
-            res = minimize_psi_c(inst)
-            K, val = round_fractional(res, inst)
-            points.append(_Candidate(fam, inst, K, val, False))
-        points.append(_pattern_candidate(canon, alpha_is_wbar=False))
-        points.append(_pattern_candidate(canon, alpha_is_wbar=True))
-    else:
-        points.append(_Candidate("zero", None, np.array([], dtype=int), 0.0, False))
-
+def _oracle(canon: _Canonical) -> OracleOutcome:
+    cands = _candidates(canon)
+    ray = min(next(cands), next(cands), key=lambda c: c.psi_value)
+    if ray.psi_value < -VIOLATION_TOL:
+        return OracleOutcome(False, None, -np.inf, ray, canon)
     best = None
-    for cand in points:
-        _evaluate_candidate(canon, cand)
-        if validate:
-            _check_candidate(canon, cand, _reconstruct(canon, cand))
+    for cand in cands:
+        if np.isnan(cand.value):  # the zero solution comes with its value 0
+            _evaluate(canon, cand)
         if best is None or cand.value < best.value - 1e-15:
             best = cand
     lp_value = canon.scale * best.value
-    dhat = float(canon.zhat @ canon.dbar)
-    return OracleOutcome(True, lp_value, lp_value + dhat,
-                         best.alpha_scaled(canon), best, canon)
+    return OracleOutcome(True, lp_value, lp_value + float(canon.zhat @ canon.dbar), best, canon)
 
 
 # ---------------------------------------------------------------------------
@@ -843,16 +757,34 @@ def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0,
     return Cut(direction, alpha, zcoef, 0.0, y_coef, neuron_id)
 
 
+
+
 # ---------------------------------------------------------------------------
 # public separation entry points
 
 
-def separate_staircase_outcome(neuron: Neuron, xhat, zhat, direction: str,
-                               early_exit: bool = False, validate: bool = False,
-                               yhat: float = 0.0) -> tuple[OracleOutcome, float]:
-    """Canonical oracle outcome plus the query value in canonical units."""
-    canon, yh = _canonicalize(neuron, xhat, yhat, zhat, direction)
-    return _oracle(canon, early_exit=early_exit, validate=validate), yh
+def _component_outcomes(neuron: Neuron, xhat, zhat, direction: str
+                        ) -> list[tuple[Neuron, OracleOutcome]]:
+    """Oracle outcome of each staircase component, up to the first unbounded one.
+
+    A staircase is its own single component. Any other activation splits
+    into an optional jump part plus continuous staircases on the shared
+    breakpoint grid; the hull of the sum projects to the sum of component
+    hulls over a shared z, so the envelope at (x, z) is the sum of the
+    component envelopes.
+    """
+    if staircase_slope(neuron.activation) is not None:
+        subs = [neuron]
+    else:
+        f0, parts = pwl_mod.decompose_staircase(neuron.activation)
+        subs = [Neuron(neuron.weight, neuron.bias, comp, neuron.box)
+                for comp in ([f0] if f0 is not None else []) + list(parts)]
+    outcomes = []
+    for sub in subs:
+        outcomes.append((sub, _oracle(_canonicalize(sub, xhat, zhat, direction))))
+        if not outcomes[-1][1].bounded:
+            break
+    return outcomes
 
 
 def _emit_cut(neuron: Neuron, outcome: OracleOutcome, direction: str,
@@ -867,20 +799,29 @@ def _emit_cut(neuron: Neuron, outcome: OracleOutcome, direction: str,
 
 
 def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
-                       tol: float = VIOLATION_TOL, neuron_id: str = "",
-                       validate: bool = False) -> Cut | None:
-    """Return a violated cut for a staircase neuron, or None when inside.
+                       tol: float = VIOLATION_TOL, neuron_id: str = "") -> Cut | None:
+    """Return a violated cut, or None when (xhat, yhat, zhat) is inside.
 
-    The surrounding formulation is expected to hold the two seed cuts
-    (alpha = 0 and alpha = s w, both directions) already; the candidate-family
-    search is complete under that hypothesis, and seed installation is the
-    formulation builder's job.
+    One staircase separation per component (see `_component_outcomes`): an
+    unbounded component gives its ray cut in (x, z) alone; otherwise the
+    query is compared with the summed envelope and the component cuts add
+    up to the violated inequality. The surrounding formulation is expected
+    to hold the two seed cuts (alpha = 0 and alpha = s w, both directions)
+    already; the candidate-family search is complete under that hypothesis,
+    and seed installation is the formulation builder's job.
     """
-    outcome, query = separate_staircase_outcome(neuron, xhat, zhat, direction,
-                                                validate=validate, yhat=yhat)
-    if outcome.bounded and query <= outcome.envelope + tol:
+    outcomes = _component_outcomes(neuron, xhat, zhat, direction)
+    sub, last = outcomes[-1]
+    if not last.bounded:
+        return _emit_cut(sub, last, direction, neuron_id)
+    query = float(yhat) if direction == UPPER else -float(yhat)
+    if query <= sum(out.envelope for _, out in outcomes) + tol:
         return None
-    return _emit_cut(neuron, outcome, direction, neuron_id)
+    cuts = [_emit_cut(sub, out, direction, neuron_id) for sub, out in outcomes]
+    if len(cuts) == 1:
+        return cuts[0]  # as retrieved: a sum would turn its -0.0 entries into 0.0
+    return Cut(direction, sum(cut.alpha for cut in cuts), sum(cut.zcoef for cut in cuts),
+               0.0, 1.0, neuron_id)
 
 
 def membership_certificate(neuron: Neuron, xhat, zhat, direction: str) -> float:
@@ -889,19 +830,10 @@ def membership_certificate(neuron: Neuron, xhat, zhat, direction: str) -> float:
     A query y is inside the (decomposition) hull on the given side iff it does
     not pass this value.
     """
-    f = neuron.activation
-    if staircase_slope(f) is not None:
-        components = [f]
-    else:
-        f0, parts = pwl_mod.decompose_staircase(f)
-        components = ([f0] if f0 is not None else []) + list(parts)
-    total = 0.0
-    for comp in components:
-        sub = Neuron(neuron.weight, neuron.bias, comp, neuron.box)
-        outcome, _ = separate_staircase_outcome(sub, xhat, zhat, direction)
-        if not outcome.bounded:
-            return -np.inf if direction == UPPER else np.inf
-        total += outcome.envelope
+    outcomes = _component_outcomes(neuron, xhat, zhat, direction)
+    if not outcomes[-1][1].bounded:
+        return -np.inf if direction == UPPER else np.inf
+    total = sum(out.envelope for _, out in outcomes)
     return total if direction == UPPER else -total
 
 
@@ -936,43 +868,15 @@ def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     return inside and not is_pinned(neuron)
 
 
+
 def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
-                 tol: float = VIOLATION_TOL, neuron_id: str = "",
-                 validate: bool = False) -> Cut | None:
-    """Separation for general piecewise-linear activations via decomposition.
+                 tol: float = VIOLATION_TOL, neuron_id: str = "") -> Cut | None:
+    """Separation for general piecewise-linear activations.
 
     Points on the graph at a simplex vertex are answered by `on_vertex_graph`
-    first. Otherwise the activation splits into an optional jump part plus
-    continuous staircases on the shared breakpoint grid. The hull of the sum
-    projects to the sum of component hulls over a shared z, so the envelope
-    at (x, z) is the sum of component envelopes and one staircase separation
-    per component assembles the violated inequality.
+    without the oracle; every other point goes to `separate_staircase`, which
+    runs one staircase separation per component of the activation.
     """
     if on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol):
         return None
-    f = neuron.activation
-    if staircase_slope(f) is not None:
-        return separate_staircase(neuron, xhat, yhat, zhat, direction, tol,
-                                  neuron_id, validate=validate)
-    f0, parts = pwl_mod.decompose_staircase(f)
-    components = ([f0] if f0 is not None else []) + list(parts)
-    query = float(yhat) if direction == UPPER else -float(yhat)
-    total_env = 0.0
-    outcomes = []
-    for comp in components:
-        sub = Neuron(neuron.weight, neuron.bias, comp, neuron.box)
-        outcome, _ = separate_staircase_outcome(sub, xhat, zhat, direction,
-                                                validate=validate)
-        if not outcome.bounded:
-            return _emit_cut(sub, outcome, direction, neuron_id)
-        total_env += outcome.envelope
-        outcomes.append((sub, outcome))
-    if query <= total_env + tol:
-        return None
-    alpha_sum = np.zeros(neuron.dim)
-    zcoef_sum = np.zeros(f.num_pieces)
-    for sub, outcome in outcomes:
-        cut = _emit_cut(sub, outcome, direction, neuron_id)
-        alpha_sum += cut.alpha
-        zcoef_sum += cut.zcoef
-    return Cut(direction, alpha_sum, zcoef_sum, 0.0, 1.0, neuron_id)
+    return separate_staircase(neuron, xhat, yhat, zhat, direction, tol, neuron_id)

@@ -17,8 +17,7 @@ from stairverify.oracles import (brute_min_psi, enumerate_cayley_vertices,
 from stairverify.separation import (LOWER, THETA2_ZERO, UPPER, PsiInstance,
                                     _canonicalize, _oracle, minimize_psi_c,
                                     round_fractional, separate_pwl,
-                                    separate_staircase,
-                                    separate_staircase_outcome)
+                                    separate_staircase)
 from stairverify.verifier import VerifyConfig, verify_exact, verify_relaxed
 
 from helpers import (random_neuron, random_pwl, random_quantized_network,
@@ -63,7 +62,7 @@ def test_criterion_1_and_2_oracle_equivalence_and_cut_quality():
         s = float(rng.choice([0.0, 1.0, 0.6, 2.0, -1.0]))
         neuron = random_neuron(rng, n, k, s=s)
         xhat, zhat = random_query_point(rng, neuron)
-        canon, _ = _canonicalize(neuron, xhat, 0.0, zhat, UPPER)
+        canon = _canonicalize(neuron, xhat, zhat, UPPER)
         outcome = _oracle(canon)
         sol = solve(separation_lp(canon))
         if sol.status == "unbounded":
@@ -157,7 +156,7 @@ def test_criterion_4_integrality_and_tu():
         xhat = neuron.box.clamp(combo[:n])
         zhat = np.maximum(combo[n + 1:], 0.0)
         zhat /= zhat.sum()
-        canon, _ = _canonicalize(neuron, xhat, 0.0, zhat, UPPER)
+        canon = _canonicalize(neuron, xhat, zhat, UPPER)
         sol = solve(scaled_dual_lp(canon))
         if sol.status != "optimal":
             continue
@@ -198,7 +197,7 @@ def test_criterion_5_oracle_complexity():
         xhat = box.sample(rng)
         zhat = rng.dirichlet(np.ones(k))
         t0 = time.perf_counter()
-        separate_staircase_outcome(neuron, xhat, zhat, UPPER)
+        _oracle(_canonicalize(neuron, xhat, zhat, UPPER))
         return time.perf_counter() - t0
 
     def median_time(n, k, trials=100):

@@ -211,6 +211,34 @@ def test_separate_direction_flag_flips(tmp_path):
     assert json.loads(out_lo)["direction"] == "lower"
 
 
+@pytest.mark.parametrize("kind", ["missing neuron", "missing xhat", "missing yhat",
+                                  "missing zhat", "top-level array", "text yhat"])
+def test_separate_malformed_instance_exits_2(tmp_path, capsys, kind):
+    inst = {"neuron": {"weight": [1.0], "bias": 0.0, "activation": {"kind": "relu"},
+                       "box": {"lower": [-1.0], "upper": [1.0]}},
+            "xhat": [0.5], "yhat": 0.5, "zhat": [0.0, 1.0]}
+    if kind.startswith("missing"):
+        del inst[kind.split()[1]]
+    elif kind == "top-level array":
+        inst = [inst]
+    else:
+        inst["yhat"] = "high"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, out = _run(["separate", "--instance", str(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: malformed instance document")
+
+
+@pytest.mark.parametrize("eps", ["nan", "-0.1"])
+def test_verify_rejects_bad_eps_before_reading_rows(net_file, tmp_path, capsys, eps):
+    _, netp = net_file
+    code, out = _run(["verify", "--net", netp, "--dataset", str(tmp_path / "absent.csv"),
+                      "--eps", eps])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: --eps must be a nonnegative number")
+
+
 def test_cli_runs_as_module(net_file):
     _, netp = net_file
     proc = subprocess.run([sys.executable, "-m", "stairverify.cli", "bounds",

@@ -227,6 +227,21 @@ def test_empty_perturbation_region_rejected():
         VerificationQuery(net, np.array([5.0]), 0.1, 0, None).input_region()
 
 
+@pytest.mark.parametrize("eps, x0, message", [
+    (float("nan"), [0.5], "eps"), (-0.1, [0.5], "eps"), (-np.inf, [0.5], "eps"),
+    (0.1, [np.nan], "finite"), (0.1, [np.inf], "finite")])
+def test_query_rejects_bad_eps_and_anchor_when_built(eps, x0, message):
+    net = Network((Layer.dense([[1.0]], [0.0], None),), BoxDomain([0.0], [1.0]))
+    with pytest.raises(InputError, match=message):
+        VerificationQuery(net, np.array(x0), eps, 0, None)
+
+
+def test_infinite_eps_covers_the_network_box():
+    net = Network((Layer.dense([[1.0, -1.0]], [0.0], None),), BoxDomain([0.0, -1.0], [1.0, 2.0]))
+    region = VerificationQuery(net, np.array([0.5, 0.5]), np.inf, 0, None).input_region()
+    assert np.array_equal(region.lower, [0.0, -1.0]) and np.array_equal(region.upper, [1.0, 2.0])
+
+
 def test_lp_export_of_query_model():
     rng = np.random.default_rng(57)
     net = random_quantized_network(rng, n_in=2, hidden=(2,), n_out=2, bits=1)

@@ -8,13 +8,24 @@ from stairverify.network import BoxDomain, Neuron
 from stairverify.oracles import (brute_min_psi, enumerate_cayley_vertices,
                                  hull_envelope)
 from stairverify.separation import (LOWER, THETA1_ZERO, THETA2_ZERO, UPPER,
-                                    PsiInstance, _canonicalize, _oracle, build_psi,
-                                    membership_certificate, minimize_psi_c,
-                                    retrieve_cut, round_fractional,
-                                    separate_pwl, separate_staircase,
-                                    separate_staircase_outcome)
+                                    PsiInstance, _candidates, _canonicalize,
+                                    _check_candidate, _oracle, _reconstruct,
+                                    _sweep_candidate, membership_certificate,
+                                    minimize_psi_c, retrieve_cut, round_fractional,
+                                    separate_pwl, separate_staircase)
 
 from helpers import random_neuron, random_query_point, separation_lp
+
+
+def build_psi(neuron, xhat, zhat, orientation=THETA2_ZERO, direction=UPPER):
+    """Scaled ray-family psi data for a staircase neuron at (xhat, zhat)."""
+    return _canonicalize(neuron, xhat, zhat, direction).instance(orientation)
+
+
+def check_every_candidate(canon):
+    """Run `_check_candidate` on each candidate the oracle compares."""
+    for cand in _candidates(canon):
+        _check_candidate(canon, cand, _reconstruct(canon, cand))
 
 
 def make_psi(xbar, delta, zhat, hbar):
@@ -72,6 +83,19 @@ def test_separate_rejects_bad_simplex_weights():
                     BoxDomain([-1.0], [1.0]))
     with pytest.raises(InputError):
         separate_staircase(neuron, np.array([0.0]), 0.0, np.array([0.7, 0.7]), UPPER)
+
+
+def test_oracle_rejects_a_wrong_length_xhat():
+    neuron = Neuron(np.array([1.0, -0.5]), 0.0, pwl.relu(-1.5, 1.5),
+                    BoxDomain([-1.0, -1.0], [1.0, 1.0]))
+    zhat = np.array([0.5, 0.5])
+    for xhat in (np.array([0.5]), np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(InputError, match="xhat length"):
+            separate_pwl(neuron, xhat, 0.0, zhat, UPPER)
+        with pytest.raises(InputError, match="xhat length"):
+            separate_staircase(neuron, xhat, 0.0, zhat, LOWER)
+        with pytest.raises(InputError, match="xhat length"):
+            membership_certificate(neuron, xhat, zhat, UPPER)
 
 
 # -- psi minimization --------------------------------------------------------
@@ -203,8 +227,9 @@ def test_oracle_matches_separation_lp():
         s = float(rng.choice([0.0, 1.0, 0.6, 2.0]))
         neuron = random_neuron(rng, n, k, s=s)
         xhat, zhat = random_query_point(rng, neuron)
-        canon, _ = _canonicalize(neuron, xhat, 0.0, zhat, UPPER)
-        out = _oracle(canon, validate=True)
+        canon = _canonicalize(neuron, xhat, zhat, UPPER)
+        out = _oracle(canon)
+        check_every_candidate(canon)
         sol = solve(separation_lp(canon))
         if sol.status == "unbounded":
             unbounded += 1
@@ -282,10 +307,9 @@ def test_fast_path_duals_are_sign_vectors():
     for _ in range(100):
         neuron = random_neuron(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
         xhat, zhat = random_query_point(rng, neuron)
-        out, _ = separate_staircase_outcome(neuron, xhat, zhat,
-                                            UPPER if rng.random() < 0.5 else LOWER,
-                                            validate=True)
-        dual = out.dual()
+        canon = _canonicalize(neuron, xhat, zhat, UPPER if rng.random() < 0.5 else LOWER)
+        check_every_candidate(canon)
+        dual = _oracle(canon).dual()
         dual.check_structure()
         comps = dual.components()
         assert np.all(np.isin(np.round(comps, 9), (-1.0, 0.0, 1.0)))
@@ -300,8 +324,6 @@ def test_early_exit_rays_are_extreme():
     "no strict subset supports a violated cut" reading fails (the set
     function can dip further negative beyond the early-exit mass).
     """
-    from stairverify.separation import _Candidate, _reconstruct
-
     rng = np.random.default_rng(39)
     tested = 0
     for _ in range(400):
@@ -309,7 +331,7 @@ def test_early_exit_rays_are_extreme():
         k = int(rng.integers(1, 5))
         neuron = random_neuron(rng, n, k, s=float(rng.choice([0.0, 1.0])))
         xhat, zhat = random_query_point(rng, neuron)
-        canon, _ = _canonicalize(neuron, xhat, 0.0, zhat, UPPER)
+        canon = _canonicalize(neuron, xhat, zhat, UPPER)
         for fam, orientation in (("ray_theta2", THETA2_ZERO),
                                  ("ray_theta1", THETA1_ZERO)):
             inst = canon.instance(orientation)
@@ -319,7 +341,7 @@ def test_early_exit_rays_are_extreme():
             K, val = round_fractional(res, inst)
             if val >= -1e-9:
                 continue
-            dual = _reconstruct(canon, _Candidate(fam, inst, K, val, True))
+            dual = _reconstruct(canon, _sweep_candidate(fam, inst, K, val))
             if np.allclose(dual.alpha_scaled, canon.wbar):
                 continue
             vec = dual.components()
@@ -339,6 +361,81 @@ def test_early_exit_rays_are_extreme():
             assert nullity == 1
             tested += 1
     assert tested >= 30
+
+
+def _dense_dual_objective(canon, dual):
+    """Scaled separation-dual objective of an expanded solution, and its term size."""
+    zh = canon.zhat[:, None]
+    terms = [zh * canon.m1 * dual.beta, -zh * canon.m2 * dual.gamma,
+             zh[:, 0] * dual.theta1 * (canon.h[1:] - canon.b),
+             -zh[:, 0] * dual.theta2 * (canon.h[:-1] - canon.b),
+             canon.xhat * canon.absw * dual.alpha_scaled]
+    return sum(t.sum() for t in terms), sum(np.abs(t).sum() for t in terms)
+
+
+def test_grouped_value_matches_dense_dual_objective_on_wide_neurons():
+    """`_evaluate`'s O(n + k) grouped value equals the dense objective of the
+    beta, gamma, theta and alpha that `_reconstruct` expands, for every
+    candidate family and for random (m, c) patterns mixing all alpha signs."""
+    from stairverify.separation import _Candidate, _evaluate
+    rng = np.random.default_rng(44)
+    families = set()
+    for n, k in ((256, 64), (256, 8), (128, 33), (16, 64), (64, 16)):
+        for s in (1.0, -1.0, 2.0, -0.4, 0.0):
+            neuron = random_neuron(rng, n, k, s=s)
+            xhat, zhat = random_query_point(rng, neuron)
+            for direction in (UPPER, LOWER):
+                canon = _canonicalize(neuron, xhat, zhat, direction)
+                m = np.where(canon.a1_mask, rng.integers(0, 3, size=k),
+                             rng.integers(-1, 2, size=k)).astype(float)
+                c = rng.integers(-1, 2, size=canon.active.size).astype(float)
+                for cand in list(_candidates(canon)) + [
+                        _Candidate("random", m, c, False, np.nan),
+                        _Candidate("random_ray", np.clip(m, -1, 1), c, True, np.nan)]:
+                    value = _evaluate(canon, cand)
+                    dense, size = _dense_dual_objective(canon, _reconstruct(canon, cand))
+                    assert value == pytest.approx(dense, rel=0, abs=1e-13 * max(1.0, size))
+                    families.add(cand.family)
+    assert families == {"ray_theta2", "ray_theta1", "grow", "drop", "mixed_zero",
+                        "alpha_wbar", "zero", "random", "random_ray"}
+
+
+def _pattern_candidate_loop(canon, alpha_is_wbar):
+    """Per-piece reference for `_pattern_candidate`: (pattern m, psi value)."""
+    h, b, zh = canon.h, canon.b, canon.zhat
+    cplus, cminus = float(canon.cost_plus.sum()), float(canon.cost_minus.sum())
+    m, total = np.zeros(canon.k), 0.0
+    for i in range(canon.k):
+        if not alpha_is_wbar:
+            if canon.a1_mask[i]:
+                opts = {0.0: h[i + 1] - b, 1.0: cplus}
+            else:
+                opts = {0.0: 0.0, 1.0: (b - h[i]) + cplus, -1.0: (h[i + 1] - b) + cminus}
+        elif canon.a1_mask[i]:
+            opts = {1.0: 0.0, 2.0: (b - h[i]) + cplus, 0.0: (h[i + 1] - b) + cminus}
+        else:
+            opts = {1.0: b - h[i], 0.0: cminus}
+        m[i], cost = min(opts.items(), key=lambda kv: (kv[1], kv[0]))
+        total += zh[i] * cost
+    if alpha_is_wbar:
+        total += float((canon.xhat * canon.absw) @ canon.wbar)
+    return m, total
+
+
+def test_pattern_candidate_matches_the_per_piece_loop():
+    from stairverify.separation import _pattern_candidate
+    rng = np.random.default_rng(45)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        neuron = random_neuron(rng, n, k, s=float(rng.choice([1.0, -1.0, 0.6, -0.4, 2.0])))
+        xhat, zhat = random_query_point(rng, neuron)
+        canon = _canonicalize(neuron, xhat, zhat, UPPER if rng.random() < 0.5 else LOWER)
+        for alpha_is_wbar in (False, True):
+            cand = _pattern_candidate(canon, alpha_is_wbar)
+            m, total = _pattern_candidate_loop(canon, alpha_is_wbar)
+            assert np.array_equal(cand.m, m)
+            assert np.all(cand.c == float(alpha_is_wbar))
+            assert cand.psi_value == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 # -- retrieve_cut ------------------------------------------------------------

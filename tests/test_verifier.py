@@ -351,6 +351,10 @@ BREAKPOINT_QUERIES = {
     # (seed-1 item 87)
     "lower edge": (11, [-0.5072114215411193, 0.5202306060432432, 0.542082957379637,
                         -0.016605341983228383, -0.5358687162200043], 2),
+    # only the lower-edge margin lifts the cayley-exact optimum back into its
+    # slab; the bigm-exact optimum replays directly (seed-101 item 54)
+    "lower margin": (5, [0.36664354928418497, -0.06567838251315428, -0.1417965210565873,
+                         -0.5377315753371203, 0.23779373187575725], 1),
 }
 
 
@@ -360,9 +364,17 @@ def _breakpoint_query(case="upper edge"):
     return VerificationQuery(net, np.array(x0), 0.02, label)
 
 
-@pytest.mark.parametrize("case", sorted(BREAKPOINT_QUERIES))
+@pytest.mark.parametrize("case", ["lower edge", "upper edge"])
 @pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
 def test_breakpoint_optimum_is_repaired_into_a_counterexample(mode, case, monkeypatch):
+    _check_repair(mode, case, monkeypatch)
+
+
+def test_lower_edge_margin_repairs_a_cayley_optimum(monkeypatch):
+    _check_repair("cayley-exact", "lower margin", monkeypatch)
+
+
+def _check_repair(mode, case, monkeypatch):
     q = _breakpoint_query(case)
     margins = []
     pattern_lp = formulations.QueryModel.pattern_lp
