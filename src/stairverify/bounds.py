@@ -18,24 +18,7 @@ from .network import BoxDomain, Network
 from .pwl import PiecewiseLinear
 
 UNIFORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LinearBound:
-    """One-sided linear bound c . v + b0 on a neuron output."""
-
-    coeffs: np.ndarray
-    const: float
-    sense: str  # "upper" | "lower"
-    fallback: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-        if self.sense not in ("upper", "lower"):
-            raise ParameterError("sense must be 'upper' or 'lower'")
-
-    def value(self, v) -> float:
-        return float(self.coeffs @ np.atleast_1d(v) + self.const)
+Line = tuple[float, float]   # (slope, const): the line slope * t + const
 
 
 @dataclass
@@ -94,13 +77,14 @@ def _is_uniform(values, tol) -> bool:
 
 
 def deeppoly_activation_relax(f: PiecewiseLinear, L: float, U: float
-                              ) -> tuple[LinearBound, LinearBound]:
-    """Two linear bounds for a non-decreasing uniform piecewise-constant staircase.
+                              ) -> tuple[Line, Line]:
+    """Upper and lower (slope, const) lines of a non-decreasing uniform
+    piecewise-constant staircase.
 
-    The coefficient applies to the pre-activation value t in [L, U]. Cases:
+    The slope applies to the pre-activation value t in [L, U]. Cases:
     k = 2 branches on the widths of the outer pieces; k > 2 branches on the
     first/last widths against the uniform interior step. Non-uniform steps fall
-    back to constant bounds (flagged); decreasing staircases are rejected.
+    back to constant bounds; decreasing staircases are rejected.
     """
     if abs(L - f.lo) > 1e-7 * max(1.0, abs(L)) or abs(U - f.hi) > 1e-7 * max(1.0, abs(U)):
         raise ParameterError("activation must already be aligned to [L, U]")
@@ -110,32 +94,26 @@ def deeppoly_activation_relax(f: PiecewiseLinear, L: float, U: float
     k = f.num_pieces
     if k == 1:
         c = float(levels[0])
-        return (LinearBound([0.0], c, "upper"), LinearBound([0.0], c, "lower"))
+        return (0.0, c), (0.0, c)
     steps = np.diff(levels)
     if np.any(steps < -1e-12):
         raise ParameterError("decreasing staircases are not supported by these rules")
 
     h = f.breakpoints
     widths = np.diff(h)
-    scale = max(1.0, U - L)
     interior = widths[1:-1]
     if not (_is_uniform(interior, UNIFORM_TOL) and _is_uniform(steps, UNIFORM_TOL)
             and np.all(steps > 1e-12)):
-        return (LinearBound([0.0], float(levels.max()), "upper", fallback=True),
-                LinearBound([0.0], float(levels.min()), "lower", fallback=True))
+        return (0.0, float(levels.max())), (0.0, float(levels.min()))
 
     first, last = float(widths[0]), float(widths[-1])
     if k == 2:
         rise = float(levels[1] - levels[0])
         if last >= first:  # ties take this branch (deterministic choice)
-            upper = LinearBound([0.0], float(levels[1]), "upper")
             cl = rise / last
-            lower = LinearBound([cl], float(levels[0] - cl * h[1]), "lower")
-        else:
-            cu = rise / first
-            upper = LinearBound([cu], float(levels[1] - cu * h[1]), "upper")
-            lower = LinearBound([0.0], float(levels[0]), "lower")
-        return upper, lower
+            return (0.0, float(levels[1])), (cl, float(levels[0] - cl * h[1]))
+        cu = rise / first
+        return (cu, float(levels[1] - cu * h[1])), (0.0, float(levels[0]))
 
     step_h = float(interior[0])
     step_f = float(steps[0])
@@ -143,18 +121,17 @@ def deeppoly_activation_relax(f: PiecewiseLinear, L: float, U: float
         cu = float((levels[-1] - levels[0]) / (h[-2] - h[0]))
     else:
         cu = step_f / step_h
-    upper = LinearBound([cu], float(levels[-1] - cu * h[-2]), "upper")
+    upper = (cu, float(levels[-1] - cu * h[-2]))
     if last > step_h:
         cl = float((levels[-1] - levels[0]) / (h[-1] - h[1]))
     else:
         cl = step_f / step_h
-    lower = LinearBound([cl], float(levels[0] - cl * h[1]), "lower")
-    return upper, lower
+    return upper, (cl, float(levels[0] - cl * h[1]))
 
 
-def relax_activation(f: PiecewiseLinear, L: float, U: float
-                     ) -> tuple[LinearBound, LinearBound]:
-    """Linear sandwich for any supported activation, aligned to [L, U].
+def relax_activation(f: PiecewiseLinear, L: float, U: float) -> tuple[Line, Line]:
+    """Upper and lower (slope, const) lines sandwiching any supported
+    activation aligned to [L, U].
 
     Dispatch: exact lines for a single piece, triangle-style relaxation for
     continuous two-piece staircases (ReLU and friends), the quantizer rules
@@ -164,35 +141,32 @@ def relax_activation(f: PiecewiseLinear, L: float, U: float
     k = f.num_pieces
     if k == 1:
         a, d = float(f.slopes[0]), float(f.intercepts[0])
-        return (LinearBound([a], d, "upper"), LinearBound([a], d, "lower"))
+        return (a, d), (a, d)
     if np.all(np.abs(f.slopes) <= 1e-12):
         return deeppoly_activation_relax(f, L, U)
     if k == 2 and f.is_continuous(tol=1e-9):
         a1, a2 = float(f.slopes[0]), float(f.slopes[1])
         h1 = float(f.breakpoints[1])
-        yL, y1, yU = f.piece_value(0, L), f.piece_value(0, h1), f.piece_value(1, U)
+        yL, yU = f.piece_value(0, L), f.piece_value(1, U)
         sec = (yU - yL) / (U - L)
-        sec_bound = LinearBound([sec], yL - sec * L, "upper" if a2 > a1 else "lower")
+        sec_bound = (sec, yL - sec * L)
         # pick the piece line covering the wider side of the kink
         i = 1 if (U - h1) > (h1 - L) else 0
-        line = LinearBound([float(f.slopes[i])], float(f.intercepts[i]),
-                           "lower" if a2 > a1 else "upper")
+        line = (float(f.slopes[i]), float(f.intercepts[i]))
         if a2 > a1:  # convex kink: secant above, piece line below
             return sec_bound, line
         return line, sec_bound
     return _secant_sandwich(f, L, U)
 
 
-def _secant_sandwich(f: PiecewiseLinear, L: float, U: float
-                     ) -> tuple[LinearBound, LinearBound]:
+def _secant_sandwich(f: PiecewiseLinear, L: float, U: float) -> tuple[Line, Line]:
     """Sound generic sandwich: secant slope shifted to clear every corner."""
     slope = (f.piece_value(f.num_pieces - 1, U) - f.piece_value(0, L)) / (U - L)
     lefts = f.slopes * f.breakpoints[:-1] + f.intercepts
     rights = f.slopes * f.breakpoints[1:] + f.intercepts
     gaps = np.concatenate([lefts - slope * f.breakpoints[:-1],
                            rights - slope * f.breakpoints[1:]])
-    return (LinearBound([slope], float(gaps.max()), "upper", fallback=True),
-            LinearBound([slope], float(gaps.min()), "lower", fallback=True))
+    return (slope, float(gaps.max())), (slope, float(gaps.min()))
 
 
 class _LayerRelax:
@@ -211,9 +185,8 @@ class _LayerRelax:
                 self.cu[j] = self.cl[j] = 1.0
                 self.bu[j] = self.bl[j] = 0.0
                 continue
-            ub, lb = relax_activation(f, f.lo, f.hi)
-            self.cu[j], self.bu[j] = float(ub.coeffs[0]), ub.const
-            self.cl[j], self.bl[j] = float(lb.coeffs[0]), lb.const
+            upper, lower = relax_activation(f, f.lo, f.hi)
+            (self.cu[j], self.bu[j]), (self.cl[j], self.bl[j]) = upper, lower
 
 
 def _back_substitute(coeffs: np.ndarray, const: np.ndarray, relaxed: list[_LayerRelax],

@@ -19,12 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from . import pwl
 from .bounds import deeppoly_bounds
 from .errors import CapabilityError, InputError, StairVerifyError
 from .formulations import VerificationQuery
 from .network import BoxDomain, Neuron, activation_from_json, load_network
-from .separation import membership_certificate, separate_pwl
+from .separation import separate_with_certificate
 from .verifier import MODES, VerifyConfig, verify
 
 log = logging.getLogger("stairverify")
@@ -177,9 +176,7 @@ def _neuron_from_json(doc: dict) -> Neuron:
         raise InputError(f"malformed neuron document: {exc}") from exc
     if spec is None:
         raise InputError("separation requires an activation")
-    probe = Neuron(weight, bias, pwl.identity(0.0, 1.0), box)
-    lo, hi = probe.preact_range()
-    return Neuron(weight, bias, spec.instantiate(lo, hi), box)
+    return Neuron.aligned(weight, bias, spec.instantiate, box)
 
 
 def cmd_separate(args) -> int:
@@ -199,8 +196,7 @@ def cmd_separate(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
     neuron = _neuron_from_json(neuron_doc)
-    certificate = membership_certificate(neuron, xhat, zhat, direction)
-    cut = separate_pwl(neuron, xhat, yhat, zhat, direction)
+    cut, certificate = separate_with_certificate(neuron, xhat, yhat, zhat, direction)
     if cut is None:
         print(f"inside (certificate {certificate:.17g})")
     else:

@@ -119,15 +119,13 @@ class _RowModel:
         self.mode = mode
         self.lower: list[float] = []
         self.upper: list[float] = []
-        self.names: list[str] = []
         self.rows: list[tuple[np.ndarray, str, float]] = []
         self.objective: np.ndarray | None = None
         self.neurons: dict[tuple[int, int], NeuronFormulation] = {}
 
-    def _new_var(self, lo: float, hi: float, name: str) -> int:
+    def _new_var(self, lo: float, hi: float) -> int:
         self.lower.append(float(lo))
         self.upper.append(float(hi))
-        self.names.append(name)
         return len(self.lower) - 1
 
     def _add_row(self, coeffs: np.ndarray, sense: str, rhs: float) -> int:
@@ -189,9 +187,8 @@ class _RowModel:
     def _seed_alphas(self, nf: NeuronFormulation) -> list[np.ndarray]:
         f = nf.neuron.activation
         s = staircase_slope(f)
-        if s is None:
-            _, parts = pwl_mod.decompose_staircase(f)
-            s = float(sum(p.s for p in parts))
+        if s is None:  # the sum of the component slopes of decompose_staircase
+            s = float(sum(pwl_mod.distinct_slopes(f.slopes)))
         seeds = [np.zeros(nf.neuron.dim)]
         if s != 0.0:
             seeds.append(s * nf.neuron.weight)
@@ -233,8 +230,7 @@ class _RowModel:
                     if i not in allowed:
                         lower[z] = 0.0
                         upper[z] = 0.0
-        return LinearProgram(sense, self.objective.copy(), list(self.rows), lower, upper,
-                             self.names)
+        return LinearProgram(sense, self.objective.copy(), list(self.rows), lower, upper)
 
     def activated_neurons(self) -> list[NeuronFormulation]:
         return [self.neurons[k] for k in sorted(self.neurons)]
@@ -246,12 +242,10 @@ class NeuronModel(_RowModel):
     def __init__(self, neuron: Neuron, mode: str):
         super().__init__(mode)
         n = neuron.dim
-        xs = [self._new_var(neuron.box.lower[j], neuron.box.upper[j], f"x{j}")
-              for j in range(n)]
+        xs = [self._new_var(neuron.box.lower[j], neuron.box.upper[j]) for j in range(n)]
         out_lo, out_hi = neuron.activation.output_range()
-        y = self._new_var(out_lo, out_hi, "y")
-        zs = [self._new_var(0.0, 1.0, f"z{i}")
-              for i in range(neuron.activation.num_pieces)]
+        y = self._new_var(out_lo, out_hi)
+        zs = [self._new_var(0.0, 1.0) for _ in range(neuron.activation.num_pieces)]
         self.nf = NeuronFormulation(0, 0, neuron, xs, y, zs)
         self._attach_neuron(self.nf)
         self.objective = np.zeros(self.num_vars())
@@ -299,7 +293,7 @@ class QueryModel(_RowModel):
         self.layer_inputs: list[list[int]] = []
         self.y_vars: list[list[int]] = []
         activated: dict[tuple[int, int], NeuronFormulation] = {}
-        current = [self._new_var(self.region.lower[j], self.region.upper[j], f"x{j}")
+        current = [self._new_var(self.region.lower[j], self.region.upper[j])
                    for j in range(net.input_dim)]
         for li, layer in enumerate(net.layers):
             self.layer_inputs.append(current)
@@ -310,14 +304,13 @@ class QueryModel(_RowModel):
                 pre_lo, pre_hi = self.bounds.interval(li, j)
                 spec = layer.activations[j]
                 if spec is None:
-                    ys.append(self._new_var(pre_lo, pre_hi, f"y{li}_{j}"))
+                    ys.append(self._new_var(pre_lo, pre_hi))
                     continue
                 f = (relaxed[li].functions[j] if len(relaxed) == len(net.layers)
                      else spec.instantiate(pre_lo, pre_hi))
                 out_lo, out_hi = f.output_range()
-                y = self._new_var(out_lo, out_hi, f"y{li}_{j}")
-                zs = [self._new_var(0.0, 1.0, f"z{li}_{j}_{i}")
-                      for i in range(f.num_pieces)]
+                y = self._new_var(out_lo, out_hi)
+                zs = [self._new_var(0.0, 1.0) for _ in range(f.num_pieces)]
                 nrn = Neuron(layer.weights[j], float(layer.bias[j]), f,
                              BoxDomain(in_lo, in_hi))
                 activated[(li, j)] = NeuronFormulation(li, j, nrn, list(current), y, zs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, StairVerifyError
+from .errors import NumericalError, ParameterError
 
 INF = 1e30
 PIVOT_TOL = 1e-9
@@ -32,7 +32,6 @@ class LinearProgram:
     rows: list = field(default_factory=list)        # make_row tuples
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    names: list[str] | None = None                  # optional, for LP export
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -75,22 +74,6 @@ class LpSolution:
     iterations: int = 0                      # phase 2
     phase1_iterations: int = 0
     warm_used: bool = False                  # started from the `warm` solution
-
-    def dual_objective(self, lp: LinearProgram) -> float:
-        """Bounded-variable dual value; equals the primal objective at optimality."""
-        if self.status != "optimal":
-            raise StairVerifyError("dual objective only defined for optimal solutions")
-        b = np.array([rhs for _, _, rhs in lp.rows])
-        val = float(self.duals @ b) if len(lp.rows) else 0.0
-        d = self.reduced_costs
-        sign = 1.0 if lp.sense == "min" else -1.0
-        for j in range(lp.num_vars):
-            dj = d[j] * sign  # reduced cost in min convention
-            if dj > 0 and lp.lower[j] > -INF:
-                val += self.reduced_costs[j] * lp.lower[j]
-            elif dj < 0 and lp.upper[j] < INF:
-                val += self.reduced_costs[j] * lp.upper[j]
-        return val
 
 
 class _Tableau:
@@ -419,29 +402,3 @@ def _solve_boxonly(lp: LinearProgram) -> LpSolution:
     x = np.clip(x, np.maximum(lp.lower, -INF), np.minimum(lp.upper, INF))
     return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x),
                       duals=np.zeros(0), reduced_costs=lp.objective.copy(), basis=[])
-
-
-def write_lp_text(lp: LinearProgram) -> str:
-    """Render the model in the industry LP text format for external checking."""
-    names = lp.names or [f"x{j}" for j in range(lp.num_vars)]
-
-    def expr(coeffs):
-        terms = []
-        for j, v in enumerate(coeffs):
-            if v == 0:
-                continue
-            op = "+" if v >= 0 else "-"
-            terms.append(f"{op} {abs(v):.17g} {names[j]}")
-        return " ".join(terms) if terms else "0 " + names[0]
-
-    out = ["Maximize" if lp.sense == "max" else "Minimize",
-           " obj: " + expr(lp.objective), "Subject To"]
-    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-        out.append(f" c{i}: {expr(coeffs)} {sense} {rhs:.17g}")
-    out.append("Bounds")
-    for j in range(lp.num_vars):
-        lo = "-inf" if lp.lower[j] <= -INF else f"{lp.lower[j]:.17g}"
-        hi = "+inf" if lp.upper[j] >= INF else f"{lp.upper[j]:.17g}"
-        out.append(f" {lo} <= {names[j]} <= {hi}")
-    out.append("End")
-    return "\n".join(out) + "\n"

@@ -118,7 +118,7 @@ class ActivationSpec:
 
     def instantiate(self, lo: float, hi: float) -> PiecewiseLinear:
         if self.kind not in ("identity", "relu"):
-            return pwl.from_pieces(*self._clipped_pieces(lo, hi))
+            return PiecewiseLinear(*self._clipped_pieces(lo, hi))
         if hi <= lo:
             hi = lo + 1e-9
         return pwl.identity(lo, hi) if self.kind == "identity" else pwl.relu(lo, hi)
@@ -157,7 +157,9 @@ class ActivationSpec:
         f = PiecewiseLinear(np.asarray(self.params["breakpoints"], dtype=float),
                             np.asarray(self.params["slopes"], dtype=float),
                             np.asarray(self.params["intercepts"], dtype=float))
-        return pwl.as_staircase(f) if self.kind == "staircase" else f
+        if self.kind == "staircase" and pwl.staircase_slope(f) is None:
+            raise ParameterError("function is not a staircase")
+        return f
 
 
 @dataclass(frozen=True)
@@ -212,18 +214,16 @@ class Network:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, x, preact_bounds=None) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         """Evaluate the network on one input (or a batch, rows = samples).
 
-        Activations are instantiated on interval pre-activation ranges unless
-        `preact_bounds` (from the bounds module) is supplied. A pre-activation
-        escaping its activation domain raises DomainError: that signals stale
-        bounds rather than a numerical issue.
+        Activations are instantiated on interval pre-activation ranges. A
+        pre-activation escaping its activation domain raises DomainError: that
+        signals stale bounds rather than a numerical issue.
         """
         from .bounds import interval_bounds  # local import to avoid a cycle
 
-        if preact_bounds is None:
-            preact_bounds = interval_bounds(self, self.input_box)
+        preact_bounds = interval_bounds(self, self.input_box)
         x = np.asarray(x, dtype=float)
         batched = x.ndim == 2
         vals = x if batched else x[None, :]

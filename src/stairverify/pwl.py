@@ -5,14 +5,17 @@ together with per-piece slopes ``a_1..a_k`` and intercepts ``d_1..d_k``; piece
 ``i`` applies on ``[h_{i-1}, h_i)`` (the last piece is closed). Jumps at
 breakpoints are allowed; evaluation is right-continuous by convention.
 
-A staircase is a piecewise-linear function whose slopes all lie in {0, s} for
-a single common slope s (possibly 0 or negative). ReLU (s=1, two pieces) and
-uniform quantizers (s=0) are special cases.
+`PiecewiseLinear` is the one function type. A staircase is a piecewise-linear
+function whose slopes all lie in {0, s} for a single common slope s (possibly
+0 or negative); being one is a property of the slopes, which
+`staircase_slope` tests. ReLU (s=1, two pieces) and uniform quantizers (s=0)
+are special cases, and `decompose_staircase` splits any other function into
+staircases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,30 +95,10 @@ class PiecewiseLinear:
         h = self.breakpoints[i]
         return self.piece_value(i, h) - self.piece_value(i - 1, h)
 
-    def negate(self) -> "PiecewiseLinear":
-        return replace_pieces(self, -self.slopes, -self.intercepts)
-
-    def reverse(self) -> "PiecewiseLinear":
-        """Reflect the argument through the domain midpoint: t -> h_0 + h_k - t.
-
-        The graph is unchanged as a set once the caller also negates the
-        pre-activation map; piece i of the result corresponds to piece
-        k+1-i of the original.
-        """
-        c = self.lo + self.hi
-        new_bp = c - self.breakpoints[::-1]
-        new_slopes = -self.slopes[::-1]
-        new_intercepts = (self.slopes * c + self.intercepts)[::-1]
-        return PiecewiseLinear(new_bp, new_slopes, new_intercepts)
-
 
 def staircase_slope(f: PiecewiseLinear, tol: float = 1e-9) -> float | None:
     """Common slope s if f is a staircase (slopes within tol of {0, s}), else None."""
-    return _common_slope(f.slopes, tol)
-
-
-def _common_slope(slopes: np.ndarray, tol: float = 1e-9) -> float | None:
-    nonzero = slopes[np.abs(slopes) > tol]
+    nonzero = f.slopes[np.abs(f.slopes) > tol]
     if nonzero.size == 0:
         return 0.0
     s = float(nonzero[0])
@@ -124,36 +107,13 @@ def _common_slope(slopes: np.ndarray, tol: float = 1e-9) -> float | None:
     return None
 
 
-@dataclass(frozen=True)
-class Staircase(PiecewiseLinear):
-    """Piecewise-linear function whose slopes all lie in {0, s}."""
-
-    s: float = field(default=0.0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        # np.isclose(a, b, atol=1e-12) against b = 0 and b = s, written out
-        ok = np.abs(self.slopes) <= 1e-12
-        if np.isfinite(self.s):
-            ok |= np.abs(self.slopes - self.s) <= 1e-12 + 1e-5 * abs(self.s)
-        if not ok.all():
-            raise ParameterError("staircase slopes must lie in {0, s}")
-
-    def negate(self) -> "Staircase":
-        return Staircase(self.breakpoints, -self.slopes, -self.intercepts, s=-self.s)
-
-    def reverse(self) -> "Staircase":
-        g = PiecewiseLinear.reverse(self)
-        return Staircase(g.breakpoints, g.slopes, g.intercepts, s=-self.s)
-
-
-def as_staircase(f: PiecewiseLinear) -> Staircase:
-    if isinstance(f, Staircase):
-        return f
-    s = staircase_slope(f)
-    if s is None:
-        raise ParameterError("function is not a staircase")
-    return Staircase(f.breakpoints, f.slopes, f.intercepts, s=s)
+def distinct_slopes(slopes: np.ndarray) -> list[float]:
+    """The distinct nonzero slopes in order of first appearance (relative 1e-12)."""
+    distinct: list[float] = []
+    for a in slopes:
+        if abs(a) > 0 and not any(abs(a - s) <= 1e-12 * max(1.0, abs(s)) for s in distinct):
+            distinct.append(float(a))
+    return distinct
 
 
 def pieces_range(bp, slopes, intercepts) -> tuple[float, float]:
@@ -163,42 +123,24 @@ def pieces_range(bp, slopes, intercepts) -> tuple[float, float]:
     return float(min(left.min(), right.min())), float(max(left.max(), right.max()))
 
 
-def replace_pieces(f: PiecewiseLinear, slopes, intercepts) -> PiecewiseLinear:
-    return from_pieces(f.breakpoints, slopes, intercepts)
+def constant(value: float, lo: float, hi: float) -> PiecewiseLinear:
+    return PiecewiseLinear([lo, hi], [0.0], [value])
 
 
-def from_pieces(breakpoints, slopes, intercepts) -> PiecewiseLinear:
-    """One validated Staircase if the slopes lie in {0, s}, else one PiecewiseLinear."""
-    slopes = np.asarray(slopes, dtype=float)
-    s = _common_slope(slopes)
-    if s is None:
-        return PiecewiseLinear(breakpoints, slopes, intercepts)
-    return Staircase(breakpoints, slopes, intercepts, s=s)
+def identity(lo: float, hi: float) -> PiecewiseLinear:
+    return PiecewiseLinear([lo, hi], [1.0], [0.0])
 
 
-def evaluate(f: PiecewiseLinear, t: float) -> float:
-    """f(t) for h_0 <= t <= h_k using the right-continuous piece."""
-    return f(t)
-
-
-def constant(value: float, lo: float, hi: float) -> Staircase:
-    return Staircase([lo, hi], [0.0], [value], s=0.0)
-
-
-def identity(lo: float, hi: float) -> Staircase:
-    return Staircase([lo, hi], [1.0], [0.0], s=1.0)
-
-
-def relu(lo: float, hi: float) -> Staircase:
+def relu(lo: float, hi: float) -> PiecewiseLinear:
     """ReLU restricted to [lo, hi]; the kink at 0 appears only if interior."""
     if lo >= 0:
         return identity(lo, hi)
     if hi <= 0:
         return constant(0.0, lo, hi)
-    return Staircase([lo, 0.0, hi], [0.0, 1.0], [0.0, 0.0], s=1.0)
+    return PiecewiseLinear([lo, 0.0, hi], [0.0, 1.0], [0.0, 0.0])
 
 
-def dorefa(bits: int, lo: float, hi: float) -> Staircase:
+def dorefa(bits: int, lo: float, hi: float) -> PiecewiseLinear:
     """Uniform 2**bits-level quantizer on [lo, hi] with output levels in [0, 1].
 
     Piecewise constant (s = 0) with equal-width pieces; level i of 2**bits is
@@ -211,7 +153,7 @@ def dorefa(bits: int, lo: float, hi: float) -> Staircase:
     k = 2 ** bits
     bp = np.linspace(lo, hi, k + 1)
     levels = np.arange(k) / (k - 1)
-    return Staircase(bp, np.zeros(k), levels, s=0.0)
+    return PiecewiseLinear(bp, np.zeros(k), levels)
 
 
 def clip(f: PiecewiseLinear, lo: float, hi: float) -> PiecewiseLinear:
@@ -226,7 +168,7 @@ def clip(f: PiecewiseLinear, lo: float, hi: float) -> PiecewiseLinear:
         raise DomainError(f"empty clip interval [{lo}, {hi}]")
     if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
         raise DomainError("clip interval must be inside the function's domain")
-    return from_pieces(*clip_arrays(f.breakpoints, f.slopes, f.intercepts, lo, hi))
+    return PiecewiseLinear(*clip_arrays(f.breakpoints, f.slopes, f.intercepts, lo, hi))
 
 
 def clip_arrays(bp: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
@@ -250,7 +192,8 @@ def clip_arrays(bp: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
     return cuts, slopes[idx], intercepts[idx]
 
 
-def decompose_staircase(f: PiecewiseLinear) -> tuple[Staircase | None, list[Staircase]]:
+def decompose_staircase(f: PiecewiseLinear
+                        ) -> tuple[PiecewiseLinear | None, list[PiecewiseLinear]]:
     """Split f into an optional piecewise-constant jump part and staircases.
 
     Returns ``(f0, [f_1..f_m])`` with ``f = f0 + sum(f_v)`` pointwise on the
@@ -259,7 +202,7 @@ def decompose_staircase(f: PiecewiseLinear) -> tuple[Staircase | None, list[Stai
     on the pieces where f has that slope and 0 elsewhere; the components split
     f's value at the left endpoint evenly, f_v(h_0) = f(h_0) / m.
 
-    m is the number of distinct nonzero slopes (at least 1), so m <= k and
+    m is the number of `distinct_slopes` (at least 1), so m <= k and
     m <= |{distinct slopes}|.
     """
     k = f.num_pieces
@@ -272,17 +215,14 @@ def decompose_staircase(f: PiecewiseLinear) -> tuple[Staircase | None, list[Stai
     f0 = None
     if np.any(np.abs(jumps) > 0):
         # piecewise-constant jump accumulator: f0 is 0 on the first piece
-        f0 = Staircase(bp, np.zeros(k), cum_jump, s=0.0)
+        f0 = PiecewiseLinear(bp, np.zeros(k), cum_jump)
 
     slopes = f.slopes
-    distinct = []
-    for a in slopes:
-        if abs(a) > 0 and not any(abs(a - s) <= 1e-12 * max(1.0, abs(s)) for s in distinct):
-            distinct.append(float(a))
+    distinct = distinct_slopes(slopes)
     if not distinct:
         # constant (after jump removal): one flat staircase on the same grid
         base = float(cont_intercepts[0] + slopes[0] * bp[0])
-        return f0, [Staircase(bp, np.zeros(k), np.full(k, base), s=0.0)]
+        return f0, [PiecewiseLinear(bp, np.zeros(k), np.full(k, base))]
 
     m = len(distinct)
     f_left = float(slopes[0] * bp[0] + cont_intercepts[0])
@@ -296,7 +236,7 @@ def decompose_staircase(f: PiecewiseLinear) -> tuple[Staircase | None, list[Stai
         for i in range(k):
             intercepts[i] = value - comp_slopes[i] * bp[i]
             value = comp_slopes[i] * bp[i + 1] + intercepts[i]
-        parts.append(Staircase(bp, comp_slopes, intercepts, s=s_v))
+        parts.append(PiecewiseLinear(bp, comp_slopes, intercepts))
     return f0, parts
 
 

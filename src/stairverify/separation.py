@@ -43,7 +43,7 @@ import numpy as np
 from . import pwl as pwl_mod
 from .errors import DomainError, FormulationError, InputError, ParameterError
 from .network import Neuron
-from .pwl import Staircase, as_staircase, staircase_slope
+from .pwl import staircase_slope
 
 VIOLATION_TOL = 1e-7
 RESIDUAL_TOL = 1e-8
@@ -429,11 +429,12 @@ def _canonicalize(neuron: Neuron, xhat, zhat, direction: str) -> _Canonical:
     hi = neuron.box.upper[active].copy()
     xa = np.clip(xhat[active], lo, hi)
 
-    stair = f if isinstance(f, Staircase) else as_staircase(f)
-    h = stair.breakpoints.copy()
-    a = stair.slopes.copy()
-    d = stair.intercepts.copy()
-    s = staircase_slope(stair)
+    s = staircase_slope(f)
+    if s is None:
+        raise ParameterError("function is not a staircase")
+    h = f.breakpoints.copy()
+    a = f.slopes.copy()
+    d = f.intercepts.copy()
     z = zhat.copy()
     if direction == LOWER:
         a, d, s = -a, -d, -s
@@ -757,8 +758,6 @@ def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0,
     return Cut(direction, alpha, zcoef, 0.0, y_coef, neuron_id)
 
 
-
-
 # ---------------------------------------------------------------------------
 # public separation entry points
 
@@ -798,19 +797,9 @@ def _emit_cut(neuron: Neuron, outcome: OracleOutcome, direction: str,
     return retrieve_cut(neuron, alpha, direction, y_coef=1.0, neuron_id=neuron_id)
 
 
-def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
-                       tol: float = VIOLATION_TOL, neuron_id: str = "") -> Cut | None:
-    """Return a violated cut, or None when (xhat, yhat, zhat) is inside.
-
-    One staircase separation per component (see `_component_outcomes`): an
-    unbounded component gives its ray cut in (x, z) alone; otherwise the
-    query is compared with the summed envelope and the component cuts add
-    up to the violated inequality. The surrounding formulation is expected
-    to hold the two seed cuts (alpha = 0 and alpha = s w, both directions)
-    already; the candidate-family search is complete under that hypothesis,
-    and seed installation is the formulation builder's job.
-    """
-    outcomes = _component_outcomes(neuron, xhat, zhat, direction)
+def _cut(outcomes: list[tuple[Neuron, OracleOutcome]], yhat: float, direction: str,
+         tol: float, neuron_id: str) -> Cut | None:
+    """The violated cut the component outcomes give at yhat, or None when inside."""
     sub, last = outcomes[-1]
     if not last.bounded:
         return _emit_cut(sub, last, direction, neuron_id)
@@ -824,17 +813,36 @@ def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
                0.0, 1.0, neuron_id)
 
 
+def _certificate(outcomes: list[tuple[Neuron, OracleOutcome]], direction: str) -> float:
+    if not outcomes[-1][1].bounded:
+        return -np.inf if direction == UPPER else np.inf
+    total = sum(out.envelope for _, out in outcomes)
+    return total if direction == UPPER else -total
+
+
+def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
+                       tol: float = VIOLATION_TOL, neuron_id: str = "") -> Cut | None:
+    """Return a violated cut, or None when (xhat, yhat, zhat) is inside.
+
+    One staircase separation per component (see `_component_outcomes`): an
+    unbounded component gives its ray cut in (x, z) alone; otherwise the
+    query is compared with the summed envelope and the component cuts add
+    up to the violated inequality. The surrounding formulation is expected
+    to hold the two seed cuts (alpha = 0 and alpha = s w, both directions)
+    already; the candidate-family search is complete under that hypothesis,
+    and seed installation is the formulation builder's job.
+    """
+    outcomes = _component_outcomes(neuron, xhat, zhat, direction)
+    return _cut(outcomes, yhat, direction, tol, neuron_id)
+
+
 def membership_certificate(neuron: Neuron, xhat, zhat, direction: str) -> float:
     """One-sided envelope value on y at (xhat, zhat); +-inf off the projection.
 
     A query y is inside the (decomposition) hull on the given side iff it does
     not pass this value.
     """
-    outcomes = _component_outcomes(neuron, xhat, zhat, direction)
-    if not outcomes[-1][1].bounded:
-        return -np.inf if direction == UPPER else np.inf
-    total = sum(out.envelope for _, out in outcomes)
-    return total if direction == UPPER else -total
+    return _certificate(_component_outcomes(neuron, xhat, zhat, direction), direction)
 
 
 def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
@@ -868,7 +876,6 @@ def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     return inside and not is_pinned(neuron)
 
 
-
 def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
                  tol: float = VIOLATION_TOL, neuron_id: str = "") -> Cut | None:
     """Separation for general piecewise-linear activations.
@@ -880,3 +887,13 @@ def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     if on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol):
         return None
     return separate_staircase(neuron, xhat, yhat, zhat, direction, tol, neuron_id)
+
+
+def separate_with_certificate(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
+                              tol: float = VIOLATION_TOL) -> tuple[Cut | None, float]:
+    """`separate_pwl`'s cut and `membership_certificate`'s value from one
+    oracle pass over the components."""
+    outcomes = _component_outcomes(neuron, xhat, zhat, direction)
+    screened = on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol)
+    cut = None if screened else _cut(outcomes, yhat, direction, tol, "")
+    return cut, _certificate(outcomes, direction)

@@ -200,19 +200,21 @@ def test_criterion_5_oracle_complexity():
         _oracle(_canonicalize(neuron, xhat, zhat, UPPER))
         return time.perf_counter() - t0
 
-    def median_time(n, k, trials=100):
-        return float(np.median([one_call(n, k) for _ in range(trials)]))
+    def median_ratios(n, k, trials=100):
+        """n-doubling and k-doubling ratios of the median call times. Every
+        round times the base, n-doubled and k-doubled sizes once, so load
+        from other processes falls on all three sizes alike."""
+        times = [[one_call(n, k), one_call(2 * n, k), one_call(n, 2 * k)]
+                 for _ in range(trials)]
+        base, n2, k2 = np.median(times, axis=0)
+        return n2 / base, k2 / base
 
     t_start = time.time()
-    base_lo = median_time(256, 256)
-    n2_lo = median_time(512, 256)
-    k2_lo = median_time(256, 512)
-    base_hi = median_time(2048, 2048)
-    n2_hi = median_time(4096, 2048)
-    k2_hi = median_time(2048, 4096)
+    rn_lo, rk_lo = median_ratios(256, 256)
+    rn_hi, rk_hi = median_ratios(2048, 2048)
     total = time.time() - t_start
-    rn = max(n2_lo / base_lo, n2_hi / base_hi)
-    rk = max(k2_lo / base_lo, k2_hi / base_hi)
+    rn = max(rn_lo, rn_hi)
+    rk = max(rk_lo, rk_hi)
     _report("criterion 5: oracle complexity scaling",
             rn <= 2.6 and rk <= 2.4 and total < 300.0,
             f"n-doubling x{rn:.2f} (<=2.6), k-doubling x{rk:.2f} (<=2.4), "

@@ -50,22 +50,22 @@ def test_interval_monte_carlo_containment():
 
 def test_quantizer_relax_k2_wide_last_piece():
     # pieces [0, .3), [.3, 1]: last width > first -> flat upper, sloped lower
-    f = pwl.Staircase([0.0, 0.3, 1.0], [0.0, 0.0], [0.0, 1.0], s=0.0)
+    f = pwl.PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 0.0], [0.0, 1.0])
     ub, lb = deeppoly_activation_relax(f, 0.0, 1.0)
-    assert ub.coeffs[0] == 0.0 and ub.const == 1.0
+    assert ub[0] == 0.0 and ub[1] == 1.0
     rise_over_last = 1.0 / 0.7
-    assert abs(lb.coeffs[0] - rise_over_last) <= 1e-12
-    assert abs(lb.const - (0.0 - rise_over_last * 0.3)) <= 1e-12
+    assert abs(lb[0] - rise_over_last) <= 1e-12
+    assert abs(lb[1] - (0.0 - rise_over_last * 0.3)) <= 1e-12
 
 
 def test_quantizer_relax_k_gt2_wide_first_piece():
     # interior step 0.5, first width 1.0 > step: upper is the corner secant
-    f = pwl.Staircase([-1.0, 0.0, 0.5, 1.0], np.zeros(3), [0.0, 1.0, 2.0], s=0.0)
+    f = pwl.PiecewiseLinear([-1.0, 0.0, 0.5, 1.0], np.zeros(3), [0.0, 1.0, 2.0])
     ub, lb = deeppoly_activation_relax(f, -1.0, 1.0)
     expect = (2.0 - 0.0) / (0.5 - (-1.0))
-    assert abs(ub.coeffs[0] - expect) <= 1e-12
+    assert abs(ub[0] - expect) <= 1e-12
     # last width 0.5 == step: lower uses the level/step slope
-    assert abs(lb.coeffs[0] - (1.0 / 0.5)) <= 1e-12
+    assert abs(lb[0] - (1.0 / 0.5)) <= 1e-12
 
 
 def test_relax_sandwich_grid_oracle():
@@ -73,7 +73,7 @@ def test_relax_sandwich_grid_oracle():
     cases = [pwl.dorefa(2, -1.0, 1.0), pwl.dorefa(3, -0.7, 1.3),
              pwl.dorefa(1, 0.0, 1.0), pwl.relu(-1.0, 2.0), pwl.relu(-2.0, 0.5),
              pwl.tanh_staircase_pair(),
-             pwl.Staircase([0.0, 0.4, 1.0], [0.0, 0.0], [0.0, 0.8], s=0.0)]
+             pwl.PiecewiseLinear([0.0, 0.4, 1.0], [0.0, 0.0], [0.0, 0.8])]
     for _ in range(10):
         k = int(rng.integers(1, 6))
         bp = np.sort(rng.uniform(-1, 1, size=k - 1))
@@ -83,20 +83,19 @@ def test_relax_sandwich_grid_oracle():
         ub, lb = relax_activation(f, f.lo, f.hi)
         ts = np.linspace(f.lo, f.hi, 1000)
         vals = f.batch(ts)
-        assert np.all(ub.coeffs[0] * ts + ub.const >= vals - 1e-9)
-        assert np.all(lb.coeffs[0] * ts + lb.const <= vals + 1e-9)
+        assert np.all(ub[0] * ts + ub[1] >= vals - 1e-9)
+        assert np.all(lb[0] * ts + lb[1] <= vals + 1e-9)
 
 
 def test_nonuniform_quantizer_falls_back_to_constants():
-    f = pwl.Staircase([0.0, 0.2, 0.9, 1.0], np.zeros(3), [0.0, 0.3, 1.0], s=0.0)
+    f = pwl.PiecewiseLinear([0.0, 0.2, 0.9, 1.0], np.zeros(3), [0.0, 0.3, 1.0])
     ub, lb = deeppoly_activation_relax(f, 0.0, 1.0)
-    assert ub.fallback and lb.fallback
-    assert ub.coeffs[0] == 0.0 and ub.const == 1.0
-    assert lb.coeffs[0] == 0.0 and lb.const == 0.0
+    assert ub[0] == 0.0 and ub[1] == 1.0
+    assert lb[0] == 0.0 and lb[1] == 0.0
 
 
 def test_decreasing_quantizer_rejected():
-    f = pwl.Staircase([0.0, 0.5, 1.0], np.zeros(2), [1.0, 0.0], s=0.0)
+    f = pwl.PiecewiseLinear([0.0, 0.5, 1.0], np.zeros(2), [1.0, 0.0])
     with pytest.raises(ParameterError):
         deeppoly_activation_relax(f, 0.0, 1.0)
 

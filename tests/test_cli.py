@@ -11,7 +11,8 @@ import pytest
 
 from stairverify.cli import main
 from stairverify.bounds import deeppoly_bounds
-from stairverify.network import BoxDomain, Layer, Network, save_network
+from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron, save_network
+from stairverify.separation import UPPER
 
 from helpers import random_quantized_network
 
@@ -209,6 +210,38 @@ def test_separate_direction_flag_flips(tmp_path):
     _, out_lo = _run(["separate", "--instance", str(p2)])
     assert json.loads(out_up)["direction"] == "upper"
     assert json.loads(out_lo)["direction"] == "lower"
+
+
+@pytest.mark.parametrize("yhat", [0.9, 0.2])
+def test_separate_runs_the_oracle_once_per_component(tmp_path, monkeypatch, yhat):
+    import stairverify.separation as sep
+
+    inst = {"neuron": {"weight": [1.0, -0.5], "bias": 0.1,
+                       "activation": {"kind": "dorefa", "bits": 2, "lo": -1.0, "hi": 1.0},
+                       "box": {"lower": [-1, -1], "upper": [1, 1]}},
+            "xhat": [0.1, 0.1], "yhat": yhat,
+            "zhat": [0.0, 0.5, 0.5, 0.0], "direction": "upper"}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    calls = []
+    oracle = sep._oracle
+    monkeypatch.setattr(sep, "_oracle", lambda canon: calls.append(1) or oracle(canon))
+    code, out = _run(["separate", "--instance", str(path)])
+    assert code == 0 and len(calls) == 1
+    # the one pass prints what the two library entry points answer
+    neuron = Neuron.aligned(np.array([1.0, -0.5]), 0.1,
+                            ActivationSpec("dorefa", {"bits": 2, "lo": -1.0, "hi": 1.0}
+                                           ).instantiate, BoxDomain([-1, -1], [1, 1]))
+    args = (neuron, np.array(inst["xhat"]), yhat, np.array(inst["zhat"]), UPPER)
+    cut = sep.separate_pwl(*args)
+    cert = sep.membership_certificate(*args[:2], *args[3:])
+    if cut is None:
+        assert out == f"inside (certificate {cert:.17g})\n"
+    else:
+        doc = json.loads(out)
+        assert doc["alpha"] == cut.alpha.tolist() and doc["zcoef"] == cut.zcoef.tolist()
+        assert doc["certificate"] == cert
+    assert (cut is None) == (yhat == 0.2)
 
 
 @pytest.mark.parametrize("kind", ["missing neuron", "missing xhat", "missing yhat",

@@ -7,7 +7,7 @@ from stairverify.errors import FormulationError, InputError
 from stairverify.formulations import (BIGM, CAYLEY, VerificationQuery, attack_objective,
                                       build_bigm, build_cayley, build_query_lp,
                                       build_query_model)
-from stairverify.lp import EQUAL, GREATER, LESS, solve, write_lp_text
+from stairverify.lp import EQUAL, GREATER, LESS, solve
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.oracles import enumerate_cayley_vertices
 from stairverify.separation import UPPER, separate_pwl
@@ -95,6 +95,18 @@ def test_cayley_alpha_zero_seed_caps_y():
             if np.allclose(zc, seed.zcoef) and np.all(coeffs[model.nf.x_vars] == 0.0):
                 found = True
     assert found
+
+
+def test_pwl_seed_alpha_sums_the_component_slopes():
+    # the 5e-10 slope is flat to staircase_slope but a component of its own
+    f = pwl.PiecewiseLinear([-1.0, 0.0, 0.5, 1.0], [1.0, 5e-10, 2.0], [0.0, 0.0, 0.0])
+    neuron = Neuron(np.array([0.5]), 0.0, f, BoxDomain([-2.0], [2.0]))
+    model = build_cayley(neuron)
+    _, parts = pwl.decompose_staircase(f)
+    slopes = [float(p.slopes[np.flatnonzero(p.slopes)[0]]) for p in parts]
+    assert slopes == [1.0, 5e-10, 2.0]
+    seeds = model._seed_alphas(model.nf)
+    assert len(seeds) == 2 and seeds[1][0] == sum(slopes) * 0.5
 
 
 def test_relu_single_neuron_cayley_lp_is_exact_hull():
@@ -240,14 +252,6 @@ def test_infinite_eps_covers_the_network_box():
     net = Network((Layer.dense([[1.0, -1.0]], [0.0], None),), BoxDomain([0.0, -1.0], [1.0, 2.0]))
     region = VerificationQuery(net, np.array([0.5, 0.5]), np.inf, 0, None).input_region()
     assert np.array_equal(region.lower, [0.0, -1.0]) and np.array_equal(region.upper, [1.0, 2.0])
-
-
-def test_lp_export_of_query_model():
-    rng = np.random.default_rng(57)
-    net = random_quantized_network(rng, n_in=2, hidden=(2,), n_out=2, bits=1)
-    q = VerificationQuery(net, net.input_box.sample(rng) * 0.5, 0.1, 0, 1)
-    text = write_lp_text(build_query_lp(q, CAYLEY))
-    assert "Subject To" in text and "End" in text
 
 
 def test_builders_clip_to_explicit_bounds():

@@ -46,7 +46,7 @@ def test_forward_matches_per_neuron_composition():
                 else:
                     lo, hi = ivals.interval(li, j)
                     f = spec.instantiate(lo, hi)
-                    out[j] = pwl.evaluate(f, float(np.clip(pre[j], f.lo, f.hi)))
+                    out[j] = f(float(np.clip(pre[j], f.lo, f.hi)))
             expect = out
         assert np.allclose(net.forward(x), expect)
 
@@ -122,12 +122,6 @@ def test_preact_range_alignment():
 
 # -- instantiate against a copy of the original multi-object construction ------
 
-def _reference_replace_pieces(f, slopes, intercepts):
-    g = pwl.PiecewiseLinear(f.breakpoints, slopes, intercepts)
-    s = pwl.staircase_slope(g)
-    return g if s is None else pwl.Staircase(g.breakpoints, g.slopes, g.intercepts, s=s)
-
-
 def _reference_clip(f, lo, hi):
     if lo > hi:
         raise DomainError("empty clip interval")
@@ -139,14 +133,11 @@ def _reference_clip(f, lo, hi):
     if hi - lo <= merge:
         i = f.piece_index(lo)
         width = max(merge, 1e-12)
-        return _reference_replace_pieces(
-            pwl.PiecewiseLinear([lo, lo + width], [f.slopes[i]], [f.intercepts[i]]),
-            [f.slopes[i]], [f.intercepts[i]])
+        return pwl.PiecewiseLinear([lo, lo + width], [f.slopes[i]], [f.intercepts[i]])
     interior = [h for h in f.breakpoints[1:-1] if lo + merge < h < hi - merge]
     bp = np.array([lo] + interior + [hi])
     idx = [f.piece_index(b) for b in bp[:-1]]
-    g = pwl.PiecewiseLinear(bp, f.slopes[idx], f.intercepts[idx])
-    return _reference_replace_pieces(g, g.slopes, g.intercepts)
+    return pwl.PiecewiseLinear(bp, f.slopes[idx], f.intercepts[idx])
 
 
 def _reference_instantiate(spec, lo, hi):
@@ -164,13 +155,12 @@ def _reference_instantiate(spec, lo, hi):
             bp[0] = lo
         if hi > bp[-1]:
             bp[-1] = hi
-        widened = _reference_replace_pieces(pwl.PiecewiseLinear(bp, f.slopes, f.intercepts),
-                                            f.slopes, f.intercepts)
+        widened = pwl.PiecewiseLinear(bp, f.slopes, f.intercepts)
         return _reference_clip(widened, lo, hi)
     f = pwl.PiecewiseLinear(spec.params["breakpoints"], spec.params["slopes"],
                             spec.params["intercepts"])
-    if spec.kind == "staircase":
-        f = pwl.as_staircase(f)
+    if spec.kind == "staircase" and pwl.staircase_slope(f) is None:
+        raise ParameterError("function is not a staircase")
     if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
         raise InputError("declared domain does not cover the pre-activation range")
     return _reference_clip(f, lo, hi)
@@ -212,7 +202,7 @@ def _outcome(fn, spec, lo, hi):
     except Exception as exc:  # the exception type must match too
         return type(exc)
     return (type(f), f.breakpoints.tobytes(), f.slopes.tobytes(), f.intercepts.tobytes(),
-            f.breakpoints.dtype, getattr(f, "s", None))
+            f.breakpoints.dtype)
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{s.kind}{s.params.get('bits', '')}")
@@ -241,3 +231,12 @@ def test_output_range_matches_instantiated_range(spec):
         outcomes.append(new)
     # declared domains end at -2 and 1.5, so the grid also checks the error path
     assert any(o is InputError for o in outcomes) == (spec.kind in ("pwl", "staircase"))
+
+
+@pytest.mark.parametrize("kind", ["pwl", "staircase"])
+def test_slope_within_staircase_tolerance_of_zero_instantiates(kind):
+    # 5e-10 is flat to staircase_slope's 1e-9, so both kinds read as s = 1
+    spec = ActivationSpec(kind, {"breakpoints": [0.0, 1.0, 2.0], "slopes": [5e-10, 1.0],
+                                 "intercepts": [0.0, 0.0]})
+    f = spec.instantiate(0.0, 2.0)
+    assert pwl.staircase_slope(f) == 1.0 and np.array_equal(f.slopes, [5e-10, 1.0])

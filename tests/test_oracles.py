@@ -26,8 +26,7 @@ def test_unit_square_diagonal_slab_vertices():
     # slab 0.5 <= x1 + x2 <= 1.5 clipped against the unit square, by hand:
     # slice vertices are the box corners inside plus the slab/edge crossings
     neuron = Neuron(np.array([1.0, 1.0]), 0.0,
-                    pwl.Staircase([0.0, 0.5, 1.5, 2.0], np.zeros(3),
-                                  [0.0, 1.0, 2.0], s=0.0),
+                    pwl.PiecewiseLinear([0.0, 0.5, 1.5, 2.0], np.zeros(3), [0.0, 1.0, 2.0]),
                     BoxDomain([0.0, 0.0], [1.0, 1.0]))
     verts = enumerate_cayley_vertices(neuron)
     middle = {tuple(np.round(verts.xs[i], 9)) for i in range(len(verts))

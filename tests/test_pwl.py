@@ -3,7 +3,7 @@ import pytest
 
 from stairverify import pwl
 from stairverify.errors import DomainError, ParameterError
-from stairverify.pwl import PiecewiseLinear, Staircase
+from stairverify.pwl import PiecewiseLinear, staircase_slope
 
 from helpers import random_pwl
 
@@ -68,8 +68,7 @@ def test_dorefa_piece_counts_and_levels():
 
 def test_dorefa_is_flat_staircase():
     f = pwl.dorefa(3, -1.0, 1.0)
-    assert isinstance(f, Staircase)
-    assert f.s == 0.0
+    assert staircase_slope(f) == 0.0
     assert np.all(np.diff(f.intercepts) > 0)
 
 
@@ -79,8 +78,7 @@ def test_breakpoints_must_increase():
 
 
 def test_staircase_rejects_mixed_slopes():
-    with pytest.raises(ParameterError):
-        Staircase([0.0, 1.0, 2.0], [1.0, 2.0], [0.0, -1.0], s=1.0)
+    assert staircase_slope(PiecewiseLinear([0.0, 1.0, 2.0], [1.0, 2.0], [0.0, -1.0])) is None
 
 
 def test_decompose_relu_is_identity():
@@ -104,13 +102,22 @@ def test_decompose_three_slopes_grid_oracle():
     f = PiecewiseLinear([-2.0, -1.0, 0.0, 0.5, 1.4, 2.0],
                         [1.0, 0.0, 3.0, 0.0, 1.0],
                         [0.0, -1.0, -1.0, 0.5, -0.2 - 0.7])
-    f = pwl.replace_pieces(f, f.slopes, _chain_intercepts(f))
+    f = PiecewiseLinear(f.breakpoints, f.slopes, _chain_intercepts(f))
     f0, parts = pwl.decompose_staircase(f)
     assert f0 is None
     assert len(parts) == 2  # nonzero distinct slopes only
     ts = np.linspace(f.lo, f.hi, 1000)
     total = sum(p.batch(ts) for p in parts)
     assert np.max(np.abs(total - f.batch(ts))) <= 1e-9
+
+
+def test_distinct_slopes_are_the_component_slopes():
+    f = PiecewiseLinear([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 5e-10, 2.0, 1.0], np.zeros(4))
+    assert pwl.distinct_slopes(f.slopes) == [1.0, 5e-10, 2.0]
+    _, parts = pwl.decompose_staircase(f)
+    assert [float(p.slopes[np.flatnonzero(p.slopes)[0]]) for p in parts] == [1.0, 5e-10, 2.0]
+    # below staircase_slope's tolerance the tiny component reads as flat
+    assert [staircase_slope(p) for p in parts] == [1.0, 0.0, 2.0]
 
 
 def _chain_intercepts(f):
@@ -134,9 +141,9 @@ def test_decompose_properties_random(discont):
         distinct = len(set(np.round(f.slopes, 9)))
         assert m <= max(distinct, 1) and m <= k
         for p in parts:
-            assert isinstance(p, Staircase)
-            ok = np.isclose(p.slopes, 0.0) | np.isclose(p.slopes, p.s)
-            assert np.all(ok)
+            s = staircase_slope(p)
+            assert s is not None
+            assert np.all(np.isclose(p.slopes, 0.0) | np.isclose(p.slopes, s))
             assert np.array_equal(p.breakpoints, f.breakpoints)
         ts = np.linspace(f.lo, f.hi, 1000)
         total = sum(p.batch(ts) for p in parts)
@@ -171,18 +178,6 @@ def test_clip_interval_must_be_inside():
         pwl.clip(f, -2.0, 1.0)
 
 
-def test_reverse_preserves_graph():
-    rng = np.random.default_rng(12)
-    f = random_pwl(rng, 4, -1.5, 2.0, discont_prob=0.5)
-    g = f.reverse()
-    c = f.lo + f.hi
-    for t in np.linspace(f.lo, f.hi, 50)[1:-1]:
-        # reversal flips continuity sides; compare on piece interiors
-        if np.min(np.abs(f.breakpoints - t)) < 1e-6:
-            continue
-        assert abs(g(c - t) - f(t)) <= 1e-9
-
-
 @pytest.mark.parametrize("bp", [[0.0, 1.0, 0.5], [0.0, 1.0, 1.0, 2.0], [1.0, 0.0]])
 def test_non_increasing_or_repeated_breakpoints_rejected(bp):
     k = len(bp) - 1
@@ -199,8 +194,6 @@ def test_non_finite_entries_rejected(which, bad):
         args[which][pos] = bad
         with pytest.raises(ParameterError):
             PiecewiseLinear(*args)
-        with pytest.raises(ParameterError):
-            Staircase(*args, s=1.0)
 
 
 @pytest.mark.parametrize("args", [
@@ -218,17 +211,14 @@ def test_wrong_shapes_rejected(args):
 
 @pytest.mark.parametrize("s", [1e-9, 1.0, -2.5, 300.0])
 def test_staircase_slope_tolerance_edge(s):
-    tol = 1e-12 + 1e-5 * abs(s)
-    Staircase([0.0, 1.0, 2.0], [0.0, s + 0.9 * tol], [0.0, 0.0], s=s)
-    Staircase([0.0, 1.0, 2.0], [0.9e-12, s], [0.0, 0.0], s=s)
-    with pytest.raises(ParameterError):
-        Staircase([0.0, 1.0, 2.0], [0.0, s + 1.1 * tol], [0.0, 0.0], s=s)
-    with pytest.raises(ParameterError):
-        Staircase([0.0, 1.0, 2.0], [1.1e-12, s], [0.0, 0.0], s=s)
+    def slope(*slopes):
+        return staircase_slope(PiecewiseLinear([0.0, 1.0, 2.0, 3.0], slopes, np.zeros(3)))
 
-
-def test_staircase_with_non_finite_s_accepts_only_flat_slopes():
-    Staircase([0.0, 1.0], [0.0], [0.0], s=np.inf)
-    for s in (np.inf, np.nan):
-        with pytest.raises(ParameterError):
-            Staircase([0.0, 1.0], [1.0], [0.0], s=s)
+    tol = 1e-9 * max(1.0, abs(s))
+    if abs(s) > 1e-9:
+        assert slope(0.0, s, s + 0.9 * tol) == s
+        assert slope(0.9e-9, s, 0.0) == s
+        assert slope(0.0, s, s + 1.1 * tol) is None
+        assert slope(1.1e-9, s, 0.0) is None
+    else:  # a slope within tol of 0 is flat
+        assert slope(0.0, s, s) == 0.0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from stairverify import pwl
-from stairverify.errors import DomainError, InputError
+from stairverify.errors import DomainError, InputError, ParameterError
 from stairverify.lp import solve
-from stairverify.network import BoxDomain, Neuron
+from stairverify.network import ActivationSpec, BoxDomain, Neuron
 from stairverify.oracles import (brute_min_psi, enumerate_cayley_vertices,
                                  hull_envelope)
 from stairverify.separation import (LOWER, THETA1_ZERO, THETA2_ZERO, UPPER,
@@ -63,7 +63,7 @@ def test_build_psi_hbar_symbolic():
     b = 0.25
     probe = Neuron(w, b, pwl.identity(0.0, 1.0), box)
     L, U = probe.preact_range()
-    f = pwl.Staircase([L, 0.5 * (L + U), U], [0.0, 1.0], [0.0, -0.3], s=1.0)
+    f = pwl.PiecewiseLinear([L, 0.5 * (L + U), U], [0.0, 1.0], [0.0, -0.3])
     neuron = Neuron(w, b, f, box)
     inst = build_psi(neuron, np.array([0.0, 0.5]), np.array([0.3, 0.7]))
     expected = np.array([f.breakpoints[1], f.breakpoints[2]]) - b \
@@ -457,8 +457,7 @@ def test_retrieve_cut_unit_square_walk():
     # the box optimum sits in the top slice and the walk pins lower edges
     box = BoxDomain([0.0, 0.0], [1.0, 1.0])
     w = np.array([1.0, 1.0])
-    f = pwl.Staircase(np.linspace(0.0, 2.0, 5), np.zeros(4),
-                      np.arange(4.0), s=0.0)
+    f = pwl.PiecewiseLinear(np.linspace(0.0, 2.0, 5), np.zeros(4), np.arange(4.0))
     neuron = Neuron(w, 0.0, f, box)
     cut = retrieve_cut(neuron, np.array([-1.0, -1.0]), UPPER)
     # c = (1,1): slice optima are 2, 0.5+? ... max over w.x = h_i pins:
@@ -507,6 +506,33 @@ def test_separate_pwl_on_staircase_defers():
         assert np.allclose(cut_a.alpha, cut_b.alpha)
 
 
+def test_near_staircase_is_a_pwl_of_two_components(monkeypatch):
+    """Slopes 1 and 1.000009 do not lie in {0, s}: a declared staircase with
+    them is rejected, and the same arrays declared as a pwl separate through
+    two staircase components."""
+    import stairverify.separation as sep
+
+    params = {"breakpoints": [-1.0, 0.0, 1.0], "slopes": [1.0, 1.000009],
+              "intercepts": [0.0, 0.0]}
+    with pytest.raises(ParameterError, match="not a staircase"):
+        ActivationSpec("staircase", params).instantiate(-1.0, 1.0)
+    f = ActivationSpec("pwl", params).instantiate(-1.0, 1.0)
+    neuron = Neuron(np.array([1.0]), 0.0, f, BoxDomain([-1.0], [1.0]))
+    with pytest.raises(ParameterError, match="not a staircase"):
+        _canonicalize(neuron, np.array([0.5]), np.array([0.5, 0.5]), UPPER)
+    calls = []
+    monkeypatch.setattr(sep, "_oracle", lambda canon: calls.append(1) or _oracle(canon))
+    xhat, zhat = np.array([0.5]), np.array([0.5, 0.5])
+    # the upper envelope at (xhat, zhat) is f(0) / 2 + f(1) / 2 = 0.5000045
+    assert separate_pwl(neuron, xhat, 0.5, zhat, UPPER) is None
+    cut = separate_pwl(neuron, xhat, 0.6, zhat, UPPER)
+    assert cut is not None and cut.violation(xhat, 0.6, zhat) > 0
+    for t in np.linspace(-1.0, 1.0, 41):  # valid on the lifted graph
+        assert cut.slack(np.array([t]), f(t), np.eye(2)[f.piece_index(t)]) >= -1e-9
+    assert len(calls) == 4
+    assert membership_certificate(neuron, xhat, zhat, UPPER) == pytest.approx(0.5000045)
+
+
 def test_separate_pwl_verdicts_and_validity():
     rng = np.random.default_rng(42)
     cuts = inside = 0
@@ -550,8 +576,9 @@ def test_lower_direction_mirrors_upper_on_negated_activation():
         xhat, zhat = random_query_point(rng, neuron)
         yhat = float(rng.normal())
         lo_cut = separate_staircase(neuron, xhat, yhat, zhat, LOWER)
-        neg = Neuron(neuron.weight, neuron.bias, neuron.activation.negate(),
-                     neuron.box)
+        f = neuron.activation
+        neg = Neuron(neuron.weight, neuron.bias,
+                     pwl.PiecewiseLinear(f.breakpoints, -f.slopes, -f.intercepts), neuron.box)
         up_cut = separate_staircase(neg, xhat, -yhat, zhat, UPPER)
         assert (lo_cut is None) == (up_cut is None)
         if lo_cut is not None and lo_cut.y_coef and up_cut.y_coef:
