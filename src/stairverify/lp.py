@@ -69,7 +69,6 @@ class LpSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None          # per row, user sense
-    reduced_costs: np.ndarray | None = None  # per structural variable, user sense
     basis: list[int] | None = None           # column indices incl. slacks
     iterations: int = 0                      # phase 2
     phase1_iterations: int = 0
@@ -374,7 +373,6 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None,
     _set_basic_values(tab, x)
 
     y = cost[tab.basis] @ tab.binv
-    d = cost - y @ tab.A
     sense_sign = 1.0 if lp.sense == "min" else -1.0
     obj = float(lp.objective @ x[:n])
     # an artificial still basic (at zero) stands for the column it displaced
@@ -384,7 +382,6 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None,
         x=x[:n].copy(),
         objective=obj,
         duals=sense_sign * y,
-        reduced_costs=sense_sign * d[:n],
         basis=[back.get(j, j) for j in tab.basis],
         iterations=iters,
         phase1_iterations=it1,
@@ -401,4 +398,4 @@ def _solve_boxonly(lp: LinearProgram) -> LpSolution:
         return LpSolution(status="infeasible")
     x = np.clip(x, np.maximum(lp.lower, -INF), np.minimum(lp.upper, INF))
     return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x),
-                      duals=np.zeros(0), reduced_costs=lp.objective.copy(), basis=[])
+                      duals=np.zeros(0), basis=[])

@@ -889,11 +889,11 @@ def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     return separate_staircase(neuron, xhat, yhat, zhat, direction, tol, neuron_id)
 
 
-def separate_with_certificate(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
-                              tol: float = VIOLATION_TOL) -> tuple[Cut | None, float]:
+def separate_with_certificate(neuron: Neuron, xhat, yhat: float, zhat,
+                              direction: str) -> tuple[Cut | None, float]:
     """`separate_pwl`'s cut and `membership_certificate`'s value from one
     oracle pass over the components."""
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
-    screened = on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol)
-    cut = None if screened else _cut(outcomes, yhat, direction, tol, "")
+    screened = on_vertex_graph(neuron, xhat, yhat, zhat, direction, VIOLATION_TOL)
+    cut = None if screened else _cut(outcomes, yhat, direction, VIOLATION_TOL, "")
     return cut, _certificate(outcomes, direction)
