@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .network import BoxDomain, Network
 from .pwl import PiecewiseLinear
 
@@ -26,14 +26,21 @@ class PreActBounds:
     """Per-neuron pre-activation interval [L, U], one array pair per layer.
 
     `relaxation` holds, per layer, every neuron's activation clipped to these
-    intervals and its DeepPoly sandwich there; `deeppoly_bounds` fills it,
-    `output_linear_bound` rebuilds it from the intervals when it is empty, and
-    `QueryModel` takes its clipped functions from it.
+    intervals and its DeepPoly sandwich there. `deeppoly_bounds` fills it and
+    `interval_bounds` leaves it empty; `output_linear_bound`, `upper_corner`
+    and `QueryModel` need it filled.
     """
 
     lower: list[np.ndarray] = field(default_factory=list)
     upper: list[np.ndarray] = field(default_factory=list)
     relaxation: list["_LayerRelax"] = field(default_factory=list)
+
+    def relaxed_layers(self, net: Network) -> list["_LayerRelax"]:
+        """`relaxation`, checked to cover every layer of `net`."""
+        if len(self.relaxation) != len(net.layers):
+            raise InputError("pre-activation bounds carry no relaxation; "
+                             "build them with deeppoly_bounds")
+        return self.relaxation
 
     def interval(self, layer: int, neuron: int) -> tuple[float, float]:
         return float(self.lower[layer][neuron]), float(self.upper[layer][neuron])
@@ -144,7 +151,7 @@ def relax_activation(f: PiecewiseLinear, L: float, U: float) -> tuple[Line, Line
         return (a, d), (a, d)
     if np.all(np.abs(f.slopes) <= 1e-12):
         return deeppoly_activation_relax(f, L, U)
-    if k == 2 and f.is_continuous(tol=1e-9):
+    if k == 2 and f.is_continuous():
         a1, a2 = float(f.slopes[0]), float(f.slopes[1])
         h1 = float(f.breakpoints[1])
         yL, yU = f.piece_value(0, L), f.piece_value(1, U)
@@ -237,16 +244,12 @@ def deeppoly_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
 
 
 def output_linear_bound(net: Network, input_box: BoxDomain, c: np.ndarray,
-                        preact: PreActBounds | None = None) -> float:
-    """Upper bound on c . N(x) over the box, DeepPoly style (used as a verifier)."""
-    if preact is None:
-        preact = deeppoly_bounds(net, input_box)
-    relaxed = preact.relaxation
-    if len(relaxed) != len(net.layers):
-        relaxed = [_LayerRelax(layer, lo, hi)
-                   for layer, lo, hi in zip(net.layers, preact.lower, preact.upper)]
+                        preact: PreActBounds) -> float:
+    """Upper bound on c . N(x) over the box, DeepPoly style (used as a verifier);
+    `preact` is the `deeppoly_bounds` result for `net` on `input_box`."""
     row = np.asarray(c, dtype=float)[None, :]
-    return float(_back_substitute(row, np.zeros(1), relaxed, input_box)[0][0])
+    return float(_back_substitute(row, np.zeros(1), preact.relaxed_layers(net),
+                                  input_box)[0][0])
 
 
 def upper_corner(input_box: BoxDomain, c: np.ndarray, preact: PreActBounds) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import pwl as pwl_mod
 from .bounds import PreActBounds, deeppoly_bounds
-from .errors import FormulationError, InputError
+from .errors import InputError
 from .lp import EQUAL, GREATER, LESS, LinearProgram, make_row
 from .network import BoxDomain, Network, Neuron
 from .pwl import staircase_slope
@@ -100,10 +100,6 @@ class NeuronFormulation:
     @property
     def key(self) -> tuple[int, int]:
         return (self.layer, self.index)
-
-    @property
-    def name(self) -> str:
-        return f"layer{self.layer}/neuron{self.index}"
 
 
 class _RowModel:
@@ -197,8 +193,7 @@ class _RowModel:
     def _add_seed_cuts(self, nf: NeuronFormulation) -> None:
         for alpha in self._seed_alphas(nf):
             for direction in (UPPER, LOWER):
-                cut = retrieve_cut(nf.neuron, alpha, direction, neuron_id=nf.name)
-                self.add_cut(nf, cut)
+                self.add_cut(nf, retrieve_cut(nf.neuron, alpha, direction))
 
     def add_cut(self, nf: NeuronFormulation, cut: Cut) -> bool:
         """Install a cut row unless an equal one (up to 1e-10) is pooled already."""
@@ -218,8 +213,9 @@ class _RowModel:
         nf = self.neurons[key]
         return x[nf.x_vars], float(x[nf.y_var]), x[nf.z_vars]
 
-    def to_lp(self, sense: str = "max", fixed_z: dict | None = None) -> LinearProgram:
-        """Dense LinearProgram; `fixed_z` pins allowed piece sets per neuron key."""
+    def to_lp(self, fixed_z: dict | None = None) -> LinearProgram:
+        """Dense LinearProgram maximizing the objective; `fixed_z` pins allowed
+        piece sets per neuron key."""
         lower = np.array(self.lower)
         upper = np.array(self.upper)
         if fixed_z:
@@ -230,7 +226,7 @@ class _RowModel:
                     if i not in allowed:
                         lower[z] = 0.0
                         upper[z] = 0.0
-        return LinearProgram(sense, self.objective.copy(), list(self.rows), lower, upper)
+        return LinearProgram("max", self.objective.copy(), list(self.rows), lower, upper)
 
     def activated_neurons(self) -> list[NeuronFormulation]:
         return [self.neurons[k] for k in sorted(self.neurons)]
@@ -251,25 +247,14 @@ class NeuronModel(_RowModel):
         self.objective = np.zeros(self.num_vars())
 
 
-def build_bigm(neuron: Neuron, L: float | None = None, U: float | None = None) -> NeuronModel:
-    """Big-M formulation of one neuron; [L, U] optionally clips the activation."""
-    return NeuronModel(_clipped(neuron, L, U), BIGM)
+def build_bigm(neuron: Neuron) -> NeuronModel:
+    """Big-M formulation of one neuron."""
+    return NeuronModel(neuron, BIGM)
 
 
-def build_cayley(neuron: Neuron, L: float | None = None, U: float | None = None) -> NeuronModel:
+def build_cayley(neuron: Neuron) -> NeuronModel:
     """Seeded Cayley formulation of one neuron; the pool grows via separation."""
-    return NeuronModel(_clipped(neuron, L, U), CAYLEY)
-
-
-def _clipped(neuron: Neuron, L, U) -> Neuron:
-    if L is None and U is None:
-        return neuron
-    f = neuron.activation
-    L = f.lo if L is None else max(L, f.lo)
-    U = f.hi if U is None else min(U, f.hi)
-    if L > U:
-        raise FormulationError(f"inconsistent bounds: L={L} > U={U}")
-    return Neuron(neuron.weight, neuron.bias, pwl_mod.clip(f, L, U), neuron.box)
+    return NeuronModel(neuron, CAYLEY)
 
 
 class QueryModel(_RowModel):
@@ -288,7 +273,7 @@ class QueryModel(_RowModel):
         self.net = net
         self.region = query.input_region()
         self.bounds = bounds if bounds is not None else deeppoly_bounds(net, self.region)
-        relaxed = self.bounds.relaxation
+        relaxed = self.bounds.relaxed_layers(net)
 
         self.layer_inputs: list[list[int]] = []
         self.y_vars: list[list[int]] = []
@@ -302,12 +287,10 @@ class QueryModel(_RowModel):
             ys = []
             for j in range(layer.out_dim):
                 pre_lo, pre_hi = self.bounds.interval(li, j)
-                spec = layer.activations[j]
-                if spec is None:
+                f = relaxed[li].functions[j]
+                if f is None:
                     ys.append(self._new_var(pre_lo, pre_hi))
                     continue
-                f = (relaxed[li].functions[j] if len(relaxed) == len(net.layers)
-                     else spec.instantiate(pre_lo, pre_hi))
                 out_lo, out_hi = f.output_range()
                 y = self._new_var(out_lo, out_hi)
                 zs = [self._new_var(0.0, 1.0) for _ in range(f.num_pieces)]
@@ -433,8 +416,3 @@ def build_query_model(query: VerificationQuery, mode: str,
                       bounds: PreActBounds | None = None) -> QueryModel:
     return QueryModel(query, mode, bounds)
 
-
-def build_query_lp(query: VerificationQuery, mode: str,
-                   bounds: PreActBounds | None = None) -> LinearProgram:
-    """Continuous relaxation of the verification model (z relaxed to [0, 1])."""
-    return build_query_model(query, mode, bounds).to_lp()

@@ -244,8 +244,7 @@ def _update_inverse(binv: np.ndarray, col: np.ndarray, leaving: int) -> None:
     binv[leaving, :] = pivot_row
 
 
-def solve(lp: LinearProgram, warm: LpSolution | None = None,
-          max_iter: int | None = None) -> LpSolution:
+def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     """Solve the LP; optimal solutions are vertex (basic) solutions.
 
     `warm` is an earlier solution of the same LP before rows were appended
@@ -258,11 +257,11 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None,
     point that misses a row by more than FEAS_TOL.
     """
     try:
-        return _solve_once(lp, warm, max_iter)
+        return _solve_once(lp, warm)
     except NumericalError:
         if warm is None:
             raise
-        return _solve_once(lp, None, max_iter)
+        return _solve_once(lp, None)
 
 
 def _extended_basis(warm: LpSolution | None, n: int, m: int) -> list[int] | None:
@@ -275,14 +274,12 @@ def _extended_basis(warm: LpSolution | None, n: int, m: int) -> list[int] | None
     return list(warm.basis) + list(range(n + old_m, n + m))
 
 
-def _solve_once(lp: LinearProgram, warm: LpSolution | None,
-                max_iter: int | None) -> LpSolution:
+def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
     tab = _Tableau(lp)
     m, n = tab.m, tab.n
     if m == 0:
         return _solve_boxonly(lp)
-    if max_iter is None:
-        max_iter = 2000 + 200 * (m + n)
+    max_iter = 2000 + 200 * (m + n)   # cycling guard
 
     x = _initial_point(tab)
     tab.basis = list(range(n, n + m))

@@ -103,10 +103,6 @@ class Neuron:
     def dbar(self) -> np.ndarray:
         return self.activation.slopes * self.bias + self.activation.intercepts
 
-    def output(self, x) -> float:
-        t = float(self.weight @ np.asarray(x, dtype=float) + self.bias)
-        return self.activation(t)
-
 
 @dataclass(frozen=True)
 class ActivationSpec:

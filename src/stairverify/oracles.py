@@ -122,14 +122,9 @@ def hull_envelope(vertices: VertexSet, xhat, zhat, k: int, direction: str) -> fl
     return sol.objective
 
 
-def brute_min_psi(inst: PsiInstance, allowed=None) -> tuple[np.ndarray, float]:
-    """Exact minimum of psi over all admissible subsets (k <= 16)."""
-    free = inst.free.copy()
-    if allowed is not None:
-        mask = np.zeros(inst.k, dtype=bool)
-        mask[np.asarray(allowed, dtype=int)] = True
-        free &= mask
-    idx = np.flatnonzero(free)
+def brute_min_psi(inst: PsiInstance) -> tuple[np.ndarray, float]:
+    """Exact minimum of psi over all subsets of the free pieces (at most 16)."""
+    idx = np.flatnonzero(inst.free)
     kf = idx.size
     if kf > MAX_BRUTE_PIECES:
         raise CapabilityError(f"brute_min_psi supports at most {MAX_BRUTE_PIECES} free pieces")
@@ -137,10 +132,8 @@ def brute_min_psi(inst: PsiInstance, allowed=None) -> tuple[np.ndarray, float]:
     members = (codes[:, None] >> np.arange(kf)[None, :]) & 1   # (2^kf, kf)
     zf = inst.zhat[idx]
     hf = (inst.zhat * inst.hbar)[idx]
-    sigma0 = float(inst.zhat[inst.forced].sum())
-    head0 = inst.base + float((inst.zhat[inst.forced] * inst.hbar[inst.forced]).sum())
-    sigma = members @ zf + sigma0
-    head = members @ hf + head0
+    sigma = members @ zf
+    head = members @ hf + inst.base
     # vectorized concave term via the sorted ratio prefix sums
     dsort = inst.delta[inst.order]
     xsort = inst.xbar[inst.order]

@@ -86,9 +86,10 @@ class PiecewiseLinear:
         """Min/max of the closure of the graph over the full domain."""
         return pieces_range(self.breakpoints, self.slopes, self.intercepts)
 
-    def is_continuous(self, tol: float = 1e-12) -> bool:
+    def is_continuous(self) -> bool:
+        """No jump above 1e-9 relative to the largest slope or intercept."""
         scale = max(1.0, float(np.abs(self.intercepts).max()), float(np.abs(self.slopes).max()))
-        return all(abs(self.jump_at(i)) <= tol * scale for i in range(1, self.num_pieces))
+        return all(abs(self.jump_at(i)) <= 1e-9 * scale for i in range(1, self.num_pieces))
 
     def jump_at(self, i: int) -> float:
         """f(h_i+) - f(h_i-) for an interior breakpoint index 1 <= i <= k-1."""
@@ -96,13 +97,14 @@ class PiecewiseLinear:
         return self.piece_value(i, h) - self.piece_value(i - 1, h)
 
 
-def staircase_slope(f: PiecewiseLinear, tol: float = 1e-9) -> float | None:
-    """Common slope s if f is a staircase (slopes within tol of {0, s}), else None."""
-    nonzero = f.slopes[np.abs(f.slopes) > tol]
+def staircase_slope(f: PiecewiseLinear) -> float | None:
+    """Common slope s if f is a staircase (slopes within 1e-9 relative of {0, s}),
+    else None."""
+    nonzero = f.slopes[np.abs(f.slopes) > 1e-9]
     if nonzero.size == 0:
         return 0.0
     s = float(nonzero[0])
-    if np.all(np.abs(nonzero - s) <= tol * max(1.0, abs(s))):
+    if np.all(np.abs(nonzero - s) <= 1e-9 * max(1.0, abs(s))):
         return s
     return None
 

@@ -66,7 +66,6 @@ class Cut:
     zcoef: np.ndarray
     const: float = 0.0
     y_coef: float = 1.0
-    neuron_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
@@ -130,24 +129,21 @@ class DualSolution:
 class PsiInstance:
     """Scaled data consumed by the subset-minimization sweep.
 
-    ``psi(K) = base + sum_{i in K u forced} zhat_i hbar_i
-              + sum_j min(sum_{i in K u forced} zhat_i * delta_j, xbar_j)``
+    ``psi(K) = base + sum_{i in K} zhat_i hbar_i
+              + sum_j min(sum_{i in K} zhat_i * delta_j, xbar_j)``
 
     xbar/delta cover the active coordinates (w_j != 0, u_j > l_j) only;
     ratios xbar_j / delta_j are pre-sorted ascending (permutation `order`,
     ties by index) because the sweep walks the concave term's breakpoints in
-    that order. `free` marks pieces the minimizer may toggle; `forced` pieces
-    always count toward K.
+    that order. `free` marks the pieces K may contain.
     """
 
-    wbar_eff: np.ndarray
     delta: np.ndarray
     xbar: np.ndarray
     hbar: np.ndarray
     zhat: np.ndarray
     orientation: str
     free: np.ndarray
-    forced: np.ndarray
     base: float = 0.0
     order: np.ndarray = field(init=False)
     ratios: np.ndarray = field(init=False)
@@ -169,7 +165,7 @@ class PsiInstance:
 
     def psi(self, K) -> float:
         """Exact psi value for an explicit subset K of free pieces."""
-        mask = self.forced.copy()
+        mask = np.zeros(self.k, dtype=bool)
         K = np.asarray(K, dtype=int)
         if K.size:
             if not np.all(self.free[K]):
@@ -183,13 +179,11 @@ class PsiInstance:
 @dataclass
 class SweepResult:
     psi_star: float
-    sigma: float
     K: np.ndarray                  # fully selected free pieces
     frac_piece: int = -1           # piece with fractional amount, or -1
-    frac_amount: float = 0.0
 
 
-def minimize_psi_c(inst: PsiInstance, allowed=None, early_exit: bool = False) -> SweepResult:
+def minimize_psi_c(inst: PsiInstance) -> SweepResult:
     """Minimize the concave continuous extension of psi over the unit box.
 
     The sum-of-mins term is concave piecewise linear in the selected mass
@@ -198,29 +192,17 @@ def minimize_psi_c(inst: PsiInstance, allowed=None, early_exit: bool = False) ->
     ratio order and evaluates each piece's clipped knapsack optimum. A concave
     function attains its box minimum at a vertex, so the result (after
     resolving the at most one fractional entry) equals the exact subset
-    minimum.
-
-    ``allowed`` restricts the togglable pieces further; ``early_exit`` stops
-    at the first piece whose optimum is negative, which keeps the recovered
-    cut vector's support minimal.
+    minimum. Only the pieces marked `free` take part.
     """
     zhat, hbar = inst.zhat, inst.hbar
-    free = inst.free.copy()
-    if allowed is not None:
-        mask = np.zeros(inst.k, dtype=bool)
-        mask[np.asarray(allowed, dtype=int)] = True
-        free &= mask
-    items = np.flatnonzero(free & (zhat > 1e-15))
+    items = np.flatnonzero(inst.free & (zhat > 1e-15))
     items = items[np.lexsort((items, hbar[items]))]
     wz = zhat[items]
     cz = hbar[items]
     pref_w = np.concatenate([[0.0], np.cumsum(wz)])
     pref_g = np.concatenate([[0.0], np.cumsum(cz * wz)])
     num_items = items.size
-
-    sigma0 = float(zhat[inst.forced].sum())
-    base0 = inst.base + float((zhat[inst.forced] * hbar[inst.forced]).sum())
-    sigma_max = sigma0 + float(pref_w[-1])
+    sigma_max = float(pref_w[-1])
 
     dsort = inst.delta[inst.order]
     xsort = inst.xbar[inst.order]
@@ -233,41 +215,33 @@ def minimize_psi_c(inst: PsiInstance, allowed=None, early_exit: bool = False) ->
         return float(pref_x[t] + sigma * (d_total - pref_d[t]))
 
     def gval(sigma: float) -> float:
-        wt = sigma - sigma0
-        t = int(np.searchsorted(pref_w, wt + 1e-12, side="right")) - 1
+        t = int(np.searchsorted(pref_w, sigma + 1e-12, side="right")) - 1
         t = max(0, min(t, num_items))
         val = float(pref_g[t])
-        rem = wt - float(pref_w[t])
+        rem = sigma - float(pref_w[t])
         if rem > 1e-12 and t < num_items:
             val += float(cz[t]) * rem
         return val
 
-    boundaries = [sigma0] + [float(r) for r in inst.ratios if sigma0 < r < sigma_max] \
-        + [sigma_max]
-    best_val, best_sigma = None, sigma0
+    boundaries = [0.0] + [float(r) for r in inst.ratios if 0.0 < r < sigma_max] + [sigma_max]
+    best_val, best_sigma = None, 0.0
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         t = int(np.searchsorted(inst.ratios, lo, side="right"))
         slope = d_total - float(pref_d[t])
         idx = int(np.searchsorted(cz, -slope, side="left"))
-        sigma = float(np.clip(sigma0 + pref_w[idx], lo, hi))
-        val = base0 + gval(sigma) + tval(sigma)
+        sigma = float(np.clip(pref_w[idx], lo, hi))
+        val = inst.base + gval(sigma) + tval(sigma)
         if best_val is None or val < best_val - 1e-15:
             best_val, best_sigma = val, sigma
-        if early_exit and best_val < -1e-15:
-            break
-    if best_val is None:
-        best_val, best_sigma = base0 + tval(sigma0), sigma0
 
-    wt = best_sigma - sigma0
-    t = int(np.searchsorted(pref_w, wt + 1e-12, side="right")) - 1
+    t = int(np.searchsorted(pref_w, best_sigma + 1e-12, side="right")) - 1
     t = max(0, min(t, num_items))
     K = items[:t].copy()
-    rem = wt - float(pref_w[t])
-    frac_piece, frac_amount = -1, 0.0
+    rem = best_sigma - float(pref_w[t])
+    frac_piece = -1
     if t < num_items and rem > 1e-12 * max(1.0, best_sigma):
         frac_piece = int(items[t])
-        frac_amount = rem / float(wz[t])
-    return SweepResult(float(best_val), best_sigma, K, frac_piece, frac_amount)
+    return SweepResult(float(best_val), K, frac_piece)
 
 
 def round_fractional(result: SweepResult, inst: PsiInstance) -> tuple[np.ndarray, float]:
@@ -359,7 +333,6 @@ class _Canonical:
           piece; both reliefs may combine, so every piece is free and the
           per-piece cost depends on its kind.
         """
-        k = self.k
         h = self.h
         if orientation == THETA2_ZERO:
             wbar_eff = self.wbar
@@ -367,8 +340,7 @@ class _Canonical:
         else:
             wbar_eff = -self.wbar
             theta = self.b - h[:-1]
-        forced = np.zeros(k, dtype=bool)
-        free = np.ones(k, dtype=bool)
+        free = np.ones(self.k, dtype=bool)
         base = 0.0
         if family == "grow":
             free = ~self.a1_mask
@@ -377,8 +349,8 @@ class _Canonical:
             theta = np.where(self.a1_mask, self.b - h[1:], self.b - h[:-1])
             base = self.theta_base()
         hbar = theta + self.pulled_const(wbar_eff)
-        return PsiInstance(wbar_eff, self.delta, self.xbar(wbar_eff), hbar,
-                           self.zhat, orientation, free, forced, base)
+        return PsiInstance(self.delta, self.xbar(wbar_eff), hbar, self.zhat,
+                           orientation, free, base)
 
 
 def _free_coordinates(neuron: Neuron):
@@ -485,7 +457,7 @@ def _sweep_candidate(family: str, inst: PsiInstance, K, psi_value: float) -> _Ca
     whose box mass falls short of the members' z-mass times delta.
     """
     sign = 1.0 if inst.orientation == THETA2_ZERO else -1.0
-    members = inst.forced.copy()
+    members = np.zeros(inst.k, dtype=bool)
     members[K] = True
     mass = float(inst.zhat[members].sum())
     c = np.where(inst.xbar < mass * inst.delta - 1e-15, -sign, 0.0)
@@ -710,8 +682,7 @@ def _box_slice_series(c_vec, w, lower, upper, lo_ts, hi_ts):
     return vals
 
 
-def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0,
-                 neuron_id: str = "") -> Cut:
+def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0) -> Cut:
     """Exact z-coefficients for a given alpha by per-slice optimization.
 
     Upper cuts use ``c_i = max_{x in slice_i} (a_i w - alpha) . x + dbar_i``,
@@ -755,7 +726,7 @@ def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0,
         for pos, i in enumerate(idxs):
             zcoef[i] = vals[pos] if sense == "max" else -vals[pos]
     zcoef += dbar
-    return Cut(direction, alpha, zcoef, 0.0, y_coef, neuron_id)
+    return Cut(direction, alpha, zcoef, 0.0, y_coef)
 
 
 # ---------------------------------------------------------------------------
@@ -786,31 +757,29 @@ def _component_outcomes(neuron: Neuron, xhat, zhat, direction: str
     return outcomes
 
 
-def _emit_cut(neuron: Neuron, outcome: OracleOutcome, direction: str,
-              neuron_id: str) -> Cut:
+def _emit_cut(neuron: Neuron, outcome: OracleOutcome, direction: str) -> Cut:
     alpha = outcome.alpha_full()
     if outcome.candidate.is_ray:
         # (x, z)-space inequality; identical for the hull of g and -g
-        return retrieve_cut(neuron, alpha, direction, y_coef=0.0, neuron_id=neuron_id)
+        return retrieve_cut(neuron, alpha, direction, y_coef=0.0)
     if direction == LOWER:
         alpha = -alpha  # undo the output negation used by the canonical form
-    return retrieve_cut(neuron, alpha, direction, y_coef=1.0, neuron_id=neuron_id)
+    return retrieve_cut(neuron, alpha, direction, y_coef=1.0)
 
 
 def _cut(outcomes: list[tuple[Neuron, OracleOutcome]], yhat: float, direction: str,
-         tol: float, neuron_id: str) -> Cut | None:
+         tol: float) -> Cut | None:
     """The violated cut the component outcomes give at yhat, or None when inside."""
     sub, last = outcomes[-1]
     if not last.bounded:
-        return _emit_cut(sub, last, direction, neuron_id)
+        return _emit_cut(sub, last, direction)
     query = float(yhat) if direction == UPPER else -float(yhat)
     if query <= sum(out.envelope for _, out in outcomes) + tol:
         return None
-    cuts = [_emit_cut(sub, out, direction, neuron_id) for sub, out in outcomes]
+    cuts = [_emit_cut(sub, out, direction) for sub, out in outcomes]
     if len(cuts) == 1:
         return cuts[0]  # as retrieved: a sum would turn its -0.0 entries into 0.0
-    return Cut(direction, sum(cut.alpha for cut in cuts), sum(cut.zcoef for cut in cuts),
-               0.0, 1.0, neuron_id)
+    return Cut(direction, sum(cut.alpha for cut in cuts), sum(cut.zcoef for cut in cuts))
 
 
 def _certificate(outcomes: list[tuple[Neuron, OracleOutcome]], direction: str) -> float:
@@ -821,7 +790,7 @@ def _certificate(outcomes: list[tuple[Neuron, OracleOutcome]], direction: str) -
 
 
 def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
-                       tol: float = VIOLATION_TOL, neuron_id: str = "") -> Cut | None:
+                       tol: float = VIOLATION_TOL) -> Cut | None:
     """Return a violated cut, or None when (xhat, yhat, zhat) is inside.
 
     One staircase separation per component (see `_component_outcomes`): an
@@ -833,7 +802,7 @@ def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     and seed installation is the formulation builder's job.
     """
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
-    return _cut(outcomes, yhat, direction, tol, neuron_id)
+    return _cut(outcomes, yhat, direction, tol)
 
 
 def membership_certificate(neuron: Neuron, xhat, zhat, direction: str) -> float:
@@ -877,7 +846,7 @@ def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
 
 
 def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
-                 tol: float = VIOLATION_TOL, neuron_id: str = "") -> Cut | None:
+                 tol: float = VIOLATION_TOL) -> Cut | None:
     """Separation for general piecewise-linear activations.
 
     Points on the graph at a simplex vertex are answered by `on_vertex_graph`
@@ -886,7 +855,7 @@ def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     """
     if on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol):
         return None
-    return separate_staircase(neuron, xhat, yhat, zhat, direction, tol, neuron_id)
+    return separate_staircase(neuron, xhat, yhat, zhat, direction, tol)
 
 
 def separate_with_certificate(neuron: Neuron, xhat, yhat: float, zhat,
@@ -895,5 +864,5 @@ def separate_with_certificate(neuron: Neuron, xhat, yhat: float, zhat,
     oracle pass over the components."""
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
     screened = on_vertex_graph(neuron, xhat, yhat, zhat, direction, VIOLATION_TOL)
-    cut = None if screened else _cut(outcomes, yhat, direction, VIOLATION_TOL, "")
+    cut = None if screened else _cut(outcomes, yhat, direction, VIOLATION_TOL)
     return cut, _certificate(outcomes, direction)

@@ -30,23 +30,23 @@ from .separation import LOWER, UPPER, on_vertex_graph, separate_pwl
 
 MODES = ("deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")
 TIMEOUT = "timeout limit reached"
+MIP_GAP = 1e-9   # a node is pruned unless its bound beats the incumbent by more
 
 
 @dataclass
 class VerifyConfig:
-    """Verification settings; `node_limit` caps the nodes of each target's search."""
+    """Verification settings; `node_limit` caps each target's `VerifyReport.nodes`."""
 
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
     cut_tol: float = 1e-6
     node_limit: int = 20000
     timeout: float = 120.0
-    mip_gap: float = 1e-9
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.cut_tol <= 0 or self.mip_gap <= 0 or self.timeout <= 0:
+        if self.cut_tol <= 0 or self.timeout <= 0:
             raise InputError("tolerances and timeout must be positive")
 
     @property
@@ -60,6 +60,9 @@ class VerifyConfig:
 
 @dataclass
 class VerifyReport:
+    """Outcome and counters of one query. `nodes` counts every node LP solve,
+    re-solves after a cut round that added cuts included; `rounds` counts those
+    rounds, so an exact search visited `nodes - rounds` distinct nodes."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
     counterexample: np.ndarray | None = None
@@ -124,8 +127,7 @@ def _replay(network, x, label) -> bool:
         return False
 
 
-def _cut_round(model: QueryModel, x: np.ndarray, tol: float,
-               report: VerifyReport | None = None) -> int:
+def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyReport) -> int:
     """Separate every activated neuron at the LP point; returns cuts added.
 
     Pinned neurons have a constant pre-activation and are skipped. Points on
@@ -143,18 +145,14 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float,
         total = zv.sum()
         zv = zv / total if total > 0 else np.full_like(zv, 1.0 / zv.size)
         for direction in (UPPER, LOWER):
-            if report is not None:
-                report.separation_calls += 1
+            report.separation_calls += 1
             if on_vertex_graph(nf.neuron, xin, yv, zv, direction, tol):
-                if report is not None:
-                    report.separation_screened += 1
+                report.separation_screened += 1
                 continue
             try:
-                cut = separate_pwl(nf.neuron, xin, yv, zv, direction,
-                                   tol=tol, neuron_id=nf.name)
+                cut = separate_pwl(nf.neuron, xin, yv, zv, direction, tol=tol)
             except StairVerifyError:
-                if report is not None:
-                    report.separation_failures += 1
+                report.separation_failures += 1
                 continue
             if cut is not None and cut.violation(xin, yv, zv) > tol:
                 if model.add_cut(nf, cut):
@@ -214,7 +212,9 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
             x_cand = None if sol is None else _counterexample(model, sol.x, report)
             if x_cand is None:
                 report.verdict = "unknown"
-                report.diagnostic = diag or "optimum above threshold but replay failed"
+                report.diagnostic = diag or (
+                    "optimum above threshold but replay failed" if config.is_exact
+                    else "relaxation bound above threshold; no counterexample found")
             else:
                 report.verdict = "falsified"
                 report.counterexample = x_cand
@@ -349,14 +349,14 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
             return max(best_bound, incumbent), incumbent_sol, limit
         node = heapq.heappop(heap)
         parent_bound = -node.neg_bound
-        if parent_bound <= incumbent + config.mip_gap:
+        if parent_bound <= incumbent + MIP_GAP:
             continue
         report.nodes += 1
         sol = _solve(model.to_lp(fixed_z=node.allowed), node.warm, report)
         if sol.status != "optimal":
             continue
         bound = sol.objective
-        if bound <= incumbent + config.mip_gap:
+        if bound <= incumbent + MIP_GAP:
             continue
         if config.formulation == CAYLEY:
             t0 = time.monotonic()
@@ -364,6 +364,7 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
             report.separation_time += time.monotonic() - t0
             if added:
                 report.cuts_added += added
+                report.rounds += 1
                 push(node.allowed, bound, sol)
                 continue
         frac_key, frac_score = None, 1e-6

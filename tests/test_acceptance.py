@@ -123,11 +123,11 @@ def test_criterion_3_psi_machinery():
     for trial in range(10000):
         k = int(rng.integers(1, 13))
         n = int(rng.integers(1, 7))
-        inst = PsiInstance(np.ones(n), rng.uniform(0.02, 2.0, size=n),
+        inst = PsiInstance(rng.uniform(0.02, 2.0, size=n),
                            rng.uniform(0.0, 2.0, size=n),
                            rng.normal(size=k) * 2.0,
                            rng.dirichlet(np.ones(k)), THETA2_ZERO,
-                           np.ones(k, dtype=bool), np.zeros(k, dtype=bool))
+                           np.ones(k, dtype=bool))
         res = minimize_psi_c(inst)
         K, val = round_fractional(res, inst)
         _, brute = brute_min_psi(inst)

@@ -5,7 +5,7 @@ from stairverify import pwl
 from stairverify.bounds import (PreActBounds, _LayerRelax, deeppoly_activation_relax,
                                 deeppoly_bounds, interval_bounds, output_linear_bound,
                                 relax_activation)
-from stairverify.errors import ParameterError
+from stairverify.errors import InputError, ParameterError
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 
 from helpers import random_quantized_network
@@ -194,7 +194,7 @@ def test_output_linear_bound_dominates_samples():
     rng = np.random.default_rng(26)
     net = random_quantized_network(rng, n_in=2, hidden=(3,), n_out=2, bits=2)
     c = np.array([1.0, -1.0])
-    bound = output_linear_bound(net, net.input_box, c)
+    bound = output_linear_bound(net, net.input_box, c, deeppoly_bounds(net, net.input_box))
     xs = net.input_box.sample(rng, 3000)
     vals = net.forward(xs) @ c
     assert vals.max() <= bound + 1e-9
@@ -209,8 +209,9 @@ def test_output_bound_shares_the_deeppoly_relaxation(activation, monkeypatch):
     assert len(dp.relaxation) == len(net.layers)
     assert interval_bounds(net, net.input_box).relaxation == []
     cs = [rng.normal(size=3) for _ in range(5)]
-    rebuilt = [output_linear_bound(net, net.input_box, c, PreActBounds(dp.lower, dp.upper))
-               for c in cs]
+    fresh = PreActBounds(dp.lower, dp.upper, [_LayerRelax(layer, lo, hi) for layer, lo, hi
+                                              in zip(net.layers, dp.lower, dp.upper)])
+    rebuilt = [output_linear_bound(net, net.input_box, c, fresh) for c in cs]
 
     def fail(*args):
         raise AssertionError("output_linear_bound rebuilt the deeppoly relaxation")
@@ -319,3 +320,9 @@ def test_matrix_deeppoly_matches_per_neuron_form():
             c = rng.normal(size=net.output_dim)
             old = _reference_back_substitute(c, 0.0, relaxed, box, "upper")
             assert close(output_linear_bound(net, box, c, dp), old)
+
+
+def test_output_bound_rejects_bounds_without_relaxation():
+    net = random_quantized_network(np.random.default_rng(28), n_in=3, hidden=(3,), n_out=3)
+    with pytest.raises(InputError, match="deeppoly_bounds"):
+        output_linear_bound(net, net.input_box, np.ones(3), interval_bounds(net, net.input_box))

@@ -139,6 +139,29 @@ def test_verify_csv_output_shape(net_file, dataset_file):
     assert len(rows) == 5
 
 
+def test_every_verify_config_field_has_a_flag(net_file, dataset_file, monkeypatch):
+    """Each flag set away from its default; a config field no flag sets stays at its default."""
+    from dataclasses import fields
+    from stairverify import cli
+    from stairverify.verifier import VerifyConfig, VerifyReport
+    _, path = net_file
+    configs = []
+
+    def capture(query, config):
+        configs.append(config)
+        return VerifyReport(verdict="robust")
+
+    monkeypatch.setattr(cli, "verify", capture)
+    code, _ = _run(["verify", "--net", path, "--dataset", dataset_file, "--eps", "0.05",
+                    "--jobs", "1", "--mode", "bigm-exact", "--max-cut-rounds", "7",
+                    "--tol", "1e-5", "--node-limit", "99", "--timeout", "9.5"])
+    assert code == 0 and configs
+    default = VerifyConfig()
+    for field in fields(VerifyConfig):
+        assert all(getattr(c, field.name) != getattr(default, field.name) for c in configs), \
+            f"no CLI flag sets VerifyConfig.{field.name}"
+
+
 def test_verify_jobs_aggregate_independent(net_file, dataset_file):
     _, netp = net_file
     args = ["verify", "--net", netp, "--dataset", dataset_file,

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from stairverify import pwl
-from stairverify.bounds import PreActBounds, deeppoly_bounds
-from stairverify.errors import FormulationError, InputError
+from stairverify.bounds import deeppoly_bounds, interval_bounds
+from stairverify.errors import InputError
 from stairverify.formulations import (BIGM, CAYLEY, VerificationQuery, attack_objective,
-                                      build_bigm, build_cayley, build_query_lp,
-                                      build_query_model)
+                                      build_bigm, build_cayley, build_query_model)
 from stairverify.lp import EQUAL, GREATER, LESS, solve
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.oracles import enumerate_cayley_vertices
@@ -117,7 +116,7 @@ def test_relu_single_neuron_cayley_lp_is_exact_hull():
     obj[model.nf.y_var] = 1.0
     model.objective = obj
     for xfix, expect in ((0.25, 0.625), (-0.5, 0.25), (1.0, 1.0)):
-        lp = model.to_lp("max")
+        lp = model.to_lp()
         row = np.zeros(model.num_vars())
         row[model.nf.x_vars[0]] = 1.0
         lp.add_row(row, EQUAL, xfix)
@@ -138,10 +137,10 @@ def test_cayley_with_cutting_no_looser_than_bigm_single_neuron():
                 obj[v] = obj_dir[p]
             obj[model.nf.y_var] = obj_dir[-1]
             model.objective = obj
-        big_val = solve(big.to_lp("max")).objective
+        big_val = solve(big.to_lp()).objective
         # cut until converged (the full cutting loop)
         for _ in range(30):
-            sol = solve(cay.to_lp("max"))
+            sol = solve(cay.to_lp())
             xin, yv, zv = cay.neuron_point(sol.x, (0, 0))
             zv = np.maximum(zv, 0)
             zv /= zv.sum()
@@ -152,7 +151,7 @@ def test_cayley_with_cutting_no_looser_than_bigm_single_neuron():
                     added |= cay.add_cut(cay.nf, cut)
             if not added:
                 break
-        cay_val = solve(cay.to_lp("max")).objective
+        cay_val = solve(cay.to_lp()).objective
         assert cay_val <= big_val + 1e-7
 
 
@@ -165,7 +164,7 @@ def test_query_lp_eps_zero_is_point_evaluation():
     target = 1 - label
     q = VerificationQuery(net, x0, 0.0, label, target)
     for mode in (BIGM, CAYLEY):
-        sol = solve(build_query_lp(q, mode))
+        sol = solve(build_query_model(q, mode).to_lp())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(float(out[target] - out[label]),
                                               abs=1e-7)
@@ -182,7 +181,7 @@ def test_query_lp_upper_bounds_sampled_attacks():
     samples = region.sample(rng, 1000)
     truth = (net.forward(samples) @ c).max()
     for mode in (BIGM, CAYLEY):
-        sol = solve(build_query_lp(q, mode))
+        sol = solve(build_query_model(q, mode).to_lp())
         assert sol.objective >= truth - 1e-9
 
 
@@ -215,7 +214,7 @@ def test_integral_z_recovers_graph():
             # fix z = e_piece and maximize/minimize y at a fixed x
             for i in np.flatnonzero(verts.pieces == piece)[:2]:
                 x = verts.xs[i]
-                lp = model.to_lp("max", fixed_z={(0, 0): [piece]})
+                lp = model.to_lp(fixed_z={(0, 0): [piece]})
                 n = model.num_vars()
                 for p, v in enumerate(model.nf.x_vars):
                     row = np.zeros(n)
@@ -261,13 +260,11 @@ def test_builders_clip_to_explicit_bounds():
     L = float(f.breakpoints[1])
     U = float(f.breakpoints[-2])
     for builder in (build_bigm, build_cayley):
-        model = builder(neuron, L, U)
+        model = builder(Neuron(neuron.weight, neuron.bias, pwl.clip(f, L, U), neuron.box))
         clipped = model.nf.neuron.activation
         assert clipped.lo == pytest.approx(L)
         assert clipped.hi == pytest.approx(U)
         assert clipped.num_pieces == f.num_pieces - 2
-    with pytest.raises(FormulationError):
-        build_bigm(neuron, U, L)
 
 
 def test_query_model_takes_clipped_functions_from_the_bounds(monkeypatch):
@@ -275,18 +272,21 @@ def test_query_model_takes_clipped_functions_from_the_bounds(monkeypatch):
     net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3)
     q = VerificationQuery(net, np.array([0.1, -0.2, 0.3]), 0.2, 0, 2)
     dp = deeppoly_bounds(net, q.input_region())
-    rebuilt = {mode: build_query_model(q, mode, PreActBounds(dp.lower, dp.upper))
-               for mode in (BIGM, CAYLEY)}
 
     def fail(*args):
         raise AssertionError("QueryModel rebuilt an activation")
 
     monkeypatch.setattr(ActivationSpec, "instantiate", fail)
-    for mode, ref in rebuilt.items():
+    for mode in (BIGM, CAYLEY):
         model = build_query_model(q, mode, dp)
         for nf in model.activated_neurons():
             assert nf.neuron.activation is dp.relaxation[nf.layer].functions[nf.index]
-        assert (model.lower, model.upper) == (ref.lower, ref.upper)
-        assert len(model.rows) == len(ref.rows)
-        for (c0, s0, r0), (c1, s1, r1) in zip(model.rows, ref.rows):
-            assert np.array_equal(c0, c1) and (s0, r0) == (s1, r1)
+
+
+def test_query_model_rejects_bounds_without_relaxation():
+    rng = np.random.default_rng(57)
+    net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3)
+    q = VerificationQuery(net, np.array([0.1, -0.2, 0.3]), 0.2, 0, 2)
+    for mode in (BIGM, CAYLEY):
+        with pytest.raises(InputError, match="deeppoly_bounds"):
+            build_query_model(q, mode, interval_bounds(net, q.input_region()))

@@ -60,23 +60,23 @@ def test_hull_contains_sampled_slice_points():
 
 
 def test_brute_min_psi_trivial_cases():
-    inst = PsiInstance(np.ones(2), np.array([1.0, 1.0]), np.array([0.5, 1.0]),
+    inst = PsiInstance(np.array([1.0, 1.0]), np.array([0.5, 1.0]),
                        np.array([1.0]), np.array([1.0]), THETA2_ZERO,
-                       np.ones(1, dtype=bool), np.zeros(1, dtype=bool))
+                       np.ones(1, dtype=bool))
     K, val = brute_min_psi(inst)
     assert K.size == 0 and val == 0.0
-    inst2 = PsiInstance(np.ones(1), np.array([1.0]), np.array([0.5]),
+    inst2 = PsiInstance(np.array([1.0]), np.array([0.5]),
                         np.array([-1.0]), np.array([1.0]), THETA2_ZERO,
-                        np.ones(1, dtype=bool), np.zeros(1, dtype=bool))
+                        np.ones(1, dtype=bool))
     K2, val2 = brute_min_psi(inst2)
     assert list(K2) == [0] and val2 == pytest.approx(-0.5)
 
 
 def test_brute_min_psi_capability_cap():
     k = 20
-    inst = PsiInstance(np.ones(1), np.array([1.0]), np.array([0.5]),
+    inst = PsiInstance(np.array([1.0]), np.array([0.5]),
                        np.zeros(k), np.full(k, 1.0 / k), THETA2_ZERO,
-                       np.ones(k, dtype=bool), np.zeros(k, dtype=bool))
+                       np.ones(k, dtype=bool))
     with pytest.raises(CapabilityError):
         brute_min_psi(inst)
 

@@ -7,12 +7,11 @@ from stairverify.lp import solve
 from stairverify.network import ActivationSpec, BoxDomain, Neuron
 from stairverify.oracles import (brute_min_psi, enumerate_cayley_vertices,
                                  hull_envelope)
-from stairverify.separation import (LOWER, THETA1_ZERO, THETA2_ZERO, UPPER,
-                                    PsiInstance, _candidates, _canonicalize,
-                                    _check_candidate, _oracle, _reconstruct,
-                                    _sweep_candidate, membership_certificate,
-                                    minimize_psi_c, retrieve_cut, round_fractional,
-                                    separate_pwl, separate_staircase)
+from stairverify.separation import (LOWER, THETA2_ZERO, UPPER, PsiInstance, SweepResult,
+                                    _candidates, _canonicalize, _check_candidate, _oracle,
+                                    _reconstruct, membership_certificate, minimize_psi_c,
+                                    retrieve_cut, round_fractional, separate_pwl,
+                                    separate_staircase)
 
 from helpers import random_neuron, random_query_point, separation_lp
 
@@ -29,11 +28,9 @@ def check_every_candidate(canon):
 
 
 def make_psi(xbar, delta, zhat, hbar):
-    k = len(zhat)
-    return PsiInstance(np.ones(len(xbar)), np.asarray(delta, dtype=float),
-                       np.asarray(xbar, dtype=float), np.asarray(hbar, dtype=float),
-                       np.asarray(zhat, dtype=float), THETA2_ZERO,
-                       np.ones(k, dtype=bool), np.zeros(k, dtype=bool))
+    return PsiInstance(np.asarray(delta, dtype=float), np.asarray(xbar, dtype=float),
+                       np.asarray(hbar, dtype=float), np.asarray(zhat, dtype=float),
+                       THETA2_ZERO, np.ones(len(zhat), dtype=bool))
 
 
 # -- build_psi --------------------------------------------------------------
@@ -135,6 +132,7 @@ def test_psi_matches_subset_enumeration():
 
 
 def test_psi_masked_minimization():
+    # the "grow" family restricts the sweep through `free`
     rng = np.random.default_rng(31)
     for _ in range(100):
         k = int(rng.integers(2, 9))
@@ -144,10 +142,11 @@ def test_psi_masked_minimization():
                         zhat=rng.dirichlet(np.ones(k)),
                         hbar=rng.normal(size=k) * 2)
         allowed = rng.choice(k, size=max(1, k // 2), replace=False)
-        res = minimize_psi_c(inst, allowed=allowed)
+        inst.free = np.isin(np.arange(k), allowed)
+        res = minimize_psi_c(inst)
         K, val = round_fractional(res, inst)
         assert set(K) <= set(int(a) for a in allowed)
-        _, brute = brute_min_psi(inst, allowed=allowed)
+        _, brute = brute_min_psi(inst)
         assert val == pytest.approx(brute, abs=1e-9)
 
 
@@ -175,8 +174,8 @@ def test_global_sweep_minimum_is_integral():
 
 
 def test_round_fractional_picks_cheaper_neighbor():
-    # the early-exit walk stops mid-piece, which is where fractional entries
-    # appear; rounding must keep a negative certificate and pick the better side
+    # a sweep result with one piece taken by a fraction q: rounding must keep
+    # a negative certificate and pick the better side
     rng = np.random.default_rng(32)
     checked = 0
     for _ in range(2000):
@@ -186,33 +185,24 @@ def test_round_fractional_picks_cheaper_neighbor():
                         delta=rng.uniform(0.05, 2, size=n),
                         zhat=rng.dirichlet(np.ones(k)),
                         hbar=rng.normal(size=k) * 2)
-        res = minimize_psi_c(inst, early_exit=True)
-        if res.frac_piece < 0 or res.psi_star >= -1e-9:
+        K = np.flatnonzero(rng.random(k) < 0.5)
+        frac = int(rng.integers(k))
+        q = rng.uniform(0.05, 0.95)
+        if frac in K:
+            continue
+        mass = inst.zhat[K].sum() + q * inst.zhat[frac]
+        psi_c = (inst.zhat[K] @ inst.hbar[K] + q * inst.zhat[frac] * inst.hbar[frac]
+                 + np.minimum(mass * inst.delta, inst.xbar).sum())
+        if psi_c >= -1e-9:
             continue
         checked += 1
-        K, val = round_fractional(res, inst)
-        lo = inst.psi(res.K)
-        hi = inst.psi(np.concatenate([res.K, [res.frac_piece]]).astype(int))
+        _, val = round_fractional(SweepResult(psi_c, K, frac), inst)
+        lo = inst.psi(K)
+        hi = inst.psi(np.append(K, frac))
         assert val == pytest.approx(min(lo, hi))
-        assert val < 0  # concavity: a negative certificate survives rounding
+        # concavity along the fractional coordinate: no worse than psi_c
+        assert val <= psi_c + 1e-12 and val < 0
     assert checked >= 20
-
-
-def test_early_exit_returns_negative_certificate():
-    rng = np.random.default_rng(33)
-    for _ in range(200):
-        k = int(rng.integers(1, 9))
-        n = int(rng.integers(1, 6))
-        inst = make_psi(xbar=rng.uniform(0, 2, size=n),
-                        delta=rng.uniform(0.05, 2, size=n),
-                        zhat=rng.dirichlet(np.ones(k)),
-                        hbar=rng.normal(size=k) * 2)
-        _, brute = brute_min_psi(inst)
-        res = minimize_psi_c(inst, early_exit=True)
-        if brute < -1e-9:
-            assert res.psi_star < 0
-        else:
-            assert res.psi_star >= -1e-9
 
 
 # -- oracle vs LP ------------------------------------------------------------
@@ -313,54 +303,6 @@ def test_fast_path_duals_are_sign_vectors():
         dual.check_structure()
         comps = dual.components()
         assert np.all(np.isin(np.round(comps, 9), (-1.0, 0.0, 1.0)))
-
-
-def test_early_exit_rays_are_extreme():
-    """Early-exit ray candidates with alpha != wbar are extreme rays.
-
-    Extremality of a ray of {v >= 0 componentwise on the multipliers,
-    A v = 0} is equivalent to the support columns of A having nullity one.
-    This is the precise form of the minimal-support property; the literal
-    "no strict subset supports a violated cut" reading fails (the set
-    function can dip further negative beyond the early-exit mass).
-    """
-    rng = np.random.default_rng(39)
-    tested = 0
-    for _ in range(400):
-        n = int(rng.integers(1, 5))
-        k = int(rng.integers(1, 5))
-        neuron = random_neuron(rng, n, k, s=float(rng.choice([0.0, 1.0])))
-        xhat, zhat = random_query_point(rng, neuron)
-        canon = _canonicalize(neuron, xhat, zhat, UPPER)
-        for fam, orientation in (("ray_theta2", THETA2_ZERO),
-                                 ("ray_theta1", THETA1_ZERO)):
-            inst = canon.instance(orientation)
-            res = minimize_psi_c(inst, early_exit=True)
-            if res.psi_star >= -1e-7:
-                continue
-            K, val = round_fractional(res, inst)
-            if val >= -1e-9:
-                continue
-            dual = _reconstruct(canon, _sweep_candidate(fam, inst, K, val))
-            if np.allclose(dual.alpha_scaled, canon.wbar):
-                continue
-            vec = dual.components()
-            nn, kk = canon.active.size, canon.k
-            A = np.zeros((nn * kk, vec.size))
-            for i in range(kk):
-                for j in range(nn):
-                    r = i * nn + j
-                    A[r, i * nn + j] = 1.0
-                    A[r, kk * nn + i * nn + j] = -1.0
-                    A[r, 2 * kk * nn + i] = canon.wbar[j]
-                    A[r, 2 * kk * nn + kk + i] = -canon.wbar[j]
-                    A[r, 2 * kk * nn + 2 * kk + j] = 1.0
-            support = np.abs(vec) > 1e-9
-            sub = A[:, support]
-            nullity = int(sub.shape[1] - np.linalg.matrix_rank(sub))
-            assert nullity == 1
-            tested += 1
-    assert tested >= 30
 
 
 def _dense_dual_objective(canon, dual):

@@ -84,7 +84,7 @@ def test_cutting_loop_monotone_and_deduplicated():
         sol = solve(model.to_lp())
         assert sol.status == "optimal"
         values.append(sol.objective)
-        added = _cut_round(model, sol.x, 1e-6)
+        added = _cut_round(model, sol.x, 1e-6, VerifyReport("robust"))
         for nf in model.activated_neurons():
             for key in nf.pool:
                 assert (nf.key, key) not in pool_keys or True
@@ -201,7 +201,7 @@ def test_pinned_neurons_are_skipped_and_oracle_errors_counted(monkeypatch):
     calls = []
 
     def failing(neuron, *args, **kwargs):
-        calls.append(kwargs.get("neuron_id"))
+        calls.append(neuron)
         raise DomainError("injected")
 
     monkeypatch.setattr(verifier, "separate_pwl", failing)
@@ -210,7 +210,7 @@ def test_pinned_neurons_are_skipped_and_oracle_errors_counted(monkeypatch):
     report = verifier.VerifyReport(verdict="robust")
     assert _cut_round(model, sol.x, 1e-6, report) == 0
     assert report.separation_failures == 4   # two free neurons, both directions
-    assert "layer0/neuron0" not in calls
+    assert all(neuron is not model.neurons[(0, 0)].neuron for neuron in calls)
 
 
 def test_declared_pwl_activation_end_to_end():
@@ -286,6 +286,21 @@ def test_relaxed_timeout_reports_the_limit(mode):
     assert report.diagnostic == "timeout limit reached"
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("bigm-lp", "relaxation bound above threshold; no counterexample found"),
+    ("cayley-lp", "relaxation bound above threshold; no counterexample found"),
+    ("bigm-exact", "optimum above threshold but replay failed"),
+    ("cayley-exact", "optimum above threshold but replay failed")])
+def test_unknown_without_counterexample_names_the_bound(mode, message, monkeypatch):
+    from stairverify import verifier
+    rng = np.random.default_rng(74)
+    net = random_quantized_network(rng, n_in=3, hidden=(4,), n_out=4)
+    q = VerificationQuery(net, np.zeros(3), 0.3, 0, xi=-1e9)
+    monkeypatch.setattr(verifier, "_counterexample", lambda *args: None)
+    report = verify(q, VerifyConfig(mode=mode))
+    assert (report.verdict, report.diagnostic) == ("unknown", message)
+
+
 def test_cut_loop_stops_at_the_deadline():
     rng = np.random.default_rng(64)
     q = _tiny_query(rng, hidden=(4,), bits=2, eps=0.25, weight_scale=1.5)
@@ -306,8 +321,8 @@ def test_report_counters_agree(mode, monkeypatch):
     net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3, weight_scale=1.5)
     q = VerificationQuery(net, np.zeros(3), 0.25, int(np.argmax(net.forward(np.zeros(3)))),
                           xi=1e9)
-    sols, warm_given, oracle_calls = [], [], []
-    solve_, separate_ = verifier.solve, verifier.separate_pwl
+    sols, warm_given, oracle_calls, adding_rounds = [], [], [], []
+    solve_, separate_, cut_round_ = verifier.solve, verifier.separate_pwl, verifier._cut_round
 
     def spy_solve(lp, warm=None, *args):
         sols.append(solve_(lp, warm, *args))
@@ -318,8 +333,14 @@ def test_report_counters_agree(mode, monkeypatch):
         oracle_calls.append(args)
         return separate_(*args, **kwargs)
 
+    def spy_cut_round(*args):
+        added = cut_round_(*args)
+        adding_rounds.extend([added] if added else [])
+        return added
+
     monkeypatch.setattr(verifier, "solve", spy_solve)
     monkeypatch.setattr(verifier, "separate_pwl", spy_separate)
+    monkeypatch.setattr(verifier, "_cut_round", spy_cut_round)
     report = verify(q, VerifyConfig(mode=mode, timeout=60))
     assert report.verdict == "robust"
     assert report.lp_phase1_iterations == sum(s.phase1_iterations for s in sols)
@@ -332,7 +353,10 @@ def test_report_counters_agree(mode, monkeypatch):
         assert report.separation_calls == 0
     else:
         assert report.separation_screened > 0 and report.separation_calls % 2 == 0
-    if mode == "cayley-lp":
+    # a round counts when it adds cuts; in cayley-exact its node is solved again
+    assert report.rounds == len(adding_rounds)
+    assert report.cuts_added == sum(adding_rounds)
+    if mode.startswith("cayley"):
         assert report.warm_solves >= report.rounds > 0
     doc = report.as_dict()
     for key in ("lp_phase1_iterations", "lp_phase2_iterations", "warm_solves",
