@@ -6,7 +6,7 @@ from .formulations import VerificationQuery, build_query_model
 from .network import BoxDomain, Layer, Network, Neuron, load_network, save_network
 from .pwl import PiecewiseLinear, decompose_staircase, dorefa, relu
 from .separation import Cut, retrieve_cut, separate_pwl, separate_staircase
-from .verifier import VerifyConfig, VerifyReport, verify, verify_exact, verify_relaxed
+from .verifier import VerifyConfig, VerifyReport, verify
 
 __version__ = "0.1.0"
 
@@ -16,5 +16,5 @@ __all__ = [
     "build_query_model", "decompose_staircase",
     "deeppoly_bounds", "dorefa", "interval_bounds", "load_network",
     "relu", "retrieve_cut", "save_network", "separate_pwl", "separate_staircase",
-    "verify", "verify_exact", "verify_relaxed",
+    "verify",
 ]

@@ -22,7 +22,7 @@ from . import __version__
 from .bounds import deeppoly_bounds
 from .errors import CapabilityError, InputError, StairVerifyError
 from .formulations import VerificationQuery
-from .network import BoxDomain, Neuron, activation_from_json, load_network
+from .network import BoxDomain, Neuron, activation_from_json, load_network, read_json
 from .separation import separate_with_certificate
 from .verifier import MODES, VerifyConfig, verify
 
@@ -36,13 +36,7 @@ def _setup_logging():
 
 
 def _load_vector(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    data = read_json(path)
     if not isinstance(data, list):
         raise InputError(f"{path}: expected a JSON array")
     return np.asarray(data, dtype=float)
@@ -180,13 +174,7 @@ def _neuron_from_json(doc: dict) -> Neuron:
 
 
 def cmd_separate(args) -> int:
-    try:
-        with open(args.instance) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.instance}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.instance}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    doc = read_json(args.instance)
     try:
         neuron_doc = doc["neuron"]
         xhat = np.asarray(doc["xhat"], dtype=float)

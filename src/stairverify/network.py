@@ -298,15 +298,19 @@ def network_from_json(doc: dict) -> Network:
         raise InputError(f"malformed network document: {exc}") from exc
 
 
-def load_network(path: str) -> Network:
+def read_json(path: str):
+    """The JSON document at `path`; an unreadable or malformed file raises InputError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return network_from_json(doc)
+
+
+def load_network(path: str) -> Network:
+    return network_from_json(read_json(path))
 
 
 def save_network(net: Network, path: str) -> None:

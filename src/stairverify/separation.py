@@ -319,7 +319,7 @@ class _Canonical:
         """Cost of the first-slab multipliers on every slope piece."""
         return float((self.zhat[self.a1_mask] * (self.h[1:] - self.b)[self.a1_mask]).sum())
 
-    def instance(self, orientation: str, family: str = "ray") -> PsiInstance:
+    def instance(self, orientation: str, family: str) -> PsiInstance:
         """Psi data for one sweep-based candidate family.
 
         Ray families (any `family` but "grow" and "drop") may toggle every

@@ -5,11 +5,13 @@ Every LP mode builds one model per query and runs one loop over the targets;
 a target changes only the model's objective, so rows and pooled hull cuts
 carry over. The first LP of a query and every branch-and-bound root start at
 a feasible forward-pass point. Relaxed modes bound a target by its LP, later
-targets warm-started from the previous target's last solution; in cayley
-mode they alternate solving with per-neuron separation until no pooled-new
-cut is violated. Exact modes run best-first branch-and-bound on the piece
-indicators, branching by bisecting the allowed index set of the least
-integral neuron, with lazy hull cuts at node optima in cayley mode.
+targets warm-started from the previous target's last solution. Exact modes
+run best-first branch-and-bound on the piece indicators, branching by
+bisecting the allowed index set of the least integral neuron. One cut loop,
+`_solve_with_cuts`, solves a target's LP in relaxed modes and each node's LP
+in exact modes; in cayley mode it alternates solving with per-neuron
+separation until no pooled-new cut is violated or `max_cut_rounds` is
+reached, so a node re-solves its cuts in place.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +37,12 @@ MIP_GAP = 1e-9   # a node is pruned unless its bound beats the incumbent by more
 
 @dataclass
 class VerifyConfig:
-    """Verification settings; `node_limit` caps each target's `VerifyReport.nodes`."""
+    """Verification settings. `max_cut_rounds` caps the cut rounds of each
+    target in cayley-lp and of each node in cayley-exact; `node_limit` caps
+    each target's distinct branch-and-bound nodes (`VerifyReport.nodes`).
+    A cayley-exact leaf whose rounds ran out is bounded by its last LP: the
+    seed cuts pin an integral point of a staircase to its piece, so that
+    bound is exact there, and sound but possibly loose for other activations."""
 
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
@@ -60,9 +67,10 @@ class VerifyConfig:
 
 @dataclass
 class VerifyReport:
-    """Outcome and counters of one query. `nodes` counts every node LP solve,
-    re-solves after a cut round that added cuts included; `rounds` counts those
-    rounds, so an exact search visited `nodes - rounds` distinct nodes."""
+    """Outcome and counters of one query. `nodes` counts the distinct
+    branch-and-bound nodes an exact search solved; `rounds` counts the cut
+    rounds that added cuts, per target in cayley-lp and summed over the nodes
+    in cayley-exact."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
     counterexample: np.ndarray | None = None
@@ -81,25 +89,11 @@ class VerifyReport:
     diagnostic: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "target_bounds": {str(k): v for k, v in self.target_bounds.items()},
-            "counterexample": None if self.counterexample is None
-            else [float(v) for v in self.counterexample],
-            "cuts_added": self.cuts_added,
-            "nodes": self.nodes,
-            "gap_percent": self.gap_percent,
-            "solve_time": self.solve_time,
-            "separation_time": self.separation_time,
-            "rounds": self.rounds,
-            "separation_failures": self.separation_failures,
-            "separation_calls": self.separation_calls,
-            "separation_screened": self.separation_screened,
-            "lp_phase1_iterations": self.lp_phase1_iterations,
-            "lp_phase2_iterations": self.lp_phase2_iterations,
-            "warm_solves": self.warm_solves,
-            "diagnostic": self.diagnostic,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["target_bounds"] = {str(k): v for k, v in self.target_bounds.items()}
+        doc["counterexample"] = (None if self.counterexample is None
+                                 else [float(v) for v in self.counterexample])
+        return doc
 
 
 def _solve(lp, warm, report: VerifyReport):
@@ -160,22 +154,6 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyRepor
     return added
 
 
-def verify_relaxed(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    """LP-relaxation verification; cayley-lp interleaves cutting-plane rounds."""
-    if config.is_exact:
-        raise InputError("verify_relaxed requires a relaxation mode")
-    if config.mode == "deeppoly":
-        return _verify_deeppoly(query, config)
-    return _verify_targets(query, config)
-
-
-def verify_exact(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    """Best-first branch-and-bound on the piece indicators of each neuron."""
-    if not config.is_exact:
-        raise InputError("verify_exact requires an exact mode")
-    return _verify_targets(query, config)
-
-
 def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
     """The target loop of every LP mode, over one model built for the query.
 
@@ -224,21 +202,25 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
 
 
 def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
-                     deadline: float, warm: LpSolution | None = None):
+                     deadline: float, warm: LpSolution | None = None,
+                     fixed_z: dict | None = None, cutoff: float = -np.inf):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    The first solve starts from `warm`, each re-solve from the previous
-    solution. Returns (value, last LpSolution, diagnostic), value None when
-    the LP has no optimum, and adds the rounds, cuts, separation and LP
-    counts to `report`. Past the deadline no round runs, and the last
-    (sound) value comes with the timeout diagnostic. The objective is
+    `fixed_z` restricts the piece indicators as in `model.to_lp` (a
+    branch-and-bound node). The first solve starts from `warm`, each re-solve
+    from the previous solution. Returns (value, last LpSolution, diagnostic),
+    value None when the LP has no optimum, and adds the rounds, cuts,
+    separation and LP counts to `report`. No round runs after
+    `max_cut_rounds` rounds or once the value is at or below `cutoff` (the
+    node would be pruned anyway). Past the deadline no round runs, and the
+    last (sound) value comes with the timeout diagnostic. The objective is
     non-increasing round over round since rows only accumulate.
     """
     prev = np.inf
     rounds = 0
     sol = warm
     while True:
-        sol = _solve(model.to_lp(), sol, report)
+        sol = _solve(model.to_lp(fixed_z), sol, report)
         if sol.status == "infeasible":
             return None, None, "relaxation infeasible (stale bounds?)"
         if sol.status != "optimal":
@@ -247,7 +229,7 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
         if value > prev + 1e-9:
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
-        if model.mode != CAYLEY or rounds >= config.max_cut_rounds:
+        if model.mode != CAYLEY or rounds >= config.max_cut_rounds or value <= cutoff:
             return value, sol, ""
         if time.monotonic() > deadline:
             return value, sol, TIMEOUT
@@ -261,7 +243,7 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
         rounds += 1
 
 
-def _verify_deeppoly(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
+def _verify_deeppoly(query: VerificationQuery) -> VerifyReport:
     report = VerifyReport(verdict="robust")
     t0 = time.monotonic()
     region = query.input_region()
@@ -321,11 +303,13 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
                       deadline: float, report: VerifyReport):
     """Best-first search; returns (upper bound, incumbent LpSolution, diagnostic).
 
-    The root LP starts from `_forward_start`, node LPs from the parent's
-    solution (basis and point); cayley mode separates lazily at node optima.
-    Without a limit the bound is the exact optimum, attained by the incumbent
-    (None when no node is feasible). At this target's node limit or the
-    deadline it is the larger of the best open node's bound and the
+    Each node is solved once by `_solve_with_cuts` with its piece sets fixed,
+    cutting off at the incumbent, so cayley mode separates at the node
+    in place; a node is pushed only to be branched. The root LP starts from
+    `_forward_start`, node LPs from the parent's solution (basis and point).
+    Without a limit the bound is the exact optimum, attained by the
+    incumbent (None when no node is feasible). At this target's node limit or
+    the deadline it is the larger of the best open node's bound and the
     incumbent's value, which is sound, and the diagnostic names the limit.
     """
     serial = itertools.count()
@@ -339,34 +323,26 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     def push(allowed, bound, warm):
         heapq.heappush(heap, _Node(-bound, next(serial), allowed, warm))
 
+    def stop(limit, open_bound):
+        report.gap_percent = max(report.gap_percent, _gap_percent(open_bound, incumbent))
+        return max(open_bound, incumbent), incumbent_sol, limit
+
     push(root_allowed, np.inf, _forward_start(model))
     while heap:
-        best_bound = -heap[0].neg_bound
-        limit = (TIMEOUT if time.monotonic() > deadline
-                 else "nodes limit reached" if report.nodes >= node_budget else "")
-        if limit:
-            report.gap_percent = max(report.gap_percent, _gap_percent(best_bound, incumbent))
-            return max(best_bound, incumbent), incumbent_sol, limit
+        if time.monotonic() > deadline:
+            return stop(TIMEOUT, -heap[0].neg_bound)
+        if report.nodes >= node_budget:
+            return stop("nodes limit reached", -heap[0].neg_bound)
         node = heapq.heappop(heap)
-        parent_bound = -node.neg_bound
-        if parent_bound <= incumbent + MIP_GAP:
+        if -node.neg_bound <= incumbent + MIP_GAP:
             continue
         report.nodes += 1
-        sol = _solve(model.to_lp(fixed_z=node.allowed), node.warm, report)
-        if sol.status != "optimal":
+        bound, sol, diag = _solve_with_cuts(model, config, report, deadline, node.warm,
+                                            node.allowed, incumbent + MIP_GAP)
+        if bound is None or bound <= incumbent + MIP_GAP:
             continue
-        bound = sol.objective
-        if bound <= incumbent + MIP_GAP:
-            continue
-        if config.formulation == CAYLEY:
-            t0 = time.monotonic()
-            added = _cut_round(model, sol.x, config.cut_tol, report)
-            report.separation_time += time.monotonic() - t0
-            if added:
-                report.cuts_added += added
-                report.rounds += 1
-                push(node.allowed, bound, sol)
-                continue
+        if diag:  # the deadline passed between cut rounds; this node stays open
+            return stop(diag, max(bound, -heap[0].neg_bound) if heap else bound)
         frac_key, frac_score = None, 1e-6
         for nf in model.activated_neurons():
             _, _, zv = model.neuron_point(sol.x, nf.key)
@@ -375,9 +351,8 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
                 frac_key, frac_score = nf.key, score
         # a numerically fractional but structurally fixed neuron counts as integral
         if frac_key is None or len(node.allowed[frac_key]) <= 1:
-            if bound > incumbent:
-                incumbent = bound
-                incumbent_sol = sol
+            incumbent = bound
+            incumbent_sol = sol
             continue
         allowed = node.allowed[frac_key]
         half = len(allowed) // 2
@@ -395,4 +370,8 @@ def _gap_percent(bound: float, incumbent: float) -> float:
 
 
 def verify(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    return verify_exact(query, config) if config.is_exact else verify_relaxed(query, config)
+    """Verify `query` in `config.mode`: DeepPoly alone, an LP relaxation, or
+    branch-and-bound."""
+    if config.mode == "deeppoly":
+        return _verify_deeppoly(query)
+    return _verify_targets(query, config)

@@ -18,7 +18,7 @@ from stairverify.separation import (LOWER, THETA2_ZERO, UPPER, PsiInstance,
                                     _canonicalize, _oracle, minimize_psi_c,
                                     round_fractional, separate_pwl,
                                     separate_staircase)
-from stairverify.verifier import VerifyConfig, verify_exact, verify_relaxed
+from stairverify.verifier import VerifyConfig, verify
 
 from helpers import (random_neuron, random_pwl, random_quantized_network,
                      random_query_point, scaled_dual_lp, separation_lp)
@@ -241,7 +241,7 @@ def test_criterion_6_exact_verifier_ground_truth():
                               1 - label)
         truth = exhaustive_verify(build_query_model(q, BIGM))
         for mode in ("bigm-exact", "cayley-exact"):
-            rep = verify_exact(q, VerifyConfig(mode=mode, timeout=60))
+            rep = verify(q, VerifyConfig(mode=mode, timeout=60))
             got = rep.target_bounds[1 - label]
             worst = max(worst, abs(got - truth))
             if abs(got - truth) > 1e-6 * max(1.0, abs(truth)):
@@ -273,7 +273,7 @@ def test_criterion_7_relaxation_ordering():
             q = VerificationQuery(net, x0, eps, label, 1 - label)
             bounds = {}
             for mode in counts:
-                rep = verify_relaxed(q, VerifyConfig(mode=mode))
+                rep = verify(q, VerifyConfig(mode=mode))
                 bounds[mode] = rep.target_bounds.get(1 - label, np.inf)
                 if rep.verdict == "robust":
                     counts[mode] += 1

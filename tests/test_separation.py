@@ -18,7 +18,7 @@ from helpers import random_neuron, random_query_point, separation_lp
 
 def build_psi(neuron, xhat, zhat, orientation=THETA2_ZERO, direction=UPPER):
     """Scaled ray-family psi data for a staircase neuron at (xhat, zhat)."""
-    return _canonicalize(neuron, xhat, zhat, direction).instance(orientation)
+    return _canonicalize(neuron, xhat, zhat, direction).instance(orientation, "ray")
 
 
 def check_every_candidate(canon):

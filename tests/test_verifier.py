@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from stairverify.errors import InputError
 from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
 from stairverify.oracles import exhaustive_verify
-from stairverify.verifier import (VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts,
-                                  verify, verify_exact, verify_relaxed)
+from stairverify.verifier import VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts, verify
 
 from helpers import random_quantized_network
 
@@ -34,12 +35,6 @@ def test_eps_zero_verdict_matches_classification():
 def test_mode_validation():
     with pytest.raises(InputError):
         VerifyConfig(mode="magic")
-    rng = np.random.default_rng(61)
-    q = _tiny_query(rng)
-    with pytest.raises(InputError):
-        verify_exact(q, VerifyConfig(mode="cayley-lp"))
-    with pytest.raises(InputError):
-        verify_relaxed(q, VerifyConfig(mode="bigm-exact"))
 
 
 def test_single_neuron_exact_equals_best_slice():
@@ -53,8 +48,8 @@ def test_single_neuron_exact_equals_best_slice():
         sol = solve(model.pattern_lp((piece,)))
         if sol.status == "optimal":
             per_piece.append(sol.objective)
-    report = verify_exact(q.with_target(q.targets()[0]),
-                          VerifyConfig(mode="bigm-exact", timeout=30))
+    report = verify(q.with_target(q.targets()[0]),
+                    VerifyConfig(mode="bigm-exact", timeout=30))
     assert report.target_bounds[q.targets()[0]] == pytest.approx(max(per_piece),
                                                                  abs=1e-7)
 
@@ -69,7 +64,7 @@ def test_exact_modes_agree_with_exhaustive_oracle():
         tq = q.with_target(target)
         truth = exhaustive_verify(build_query_model(tq, BIGM))
         for mode in ("bigm-exact", "cayley-exact"):
-            report = verify_exact(tq, VerifyConfig(mode=mode, timeout=60))
+            report = verify(tq, VerifyConfig(mode=mode, timeout=60))
             assert report.target_bounds[target] == pytest.approx(truth, abs=1e-6)
 
 
@@ -106,7 +101,7 @@ def test_relaxed_bounds_dominate_exact():
         truth = exhaustive_verify(build_query_model(tq, BIGM))
         bounds = {}
         for mode in ("deeppoly", "bigm-lp", "cayley-lp"):
-            rep = verify_relaxed(tq, VerifyConfig(mode=mode))
+            rep = verify(tq, VerifyConfig(mode=mode))
             bounds[mode] = rep.target_bounds.get(target)
         for mode, bnd in bounds.items():
             if bnd is not None:
@@ -133,19 +128,18 @@ def test_falsified_reports_carry_replayable_counterexamples():
 def test_exact_node_limit_reports_unknown_with_gap():
     rng = np.random.default_rng(67)
     q = _tiny_query(rng, hidden=(4,), bits=2, eps=0.3, weight_scale=1.5)
-    rep = verify_exact(q, VerifyConfig(mode="bigm-exact", node_limit=1,
-                                       timeout=30))
+    rep = verify(q, VerifyConfig(mode="bigm-exact", node_limit=1, timeout=30))
     if rep.verdict == "unknown":
         assert "limit" in rep.diagnostic
     # with generous limits the verdict resolves
-    rep2 = verify_exact(q, VerifyConfig(mode="bigm-exact", timeout=60))
+    rep2 = verify(q, VerifyConfig(mode="bigm-exact", timeout=60))
     assert rep2.verdict in ("robust", "falsified", "unknown")
 
 
 def test_report_serialization_round_trip():
     rng = np.random.default_rng(68)
     q = _tiny_query(rng)
-    rep = verify_relaxed(q, VerifyConfig(mode="cayley-lp"))
+    rep = verify(q, VerifyConfig(mode="cayley-lp"))
     doc = rep.as_dict()
     assert doc["verdict"] == rep.verdict
     assert set(doc) >= {"verdict", "target_bounds", "cuts_added", "nodes",
@@ -156,7 +150,7 @@ def test_timeout_is_honored():
     rng = np.random.default_rng(69)
     q = _tiny_query(rng, hidden=(4, 3), bits=2, eps=0.3, weight_scale=1.5)
     t0 = __import__("time").monotonic()
-    rep = verify_exact(q, VerifyConfig(mode="cayley-exact", timeout=0.02))
+    rep = verify(q, VerifyConfig(mode="cayley-exact", timeout=0.02))
     elapsed = __import__("time").monotonic() - t0
     assert elapsed < 10.0
     if rep.verdict == "unknown":
@@ -227,9 +221,9 @@ def test_declared_pwl_activation_end_to_end():
     q = VerificationQuery(net, x0, 0.15, label, 1 - label)
     truth = exhaustive_verify(build_query_model(q, BIGM))
     for mode in ("bigm-exact", "cayley-exact"):
-        rep = verify_exact(q, VerifyConfig(mode=mode, timeout=60))
+        rep = verify(q, VerifyConfig(mode=mode, timeout=60))
         assert rep.target_bounds[1 - label] == pytest.approx(truth, abs=1e-6)
-    relax = verify_relaxed(q, VerifyConfig(mode="cayley-lp"))
+    relax = verify(q, VerifyConfig(mode="cayley-lp"))
     assert relax.target_bounds[1 - label] >= truth - 1e-7
 
 
@@ -249,9 +243,9 @@ def test_negative_slope_staircase_end_to_end():
     q = VerificationQuery(net, x0, 0.2, label, 1 - label)
     truth = exhaustive_verify(build_query_model(q, BIGM))
     for mode in ("bigm-exact", "cayley-exact"):
-        rep = verify_exact(q, VerifyConfig(mode=mode, timeout=60))
+        rep = verify(q, VerifyConfig(mode=mode, timeout=60))
         assert rep.target_bounds[1 - label] == pytest.approx(truth, abs=1e-6)
-    relax = verify_relaxed(q, VerifyConfig(mode="cayley-lp"))
+    relax = verify(q, VerifyConfig(mode="cayley-lp"))
     assert relax.target_bounds[1 - label] >= truth - 1e-7
 
 
@@ -353,7 +347,7 @@ def test_report_counters_agree(mode, monkeypatch):
         assert report.separation_calls == 0
     else:
         assert report.separation_screened > 0 and report.separation_calls % 2 == 0
-    # a round counts when it adds cuts; in cayley-exact its node is solved again
+    # a round counts when it adds cuts; in cayley-exact its node is re-solved in place
     assert report.rounds == len(adding_rounds)
     assert report.cuts_added == sum(adding_rounds)
     if mode.startswith("cayley"):
@@ -530,7 +524,7 @@ def test_limit_bounds_stay_above_the_exact_optimum(mode):
         target = q.targets()[0]
         truth = exhaustive_verify(build_query_model(q.with_target(target), BIGM))
         for node_limit in (1, 2, 3):
-            rep = verify_exact(q, VerifyConfig(mode=mode, node_limit=node_limit, timeout=60))
+            rep = verify(q, VerifyConfig(mode=mode, node_limit=node_limit, timeout=60))
             if "limit" not in rep.diagnostic:
                 continue
             limited += 1
@@ -626,7 +620,6 @@ def test_forward_start_is_the_trace_of_a_box_corner():
 def test_node_limit_applies_to_each_target(monkeypatch):
     from stairverify import verifier
     q = _three_label_query()
-    exact = verify(q, VerifyConfig(mode="bigm-exact", timeout=60)).target_bounds
     bnb = verifier._branch_and_bound
     nodes = []
 
@@ -636,11 +629,59 @@ def test_node_limit_applies_to_each_target(monkeypatch):
         nodes.append(report.nodes - before)
         return out
 
+    modes = ("bigm-exact", "cayley-exact")
+    exact = {mode: verify(q, VerifyConfig(mode=mode, timeout=60)).target_bounds for mode in modes}
     monkeypatch.setattr(verifier, "_branch_and_bound", spy)
-    for node_limit in range(1, 12):
+    for mode, node_limit in itertools.product(modes, range(1, 12)):
         nodes.clear()
-        report = verify(q, VerifyConfig(mode="bigm-exact", node_limit=node_limit, timeout=60))
-        assert report.target_bounds.keys() == exact.keys() and len(nodes) == 2
+        report = verify(q, VerifyConfig(mode=mode, node_limit=node_limit, timeout=60))
+        assert report.target_bounds.keys() == exact[mode].keys() and len(nodes) == 2
         for target, bound in report.target_bounds.items():
-            assert np.isfinite(bound) and bound >= exact[target] - 1e-9, (node_limit, target)
-        assert all(1 <= n <= node_limit for n in nodes), node_limit
+            assert np.isfinite(bound) and bound >= exact[mode][target] - 1e-9, (mode, node_limit)
+        assert all(1 <= n <= node_limit for n in nodes), (mode, node_limit)
+
+
+def test_cayley_exact_honours_max_cut_rounds():
+    q = _three_label_query()
+    full = verify(q, VerifyConfig(mode="cayley-exact", timeout=60))
+    none = verify(q, VerifyConfig(mode="cayley-exact", max_cut_rounds=0, timeout=60))
+    assert full.rounds > 0 and none.rounds == none.cuts_added == 0
+    assert none.verdict == full.verdict == "robust"
+    assert none.target_bounds.keys() == full.target_bounds.keys()
+    for target, bound in full.target_bounds.items():
+        assert none.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
+def test_nodes_count_each_node_solve_once(mode, monkeypatch):
+    from stairverify import verifier
+    solve_with_cuts = verifier._solve_with_cuts
+    node_solves = []
+
+    def spy(model, config, report, deadline, warm=None, fixed_z=None, cutoff=-np.inf):
+        assert fixed_z is not None
+        node_solves.append(fixed_z)
+        return solve_with_cuts(model, config, report, deadline, warm, fixed_z, cutoff)
+
+    monkeypatch.setattr(verifier, "_solve_with_cuts", spy)
+    report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))
+    assert report.verdict == "robust"
+    assert report.nodes == len(node_solves) > 2
+
+
+def test_exact_deadline_between_cut_rounds_keeps_the_node_open(monkeypatch):
+    from types import SimpleNamespace
+    from stairverify import verifier
+    q = _three_label_query()
+    target = q.targets()[0]
+    model = build_query_model(q.with_target(target), "cayley")
+    root_lp = solve(model.to_lp()).objective
+    exact = verify(q.with_target(target), VerifyConfig(mode="bigm-exact")).target_bounds[target]
+    ticks = iter([0.0])   # the search starts before the deadline, every later reading is past it
+    monkeypatch.setattr(verifier, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
+    report = VerifyReport("robust")
+    value, _, diag = verifier._branch_and_bound(model, VerifyConfig(mode="cayley-exact"), 1.0,
+                                                report)
+    assert (diag, report.nodes, report.rounds) == ("timeout limit reached", 1, 0)
+    assert value == pytest.approx(root_lp, rel=1e-9) and value >= exact - 1e-9
+    assert report.gap_percent == float("inf")
