@@ -83,18 +83,15 @@ def _is_uniform(values, tol) -> bool:
     return float(values.max() - values.min()) <= tol * max(1.0, float(np.abs(values).max()))
 
 
-def deeppoly_activation_relax(f: PiecewiseLinear, L: float, U: float
-                              ) -> tuple[Line, Line]:
+def deeppoly_activation_relax(f: PiecewiseLinear) -> tuple[Line, Line]:
     """Upper and lower (slope, const) lines of a non-decreasing uniform
     piecewise-constant staircase.
 
-    The slope applies to the pre-activation value t in [L, U]. Cases:
+    The slope applies to the pre-activation value t in f's domain. Cases:
     k = 2 branches on the widths of the outer pieces; k > 2 branches on the
     first/last widths against the uniform interior step. Non-uniform steps fall
     back to constant bounds; decreasing staircases are rejected.
     """
-    if abs(L - f.lo) > 1e-7 * max(1.0, abs(L)) or abs(U - f.hi) > 1e-7 * max(1.0, abs(U)):
-        raise ParameterError("activation must already be aligned to [L, U]")
     if np.any(np.abs(f.slopes) > 1e-12):
         raise ParameterError("relaxation rules require a piecewise-constant staircase")
     levels = f.intercepts
@@ -136,9 +133,9 @@ def deeppoly_activation_relax(f: PiecewiseLinear, L: float, U: float
     return upper, (cl, float(levels[0] - cl * h[1]))
 
 
-def relax_activation(f: PiecewiseLinear, L: float, U: float) -> tuple[Line, Line]:
+def relax_activation(f: PiecewiseLinear) -> tuple[Line, Line]:
     """Upper and lower (slope, const) lines sandwiching any supported
-    activation aligned to [L, U].
+    activation over its domain [f.lo, f.hi].
 
     Dispatch: exact lines for a single piece, triangle-style relaxation for
     continuous two-piece staircases (ReLU and friends), the quantizer rules
@@ -150,8 +147,9 @@ def relax_activation(f: PiecewiseLinear, L: float, U: float) -> tuple[Line, Line
         a, d = float(f.slopes[0]), float(f.intercepts[0])
         return (a, d), (a, d)
     if np.all(np.abs(f.slopes) <= 1e-12):
-        return deeppoly_activation_relax(f, L, U)
+        return deeppoly_activation_relax(f)
     if k == 2 and f.is_continuous():
+        L, U = f.lo, f.hi
         a1, a2 = float(f.slopes[0]), float(f.slopes[1])
         h1 = float(f.breakpoints[1])
         yL, yU = f.piece_value(0, L), f.piece_value(1, U)
@@ -163,12 +161,12 @@ def relax_activation(f: PiecewiseLinear, L: float, U: float) -> tuple[Line, Line
         if a2 > a1:  # convex kink: secant above, piece line below
             return sec_bound, line
         return line, sec_bound
-    return _secant_sandwich(f, L, U)
+    return _secant_sandwich(f)
 
 
-def _secant_sandwich(f: PiecewiseLinear, L: float, U: float) -> tuple[Line, Line]:
+def _secant_sandwich(f: PiecewiseLinear) -> tuple[Line, Line]:
     """Sound generic sandwich: secant slope shifted to clear every corner."""
-    slope = (f.piece_value(f.num_pieces - 1, U) - f.piece_value(0, L)) / (U - L)
+    slope = (f.piece_value(f.num_pieces - 1, f.hi) - f.piece_value(0, f.lo)) / (f.hi - f.lo)
     lefts = f.slopes * f.breakpoints[:-1] + f.intercepts
     rights = f.slopes * f.breakpoints[1:] + f.intercepts
     gaps = np.concatenate([lefts - slope * f.breakpoints[:-1],
@@ -192,7 +190,7 @@ class _LayerRelax:
                 self.cu[j] = self.cl[j] = 1.0
                 self.bu[j] = self.bl[j] = 0.0
                 continue
-            upper, lower = relax_activation(f, f.lo, f.hi)
+            upper, lower = relax_activation(f)
             (self.cu[j], self.bu[j]), (self.cl[j], self.bl[j]) = upper, lower
 
 

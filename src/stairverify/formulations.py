@@ -22,7 +22,7 @@ import numpy as np
 from . import pwl as pwl_mod
 from .bounds import PreActBounds, deeppoly_bounds
 from .errors import InputError
-from .lp import EQUAL, GREATER, LESS, LinearProgram, make_row
+from .lp import EQUAL, GREATER, LESS, LinearProgram
 from .network import BoxDomain, Network, Neuron
 from .pwl import staircase_slope
 from .separation import Cut, LOWER, UPPER, is_pinned, retrieve_cut
@@ -91,7 +91,7 @@ class NeuronFormulation:
     x_vars: list[int]
     y_var: int
     z_vars: list[int]
-    pool: dict = field(default_factory=dict)   # cut key -> (Cut, row index)
+    pool: set = field(default_factory=set)   # keys of the installed cuts
     pinned: bool = field(init=False)  # constant pre-activation: nothing to separate
 
     def __post_init__(self):
@@ -105,8 +105,9 @@ class NeuronFormulation:
 class _RowModel:
     """Shared variable/row bookkeeping for neuron and query models.
 
-    Every variable exists before the first row, so each row is built once as
-    a dense `make_row` tuple, the form `LinearProgram` reads.
+    Every variable exists before the first row, so the rows live in one
+    dense matrix, grown by doubling, next to their senses and right-hand
+    sides: `to_lp` hands the filled rows to `LinearProgram` as they are.
     """
 
     def __init__(self, mode: str):
@@ -115,7 +116,9 @@ class _RowModel:
         self.mode = mode
         self.lower: list[float] = []
         self.upper: list[float] = []
-        self.rows: list[tuple[np.ndarray, str, float]] = []
+        self._matrix = np.zeros((0, 0))
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
         self.objective: np.ndarray | None = None
         self.neurons: dict[tuple[int, int], NeuronFormulation] = {}
 
@@ -124,9 +127,14 @@ class _RowModel:
         self.upper.append(float(hi))
         return len(self.lower) - 1
 
-    def _add_row(self, coeffs: np.ndarray, sense: str, rhs: float) -> int:
-        self.rows.append(make_row(coeffs, sense, rhs, self.num_vars()))
-        return len(self.rows) - 1
+    def _add_row(self, coeffs: np.ndarray, sense: str, rhs: float) -> None:
+        m = len(self.rhs)
+        if m == len(self._matrix):   # double the rows; the first row sets the width
+            width = self.num_vars() - self._matrix.shape[1]
+            self._matrix = np.pad(self._matrix, ((0, max(64, m)), (0, width)))
+        self._matrix[m] = coeffs
+        self.senses.append(sense)
+        self.rhs.append(float(rhs))
 
     def num_vars(self) -> int:
         return len(self.lower)
@@ -205,28 +213,20 @@ class _RowModel:
         row[nf.z_vars] += cut.zcoef
         row[nf.y_var] -= cut.y_coef
         sense = LESS if (cut.y_coef != 0.0 and cut.direction == LOWER) else GREATER
-        ridx = self._add_row(row, sense, -cut.const)
-        nf.pool[key] = (cut, ridx)
+        self._add_row(row, sense, -cut.const)
+        nf.pool.add(key)
         return True
 
     def neuron_point(self, x: np.ndarray, key: tuple[int, int]):
         nf = self.neurons[key]
         return x[nf.x_vars], float(x[nf.y_var]), x[nf.z_vars]
 
-    def to_lp(self, fixed_z: dict | None = None) -> LinearProgram:
-        """Dense LinearProgram maximizing the objective; `fixed_z` pins allowed
-        piece sets per neuron key."""
-        lower = np.array(self.lower)
-        upper = np.array(self.upper)
-        if fixed_z:
-            for key, allowed in fixed_z.items():
-                nf = self.neurons[key]
-                allowed = set(allowed)
-                for i, z in enumerate(nf.z_vars):
-                    if i not in allowed:
-                        lower[z] = 0.0
-                        upper[z] = 0.0
-        return LinearProgram("max", self.objective.copy(), list(self.rows), lower, upper)
+    def to_lp(self, upper: np.ndarray | None = None) -> LinearProgram:
+        """The LP maximizing the objective, its rows a view of the model's (not
+        to be written); `upper` replaces the variable upper bounds (a B&B node)."""
+        return LinearProgram("max", self.objective.copy(), self._matrix[:len(self.rhs)],
+                             self.senses, self.rhs, np.array(self.lower),
+                             np.array(self.upper) if upper is None else upper)
 
     def activated_neurons(self) -> list[NeuronFormulation]:
         return [self.neurons[k] for k in sorted(self.neurons)]
@@ -377,8 +377,8 @@ class QueryModel(_RowModel):
         if len(pattern) != len(neurons):
             raise InputError("pattern length must match the activated neuron count")
         n = self.num_vars()
-        lp = LinearProgram("max", self.objective.copy(),
-                           lower=np.array(self.lower), upper=np.array(self.upper))
+        unit = np.eye(n)
+        rows: list[tuple[np.ndarray, str, float]] = []
         for li, layer in enumerate(self.net.layers):
             for j in range(layer.out_dim):
                 if (li, j) in self.neurons:
@@ -386,7 +386,7 @@ class QueryModel(_RowModel):
                 row = np.zeros(n)
                 row[self.layer_inputs[li]] = layer.weights[j]
                 row[self.y_vars[li][j]] -= 1.0
-                lp.add_row(row, EQUAL, -float(layer.bias[j]))
+                rows.append((row, EQUAL, -float(layer.bias[j])))
         for nf, piece in zip(neurons, pattern):
             f = nf.neuron.activation
             w = nf.neuron.weight
@@ -399,17 +399,14 @@ class QueryModel(_RowModel):
                 lower += margin * max(1.0, abs(lower))
             if piece + 1 < f.num_pieces:
                 upper -= margin * max(1.0, abs(upper))
-            lp.add_row(pre, GREATER, lower)
-            lp.add_row(pre, LESS, upper)
+            rows += [(pre, GREATER, lower), (pre, LESS, upper)]
             graph = -float(f.slopes[piece]) * pre
             graph[nf.y_var] += 1.0
-            lp.add_row(graph, EQUAL,
-                       float(f.slopes[piece]) * b + float(f.intercepts[piece]))
-            for i, z in enumerate(nf.z_vars):
-                row = np.zeros(n)
-                row[z] = 1.0
-                lp.add_row(row, EQUAL, 1.0 if i == piece else 0.0)
-        return lp
+            rows.append((graph, EQUAL, float(f.slopes[piece]) * b + float(f.intercepts[piece])))
+            rows += [(unit[z], EQUAL, float(i == piece)) for i, z in enumerate(nf.z_vars)]
+        coeffs, senses, rhs = zip(*rows)
+        return LinearProgram("max", self.objective.copy(), np.array(coeffs), senses, rhs,
+                             np.array(self.lower), np.array(self.upper))
 
 
 def build_query_model(query: VerificationQuery, mode: str,

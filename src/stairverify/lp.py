@@ -4,13 +4,16 @@ Instances at desk scale (hundreds of variables) do not justify sparse
 machinery, so everything is dense numpy. The solver is the single numeric
 authority for the toolkit: pivot tolerance 1e-9, feasibility tolerance 1e-7.
 
-Infinite bounds use the sentinel +/-1e30 and never enter arithmetic beyond
-comparisons.
+An LP is one dense (m, n) row matrix with its row senses and right-hand
+sides, validated once when it is made. Every solve, with rows or without,
+takes one path: the tableau [A | I] appends one slack per row, bounded by the
+row's sense, to the variable bounds. Infinite bounds use the sentinel +/-1e30
+and never enter arithmetic beyond comparisons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +28,14 @@ LESS, EQUAL, GREATER = "<=", "=", ">="
 
 @dataclass
 class LinearProgram:
-    """min/max c.x  subject to  row senses and per-variable bounds."""
+    """min/max c.x  subject to  rows @ x (senses) rhs  and per-variable bounds;
+    `rows` is (m, n), `senses` and `rhs` have m entries, validated once."""
 
     sense: str  # "max" | "min"
     objective: np.ndarray
-    rows: list = field(default_factory=list)        # make_row tuples
+    rows: np.ndarray | None = None
+    senses: np.ndarray | None = None
+    rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
@@ -42,25 +48,30 @@ class LinearProgram:
         self.upper = np.full(n, INF) if self.upper is None else np.asarray(self.upper, dtype=float)
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ParameterError("bounds must match the objective length")
+        self.rows = np.zeros((0, n)) if self.rows is None else np.asarray(self.rows, dtype=float)
+        self.senses = np.array([] if self.senses is None else self.senses, dtype=str)
+        self.rhs = np.array([] if self.rhs is None else self.rhs, dtype=float)
+        m = self.senses.size
+        if self.rows.shape != (m, n) or self.senses.shape != (m,) or self.rhs.shape != (m,):
+            raise ParameterError("rows must be an (m, n) matrix with m senses and rhs")
+        valid = (self.senses == LESS) | (self.senses == EQUAL) | (self.senses == GREATER)
+        if not valid.all():
+            raise ParameterError(f"bad row sense '{self.senses[~valid][0]}'")
+        if not (np.all(np.isfinite(self.rows)) and np.all(np.isfinite(self.rhs))):
+            raise ParameterError("row coefficients must be finite")
 
     @property
     def num_vars(self) -> int:
         return self.objective.size
 
     def add_row(self, coeffs, sense: str, rhs: float) -> None:
-        self.rows.append(make_row(coeffs, sense, rhs, self.num_vars))
-
-
-def make_row(coeffs, sense: str, rhs: float, n: int) -> tuple[np.ndarray, str, float]:
-    """A validated (dense coefficients, sense, rhs) row over `n` variables."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n,):
-        raise ParameterError("row length must match the variable count")
-    if sense not in (LESS, EQUAL, GREATER):
-        raise ParameterError(f"bad row sense {sense!r}")
-    if not np.all(np.isfinite(coeffs)) or not np.isfinite(rhs):
-        raise ParameterError("row coefficients must be finite")
-    return coeffs, sense, float(rhs)
+        """Append one row and validate the grown LP (for LPs built by hand)."""
+        if np.shape(coeffs) != (self.num_vars,):
+            raise ParameterError("row length must match the variable count")
+        grown = LinearProgram(self.sense, self.objective, np.vstack([self.rows, coeffs]),
+                              np.append(self.senses, sense), np.append(self.rhs, rhs),
+                              self.lower, self.upper)
+        self.rows, self.senses, self.rhs = grown.rows, grown.senses, grown.rhs
 
 
 @dataclass
@@ -79,25 +90,14 @@ class _Tableau:
     """Working state of one solve: columns = structurals + slacks + artificials."""
 
     def __init__(self, lp: LinearProgram):
-        m, n = len(lp.rows), lp.num_vars
+        m, n = lp.rows.shape
         self.m, self.n = m, n
-        self.A = np.zeros((m, n + m))
-        self.lower = np.concatenate([lp.lower, np.zeros(m)])
-        self.upper = np.concatenate([lp.upper, np.zeros(m)])
-        self.b = np.zeros(m)
-        for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-            self.A[i, :n] = coeffs
-            self.A[i, n + i] = 1.0
-            self.b[i] = rhs
-            if sense == LESS:
-                self.lower[n + i], self.upper[n + i] = 0.0, INF
-            elif sense == GREATER:
-                self.lower[n + i], self.upper[n + i] = -INF, 0.0
-            else:
-                self.lower[n + i], self.upper[n + i] = 0.0, 0.0
+        self.A = np.hstack([lp.rows, np.eye(m)])
+        # slack i of row i: >= 0 under LESS, <= 0 under GREATER, 0 under EQUAL
+        self.lower = np.concatenate([lp.lower, np.where(lp.senses == GREATER, -INF, 0.0)])
+        self.upper = np.concatenate([lp.upper, np.where(lp.senses == LESS, INF, 0.0)])
+        self.b = lp.rhs
         self.ncols = n + m
-        self.basis: list[int] = []
-        self.binv: np.ndarray | None = None
 
     def refactor(self):
         B = self.A[:, self.basis]
@@ -254,8 +254,11 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     any numerical failure under a warm start falls back to the cold start
     before being reported. A `warm` with an empty basis is a start point, its
     x clipped into the bounds on the slack basis: phase 1 runs only from a
-    point that misses a row by more than FEAS_TOL.
+    point that misses a row by more than FEAS_TOL. Bounds that cross by more
+    than FEAS_TOL make the LP infeasible before any solve.
     """
+    if np.any(lp.lower > lp.upper + FEAS_TOL):
+        return LpSolution(status="infeasible")
     try:
         return _solve_once(lp, warm)
     except NumericalError:
@@ -277,28 +280,17 @@ def _extended_basis(warm: LpSolution | None, n: int, m: int) -> list[int] | None
 def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
     tab = _Tableau(lp)
     m, n = tab.m, tab.n
-    if m == 0:
-        return _solve_boxonly(lp)
     max_iter = 2000 + 200 * (m + n)   # cycling guard
 
     x = _initial_point(tab)
-    tab.basis = list(range(n, n + m))
-    warm_used = False
     basis = _extended_basis(warm, n, m)
-    if basis is not None:
-        try:
-            tab.basis = basis
-            tab.refactor()
-        except NumericalError:
-            tab.basis = list(range(n, n + m))
-            tab.binv = None
-        else:
-            warm_used = True
-            # nonbasic structurals resume at the previous vertex; the slack
-            # basis of a rejected warm start needs its columns on bounds
-            x[:n] = np.clip(warm.x, lp.lower, lp.upper)
-    if tab.binv is None:
-        tab.refactor()
+    warm_used = basis is not None
+    # a singular warm basis raises here, and `solve` restarts cold
+    tab.basis = basis if warm_used else list(range(n, n + m))
+    tab.refactor()
+    if warm_used:
+        # nonbasic structurals resume at the previous vertex
+        x[:n] = np.clip(warm.x, lp.lower, lp.upper)
 
     _set_basic_values(tab, x)
 
@@ -384,15 +376,3 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
         phase1_iterations=it1,
         warm_used=warm_used,
     )
-
-
-def _solve_boxonly(lp: LinearProgram) -> LpSolution:
-    c = lp.objective if lp.sense == "max" else -lp.objective
-    x = np.where(c > 0, lp.upper, np.where(c < 0, lp.lower, np.clip(0.0, lp.lower, lp.upper)))
-    if np.any(np.abs(x[np.abs(c) > PIVOT_TOL]) >= INF):
-        return LpSolution(status="unbounded")
-    if np.any(lp.lower > lp.upper + FEAS_TOL):
-        return LpSolution(status="infeasible")
-    x = np.clip(x, np.maximum(lp.lower, -INF), np.minimum(lp.upper, INF))
-    return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x),
-                      duals=np.zeros(0), basis=[])

@@ -6,8 +6,9 @@ a target changes only the model's objective, so rows and pooled hull cuts
 carry over. The first LP of a query and every branch-and-bound root start at
 a feasible forward-pass point. Relaxed modes bound a target by its LP, later
 targets warm-started from the previous target's last solution. Exact modes
-run best-first branch-and-bound on the piece indicators, branching by
-bisecting the allowed index set of the least integral neuron. One cut loop,
+run best-first branch-and-bound on the piece indicators; a node is a vector
+of variable upper bounds, and a branch bisects the pieces the least integral
+neuron allows by setting the z of each dropped piece to 0. One cut loop,
 `_solve_with_cuts`, solves a target's LP in relaxed modes and each node's LP
 in exact modes; in cayley mode it alternates solving with per-neuron
 separation until no pooled-new cut is violated or `max_cut_rounds` is
@@ -28,10 +29,12 @@ from .errors import InputError, NumericalError, StairVerifyError
 from .formulations import (BIGM, CAYLEY, QueryModel, VerificationQuery,
                            attack_objective, build_query_model)
 from .lp import LpSolution, solve
+from .pwl import staircase_slope
 from .separation import LOWER, UPPER, on_vertex_graph, separate_pwl
 
 MODES = ("deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")
 TIMEOUT = "timeout limit reached"
+CUT_LIMIT = "cut rounds limit reached"
 MIP_GAP = 1e-9   # a node is pruned unless its bound beats the incumbent by more
 
 
@@ -41,8 +44,9 @@ class VerifyConfig:
     target in cayley-lp and of each node in cayley-exact; `node_limit` caps
     each target's distinct branch-and-bound nodes (`VerifyReport.nodes`).
     A cayley-exact leaf whose rounds ran out is bounded by its last LP: the
-    seed cuts pin an integral point of a staircase to its piece, so that
-    bound is exact there, and sound but possibly loose for other activations."""
+    seed cuts pin an integral point of a staircase to its piece, so on
+    staircase nets that leaf is an incumbent; otherwise its bound may be
+    loose, and the search stops there with `CUT_LIMIT`."""
 
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
@@ -203,10 +207,10 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
 
 def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
                      deadline: float, warm: LpSolution | None = None,
-                     fixed_z: dict | None = None, cutoff: float = -np.inf):
+                     upper: np.ndarray | None = None, cutoff: float = -np.inf):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    `fixed_z` restricts the piece indicators as in `model.to_lp` (a
+    `upper` replaces the variable upper bounds as in `model.to_lp` (a
     branch-and-bound node). The first solve starts from `warm`, each re-solve
     from the previous solution. Returns (value, last LpSolution, diagnostic),
     value None when the LP has no optimum, and adds the rounds, cuts,
@@ -220,7 +224,7 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
     rounds = 0
     sol = warm
     while True:
-        sol = _solve(model.to_lp(fixed_z), sol, report)
+        sol = _solve(model.to_lp(upper), sol, report)
         if sol.status == "infeasible":
             return None, None, "relaxation infeasible (stale bounds?)"
         if sol.status != "optimal":
@@ -263,12 +267,8 @@ def _verify_deeppoly(query: VerificationQuery) -> VerifyReport:
 class _Node:
     neg_bound: float
     serial: int
-    allowed: dict = field(compare=False)
+    upper: np.ndarray = field(compare=False)   # variable upper bounds, 0 on dropped pieces' z
     warm: LpSolution | None = field(compare=False, default=None)  # parent's solution
-
-
-def _fractionality(zv: np.ndarray) -> float:
-    return 1.0 - float(zv.max())
 
 
 def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
@@ -303,31 +303,35 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
                       deadline: float, report: VerifyReport):
     """Best-first search; returns (upper bound, incumbent LpSolution, diagnostic).
 
-    Each node is solved once by `_solve_with_cuts` with its piece sets fixed,
-    cutting off at the incumbent, so cayley mode separates at the node
-    in place; a node is pushed only to be branched. The root LP starts from
+    A node is the model's variable upper bounds with the z of every piece
+    its branches dropped at 0. Each node is solved once by `_solve_with_cuts`,
+    cutting off at the incumbent, so cayley mode separates at the node in
+    place; a node is pushed only to be branched. The root LP starts from
     `_forward_start`, node LPs from the parent's solution (basis and point).
     Without a limit the bound is the exact optimum, attained by the
-    incumbent (None when no node is feasible). At this target's node limit or
-    the deadline it is the larger of the best open node's bound and the
-    incumbent's value, which is sound, and the diagnostic names the limit.
+    incumbent (None when no node is feasible). The search stops at this
+    target's node limit, the deadline, or an integral node whose cut rounds
+    ran out on a net with a non-staircase (`VerifyConfig`); the bound is then
+    the larger of the best open node's bound and the incumbent's value, which
+    is sound, the diagnostic names the limit, and an open node that stopped
+    the search gives the solution in place of the incumbent's.
     """
     serial = itertools.count()
-    root_allowed = {nf.key: tuple(range(nf.neuron.activation.num_pieces))
-                    for nf in model.activated_neurons()}
     incumbent = -np.inf
     incumbent_sol = None
     heap: list[_Node] = []
     node_budget = report.nodes + config.node_limit
+    leaves_exact = model.mode != CAYLEY or all(
+        staircase_slope(nf.neuron.activation) is not None for nf in model.activated_neurons())
 
-    def push(allowed, bound, warm):
-        heapq.heappush(heap, _Node(-bound, next(serial), allowed, warm))
+    def push(upper, bound, warm):
+        heapq.heappush(heap, _Node(-bound, next(serial), upper, warm))
 
-    def stop(limit, open_bound):
+    def stop(limit, open_bound, point=None):
         report.gap_percent = max(report.gap_percent, _gap_percent(open_bound, incumbent))
-        return max(open_bound, incumbent), incumbent_sol, limit
+        return max(open_bound, incumbent), point or incumbent_sol, limit
 
-    push(root_allowed, np.inf, _forward_start(model))
+    push(np.array(model.upper), np.inf, _forward_start(model))
     while heap:
         if time.monotonic() > deadline:
             return stop(TIMEOUT, -heap[0].neg_bound)
@@ -337,28 +341,31 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
         if -node.neg_bound <= incumbent + MIP_GAP:
             continue
         report.nodes += 1
+        rounds = report.rounds
         bound, sol, diag = _solve_with_cuts(model, config, report, deadline, node.warm,
-                                            node.allowed, incumbent + MIP_GAP)
+                                            node.upper, incumbent + MIP_GAP)
         if bound is None or bound <= incumbent + MIP_GAP:
             continue
-        if diag:  # the deadline passed between cut rounds; this node stays open
-            return stop(diag, max(bound, -heap[0].neg_bound) if heap else bound)
-        frac_key, frac_score = None, 1e-6
+        frac_nf, frac_score = None, 1e-6
         for nf in model.activated_neurons():
-            _, _, zv = model.neuron_point(sol.x, nf.key)
-            score = _fractionality(zv)
+            score = 1.0 - float(model.neuron_point(sol.x, nf.key)[2].max())
             if score > frac_score:
-                frac_key, frac_score = nf.key, score
+                frac_nf, frac_score = nf, score
+        allowed = [] if frac_nf is None else [z for z in frac_nf.z_vars if node.upper[z] > 0]
         # a numerically fractional but structurally fixed neuron counts as integral
-        if frac_key is None or len(node.allowed[frac_key]) <= 1:
+        integral = len(allowed) <= 1
+        if integral and not leaves_exact and report.rounds - rounds >= config.max_cut_rounds:
+            diag = diag or CUT_LIMIT
+        if diag:  # deadline between cut rounds or a leaf's rounds ran out: stays open
+            return stop(diag, max(bound, -heap[0].neg_bound) if heap else bound, sol)
+        if integral:
             incumbent = bound
             incumbent_sol = sol
             continue
-        allowed = node.allowed[frac_key]
         half = len(allowed) // 2
-        for part in (allowed[:half], allowed[half:]):
-            child = dict(node.allowed)
-            child[frac_key] = part
+        for dropped in (allowed[half:], allowed[:half]):
+            child = node.upper.copy()
+            child[dropped] = 0.0
             push(child, bound, sol)
     return incumbent, incumbent_sol, ""
 

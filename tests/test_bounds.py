@@ -51,7 +51,7 @@ def test_interval_monte_carlo_containment():
 def test_quantizer_relax_k2_wide_last_piece():
     # pieces [0, .3), [.3, 1]: last width > first -> flat upper, sloped lower
     f = pwl.PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 0.0], [0.0, 1.0])
-    ub, lb = deeppoly_activation_relax(f, 0.0, 1.0)
+    ub, lb = deeppoly_activation_relax(f)
     assert ub[0] == 0.0 and ub[1] == 1.0
     rise_over_last = 1.0 / 0.7
     assert abs(lb[0] - rise_over_last) <= 1e-12
@@ -61,7 +61,7 @@ def test_quantizer_relax_k2_wide_last_piece():
 def test_quantizer_relax_k_gt2_wide_first_piece():
     # interior step 0.5, first width 1.0 > step: upper is the corner secant
     f = pwl.PiecewiseLinear([-1.0, 0.0, 0.5, 1.0], np.zeros(3), [0.0, 1.0, 2.0])
-    ub, lb = deeppoly_activation_relax(f, -1.0, 1.0)
+    ub, lb = deeppoly_activation_relax(f)
     expect = (2.0 - 0.0) / (0.5 - (-1.0))
     assert abs(ub[0] - expect) <= 1e-12
     # last width 0.5 == step: lower uses the level/step slope
@@ -80,7 +80,7 @@ def test_relax_sandwich_grid_oracle():
         bp = np.concatenate([[-1.5], bp, [1.5]])
         cases.append(pwl.PiecewiseLinear(bp, rng.normal(size=k), rng.normal(size=k)))
     for f in cases:
-        ub, lb = relax_activation(f, f.lo, f.hi)
+        ub, lb = relax_activation(f)
         ts = np.linspace(f.lo, f.hi, 1000)
         vals = f.batch(ts)
         assert np.all(ub[0] * ts + ub[1] >= vals - 1e-9)
@@ -89,7 +89,7 @@ def test_relax_sandwich_grid_oracle():
 
 def test_nonuniform_quantizer_falls_back_to_constants():
     f = pwl.PiecewiseLinear([0.0, 0.2, 0.9, 1.0], np.zeros(3), [0.0, 0.3, 1.0])
-    ub, lb = deeppoly_activation_relax(f, 0.0, 1.0)
+    ub, lb = deeppoly_activation_relax(f)
     assert ub[0] == 0.0 and ub[1] == 1.0
     assert lb[0] == 0.0 and lb[1] == 0.0
 
@@ -97,7 +97,7 @@ def test_nonuniform_quantizer_falls_back_to_constants():
 def test_decreasing_quantizer_rejected():
     f = pwl.PiecewiseLinear([0.0, 0.5, 1.0], np.zeros(2), [1.0, 0.0])
     with pytest.raises(ParameterError):
-        deeppoly_activation_relax(f, 0.0, 1.0)
+        deeppoly_activation_relax(f)
 
 
 def test_deeppoly_equals_interval_on_single_affine_layer():

@@ -2,13 +2,16 @@ import csv
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stairverify
 from stairverify.cli import main
 from stairverify.bounds import deeppoly_bounds
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron, save_network
@@ -297,8 +300,12 @@ def test_verify_rejects_bad_eps_before_reading_rows(net_file, tmp_path, capsys, 
 
 def test_cli_runs_as_module(net_file):
     _, netp = net_file
+    # the subprocess imports the package this test process imported
+    src = str(Path(stairverify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "stairverify.cli", "bounds",
-                           "--net", netp], capture_output=True, text=True)
+                           "--net", netp], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     json.loads(proc.stdout)
 

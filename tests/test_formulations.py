@@ -36,13 +36,14 @@ def test_bigm_relu_is_textbook():
     neuron = Neuron(np.array([1.0]), 0.0, pwl.relu(-1.0, 1.0),
                     BoxDomain([-1.0], [1.0]))
     model = build_bigm(neuron)
+    lp = model.to_lp()
     # rows: simplex, two slab couplings, and two M rows per piece
-    assert len(model.rows) == 3 + 2 * 2
+    assert len(lp.rows) == 3 + 2 * 2
     verts = enumerate_cayley_vertices(neuron)
     for i in range(len(verts)):
         vals = _vertex_assignment(model, model.nf, verts.xs[i], verts.ys[i],
                                   int(verts.pieces[i]))
-        for coeffs, sense, rhs in model.rows:
+        for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
             assert _row_holds(coeffs, sense, rhs, vals, tol=1e-9)
 
 
@@ -51,9 +52,11 @@ def test_bigm_constant_pieces_drop_m_rows():
                             lambda lo, hi: pwl.dorefa(2, lo, hi),
                             BoxDomain([-1, -1], [1, 1]))
     model = build_bigm(neuron)
+    lp = model.to_lp()
     # simplex + two slabs + the single y = sum d_i z_i equality
-    assert len(model.rows) == 4
-    eq_rows = [r for r in model.rows if r[1] == EQUAL and r[0][model.nf.y_var] != 0.0]
+    assert len(lp.rows) == 4
+    eq_rows = [r for r in zip(lp.rows, lp.senses, lp.rhs)
+               if r[1] == EQUAL and r[0][model.nf.y_var] != 0.0]
     assert len(eq_rows) == 1
     coeffs = eq_rows[0][0]
     f = neuron.activation
@@ -69,10 +72,11 @@ def test_vertices_feasible_in_both_formulations():
         verts = enumerate_cayley_vertices(neuron)
         for builder in (build_bigm, build_cayley):
             model = builder(neuron)
+            lp = model.to_lp()
             for i in range(len(verts)):
                 vals = _vertex_assignment(model, model.nf, verts.xs[i],
                                           verts.ys[i], int(verts.pieces[i]))
-                for coeffs, sense, rhs in model.rows:
+                for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
                     assert _row_holds(coeffs, sense, rhs, vals, tol=1e-9)
 
 
@@ -88,7 +92,8 @@ def test_cayley_alpha_zero_seed_caps_y():
 
     seed = retrieve_cut(neuron, np.zeros(2), UPPER)
     found = False
-    for coeffs, sense, rhs in model.rows:
+    lp = model.to_lp()
+    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
         if coeffs[model.nf.y_var] == -1.0 and sense == GREATER:
             zc = coeffs[model.nf.z_vars]
             if np.allclose(zc, seed.zcoef) and np.all(coeffs[model.nf.x_vars] == 0.0):
@@ -195,12 +200,13 @@ def test_forward_traces_feasible_in_query_models():
         q = VerificationQuery(net, x0, 0.2, 0, 1)
         for mode in (BIGM, CAYLEY):
             model = build_query_model(q, mode)
+            lp = model.to_lp()
             for _ in range(50):
                 x = model.region.sample(rng)
                 vals = model.trace_assignment(x)
                 assert np.all(vals >= np.array(model.lower) - 1e-8)
                 assert np.all(vals <= np.array(model.upper) + 1e-8)
-                for coeffs, sense, rhs in model.rows:
+                for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
                     assert _row_holds(coeffs, sense, rhs, vals)
 
 
@@ -214,8 +220,10 @@ def test_integral_z_recovers_graph():
             # fix z = e_piece and maximize/minimize y at a fixed x
             for i in np.flatnonzero(verts.pieces == piece)[:2]:
                 x = verts.xs[i]
-                lp = model.to_lp(fixed_z={(0, 0): [piece]})
                 n = model.num_vars()
+                upper = np.array(model.upper)
+                upper[[z for k, z in enumerate(model.nf.z_vars) if k != piece]] = 0.0
+                lp = model.to_lp(upper)
                 for p, v in enumerate(model.nf.x_vars):
                     row = np.zeros(n)
                     row[v] = 1.0

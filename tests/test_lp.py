@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stairverify.errors import FormulationError
+from stairverify.errors import FormulationError, ParameterError
 from stairverify.lp import INF, LESS, EQUAL, GREATER, LinearProgram, LpSolution, solve
 from stairverify.separation import _box_slice_series
 
@@ -29,6 +29,51 @@ def test_unbounded_detection():
     lp = LinearProgram("max", [1.0])
     lp.add_row([1.0], GREATER, 0.0)
     assert solve(lp).status == "unbounded"
+
+
+def test_lp_without_rows_runs_the_general_path():
+    lo, hi = np.array([-1.0, 0.5, -INF, -2.0]), np.array([2.0, 3.0, 4.0, INF])
+    for sense, c in (("max", [1.0, -2.0, 0.5, 0.0]), ("min", [-1.0, 3.0, -2.0, 0.0])):
+        sol = solve(LinearProgram(sense, c, lower=lo, upper=hi))
+        assert sol.status == "optimal" and sol.basis == [] and sol.duals.size == 0
+        assert np.array_equal(sol.x[:3], [2.0, 0.5, 4.0])
+        assert lo[3] <= sol.x[3] <= hi[3]
+        assert sol.objective == float(np.dot(c, sol.x))
+    assert solve(LinearProgram("max", [1.0, 1.0], lower=np.zeros(2))).status == "unbounded"
+    assert solve(LinearProgram("min", [0.0, 1.0], upper=np.ones(2))).status == "unbounded"
+    crossed = LinearProgram("max", [1.0, 0.0], lower=np.array([0.0, 1.0]),
+                            upper=np.array([1.0, 1.0 - 2e-7]))
+    assert solve(crossed).status == "infeasible"
+    # crossed bounds are infeasible with rows too, before any pivoting
+    crossed.add_row([1.0, 1.0], LESS, 5.0)
+    sol = solve(crossed)
+    assert sol.status == "infeasible" and sol.iterations == sol.phase1_iterations == 0
+
+
+@pytest.mark.parametrize("rows, senses, rhs, message", [
+    ([[1.0, np.nan]], [LESS], [1.0], "finite"),
+    ([[1.0, np.inf]], [LESS], [1.0], "finite"),
+    ([[1.0, 2.0]], [LESS], [np.inf], "finite"),
+    ([[1.0, 2.0]], ["<"], [1.0], "sense"),
+    ([[1.0, 2.0]], ["<=x"], [1.0], "sense"),
+    ([[1.0, 2.0, 3.0]], [LESS], [1.0], "matrix"),
+    ([[1.0, 2.0]], [LESS, EQUAL], [1.0, 2.0], "matrix"),
+    ([[1.0, 2.0]], [LESS], [1.0, 2.0], "matrix"),
+])
+def test_linear_program_rejects_bad_rows(rows, senses, rhs, message):
+    with pytest.raises(ParameterError, match=message):
+        LinearProgram("max", [1.0, 1.0], rows, senses, rhs)
+
+
+@pytest.mark.parametrize("coeffs, sense, rhs, message", [
+    ([1.0, np.nan], LESS, 1.0, "finite"), ([1.0, 2.0], LESS, np.nan, "finite"),
+    ([1.0, 2.0], "==", 1.0, "sense"), ([1.0], GREATER, 1.0, "length"),
+])
+def test_add_row_rejects_bad_rows(coeffs, sense, rhs, message):
+    lp = LinearProgram("max", [1.0, 1.0])
+    with pytest.raises(ParameterError, match=message):
+        lp.add_row(coeffs, sense, rhs)
+    assert lp.rows.shape == (0, 2) and lp.senses.size == lp.rhs.size == 0
 
 
 def test_random_lps_match_textbook_tableau():
@@ -73,7 +118,7 @@ def test_duality_and_feasibility_residuals():
             continue
         # primal feasibility residuals
         assert np.all(sol.x >= lo - 1e-7) and np.all(sol.x <= hi + 1e-7)
-        for coeffs, sense, rhs in lp.rows:
+        for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
             lhs = float(coeffs @ sol.x)
             if sense == LESS:
                 assert lhs <= rhs + 1e-7
@@ -84,7 +129,7 @@ def test_duality_and_feasibility_residuals():
         # duality gap
         assert abs(_dual_bound(lp, sol.duals) - sol.objective) <= 1e-6 * max(1.0, abs(sol.objective))
         # complementary slackness on rows
-        for (coeffs, sense, rhs), y in zip(lp.rows, sol.duals):
+        for coeffs, sense, rhs, y in zip(lp.rows, lp.senses, lp.rhs, sol.duals):
             slack = rhs - float(coeffs @ sol.x)
             if sense != EQUAL:
                 assert abs(slack * y) <= 1e-6
@@ -220,6 +265,30 @@ def test_initial_point_matches_per_column_rule():
         lp.add_row(np.ones(8), sense, 1.0)
     tab = _Tableau(lp)
     assert _initial_point(tab).tobytes() == reference(tab).tobytes()
+
+
+def test_tableau_matches_the_per_row_form():
+    from stairverify.lp import _Tableau
+
+    def reference(lp):
+        m, n = len(lp.rhs), lp.num_vars
+        A, b = np.zeros((m, n + m)), np.zeros(m)
+        lower = np.concatenate([lp.lower, np.zeros(m)])
+        upper = np.concatenate([lp.upper, np.zeros(m)])
+        for i, (coeffs, sense, rhs) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
+            A[i, :n], A[i, n + i], b[i] = coeffs, 1.0, rhs
+            if sense == LESS:
+                upper[n + i] = INF
+            elif sense == GREATER:
+                lower[n + i] = -INF
+        return A, b, lower, upper
+
+    rng = np.random.default_rng(26)
+    for m in (0, 1, 7):
+        lp = _random_bounded_lp(rng, 5, m)
+        tab = _Tableau(lp)
+        for got, expect in zip((tab.A, tab.b, tab.lower, tab.upper), reference(lp)):
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 # -- warm starts -----------------------------------------------------------------
@@ -367,13 +436,10 @@ def _dual_bound(lp, duals):
     """
     sign = 1.0 if lp.sense == "max" else -1.0
     duals = sign * np.asarray(duals)
-    senses = np.array([sense for _, sense, _ in lp.rows])
-    y = np.where(senses == LESS, np.maximum(duals, 0.0),
-                 np.where(senses == GREATER, np.minimum(duals, 0.0), duals))
-    A = np.array([coeffs for coeffs, _, _ in lp.rows])
-    b = np.array([rhs for _, _, rhs in lp.rows])
-    d = sign * lp.objective - A.T @ y
-    return sign * float(y @ b + np.maximum(d * lp.lower, d * lp.upper).sum())
+    y = np.where(lp.senses == LESS, np.maximum(duals, 0.0),
+                 np.where(lp.senses == GREATER, np.minimum(duals, 0.0), duals))
+    d = sign * lp.objective - lp.rows.T @ y
+    return sign * float(y @ lp.rhs + np.maximum(d * lp.lower, d * lp.upper).sum())
 
 
 def test_phase_one_refreshes_before_reporting_infeasible():
@@ -386,7 +452,7 @@ def test_phase_one_refreshes_before_reporting_infeasible():
     # a feasible point whose value meets a dual bound is optimal
     assert _dual_bound(lp, sol.duals) - sol.objective <= 1e-7 * max(1.0, abs(sol.objective))
     assert np.all(sol.x >= lp.lower - 1e-7) and np.all(sol.x <= lp.upper + 1e-7)
-    for coeffs, sense, rhs in lp.rows:
+    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
         lhs = float(coeffs @ sol.x)
         assert (lhs <= rhs + 1e-7) if sense == LESS else \
             (lhs >= rhs - 1e-7) if sense == GREATER else abs(lhs - rhs) <= 1e-7
@@ -401,7 +467,7 @@ def test_phase_one_refreshes_before_reporting_infeasible():
 def _shifted_standard_form(lp):
     """min c.x' s.t. A x' <= b, x' >= 0 for a max LP with finite lower bounds."""
     A, b = [], []
-    for coeffs, sense, rhs in lp.rows:
+    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
         rhs = rhs - float(coeffs @ lp.lower)
         if sense != GREATER:
             A.append(coeffs)

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from stairverify import bounds, formulations
+from stairverify import bounds, formulations, pwl
 from stairverify.errors import InputError
 from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
+from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 from stairverify.oracles import exhaustive_verify
 from stairverify.verifier import VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts, verify
 
@@ -424,7 +425,8 @@ def test_pattern_lp_margin_pulls_interior_slab_edges_in():
         plain, pulled = model.pattern_lp(pattern), model.pattern_lp(pattern, 1e-5)
         assert len(plain.rows) == len(pulled.rows)
         moved = []
-        for (c0, s0, r0), (c1, s1, r1) in zip(plain.rows, pulled.rows):
+        for c0, s0, r0, c1, s1, r1 in zip(plain.rows, plain.senses, plain.rhs,
+                                          pulled.rows, pulled.senses, pulled.rhs):
             assert np.array_equal(c0, c1) and s0 == s1
             if r0 != r1:
                 inward = -1.0 if s0 == "<=" else 1.0
@@ -549,7 +551,7 @@ def _start_queries():
 def _meets_every_row(lp, x, tol):
     if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
         return False
-    for coeffs, sense, rhs in lp.rows:
+    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
         lhs = float(coeffs @ x)
         if (lhs > rhs + tol) if sense == "<=" else \
                 (lhs < rhs - tol) if sense == ">=" else abs(lhs - rhs) > tol:
@@ -652,16 +654,53 @@ def test_cayley_exact_honours_max_cut_rounds():
         assert none.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-12)
 
 
+def _wide_tanh_query(j):
+    """Net j: 5-8-8-3 with `tanh_staircase_pair` slopes and breakpoints, the
+    outer two at +-40 and the intercepts continuous from f(-40) = -1, on
+    every hidden neuron; an anchor of default_rng(1000 + j), eps 0.05."""
+    f = pwl.tanh_staircase_pair()
+    bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
+    ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
+    spec = ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,
+                                  "intercepts": ends[:-1] - f.slopes * bp[:-1]})
+    rng = np.random.default_rng(j)
+    layers = [Layer.dense(rng.normal(size=(out, n_in)), rng.normal(size=out), act)
+              for n_in, out, act in ((5, 8, spec), (8, 8, spec), (8, 3, None))]
+    net = Network(tuple(layers), BoxDomain(-np.ones(5), np.ones(5)))
+    x0 = np.random.default_rng(1000 + j).uniform(-0.6, 0.6, 5)
+    return VerificationQuery(net, x0, 0.05, int(np.argmax(net.forward(x0))))
+
+
+def test_cut_limited_leaves_of_non_staircases_are_not_exact():
+    # at 0 rounds a tanh-style leaf is bounded by its seeded LP alone, which
+    # can sit above the exact optimum: the search stops with a gap there
+    loose = 0
+    for j in range(6):
+        q = _wide_tanh_query(j)
+        exact = verify(q, VerifyConfig(mode="bigm-exact", timeout=60))
+        limited = verify(q, VerifyConfig(mode="cayley-exact", max_cut_rounds=0, timeout=60))
+        assert limited.verdict in (exact.verdict, "unknown"), j
+        for target, bound in limited.target_bounds.items():
+            if target not in exact.target_bounds:
+                continue
+            assert bound >= exact.target_bounds[target] - 1e-9, (j, target)
+            if bound > exact.target_bounds[target] + 1e-9:
+                loose += 1
+                assert limited.diagnostic == "cut rounds limit reached", (j, target)
+                assert limited.gap_percent > 0, (j, target)
+    assert loose > 0
+
+
 @pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
 def test_nodes_count_each_node_solve_once(mode, monkeypatch):
     from stairverify import verifier
     solve_with_cuts = verifier._solve_with_cuts
     node_solves = []
 
-    def spy(model, config, report, deadline, warm=None, fixed_z=None, cutoff=-np.inf):
-        assert fixed_z is not None
-        node_solves.append(fixed_z)
-        return solve_with_cuts(model, config, report, deadline, warm, fixed_z, cutoff)
+    def spy(model, config, report, deadline, warm=None, upper=None, cutoff=-np.inf):
+        assert upper is not None
+        node_solves.append(upper)
+        return solve_with_cuts(model, config, report, deadline, warm, upper, cutoff)
 
     monkeypatch.setattr(verifier, "_solve_with_cuts", spy)
     report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))
