@@ -822,7 +822,9 @@ def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     graph of piece i over its closed slab. True only when z has exactly one
     nonzero entry i equal to 1.0, x lies in the box, t = w.x + b lies in
     [h_i, h_{i+1}] and y is on the inside of a_i t + d_i by the margin tol/2;
-    any other point, invalid ones included, answers False.
+    any other point, invalid ones included, answers False. The neuron is
+    not checked: the oracle rejects a pinned one (`is_pinned`), so the
+    callers that stand in for it check that themselves.
     """
     f = neuron.activation
     zhat = np.asarray(zhat, dtype=float)
@@ -840,9 +842,7 @@ def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     if not f.breakpoints[i] <= t <= f.breakpoints[i + 1]:
         return False
     gap = float(yhat) - float(f.slopes[i] * t + f.intercepts[i])
-    inside = gap <= tol / 2 if direction == UPPER else gap >= -tol / 2
-    # the oracle rejects a pinned neuron; leave that error to it
-    return inside and not is_pinned(neuron)
+    return gap <= tol / 2 if direction == UPPER else gap >= -tol / 2
 
 
 def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
@@ -850,10 +850,11 @@ def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     """Separation for general piecewise-linear activations.
 
     Points on the graph at a simplex vertex are answered by `on_vertex_graph`
-    without the oracle; every other point goes to `separate_staircase`, which
-    runs one staircase separation per component of the activation.
+    without the oracle, unless the neuron is pinned: that one goes on to the
+    oracle's `DomainError`. Every other point goes to `separate_staircase`,
+    which runs one staircase separation per component of the activation.
     """
-    if on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol):
+    if on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol) and not is_pinned(neuron):
         return None
     return separate_staircase(neuron, xhat, yhat, zhat, direction, tol)
 
@@ -861,7 +862,8 @@ def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
 def separate_with_certificate(neuron: Neuron, xhat, yhat: float, zhat,
                               direction: str) -> tuple[Cut | None, float]:
     """`separate_pwl`'s cut and `membership_certificate`'s value from one
-    oracle pass over the components."""
+    oracle pass over the components. The oracle runs before the screen, so
+    a pinned neuron meets its `DomainError` here too."""
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
     screened = on_vertex_graph(neuron, xhat, yhat, zhat, direction, VIOLATION_TOL)
     cut = None if screened else _cut(outcomes, yhat, direction, VIOLATION_TOL)

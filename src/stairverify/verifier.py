@@ -12,7 +12,11 @@ neuron allows by setting the z of each dropped piece to 0. One cut loop,
 `_solve_with_cuts`, solves a target's LP in relaxed modes and each node's LP
 in exact modes; in cayley mode it alternates solving with per-neuron
 separation until no pooled-new cut is violated or `max_cut_rounds` is
-reached, so a node re-solves its cuts in place.
+reached. Cayley-exact separates only where a cut can come from: each
+target's root runs the cut rounds, and every other node solves with the
+pooled cuts alone, except that on a net with a non-staircase activation an
+integral node runs rounds (lazy constraints) before it can become the
+incumbent. A flat staircase neuron is separated in one direction per point.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -41,12 +46,15 @@ MIP_GAP = 1e-9   # a node is pruned unless its bound beats the incumbent by more
 @dataclass
 class VerifyConfig:
     """Verification settings. `max_cut_rounds` caps the cut rounds of each
-    target in cayley-lp and of each node in cayley-exact; `node_limit` caps
-    each target's distinct branch-and-bound nodes (`VerifyReport.nodes`).
-    A cayley-exact leaf whose rounds ran out is bounded by its last LP: the
-    seed cuts pin an integral point of a staircase to its piece, so on
-    staircase nets that leaf is an incumbent; otherwise its bound may be
-    loose, and the search stops there with `CUT_LIMIT`."""
+    target in cayley-lp and, in cayley-exact, those of each target's root
+    and of each lazy leaf; `node_limit` caps each target's distinct
+    branch-and-bound nodes (`VerifyReport.nodes`). The seed cuts pin an
+    integral point of a staircase to its piece, so on staircase nets
+    branch-and-bound is exact without node cuts and only the roots separate.
+    On other nets an integral node runs cut rounds from its own solution
+    before it can become the incumbent (lazy constraints); a leaf whose
+    rounds ran out is bounded by its last LP, which may be loose, and the
+    search stops there with `CUT_LIMIT`."""
 
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
@@ -73,8 +81,10 @@ class VerifyConfig:
 class VerifyReport:
     """Outcome and counters of one query. `nodes` counts the distinct
     branch-and-bound nodes an exact search solved; `rounds` counts the cut
-    rounds that added cuts, per target in cayley-lp and summed over the nodes
-    in cayley-exact."""
+    rounds that added cuts, per target in cayley-lp and summed over the
+    roots and lazy leaves in cayley-exact. `separation_calls` counts the
+    (neuron, direction) points the cut rounds checked, a flat staircase
+    neuron once per point and any other neuron twice."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
     counterexample: np.ndarray | None = None
@@ -128,7 +138,10 @@ def _replay(network, x, label) -> bool:
 def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyReport) -> int:
     """Separate every activated neuron at the LP point; returns cuts added.
 
-    Pinned neurons have a constant pre-activation and are skipped. Points on
+    Pinned neurons have a constant pre-activation and are skipped. A flat
+    staircase (slope 0) is separated in the UPPER direction only: its seed
+    cuts hold y at the z-weighted piece levels from both sides, and the ray
+    sweeps read only (x, z), so LOWER would return the same cut. Points on
     the graph at a simplex vertex are answered by `on_vertex_graph` without
     the oracle; the report counts checked and screened points, and any oracle
     error in `separation_failures`.
@@ -142,7 +155,8 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyRepor
         zv = np.maximum(zv, 0.0)
         total = zv.sum()
         zv = zv / total if total > 0 else np.full_like(zv, 1.0 / zv.size)
-        for direction in (UPPER, LOWER):
+        flat = staircase_slope(nf.neuron.activation) == 0.0
+        for direction in (UPPER,) if flat else (UPPER, LOWER):
             report.separation_calls += 1
             if on_vertex_graph(nf.neuron, xin, yv, zv, direction, tol):
                 report.separation_screened += 1
@@ -207,7 +221,8 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
 
 def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
                      deadline: float, warm: LpSolution | None = None,
-                     upper: np.ndarray | None = None, cutoff: float = -np.inf):
+                     upper: np.ndarray | None = None, cutoff: float = -np.inf,
+                     round_at: Callable[[LpSolution], bool] | None = None):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
     `upper` replaces the variable upper bounds as in `model.to_lp` (a
@@ -215,10 +230,12 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
     from the previous solution. Returns (value, last LpSolution, diagnostic),
     value None when the LP has no optimum, and adds the rounds, cuts,
     separation and LP counts to `report`. No round runs after
-    `max_cut_rounds` rounds or once the value is at or below `cutoff` (the
-    node would be pruned anyway). Past the deadline no round runs, and the
-    last (sound) value comes with the timeout diagnostic. The objective is
-    non-increasing round over round since rows only accumulate.
+    `max_cut_rounds` rounds, once the value is at or below `cutoff` (the
+    node would be pruned anyway), or at a solution where the predicate
+    `round_at(sol)` is false (None: at every solution). Past the deadline
+    no round runs, and the last (sound) value comes with the timeout
+    diagnostic. The objective is non-increasing round over round since rows
+    only accumulate.
     """
     prev = np.inf
     rounds = 0
@@ -233,7 +250,8 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
         if value > prev + 1e-9:
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
-        if model.mode != CAYLEY or rounds >= config.max_cut_rounds or value <= cutoff:
+        if (model.mode != CAYLEY or rounds >= config.max_cut_rounds or value <= cutoff
+                or (round_at is not None and not round_at(sol))):
             return value, sol, ""
         if time.monotonic() > deadline:
             return value, sol, TIMEOUT
@@ -305,9 +323,11 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
 
     A node is the model's variable upper bounds with the z of every piece
     its branches dropped at 0. Each node is solved once by `_solve_with_cuts`,
-    cutting off at the incumbent, so cayley mode separates at the node in
-    place; a node is pushed only to be branched. The root LP starts from
-    `_forward_start`, node LPs from the parent's solution (basis and point).
+    cutting off at the incumbent; a node is pushed only to be branched. In
+    cayley mode the root runs the cut rounds; any other node solves with the
+    pooled cuts alone, and runs rounds only at an integral solution on a net
+    with a non-staircase (lazy constraints, `VerifyConfig`). The root LP
+    starts from `_forward_start`, node LPs from the parent's solution.
     Without a limit the bound is the exact optimum, attained by the
     incumbent (None when no node is feasible). The search stops at this
     target's node limit, the deadline, or an integral node whose cut rounds
@@ -342,17 +362,15 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
             continue
         report.nodes += 1
         rounds = report.rounds
+        # the root separates at every solution, another node at an integral
+        # one on a net with a non-staircase, and nowhere else
+        round_at = None if node.serial == 0 else (
+            lambda sol: not leaves_exact and len(_branch_pieces(model, sol.x, node.upper)) <= 1)
         bound, sol, diag = _solve_with_cuts(model, config, report, deadline, node.warm,
-                                            node.upper, incumbent + MIP_GAP)
+                                            node.upper, incumbent + MIP_GAP, round_at)
         if bound is None or bound <= incumbent + MIP_GAP:
             continue
-        frac_nf, frac_score = None, 1e-6
-        for nf in model.activated_neurons():
-            score = 1.0 - float(model.neuron_point(sol.x, nf.key)[2].max())
-            if score > frac_score:
-                frac_nf, frac_score = nf, score
-        allowed = [] if frac_nf is None else [z for z in frac_nf.z_vars if node.upper[z] > 0]
-        # a numerically fractional but structurally fixed neuron counts as integral
+        allowed = _branch_pieces(model, sol.x, node.upper)
         integral = len(allowed) <= 1
         if integral and not leaves_exact and report.rounds - rounds >= config.max_cut_rounds:
             diag = diag or CUT_LIMIT
@@ -368,6 +386,19 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
             child[dropped] = 0.0
             push(child, bound, sol)
     return incumbent, incumbent_sol, ""
+
+
+def _branch_pieces(model: QueryModel, x: np.ndarray, upper: np.ndarray) -> list[int]:
+    """The z variables of the pieces that the least integral neuron at `x`
+    still allows under `upper`: the pieces a branch there splits. At most
+    one when `x` is integral; a numerically fractional but structurally
+    fixed neuron counts as integral."""
+    frac_nf, frac_score = None, 1e-6
+    for nf in model.activated_neurons():
+        score = 1.0 - float(model.neuron_point(x, nf.key)[2].max())
+        if score > frac_score:
+            frac_nf, frac_score = nf, score
+    return [] if frac_nf is None else [z for z in frac_nf.z_vars if upper[z] > 0]
 
 
 def _gap_percent(bound: float, incumbent: float) -> float:

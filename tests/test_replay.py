@@ -1,0 +1,26 @@
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "replay", Path(__file__).resolve().parent.parent / "tools" / "replay.py")
+replay = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(replay)
+
+
+def _doc(verdict, bound, calls):
+    report = {"verdict": verdict, "target_bounds": {"1": float.hex(bound)},
+              "separation_calls": calls, "diagnostic": ""}
+    return {"workload": "exact-bnb", "seed": 1, "modes": ["cayley-exact"],
+            "items": [{"cayley-exact": report}]}
+
+
+def test_compare_reports_fields_bounds_and_verdicts(capsys):
+    base = _doc("robust", -2.0, 8)
+    assert replay.compare(base, base) == 0
+    assert "0 differing fields" in capsys.readouterr().out
+    assert replay.compare(base, _doc("robust", -2.0 * (1 + 1e-12), 4)) == 0
+    out = capsys.readouterr().out
+    assert "separation_calls: 1 queries, total 8 -> 4" in out
+    assert "target_bounds: 1 queries" in out and "change: 1e-12" in out
+    assert replay.compare(base, _doc("unknown", -2.0, 8)) == 1
+    assert "verdict change: item 0 cayley-exact: robust -> unknown" in capsys.readouterr().out

@@ -621,3 +621,17 @@ def test_vertex_screen_leaves_invalid_inputs_to_the_oracle():
         separate_pwl(neuron, np.array([0.5]), 0.5, np.array([0.0, 1.0]), "sideways")
     with pytest.raises(InputError):
         separate_pwl(neuron, np.array([0.5]), 0.5, np.array([0.0, 1.0, 0.0]), UPPER)
+
+
+def test_pinned_neuron_on_its_graph_reaches_the_oracle_error():
+    # the screen does not look at the neuron, so it passes this graph point;
+    # the separation entry points still hand a pinned neuron to the oracle
+    from stairverify.separation import on_vertex_graph, separate_with_certificate
+    pinned = Neuron(np.array([1.0, 2.0]), 0.0, pwl.relu(-1.0, 1.0),
+                    BoxDomain([0.5, -0.1], [0.5, -0.1]))
+    x, z = np.array([0.5, -0.1]), np.array([0.0, 1.0])
+    assert on_vertex_graph(pinned, x, 0.3, z, UPPER)
+    with pytest.raises(DomainError):
+        separate_pwl(pinned, x, 0.3, z, UPPER)
+    with pytest.raises(DomainError):
+        separate_with_certificate(pinned, x, 0.3, z, LOWER)

@@ -9,6 +9,7 @@ from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 from stairverify.oracles import exhaustive_verify
+from stairverify.separation import LOWER, UPPER
 from stairverify.verifier import VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts, verify
 
 from helpers import random_quantized_network
@@ -654,21 +655,25 @@ def test_cayley_exact_honours_max_cut_rounds():
         assert none.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-12)
 
 
-def _wide_tanh_query(j):
-    """Net j: 5-8-8-3 with `tanh_staircase_pair` slopes and breakpoints, the
-    outer two at +-40 and the intercepts continuous from f(-40) = -1, on
-    every hidden neuron; an anchor of default_rng(1000 + j), eps 0.05."""
-    f = pwl.tanh_staircase_pair()
-    bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
-    ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
-    spec = ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,
-                                  "intercepts": ends[:-1] - f.slopes * bp[:-1]})
+def _dense_query(j, spec, eps=0.05):
+    """Net j: 5-8-8-3 drawn from default_rng(j) with activation `spec` on
+    every hidden neuron; an anchor of default_rng(1000 + j)."""
     rng = np.random.default_rng(j)
     layers = [Layer.dense(rng.normal(size=(out, n_in)), rng.normal(size=out), act)
               for n_in, out, act in ((5, 8, spec), (8, 8, spec), (8, 3, None))]
     net = Network(tuple(layers), BoxDomain(-np.ones(5), np.ones(5)))
     x0 = np.random.default_rng(1000 + j).uniform(-0.6, 0.6, 5)
-    return VerificationQuery(net, x0, 0.05, int(np.argmax(net.forward(x0))))
+    return VerificationQuery(net, x0, eps, int(np.argmax(net.forward(x0))))
+
+
+def _wide_tanh_query(j):
+    """`_dense_query` with `tanh_staircase_pair` slopes and breakpoints, the
+    outer two at +-40 and the intercepts continuous from f(-40) = -1."""
+    f = pwl.tanh_staircase_pair()
+    bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
+    ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
+    return _dense_query(j, ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,
+                                                  "intercepts": ends[:-1] - f.slopes * bp[:-1]}))
 
 
 def test_cut_limited_leaves_of_non_staircases_are_not_exact():
@@ -691,16 +696,111 @@ def test_cut_limited_leaves_of_non_staircases_are_not_exact():
     assert loose > 0
 
 
+@pytest.mark.parametrize("recipe", ["tanh-style", "relu"])
+def test_cayley_exact_matches_bigm_exact_off_the_benchmark(recipe, monkeypatch):
+    # tanh-style leaves are not staircases and take lazy cuts; ReLU (s = 1)
+    # separates at the roots alone, in both directions
+    from stairverify import verifier
+    solve_with_cuts = verifier._solve_with_cuts
+    lazy_rounds = []
+
+    def spy(*args):
+        before = args[2].rounds
+        out = solve_with_cuts(*args)
+        if len(args) > 7 and args[7] is not None:
+            lazy_rounds.append(args[2].rounds - before)
+        return out
+
+    monkeypatch.setattr(verifier, "_solve_with_cuts", spy)
+    for j in range(6):
+        q = _wide_tanh_query(j) if recipe == "tanh-style" else \
+            _dense_query(j, ActivationSpec("relu", {}))
+        exact = verify(q, VerifyConfig(mode="bigm-exact", timeout=60))
+        cayley = verify(q, VerifyConfig(mode="cayley-exact", timeout=60))
+        assert cayley.verdict == exact.verdict and cayley.diagnostic == "", j
+        assert cayley.target_bounds.keys() == exact.target_bounds.keys()
+        for target, bound in exact.target_bounds.items():
+            assert cayley.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-9)
+    assert (sum(lazy_rounds) > 0) == (recipe == "tanh-style")
+
+
+def test_cayley_exact_cuts_only_at_the_roots_of_staircase_nets(monkeypatch):
+    from stairverify import verifier
+    bnb, solve_with_cuts, cut_round = (verifier._branch_and_bound, verifier._solve_with_cuts,
+                                       verifier._cut_round)
+    node_solves, rounds_at = [], []   # per target; (target, node solve) of each round
+
+    def spy_bnb(*args):
+        node_solves.append(0)
+        return bnb(*args)
+
+    def spy_solve(*args):
+        node_solves[-1] += 1
+        return solve_with_cuts(*args)
+
+    def spy_round(*args):
+        rounds_at.append((len(node_solves), node_solves[-1]))
+        return cut_round(*args)
+
+    monkeypatch.setattr(verifier, "_branch_and_bound", spy_bnb)
+    monkeypatch.setattr(verifier, "_solve_with_cuts", spy_solve)
+    monkeypatch.setattr(verifier, "_cut_round", spy_round)
+    report = verify(_three_label_query(), VerifyConfig(mode="cayley-exact", timeout=60))
+    assert report.verdict == "robust" and report.rounds > 0
+    assert node_solves[0] > 1 and node_solves[1] > 1 and sum(node_solves) == report.nodes
+    # every round ran inside a root solve, and both roots separated
+    assert {solve for _, solve in rounds_at} == {1}
+    assert {target for target, _ in rounds_at} == {1, 2}
+
+
+@pytest.mark.parametrize("mode", ["cayley-lp", "cayley-exact"])
+def test_flat_staircases_are_separated_upward_only(mode, monkeypatch):
+    from stairverify import verifier
+    separate, build = verifier.separate_pwl, verifier.build_query_model
+    directions, models = [], []
+
+    def spy_separate(neuron, xhat, yhat, zhat, direction, **kwargs):
+        directions.append(direction)
+        return separate(neuron, xhat, yhat, zhat, direction, **kwargs)
+
+    def spy_build(*args):
+        models.append(build(*args))
+        return models[-1]
+
+    monkeypatch.setattr(verifier, "separate_pwl", spy_separate)
+    monkeypatch.setattr(verifier, "build_query_model", spy_build)
+    queries = [_three_label_query()] + [
+        _tiny_query(np.random.default_rng(seed), hidden=(4,), eps=0.25, weight_scale=1.5)
+        for seed in range(64, 68)]
+    runs = []
+    for both in (False, True):
+        if both:   # every activation sloped: both directions, and exact leaves
+            monkeypatch.setattr(verifier, "staircase_slope", lambda f: 1.0)
+        directions.clear()
+        models.clear()
+        reports = [verify(q, VerifyConfig(mode=mode, timeout=60)) for q in queries]
+        pools = [{(nf.key, key) for nf in m.activated_neurons() for key in nf.pool}
+                 for m in models]
+        runs.append((reports, pools, set(directions)))
+    (upward, pools, dirs), (both, pools_both, dirs_both) = runs
+    assert dirs == {UPPER} and dirs_both == {UPPER, LOWER}
+    assert pools == pools_both
+    for one, two in zip(upward, both):
+        assert one.verdict == two.verdict and one.target_bounds == two.target_bounds
+        assert 2 * one.separation_calls == two.separation_calls > 0
+
+
 @pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
 def test_nodes_count_each_node_solve_once(mode, monkeypatch):
     from stairverify import verifier
     solve_with_cuts = verifier._solve_with_cuts
     node_solves = []
 
-    def spy(model, config, report, deadline, warm=None, upper=None, cutoff=-np.inf):
+    def spy(model, config, report, deadline, warm=None, upper=None, cutoff=-np.inf,
+            round_at=None):
         assert upper is not None
         node_solves.append(upper)
-        return solve_with_cuts(model, config, report, deadline, warm, upper, cutoff)
+        return solve_with_cuts(model, config, report, deadline, warm, upper, cutoff, round_at)
 
     monkeypatch.setattr(verifier, "_solve_with_cuts", spy)
     report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))

@@ -1,0 +1,112 @@
+"""Replay a benchmark corpus through `verify` and compare two replays.
+
+Usage, from the repository root:
+
+    python3 tools/replay.py --workload exact-bnb --seed 1 --out before.json
+    python3 tools/replay.py --compare before.json after.json
+
+The first form builds the queries of a verify workload of
+`perfbench/workloads.py` (relaxed-lp, exact-bnb or deeppoly-wide) for the
+seed, runs every query in each of the workload's modes with its config, and
+writes every `VerifyReport.as_dict()` field except the two times, floats as
+`float.hex`, so two replays compare bit for bit. The second form prints,
+per mode, each field that differs (how many queries, and the totals of a
+numeric field), the largest relative change of a target bound, and every
+verdict change; it exits 1 when a verdict changed.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMES = ("solve_time", "separation_time")
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hex(v) for v in value]
+    return value
+
+
+def replay(workload: str, seed: int) -> dict:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
+
+    work = WORKLOADS[workload](seed)
+    work.generate()
+    out = []
+    for i in range(len(work.items)):
+        rec = work.run_op(i)
+        modes = {mode: {k: _hex(v) for k, v in rep.as_dict().items() if k not in TIMES}
+                 for mode, rep in rec.reports.items()}
+        for mode, kind, message in rec.errors:
+            modes[mode] = {"error": f"{kind}: {message}"}
+        out.append(modes)
+    return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
+
+
+def _float(value) -> float:
+    return float.fromhex(value) if isinstance(value, str) else float(value)
+
+
+def compare(a: dict, b: dict) -> int:
+    """Print the differences of replay `b` from replay `a`; 1 on a verdict change."""
+    if (a["workload"], a["seed"], len(a["items"])) != (b["workload"], b["seed"], len(b["items"])):
+        sys.exit("error: the replays are of different corpora")
+    verdicts = []
+    for mode in a["modes"]:
+        fields: dict[str, list] = {}
+        worst = (0.0, None)
+        for item, (ra, rb) in enumerate(zip(a["items"], b["items"])):
+            ra, rb = ra.get(mode, {}), rb.get(mode, {})
+            for key in sorted(set(ra) | set(rb)):
+                if ra.get(key) != rb.get(key):
+                    fields.setdefault(key, []).append(item)
+            if ra.get("verdict") != rb.get("verdict"):
+                verdicts.append((item, mode, ra.get("verdict"), rb.get("verdict")))
+            ba, bb = ra.get("target_bounds", {}), rb.get("target_bounds", {})
+            for target in set(ba) & set(bb):
+                x, y = _float(ba[target]), _float(bb[target])
+                if x != y:
+                    rel = abs(y - x) / max(abs(x), abs(y))
+                    if not rel <= worst[0]:
+                        worst = (rel, (item, target))
+        print(f"{mode}: {len(fields)} differing fields")
+        for key, items in fields.items():
+            line = f"  {key}: {len(items)} queries"
+            va, vb = ([r.get(mode, {}).get(key) for r in doc["items"]] for doc in (a, b))
+            if all(type(v) is int for v in va + vb):
+                line += f", total {sum(va)} -> {sum(vb)}"
+            print(line)
+        where = "" if worst[1] is None else f" (item {worst[1][0]}, target {worst[1][1]})"
+        print(f"  largest relative target-bound change: {worst[0]:.3g}{where}")
+    for item, mode, before, after in verdicts:
+        print(f"verdict change: item {item} {mode}: {before} -> {after}")
+    return 1 if verdicts else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=("relaxed-lp", "exact-bnb", "deeppoly-wide"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", help="replay file to write")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two replay files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
+        return compare(a, b)
+    if not (args.workload and args.out):
+        parser.error("give --workload and --out, or --compare A B")
+    doc = replay(args.workload, args.seed)
+    Path(args.out).write_text(json.dumps(doc))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
