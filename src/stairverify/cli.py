@@ -98,11 +98,13 @@ def _verify_one(net, row_idx, x0, label, eps, config: VerifyConfig):
 def cmd_verify(args) -> int:
     if not args.eps >= 0.0:
         raise InputError(f"--eps must be a nonnegative number, got {args.eps}")
-    net = load_network(args.net)
-    rows = _load_dataset(args.dataset)
+    if not args.jobs >= 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     config = VerifyConfig(mode=args.mode, max_cut_rounds=args.max_cut_rounds,
                           cut_tol=args.tol, node_limit=args.node_limit,
                           timeout=args.timeout)
+    net = load_network(args.net)
+    rows = _load_dataset(args.dataset)
     if args.jobs > 1:
         # queries are independent; processes, since threads share one GIL
         with ProcessPoolExecutor(max_workers=args.jobs,

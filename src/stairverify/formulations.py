@@ -7,7 +7,8 @@ indicators z in the unit simplex:
   piecewise-constant activations drop the M rows in favor of the exact
   ``y = sum_i d_i z_i``.
 * Cayley: slab coupling and simplex rows plus a growable pool of hull cuts,
-  seeded with the alpha = 0 and alpha = s w inequalities in both directions.
+  seeded in both directions with alpha = 0 and with alpha = a w for each
+  distinct nonzero slope a, so an integral z holds y on its piece.
 
 Integrality of z is a solver-mode flag, never a formulation change, and the
 same pre-activation bounds feed both builders.
@@ -19,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pwl as pwl_mod
 from .bounds import PreActBounds, deeppoly_bounds
 from .errors import InputError
 from .lp import EQUAL, GREATER, LESS, LinearProgram
 from .network import BoxDomain, Network, Neuron
-from .pwl import staircase_slope
+from .pwl import distinct_slopes
 from .separation import Cut, LOWER, UPPER, is_pinned, retrieve_cut
 
 BIGM, CAYLEY = "bigm", "cayley"
@@ -189,14 +189,11 @@ class _RowModel:
             self._add_row(low, GREATER, m1 + a_i * b + d_i)
 
     def _seed_alphas(self, nf: NeuronFormulation) -> list[np.ndarray]:
-        f = nf.neuron.activation
-        s = staircase_slope(f)
-        if s is None:  # the sum of the component slopes of decompose_staircase
-            s = float(sum(pwl_mod.distinct_slopes(f.slopes)))
-        seeds = [np.zeros(nf.neuron.dim)]
-        if s != 0.0:
-            seeds.append(s * nf.neuron.weight)
-        return seeds
+        """alpha = 0 and alpha = a w for each distinct nonzero slope a: at
+        z = e_i the pair of a_i holds y on piece i's line, so every integral
+        point sits on its piece."""
+        w = nf.neuron.weight
+        return [np.zeros(w.size)] + [a * w for a in distinct_slopes(nf.neuron.activation.slopes)]
 
     def _add_seed_cuts(self, nf: NeuronFormulation) -> None:
         for alpha in self._seed_alphas(nf):

@@ -797,9 +797,11 @@ def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     unbounded component gives its ray cut in (x, z) alone; otherwise the
     query is compared with the summed envelope and the component cuts add
     up to the violated inequality. The surrounding formulation is expected
-    to hold the two seed cuts (alpha = 0 and alpha = s w, both directions)
-    already; the candidate-family search is complete under that hypothesis,
-    and seed installation is the formulation builder's job.
+    to hold the seed cuts already: alpha = 0 and alpha = a w for each
+    distinct slope a, both directions, which for a staircase of slope s are
+    the two cuts alpha = 0 and alpha = s w. The candidate-family search is
+    complete under that hypothesis, and seed installation is the
+    formulation builder's job.
     """
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
     return _cut(outcomes, yhat, direction, tol)

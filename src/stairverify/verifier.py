@@ -11,12 +11,11 @@ of variable upper bounds, and a branch bisects the pieces the least integral
 neuron allows by setting the z of each dropped piece to 0. One cut loop,
 `_solve_with_cuts`, solves a target's LP in relaxed modes and each node's LP
 in exact modes; in cayley mode it alternates solving with per-neuron
-separation until no pooled-new cut is violated or `max_cut_rounds` is
-reached. Cayley-exact separates only where a cut can come from: each
-target's root runs the cut rounds, and every other node solves with the
-pooled cuts alone, except that on a net with a non-staircase activation an
-integral node runs rounds (lazy constraints) before it can become the
-incumbent. A flat staircase neuron is separated in one direction per point.
+separation until no pooled-new cut is violated or its round cap is
+reached. Cayley-exact separates only at each target's root; every other
+node solves with the pooled cuts alone, which is exact at the leaves since
+the seed cuts pin every integral point to its piece. A flat staircase
+neuron is separated in one direction per point.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -39,22 +37,18 @@ from .separation import LOWER, UPPER, on_vertex_graph, separate_pwl
 
 MODES = ("deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")
 TIMEOUT = "timeout limit reached"
-CUT_LIMIT = "cut rounds limit reached"
 MIP_GAP = 1e-9   # a node is pruned unless its bound beats the incumbent by more
 
 
 @dataclass
 class VerifyConfig:
     """Verification settings. `max_cut_rounds` caps the cut rounds of each
-    target in cayley-lp and, in cayley-exact, those of each target's root
-    and of each lazy leaf; `node_limit` caps each target's distinct
-    branch-and-bound nodes (`VerifyReport.nodes`). The seed cuts pin an
-    integral point of a staircase to its piece, so on staircase nets
-    branch-and-bound is exact without node cuts and only the roots separate.
-    On other nets an integral node runs cut rounds from its own solution
-    before it can become the incumbent (lazy constraints); a leaf whose
-    rounds ran out is bounded by its last LP, which may be loose, and the
-    search stops there with `CUT_LIMIT`."""
+    target in cayley-lp and of each target's root in cayley-exact;
+    `node_limit` caps each target's distinct branch-and-bound nodes
+    (`VerifyReport.nodes`). The seed cuts pin every integral point to its
+    piece, so branch-and-bound is exact without node cuts, at any
+    `max_cut_rounds`. `cut_tol`, `timeout` and `node_limit` must be
+    positive and `max_cut_rounds` nonnegative (NaN is rejected)."""
 
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
@@ -65,8 +59,11 @@ class VerifyConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.cut_tol <= 0 or self.timeout <= 0:
-            raise InputError("tolerances and timeout must be positive")
+        for name in ("cut_tol", "timeout", "node_limit"):
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.max_cut_rounds >= 0:
+            raise InputError(f"max_cut_rounds must be nonnegative, got {self.max_cut_rounds}")
 
     @property
     def formulation(self) -> str:
@@ -82,7 +79,7 @@ class VerifyReport:
     """Outcome and counters of one query. `nodes` counts the distinct
     branch-and-bound nodes an exact search solved; `rounds` counts the cut
     rounds that added cuts, per target in cayley-lp and summed over the
-    roots and lazy leaves in cayley-exact. `separation_calls` counts the
+    targets' roots in cayley-exact. `separation_calls` counts the
     (neuron, direction) points the cut rounds checked, a flat staircase
     neuron once per point and any other neuron twice."""
     verdict: str                      # robust | falsified | unknown
@@ -222,21 +219,22 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
 def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
                      deadline: float, warm: LpSolution | None = None,
                      upper: np.ndarray | None = None, cutoff: float = -np.inf,
-                     round_at: Callable[[LpSolution], bool] | None = None):
+                     max_rounds: int | None = None):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
     `upper` replaces the variable upper bounds as in `model.to_lp` (a
     branch-and-bound node). The first solve starts from `warm`, each re-solve
     from the previous solution. Returns (value, last LpSolution, diagnostic),
     value None when the LP has no optimum, and adds the rounds, cuts,
-    separation and LP counts to `report`. No round runs after
-    `max_cut_rounds` rounds, once the value is at or below `cutoff` (the
-    node would be pruned anyway), or at a solution where the predicate
-    `round_at(sol)` is false (None: at every solution). Past the deadline
+    separation and LP counts to `report`. No round runs after `max_rounds`
+    rounds (None: `config.max_cut_rounds`) or once the value is at or below
+    `cutoff` (the node would be pruned anyway). Past the deadline
     no round runs, and the last (sound) value comes with the timeout
     diagnostic. The objective is non-increasing round over round since rows
     only accumulate.
     """
+    if max_rounds is None:
+        max_rounds = config.max_cut_rounds
     prev = np.inf
     rounds = 0
     sol = warm
@@ -250,8 +248,7 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
         if value > prev + 1e-9:
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
-        if (model.mode != CAYLEY or rounds >= config.max_cut_rounds or value <= cutoff
-                or (round_at is not None and not round_at(sol))):
+        if model.mode != CAYLEY or rounds >= max_rounds or value <= cutoff:
             return value, sol, ""
         if time.monotonic() > deadline:
             return value, sol, TIMEOUT
@@ -324,25 +321,22 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     A node is the model's variable upper bounds with the z of every piece
     its branches dropped at 0. Each node is solved once by `_solve_with_cuts`,
     cutting off at the incumbent; a node is pushed only to be branched. In
-    cayley mode the root runs the cut rounds; any other node solves with the
-    pooled cuts alone, and runs rounds only at an integral solution on a net
-    with a non-staircase (lazy constraints, `VerifyConfig`). The root LP
+    cayley mode the root runs up to `max_cut_rounds` cut rounds and any other
+    node solves with the pooled cuts alone: an integral node's LP value is
+    exact, since the seed cuts pin its point to its pieces. The root LP
     starts from `_forward_start`, node LPs from the parent's solution.
     Without a limit the bound is the exact optimum, attained by the
     incumbent (None when no node is feasible). The search stops at this
-    target's node limit, the deadline, or an integral node whose cut rounds
-    ran out on a net with a non-staircase (`VerifyConfig`); the bound is then
-    the larger of the best open node's bound and the incumbent's value, which
-    is sound, the diagnostic names the limit, and an open node that stopped
-    the search gives the solution in place of the incumbent's.
+    target's node limit or the deadline; the bound is then the larger of the
+    best open node's bound and the incumbent's value, which is sound, and
+    the diagnostic names the limit. A deadline between the root's cut rounds
+    gives the root's solution in place of the incumbent's.
     """
     serial = itertools.count()
     incumbent = -np.inf
     incumbent_sol = None
     heap: list[_Node] = []
     node_budget = report.nodes + config.node_limit
-    leaves_exact = model.mode != CAYLEY or all(
-        staircase_slope(nf.neuron.activation) is not None for nf in model.activated_neurons())
 
     def push(upper, bound, warm):
         heapq.heappush(heap, _Node(-bound, next(serial), upper, warm))
@@ -361,22 +355,15 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
         if -node.neg_bound <= incumbent + MIP_GAP:
             continue
         report.nodes += 1
-        rounds = report.rounds
-        # the root separates at every solution, another node at an integral
-        # one on a net with a non-staircase, and nowhere else
-        round_at = None if node.serial == 0 else (
-            lambda sol: not leaves_exact and len(_branch_pieces(model, sol.x, node.upper)) <= 1)
+        max_rounds = config.max_cut_rounds if node.serial == 0 else 0
         bound, sol, diag = _solve_with_cuts(model, config, report, deadline, node.warm,
-                                            node.upper, incumbent + MIP_GAP, round_at)
+                                            node.upper, incumbent + MIP_GAP, max_rounds)
         if bound is None or bound <= incumbent + MIP_GAP:
             continue
+        if diag:  # the deadline between the root's cut rounds: the root stays open
+            return stop(diag, bound, sol)
         allowed = _branch_pieces(model, sol.x, node.upper)
-        integral = len(allowed) <= 1
-        if integral and not leaves_exact and report.rounds - rounds >= config.max_cut_rounds:
-            diag = diag or CUT_LIMIT
-        if diag:  # deadline between cut rounds or a leaf's rounds ran out: stays open
-            return stop(diag, max(bound, -heap[0].neg_bound) if heap else bound, sol)
-        if integral:
+        if len(allowed) <= 1:
             incumbent = bound
             incumbent_sol = sol
             continue
@@ -391,8 +378,8 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
 def _branch_pieces(model: QueryModel, x: np.ndarray, upper: np.ndarray) -> list[int]:
     """The z variables of the pieces that the least integral neuron at `x`
     still allows under `upper`: the pieces a branch there splits. At most
-    one when `x` is integral; a numerically fractional but structurally
-    fixed neuron counts as integral."""
+    one when `x` is integral, which makes the node a leaf; a numerically
+    fractional but structurally fixed neuron counts as integral."""
     frac_nf, frac_score = None, 1e-6
     for nf in model.activated_neurons():
         score = 1.0 - float(model.neuron_point(x, nf.key)[2].max())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from stairverify import pwl
+from stairverify.formulations import VerificationQuery
 from stairverify.lp import EQUAL, LinearProgram
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 
@@ -86,6 +87,38 @@ def random_quantized_network(rng, n_in=3, hidden=(4,), n_out=2, bits=2,
     layers.append(Layer.dense(rng.normal(size=(n_out, prev)) * weight_scale,
                               rng.normal(size=n_out) * 0.1, None))
     return Network(tuple(layers), BoxDomain(-np.ones(n_in), np.ones(n_in)))
+
+
+def dense_query(j, spec, eps=0.05) -> VerificationQuery:
+    """Net j: 5-8-8-3 drawn from default_rng(j) with activation `spec` on
+    every hidden neuron; an anchor of default_rng(1000 + j)."""
+    rng = np.random.default_rng(j)
+    layers = [Layer.dense(rng.normal(size=(out, n_in)), rng.normal(size=out), act)
+              for n_in, out, act in ((5, 8, spec), (8, 8, spec), (8, 3, None))]
+    net = Network(tuple(layers), BoxDomain(-np.ones(5), np.ones(5)))
+    x0 = np.random.default_rng(1000 + j).uniform(-0.6, 0.6, 5)
+    return VerificationQuery(net, x0, eps, int(np.argmax(net.forward(x0))))
+
+
+def wide_tanh_query(j, eps=0.05) -> VerificationQuery:
+    """`dense_query` with `tanh_staircase_pair` slopes and breakpoints, the
+    outer two at +-40 and the intercepts continuous from f(-40) = -1."""
+    f = pwl.tanh_staircase_pair()
+    bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
+    ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
+    return dense_query(j, ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,
+                                                 "intercepts": ends[:-1] - f.slopes * bp[:-1]}),
+                       eps)
+
+
+def recipe_query(recipe: str, j: int, eps=0.05) -> VerificationQuery:
+    """Query j of an off-benchmark recipe: "tanh-style" (`wide_tanh_query`,
+    two staircase components) or "relu" (`dense_query` with ReLU)."""
+    if recipe == "tanh-style":
+        return wide_tanh_query(j, eps)
+    if recipe == "relu":
+        return dense_query(j, ActivationSpec("relu", {}), eps)
+    raise ValueError(f"unknown recipe {recipe!r}")
 
 
 def separation_lp(canon) -> LinearProgram:

@@ -298,6 +298,23 @@ def test_verify_rejects_bad_eps_before_reading_rows(net_file, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: --eps must be a nonnegative number")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--timeout", "nan", "timeout must be positive"),
+    ("--timeout", "0", "timeout must be positive"),
+    ("--tol", "nan", "cut_tol must be positive"),
+    ("--max-cut-rounds", "-1", "max_cut_rounds must be nonnegative"),
+    ("--node-limit", "0", "node_limit must be positive"),
+    ("--jobs", "0", "--jobs must be at least 1"),
+])
+def test_verify_rejects_bad_limits_before_reading_rows(net_file, tmp_path, capsys,
+                                                       flag, value, message):
+    _, netp = net_file
+    code, out = _run(["verify", "--net", netp, "--dataset", str(tmp_path / "absent.csv"),
+                      "--eps", "0.1", flag, value])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_cli_runs_as_module(net_file):
     _, netp = net_file
     # the subprocess imports the package this test process imported

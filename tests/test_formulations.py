@@ -101,16 +101,26 @@ def test_cayley_alpha_zero_seed_caps_y():
     assert found
 
 
-def test_pwl_seed_alpha_sums_the_component_slopes():
-    # the 5e-10 slope is flat to staircase_slope but a component of its own
+def test_cayley_seeds_pin_every_integral_point_to_its_piece():
+    # three distinct slopes, one of them flat to staircase_slope: with z = e_i
+    # the seeded LP holds y on piece i's line, y - (a_i t + d_i) = 0
     f = pwl.PiecewiseLinear([-1.0, 0.0, 0.5, 1.0], [1.0, 5e-10, 2.0], [0.0, 0.0, 0.0])
-    neuron = Neuron(np.array([0.5]), 0.0, f, BoxDomain([-2.0], [2.0]))
+    w, b = 0.5, 0.0
+    neuron = Neuron(np.array([w]), b, f, BoxDomain([-2.0], [2.0]))
     model = build_cayley(neuron)
-    _, parts = pwl.decompose_staircase(f)
-    slopes = [float(p.slopes[np.flatnonzero(p.slopes)[0]]) for p in parts]
-    assert slopes == [1.0, 5e-10, 2.0]
-    seeds = model._seed_alphas(model.nf)
-    assert len(seeds) == 2 and seeds[1][0] == sum(slopes) * 0.5
+    nf = model.nf
+    assert len(model._seed_alphas(nf)) == 4
+    for i, z in enumerate(nf.z_vars):
+        upper = np.array(model.upper)
+        upper[[v for v in nf.z_vars if v != z]] = 0.0
+        offset = float(f.slopes[i]) * b + float(f.intercepts[i])
+        for sign in (1.0, -1.0):   # the LP max and min of y - (a_i t + d_i)
+            model.objective = np.zeros(model.num_vars())
+            model.objective[nf.y_var] = sign
+            model.objective[nf.x_vars] = -sign * float(f.slopes[i]) * w
+            sol = solve(model.to_lp(upper))
+            assert sol.status == "optimal"
+            assert sign * sol.objective - offset == pytest.approx(0.0, abs=1e-9), (i, sign)
 
 
 def test_relu_single_neuron_cayley_lp_is_exact_hull():

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "replay", Path(__file__).resolve().parent.parent / "tools" / "replay.py")
 replay = importlib.util.module_from_spec(spec)
@@ -24,3 +26,19 @@ def test_compare_reports_fields_bounds_and_verdicts(capsys):
     assert "target_bounds: 1 queries" in out and "change: 1e-12" in out
     assert replay.compare(base, _doc("unknown", -2.0, 8)) == 1
     assert "verdict change: item 0 cayley-exact: robust -> unknown" in capsys.readouterr().out
+
+
+def test_recipe_replay_runs_the_three_modes(capsys):
+    doc = replay.replay_recipe("relu", 0.05, queries=1)
+    assert (doc["workload"], doc["eps"], doc["modes"]) == (
+        "relu", 0.05, ["bigm-exact", "cayley-exact", "cayley-lp"])
+    (item,) = doc["items"]
+    assert set(item) == set(doc["modes"])
+    for report in item.values():
+        assert "solve_time" not in report and report["verdict"] in ("robust", "falsified")
+        assert all(isinstance(v, str) for v in report["target_bounds"].values())
+    out = capsys.readouterr().out
+    assert all(f"{mode}: " in out for mode in doc["modes"])
+    assert replay.compare(doc, doc) == 0
+    with pytest.raises(SystemExit, match="different corpora"):
+        replay.compare(doc, {**doc, "eps": 0.1})

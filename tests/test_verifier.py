@@ -7,12 +7,11 @@ from stairverify import bounds, formulations, pwl
 from stairverify.errors import InputError
 from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
-from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 from stairverify.oracles import exhaustive_verify
 from stairverify.separation import LOWER, UPPER
 from stairverify.verifier import VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts, verify
 
-from helpers import random_quantized_network
+from helpers import random_quantized_network, recipe_query, wide_tanh_query
 
 
 def _tiny_query(rng, hidden=(3,), bits=2, eps=0.12, activation="dorefa",
@@ -37,6 +36,16 @@ def test_eps_zero_verdict_matches_classification():
 def test_mode_validation():
     with pytest.raises(InputError):
         VerifyConfig(mode="magic")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("timeout", float("nan")), ("timeout", 0.0), ("timeout", -1.0),
+    ("cut_tol", float("nan")), ("cut_tol", 0.0),
+    ("max_cut_rounds", -1), ("node_limit", 0)])
+def test_config_rejects_limits_that_never_bind(name, value):
+    # a NaN timeout would never expire and a NaN cut_tol would never add a cut
+    with pytest.raises(InputError, match=name):
+        VerifyConfig(**{name: value})
 
 
 def test_single_neuron_exact_equals_best_slice():
@@ -317,7 +326,7 @@ def test_report_counters_agree(mode, monkeypatch):
     net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3, weight_scale=1.5)
     q = VerificationQuery(net, np.zeros(3), 0.25, int(np.argmax(net.forward(np.zeros(3)))),
                           xi=1e9)
-    sols, warm_given, oracle_calls, adding_rounds = [], [], [], []
+    sols, warm_given, oracle_calls, adding_rounds, points = [], [], [], [], []
     solve_, separate_, cut_round_ = verifier.solve, verifier.separate_pwl, verifier._cut_round
 
     def spy_solve(lp, warm=None, *args):
@@ -329,8 +338,11 @@ def test_report_counters_agree(mode, monkeypatch):
         oracle_calls.append(args)
         return separate_(*args, **kwargs)
 
-    def spy_cut_round(*args):
-        added = cut_round_(*args)
+    def spy_cut_round(model, *args):
+        # a flat staircase is checked once per point, any other neuron twice
+        points.append(sum(1 if pwl.staircase_slope(nf.neuron.activation) == 0.0 else 2
+                          for nf in model.activated_neurons() if not nf.pinned))
+        added = cut_round_(model, *args)
         adding_rounds.extend([added] if added else [])
         return added
 
@@ -345,10 +357,8 @@ def test_report_counters_agree(mode, monkeypatch):
     # every solve after the first of a target or node starts warm, and is taken
     assert report.warm_solves == sum(warm_given) > 0 or mode == "bigm-lp"
     assert report.separation_calls - report.separation_screened == len(oracle_calls)
-    if mode.startswith("bigm"):
-        assert report.separation_calls == 0
-    else:
-        assert report.separation_screened > 0 and report.separation_calls % 2 == 0
+    assert report.separation_calls == sum(points)
+    assert (report.separation_screened > 0) == mode.startswith("cayley")
     # a round counts when it adds cuts; in cayley-exact its node is re-solved in place
     assert report.rounds == len(adding_rounds)
     assert report.cuts_added == sum(adding_rounds)
@@ -655,76 +665,36 @@ def test_cayley_exact_honours_max_cut_rounds():
         assert none.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-12)
 
 
-def _dense_query(j, spec, eps=0.05):
-    """Net j: 5-8-8-3 drawn from default_rng(j) with activation `spec` on
-    every hidden neuron; an anchor of default_rng(1000 + j)."""
-    rng = np.random.default_rng(j)
-    layers = [Layer.dense(rng.normal(size=(out, n_in)), rng.normal(size=out), act)
-              for n_in, out, act in ((5, 8, spec), (8, 8, spec), (8, 3, None))]
-    net = Network(tuple(layers), BoxDomain(-np.ones(5), np.ones(5)))
-    x0 = np.random.default_rng(1000 + j).uniform(-0.6, 0.6, 5)
-    return VerificationQuery(net, x0, eps, int(np.argmax(net.forward(x0))))
-
-
-def _wide_tanh_query(j):
-    """`_dense_query` with `tanh_staircase_pair` slopes and breakpoints, the
-    outer two at +-40 and the intercepts continuous from f(-40) = -1."""
-    f = pwl.tanh_staircase_pair()
-    bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
-    ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
-    return _dense_query(j, ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,
-                                                  "intercepts": ends[:-1] - f.slopes * bp[:-1]}))
-
-
-def test_cut_limited_leaves_of_non_staircases_are_not_exact():
+def test_cayley_exact_without_cut_rounds_is_exact_on_non_staircases():
     # at 0 rounds a tanh-style leaf is bounded by its seeded LP alone, which
-    # can sit above the exact optimum: the search stops with a gap there
-    loose = 0
+    # the seed cuts make exact: every integral point lies on its piece
     for j in range(6):
-        q = _wide_tanh_query(j)
+        q = wide_tanh_query(j)
         exact = verify(q, VerifyConfig(mode="bigm-exact", timeout=60))
-        limited = verify(q, VerifyConfig(mode="cayley-exact", max_cut_rounds=0, timeout=60))
-        assert limited.verdict in (exact.verdict, "unknown"), j
-        for target, bound in limited.target_bounds.items():
-            if target not in exact.target_bounds:
-                continue
-            assert bound >= exact.target_bounds[target] - 1e-9, (j, target)
-            if bound > exact.target_bounds[target] + 1e-9:
-                loose += 1
-                assert limited.diagnostic == "cut rounds limit reached", (j, target)
-                assert limited.gap_percent > 0, (j, target)
-    assert loose > 0
+        seeded = verify(q, VerifyConfig(mode="cayley-exact", max_cut_rounds=0, timeout=60))
+        assert seeded.verdict == exact.verdict and seeded.diagnostic == "", j
+        assert seeded.rounds == 0 and seeded.gap_percent == 0.0, j
+        assert seeded.target_bounds.keys() == exact.target_bounds.keys(), j
+        for target, bound in exact.target_bounds.items():
+            assert seeded.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("recipe", ["tanh-style", "relu"])
-def test_cayley_exact_matches_bigm_exact_off_the_benchmark(recipe, monkeypatch):
-    # tanh-style leaves are not staircases and take lazy cuts; ReLU (s = 1)
-    # separates at the roots alone, in both directions
-    from stairverify import verifier
-    solve_with_cuts = verifier._solve_with_cuts
-    lazy_rounds = []
-
-    def spy(*args):
-        before = args[2].rounds
-        out = solve_with_cuts(*args)
-        if len(args) > 7 and args[7] is not None:
-            lazy_rounds.append(args[2].rounds - before)
-        return out
-
-    monkeypatch.setattr(verifier, "_solve_with_cuts", spy)
+def test_cayley_exact_matches_bigm_exact_off_the_benchmark(recipe):
+    # tanh-style neurons have two staircase components and ReLU (s = 1) one;
+    # both separate at the roots alone, in both directions
     for j in range(6):
-        q = _wide_tanh_query(j) if recipe == "tanh-style" else \
-            _dense_query(j, ActivationSpec("relu", {}))
+        q = recipe_query(recipe, j)
         exact = verify(q, VerifyConfig(mode="bigm-exact", timeout=60))
         cayley = verify(q, VerifyConfig(mode="cayley-exact", timeout=60))
         assert cayley.verdict == exact.verdict and cayley.diagnostic == "", j
         assert cayley.target_bounds.keys() == exact.target_bounds.keys()
         for target, bound in exact.target_bounds.items():
             assert cayley.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-9)
-    assert (sum(lazy_rounds) > 0) == (recipe == "tanh-style")
 
 
-def test_cayley_exact_cuts_only_at_the_roots_of_staircase_nets(monkeypatch):
+@pytest.mark.parametrize("net", ["dorefa", "tanh-style"])
+def test_cayley_exact_cuts_only_at_the_roots(net, monkeypatch):
     from stairverify import verifier
     bnb, solve_with_cuts, cut_round = (verifier._branch_and_bound, verifier._solve_with_cuts,
                                        verifier._cut_round)
@@ -745,7 +715,8 @@ def test_cayley_exact_cuts_only_at_the_roots_of_staircase_nets(monkeypatch):
     monkeypatch.setattr(verifier, "_branch_and_bound", spy_bnb)
     monkeypatch.setattr(verifier, "_solve_with_cuts", spy_solve)
     monkeypatch.setattr(verifier, "_cut_round", spy_round)
-    report = verify(_three_label_query(), VerifyConfig(mode="cayley-exact", timeout=60))
+    q = _three_label_query() if net == "dorefa" else wide_tanh_query(0)
+    report = verify(q, VerifyConfig(mode="cayley-exact", timeout=60))
     assert report.verdict == "robust" and report.rounds > 0
     assert node_solves[0] > 1 and node_solves[1] > 1 and sum(node_solves) == report.nodes
     # every round ran inside a root solve, and both roots separated
@@ -797,10 +768,10 @@ def test_nodes_count_each_node_solve_once(mode, monkeypatch):
     node_solves = []
 
     def spy(model, config, report, deadline, warm=None, upper=None, cutoff=-np.inf,
-            round_at=None):
-        assert upper is not None
+            max_rounds=None):
+        assert upper is not None and max_rounds is not None
         node_solves.append(upper)
-        return solve_with_cuts(model, config, report, deadline, warm, upper, cutoff, round_at)
+        return solve_with_cuts(model, config, report, deadline, warm, upper, cutoff, max_rounds)
 
     monkeypatch.setattr(verifier, "_solve_with_cuts", spy)
     report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))

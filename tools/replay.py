@@ -3,25 +3,33 @@
 Usage, from the repository root:
 
     python3 tools/replay.py --workload exact-bnb --seed 1 --out before.json
+    python3 tools/replay.py --workload tanh-style --eps 0.1 --out before.json
     python3 tools/replay.py --compare before.json after.json
 
 The first form builds the queries of a verify workload of
 `perfbench/workloads.py` (relaxed-lp, exact-bnb or deeppoly-wide) for the
 seed, runs every query in each of the workload's modes with its config, and
 writes every `VerifyReport.as_dict()` field except the two times, floats as
-`float.hex`, so two replays compare bit for bit. The second form prints,
-per mode, each field that differs (how many queries, and the totals of a
-numeric field), the largest relative change of a target bound, and every
-verdict change; it exits 1 when a verdict changed.
+`float.hex`, so two replays compare bit for bit. The off-benchmark recipes
+`tanh-style` and `relu` (`tests/helpers.recipe_query`, 5-8-8-3 nets) take
+`--eps` in place of a seed and run 12 queries in bigm-exact, cayley-exact
+and cayley-lp with the default config, printing each mode's total time
+and nodes. The second form prints, per mode, each field that differs (how
+many queries, and the totals of a numeric field), the largest relative
+change of a target bound, and every verdict change; it exits 1 when a
+verdict changed.
 """
 
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMES = ("solve_time", "separation_time")
+RECIPES = ("tanh-style", "relu")
+RECIPE_MODES = ("bigm-exact", "cayley-exact", "cayley-lp")
 
 
 def _hex(value):
@@ -34,6 +42,10 @@ def _hex(value):
     return value
 
 
+def _fields(report) -> dict:
+    return {k: _hex(v) for k, v in report.as_dict().items() if k not in TIMES}
+
+
 def replay(workload: str, seed: int) -> dict:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
@@ -43,12 +55,27 @@ def replay(workload: str, seed: int) -> dict:
     out = []
     for i in range(len(work.items)):
         rec = work.run_op(i)
-        modes = {mode: {k: _hex(v) for k, v in rep.as_dict().items() if k not in TIMES}
-                 for mode, rep in rec.reports.items()}
+        modes = {mode: _fields(rep) for mode, rep in rec.reports.items()}
         for mode, kind, message in rec.errors:
             modes[mode] = {"error": f"{kind}: {message}"}
         out.append(modes)
     return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
+
+
+def replay_recipe(recipe: str, eps: float, queries: int = 12) -> dict:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from helpers import recipe_query
+    from stairverify.verifier import VerifyConfig, verify
+
+    out = [{} for _ in range(queries)]
+    for mode in RECIPE_MODES:
+        t0 = time.perf_counter()
+        for j in range(queries):
+            out[j][mode] = _fields(verify(recipe_query(recipe, j, eps), VerifyConfig(mode=mode)))
+        print(f"{mode}: {time.perf_counter() - t0:.2f} s, "
+              f"{sum(item[mode]['nodes'] for item in out)} nodes")
+    return {"workload": recipe, "seed": None, "eps": eps, "modes": list(RECIPE_MODES),
+            "items": out}
 
 
 def _float(value) -> float:
@@ -57,7 +84,10 @@ def _float(value) -> float:
 
 def compare(a: dict, b: dict) -> int:
     """Print the differences of replay `b` from replay `a`; 1 on a verdict change."""
-    if (a["workload"], a["seed"], len(a["items"])) != (b["workload"], b["seed"], len(b["items"])):
+    def corpus(doc):
+        return doc["workload"], doc["seed"], doc.get("eps"), len(doc["items"])
+
+    if corpus(a) != corpus(b):
         sys.exit("error: the replays are of different corpora")
     verdicts = []
     for mode in a["modes"]:
@@ -93,8 +123,10 @@ def compare(a: dict, b: dict) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=("relaxed-lp", "exact-bnb", "deeppoly-wide"))
+    parser.add_argument("--workload",
+                        choices=("relaxed-lp", "exact-bnb", "deeppoly-wide") + RECIPES)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--eps", type=float, default=0.05, help="ball radius of a recipe")
     parser.add_argument("--out", help="replay file to write")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two replay files")
     args = parser.parse_args(argv)
@@ -103,7 +135,10 @@ def main(argv=None) -> int:
         return compare(a, b)
     if not (args.workload and args.out):
         parser.error("give --workload and --out, or --compare A B")
-    doc = replay(args.workload, args.seed)
+    if args.workload in RECIPES:
+        doc = replay_recipe(args.workload, args.eps)
+    else:
+        doc = replay(args.workload, args.seed)
     Path(args.out).write_text(json.dumps(doc))
     return 0
 
