@@ -106,7 +106,9 @@ def cmd_verify(args) -> int:
     net = load_network(args.net)
     rows = _load_dataset(args.dataset)
     if args.jobs > 1:
-        # queries are independent; processes, since threads share one GIL
+        # queries are independent; processes, since threads share one GIL. Workers
+        # import numpy with one BLAS thread unless set: on small LPs more add only CPU time
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         with ProcessPoolExecutor(max_workers=args.jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = [pool.submit(_verify_one, net, i, x0, lab, args.eps, config)
@@ -220,11 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--net", required=True)
     v.add_argument("--dataset", required=True)
     v.add_argument("--eps", type=float, required=True)
-    v.add_argument("--mode", default="cayley-lp", choices=MODES)
-    v.add_argument("--max-cut-rounds", type=int, default=20)
-    v.add_argument("--tol", type=float, default=1e-6)
-    v.add_argument("--timeout", type=float, default=120.0)
-    v.add_argument("--node-limit", type=int, default=20000)
+    defaults = VerifyConfig()
+    v.add_argument("--mode", default=defaults.mode, choices=MODES)
+    v.add_argument("--max-cut-rounds", type=int, default=defaults.max_cut_rounds)
+    v.add_argument("--tol", type=float, default=defaults.cut_tol)
+    v.add_argument("--timeout", type=float, default=defaults.timeout)
+    v.add_argument("--node-limit", type=int, default=defaults.node_limit)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", choices=("json", "csv"), default="json")
     v.set_defaults(func=cmd_verify)

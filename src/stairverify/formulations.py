@@ -1,14 +1,17 @@
 """Per-neuron constraint systems and whole-query models.
 
 Two interchangeable encodings of one neuron's lifted graph over piece
-indicators z in the unit simplex:
+indicators z in the unit simplex. Both take their z coefficients from one
+slab table, `slab_extremes(neuron, a)`: the min and max of
+(a_i - a) w.x + dbar_i over each piece i's slice.
 
-* Big-M: slab coupling rows plus indicator rows deactivated by M constants;
-  piecewise-constant activations drop the M rows in favor of the exact
-  ``y = sum_i d_i z_i``.
+* Big-M: slab coupling rows plus indicator rows deactivated by M constants,
+  piece i's being the table at a = a_i less dbar_i; piecewise-constant
+  activations drop the M rows in favor of the exact ``y = sum_i d_i z_i``.
 * Cayley: slab coupling and simplex rows plus a growable pool of hull cuts,
-  seeded in both directions with alpha = 0 and with alpha = a w for each
-  distinct nonzero slope a, so an integral z holds y on its piece.
+  seeded in both directions with alpha = a w for a = 0 and each distinct
+  nonzero slope a, the table at a giving their z coefficients, so an
+  integral z holds y on its piece.
 
 Integrality of z is a solver-mode flag, never a formulation change, and the
 same pre-activation bounds feed both builders.
@@ -25,7 +28,8 @@ from .errors import InputError
 from .lp import EQUAL, GREATER, LESS, LinearProgram
 from .network import BoxDomain, Network, Neuron
 from .pwl import distinct_slopes
-from .separation import Cut, LOWER, UPPER, is_pinned, retrieve_cut
+# no model build calls retrieve_cut; the benchmark tracer (perfbench/tracing.py) wraps it here
+from .separation import Cut, LOWER, UPPER, is_pinned, retrieve_cut, slab_extremes
 
 BIGM, CAYLEY = "bigm", "cayley"
 
@@ -127,12 +131,13 @@ class _RowModel:
         self.upper.append(float(hi))
         return len(self.lower) - 1
 
-    def _add_row(self, coeffs: np.ndarray, sense: str, rhs: float) -> None:
+    def _add_row(self, cols: list[int], coeffs, sense: str, rhs: float) -> None:
+        """Append the row with `coeffs` on the variables `cols`, zero elsewhere."""
         m = len(self.rhs)
         if m == len(self._matrix):   # double the rows; the first row sets the width
             width = self.num_vars() - self._matrix.shape[1]
             self._matrix = np.pad(self._matrix, ((0, max(64, m)), (0, width)))
-        self._matrix[m] = coeffs
+        self._matrix[m][cols] = coeffs
         self.senses.append(sense)
         self.rhs.append(float(rhs))
 
@@ -141,76 +146,43 @@ class _RowModel:
 
     def _attach_neuron(self, nf: NeuronFormulation) -> None:
         self.neurons[nf.key] = nf
-        f = nf.neuron.activation
-        b = nf.neuron.bias
-        simplex = np.zeros(self.num_vars())
-        simplex[nf.z_vars] = 1.0
-        self._add_row(simplex, EQUAL, 1.0)
-        low = np.zeros(self.num_vars())
-        low[nf.x_vars] = nf.neuron.weight
-        high = low.copy()
-        low[nf.z_vars] -= f.breakpoints[:-1]
-        high[nf.z_vars] -= f.breakpoints[1:]
-        self._add_row(low, GREATER, -b)
-        self._add_row(high, LESS, -b)
+        f, w = nf.neuron.activation, nf.neuron.weight
+        self._add_row(nf.z_vars, 1.0, EQUAL, 1.0)
+        for ends, sense in ((f.breakpoints[:-1], GREATER), (f.breakpoints[1:], LESS)):
+            self._add_row(nf.x_vars + nf.z_vars, np.concatenate([w, -ends]), sense,
+                          -nf.neuron.bias)
         if self.mode == BIGM:
             self._add_bigm_rows(nf)
-        else:
-            self._add_seed_cuts(nf)
+            return
+        # the seeds: at z = e_i the pair of a_i holds y on piece i's line
+        slopes = [0.0] + distinct_slopes(f.slopes)
+        for a, low, high in zip(slopes, *slab_extremes(nf.neuron, slopes)):
+            self.add_cut(nf, Cut(UPPER, a * w, high))
+            self.add_cut(nf, Cut(LOWER, a * w, low))
 
     def _add_bigm_rows(self, nf: NeuronFormulation) -> None:
         f = nf.neuron.activation
-        w = nf.neuron.weight
-        b = nf.neuron.bias
         if np.all(np.abs(f.slopes) <= 1e-12):
             # constant pieces never need the M constants
-            row = np.zeros(self.num_vars())
-            row[nf.y_var] = 1.0
-            row[nf.z_vars] = -f.intercepts
-            self._add_row(row, EQUAL, 0.0)
+            self._add_row(nf.z_vars + [nf.y_var], np.append(-f.intercepts, 1.0), EQUAL, 0.0)
             return
-        # corner values of f over the whole range; the M constants must bound
-        # the difference y - (a_i t + d_i), not y itself
-        corner_ts = np.concatenate([f.breakpoints[:-1], f.breakpoints[1:]])
-        corner_fs = np.concatenate([f.slopes * f.breakpoints[:-1] + f.intercepts,
-                                    f.slopes * f.breakpoints[1:] + f.intercepts])
+        # M constants bound y - (a_i t + d_i). No empty-slice check: the slab
+        # rows already make z_j = 1 infeasible for a slab that misses the box.
+        lows, highs = slab_extremes(nf.neuron, f.slopes, check=False)
+        dbar = nf.neuron.dbar()
         for i, z in enumerate(nf.z_vars):
-            a_i = float(f.slopes[i])
-            d_i = float(f.intercepts[i])
-            diff = corner_fs - (a_i * corner_ts + d_i)
-            m1, m2 = float(diff.min()), float(diff.max())
-            up = np.zeros(self.num_vars())
-            up[nf.x_vars] -= a_i * w
-            up[nf.y_var] = 1.0
-            low = up.copy()
-            up[z] = m2
-            low[z] = m1
-            self._add_row(up, LESS, m2 + a_i * b + d_i)
-            self._add_row(low, GREATER, m1 + a_i * b + d_i)
-
-    def _seed_alphas(self, nf: NeuronFormulation) -> list[np.ndarray]:
-        """alpha = 0 and alpha = a w for each distinct nonzero slope a: at
-        z = e_i the pair of a_i holds y on piece i's line, so every integral
-        point sits on its piece."""
-        w = nf.neuron.weight
-        return [np.zeros(w.size)] + [a * w for a in distinct_slopes(nf.neuron.activation.slopes)]
-
-    def _add_seed_cuts(self, nf: NeuronFormulation) -> None:
-        for alpha in self._seed_alphas(nf):
-            for direction in (UPPER, LOWER):
-                self.add_cut(nf, retrieve_cut(nf.neuron, alpha, direction))
+            line = np.append(-f.slopes[i] * nf.neuron.weight, 1.0)
+            for m, sense in ((highs[i].max() - dbar[i], LESS), (lows[i].min() - dbar[i], GREATER)):
+                self._add_row(nf.x_vars + [nf.y_var, z], np.append(line, m), sense, m + dbar[i])
 
     def add_cut(self, nf: NeuronFormulation, cut: Cut) -> bool:
         """Install a cut row unless an equal one (up to 1e-10) is pooled already."""
         key = cut.key()
         if key in nf.pool:
             return False
-        row = np.zeros(self.num_vars())
-        row[nf.x_vars] += cut.alpha
-        row[nf.z_vars] += cut.zcoef
-        row[nf.y_var] -= cut.y_coef
         sense = LESS if (cut.y_coef != 0.0 and cut.direction == LOWER) else GREATER
-        self._add_row(row, sense, -cut.const)
+        self._add_row(nf.x_vars + nf.z_vars + [nf.y_var],
+                      np.concatenate([cut.alpha, cut.zcoef, [-cut.y_coef]]), sense, -cut.const)
         nf.pool.add(key)
         return True
 
@@ -303,10 +275,8 @@ class QueryModel(_RowModel):
                 if (li, j) in activated:
                     self._attach_neuron(activated[(li, j)])
                     continue
-                row = np.zeros(self.num_vars())
-                row[self.layer_inputs[li]] = layer.weights[j]
-                row[y] -= 1.0
-                self._add_row(row, EQUAL, -float(layer.bias[j]))
+                self._add_row(self.layer_inputs[li] + [y], np.append(layer.weights[j], -1.0),
+                              EQUAL, -float(layer.bias[j]))
         self.objective = np.zeros(self.num_vars())
         if query.target is not None:
             self.set_target(query.target)
@@ -373,37 +343,31 @@ class QueryModel(_RowModel):
         neurons = self.activated_neurons()
         if len(pattern) != len(neurons):
             raise InputError("pattern length must match the activated neuron count")
-        n = self.num_vars()
-        unit = np.eye(n)
-        rows: list[tuple[np.ndarray, str, float]] = []
+        rows = _RowModel(self.mode)   # the row writer only: none of this model's rows
+        rows.lower, rows.upper, rows.objective = self.lower, self.upper, self.objective
         for li, layer in enumerate(self.net.layers):
-            for j in range(layer.out_dim):
-                if (li, j) in self.neurons:
-                    continue
-                row = np.zeros(n)
-                row[self.layer_inputs[li]] = layer.weights[j]
-                row[self.y_vars[li][j]] -= 1.0
-                rows.append((row, EQUAL, -float(layer.bias[j])))
+            for j, y in enumerate(self.y_vars[li]):
+                if (li, j) not in self.neurons:
+                    rows._add_row(self.layer_inputs[li] + [y], np.append(layer.weights[j], -1.0),
+                                  EQUAL, -float(layer.bias[j]))
         for nf, piece in zip(neurons, pattern):
             f = nf.neuron.activation
             w = nf.neuron.weight
             b = nf.neuron.bias
-            pre = np.zeros(n)
-            pre[nf.x_vars] = w
             lower = float(f.breakpoints[piece]) - b
             upper = float(f.breakpoints[piece + 1]) - b
             if piece > 0:
                 lower += margin * max(1.0, abs(lower))
             if piece + 1 < f.num_pieces:
                 upper -= margin * max(1.0, abs(upper))
-            rows += [(pre, GREATER, lower), (pre, LESS, upper)]
-            graph = -float(f.slopes[piece]) * pre
-            graph[nf.y_var] += 1.0
-            rows.append((graph, EQUAL, float(f.slopes[piece]) * b + float(f.intercepts[piece])))
-            rows += [(unit[z], EQUAL, float(i == piece)) for i, z in enumerate(nf.z_vars)]
-        coeffs, senses, rhs = zip(*rows)
-        return LinearProgram("max", self.objective.copy(), np.array(coeffs), senses, rhs,
-                             np.array(self.lower), np.array(self.upper))
+            rows._add_row(nf.x_vars, w, GREATER, lower)
+            rows._add_row(nf.x_vars, w, LESS, upper)
+            a = float(f.slopes[piece])
+            rows._add_row(nf.x_vars + [nf.y_var], np.append(-a * w, 1.0), EQUAL,
+                          a * b + float(f.intercepts[piece]))
+            for i, z in enumerate(nf.z_vars):
+                rows._add_row([z], 1.0, EQUAL, float(i == piece))
+        return rows.to_lp()
 
 
 def build_query_model(query: VerificationQuery, mode: str,

@@ -682,6 +682,29 @@ def _box_slice_series(c_vec, w, lower, upper, lo_ts, hi_ts):
     return vals
 
 
+def _slice_ends(neuron: Neuron, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Each piece's slab [h_i, h_{i+1}] - b in w.x, clipped to the range of w.x over the
+    box; with `check`, a slab that misses it by 1e-7 of its width raises FormulationError."""
+    w, ends = neuron.weight, neuron.activation.breakpoints - neuron.bias
+    tmin = float(w @ np.where(w >= 0, neuron.box.lower, neuron.box.upper))
+    tmax = float(w @ np.where(w >= 0, neuron.box.upper, neuron.box.lower))
+    tol = 1e-7 * max(1.0, tmax - tmin)
+    if check and (np.any(ends[:-1] > tmax + tol) or np.any(ends[1:] < tmin - tol)):
+        raise FormulationError("empty slice after clipping: bounds inconsistent")
+    ends = np.clip(ends, tmin, tmax)
+    return ends[:-1], ends[1:]
+
+
+def slab_extremes(neuron: Neuron, a, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of (a_i - a) w.x + dbar_i over each piece i's slice: `retrieve_cut`'s
+    lower and upper z-coefficients for alpha = a w, taken at the slice ends since the
+    objective is linear in w.x. An array `a` gives one row per entry."""
+    lo_ts, hi_ts = _slice_ends(neuron, check)
+    slope = neuron.activation.slopes - np.asarray(a, dtype=float)[..., None]
+    ends = slope * lo_ts, slope * hi_ts
+    return np.minimum(*ends) + neuron.dbar(), np.maximum(*ends) + neuron.dbar()
+
+
 def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0) -> Cut:
     """Exact z-coefficients for a given alpha by per-slice optimization.
 
@@ -704,14 +727,7 @@ def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0) -> 
         slopes = f.slopes
         dbar = neuron.dbar()
         sense = "max" if direction == UPPER else "min"
-    tmin = float(w @ np.where(w >= 0, lo, hi))
-    tmax = float(w @ np.where(w >= 0, hi, lo))
-    width = max(1.0, tmax - tmin)
-    lo_ts = np.clip(f.breakpoints[:-1] - neuron.bias, tmin, tmax)
-    hi_ts = np.clip(f.breakpoints[1:] - neuron.bias, tmin, tmax)
-    if np.any(f.breakpoints[:-1] - neuron.bias > tmax + 1e-7 * width) or \
-       np.any(f.breakpoints[1:] - neuron.bias < tmin - 1e-7 * width):
-        raise FormulationError("empty slice after clipping: bounds inconsistent")
+    lo_ts, hi_ts = _slice_ends(neuron)
 
     zcoef = np.empty(k)
     groups: dict[float, list[int]] = {}
@@ -797,11 +813,10 @@ def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     unbounded component gives its ray cut in (x, z) alone; otherwise the
     query is compared with the summed envelope and the component cuts add
     up to the violated inequality. The surrounding formulation is expected
-    to hold the seed cuts already: alpha = 0 and alpha = a w for each
-    distinct slope a, both directions, which for a staircase of slope s are
-    the two cuts alpha = 0 and alpha = s w. The candidate-family search is
-    complete under that hypothesis, and seed installation is the
-    formulation builder's job.
+    to hold the seed cuts already: alpha = a w for a = 0 and each distinct
+    slope a, both directions, their z coefficients read from
+    `slab_extremes` (for a staircase of slope s, alpha = 0 and alpha = s w).
+    The candidate-family search is complete under that hypothesis.
     """
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
     return _cut(outcomes, yhat, direction, tol)

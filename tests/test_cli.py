@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import stairverify
-from stairverify.cli import main
+from stairverify.cli import build_parser, main
 from stairverify.bounds import deeppoly_bounds
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron, save_network
 from stairverify.separation import UPPER
+from stairverify.verifier import VerifyConfig
 
 from helpers import random_quantized_network
 
@@ -163,6 +164,37 @@ def test_every_verify_config_field_has_a_flag(net_file, dataset_file, monkeypatc
     for field in fields(VerifyConfig):
         assert all(getattr(c, field.name) != getattr(default, field.name) for c in configs), \
             f"no CLI flag sets VerifyConfig.{field.name}"
+
+
+def test_verify_parser_defaults_are_verify_config_defaults():
+    args = build_parser().parse_args(["verify", "--net", "n.json", "--dataset", "d.csv",
+                                      "--eps", "0.1"])
+    default = VerifyConfig()
+    assert (args.mode, args.max_cut_rounds, args.tol, args.timeout, args.node_limit) == (
+        default.mode, default.max_cut_rounds, default.cut_tol, default.timeout,
+        default.node_limit)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_verify_workers_start_with_one_blas_thread(monkeypatch, net_file, dataset_file, preset):
+    # a worker imports numpy afresh: one BLAS thread unless the user set a count
+    from concurrent.futures import ProcessPoolExecutor
+
+    from stairverify import cli
+    seen = []
+
+    class ProbedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.submit(os.getenv, "OPENBLAS_NUM_THREADS").result())
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "unset")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ProbedPool)
+    code, _ = _run(["verify", "--net", net_file[1], "--dataset", dataset_file,
+                    "--eps", "0.05", "--jobs", "2"])
+    assert code == 0 and seen == [preset or "1"]
 
 
 def test_verify_jobs_aggregate_independent(net_file, dataset_file):

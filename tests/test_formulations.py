@@ -47,6 +47,41 @@ def test_bigm_relu_is_textbook():
             assert _row_holds(coeffs, sense, rhs, vals, tol=1e-9)
 
 
+def _corner_m_constants(f):
+    """Referee: min and max over every piece's breakpoint corners of
+    y - (a_i t + d_i), per piece i, as Big-M computed its M constants once."""
+    corner_ts = np.concatenate([f.breakpoints[:-1], f.breakpoints[1:]])
+    corner_fs = np.concatenate([f.slopes * f.breakpoints[:-1] + f.intercepts,
+                                f.slopes * f.breakpoints[1:] + f.intercepts])
+    diffs = [corner_fs - (a_i * corner_ts + d_i) for a_i, d_i in zip(f.slopes, f.intercepts)]
+    return np.array([d.min() for d in diffs]), np.array([d.max() for d in diffs])
+
+
+def test_bigm_m_constants_match_the_corner_formula():
+    rng = np.random.default_rng(52)
+    for trial in range(60):
+        neuron = random_neuron(rng, int(rng.integers(1, 5)), int(rng.integers(2, 6)),
+                               s=[1.0, -0.4, 2.0][trial % 3], pwl_activation=trial % 2 == 0)
+        f = neuron.activation
+        if np.all(np.abs(f.slopes) <= 1e-12):
+            continue
+        model = build_bigm(neuron)
+        nf = model.nf
+        lp = model.to_lp()
+        m_rows = {LESS: [], GREATER: []}   # piece i's two M rows, in piece order
+        for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
+            if coeffs[nf.y_var] == 1.0:
+                m_rows[sense].append((coeffs, rhs))
+        ref_low, ref_high = _corner_m_constants(f)
+        dbar = neuron.dbar()
+        for sense, ref in ((GREATER, ref_low), (LESS, ref_high)):
+            assert len(m_rows[sense]) == f.num_pieces
+            for i, (coeffs, rhs) in enumerate(m_rows[sense]):
+                m = coeffs[nf.z_vars[i]]
+                assert abs(m - ref[i]) <= 1e-12 * max(1.0, abs(ref[i])), (trial, sense, i)
+                assert rhs == pytest.approx(ref[i] + dbar[i], rel=1e-12, abs=1e-12)
+
+
 def test_bigm_constant_pieces_drop_m_rows():
     neuron = Neuron.aligned(np.array([1.0, -1.0]), 0.0,
                             lambda lo, hi: pwl.dorefa(2, lo, hi),
@@ -109,7 +144,7 @@ def test_cayley_seeds_pin_every_integral_point_to_its_piece():
     neuron = Neuron(np.array([w]), b, f, BoxDomain([-2.0], [2.0]))
     model = build_cayley(neuron)
     nf = model.nf
-    assert len(model._seed_alphas(nf)) == 4
+    assert len(nf.pool) == 8   # alpha = a w for a in {0, 1, 5e-10, 2}, both directions
     for i, z in enumerate(nf.z_vars):
         upper = np.array(model.upper)
         upper[[v for v in nf.z_vars if v != z]] = 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stairverify import pwl
-from stairverify.errors import DomainError, InputError, ParameterError
+from stairverify.errors import DomainError, FormulationError, InputError, ParameterError
 from stairverify.lp import solve
 from stairverify.network import ActivationSpec, BoxDomain, Neuron
 from stairverify.oracles import (brute_min_psi, enumerate_cayley_vertices,
@@ -11,9 +11,9 @@ from stairverify.separation import (LOWER, THETA2_ZERO, UPPER, PsiInstance, Swee
                                     _candidates, _canonicalize, _check_candidate, _oracle,
                                     _reconstruct, membership_certificate, minimize_psi_c,
                                     retrieve_cut, round_fractional, separate_pwl,
-                                    separate_staircase)
+                                    separate_staircase, slab_extremes)
 
-from helpers import random_neuron, random_query_point, separation_lp
+from helpers import random_neuron, random_pwl, random_query_point, separation_lp, wide_tanh_query
 
 
 def build_psi(neuron, xhat, zhat, orientation=THETA2_ZERO, direction=UPPER):
@@ -429,6 +429,52 @@ def test_retrieve_cut_matches_slice_lp():
             ref = solve(lp)
             assert ref.status == "optimal"
             assert cut.zcoef[i] == pytest.approx(ref.objective + dbar[i], abs=1e-8)
+
+
+def _table_neuron(rng, kind: str) -> Neuron:
+    """A random 4-input neuron of `kind`; coordinate 1 may be pinned and
+    coordinate 2 may have a zero weight."""
+    lo = rng.uniform(-2.0, 0.0, size=4)
+    hi = lo + rng.uniform(0.3, 2.5, size=4)
+    if rng.random() < 0.5:
+        hi[1] = lo[1]
+    w = rng.normal(size=4)
+    if rng.random() < 0.5:
+        w[2] = 0.0
+    factory = {
+        "relu": ActivationSpec("relu", {}).instantiate,
+        "dorefa": ActivationSpec("dorefa", {"bits": 2, "lo": -1.0, "hi": 1.0}).instantiate,
+        "tanh-style": wide_tanh_query(0).network.layers[0].activations[0].instantiate,
+        "3-slope": lambda L, U: random_pwl(rng, 5, L, U, slope_pool=[-1.0, 0.5, 2.0]),
+    }[kind]
+    return Neuron.aligned(w, float(rng.normal()), factory, BoxDomain(lo, hi))
+
+
+@pytest.mark.parametrize("kind", ["relu", "dorefa", "tanh-style", "3-slope"])
+def test_slab_extremes_match_retrieve_cut(kind):
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        neuron = _table_neuron(rng, kind)
+        slopes = [0.0] + pwl.distinct_slopes(neuron.activation.slopes) + [float(rng.normal())]
+        lows, highs = slab_extremes(neuron, slopes)
+        for a, low, high in zip(slopes, lows, highs):
+            assert np.array_equal(slab_extremes(neuron, a)[1], high)
+            for ext, direction in ((high, UPPER), (low, LOWER)):
+                ref = retrieve_cut(neuron, a * neuron.weight, direction).zcoef
+                assert np.all(np.abs(ext - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), \
+                    (kind, a, direction)
+
+
+def test_empty_slice_check_stays_on_retrieve_cut_and_cayley_seeds():
+    # the box reaches w.x in [0, 1] only, so the slab of piece 0 ([-3, -1]) is empty
+    from stairverify.formulations import build_bigm, build_cayley
+    f = pwl.PiecewiseLinear([-3.0, -1.0, 2.0], [0.0, 1.0], [0.0, 1.0])
+    neuron = Neuron(np.array([1.0]), 0.0, f, BoxDomain([0.0], [1.0]))
+    with pytest.raises(FormulationError):
+        retrieve_cut(neuron, np.zeros(1), UPPER)
+    with pytest.raises(FormulationError):
+        build_cayley(neuron)
+    build_bigm(neuron)   # Big-M never made this check
 
 
 # -- separate_pwl ------------------------------------------------------------

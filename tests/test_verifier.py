@@ -319,14 +319,25 @@ def test_cut_loop_stops_at_the_deadline():
     assert diag == "" and full.rounds > 0 and tight < value - 1e-6
 
 
-@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
-def test_report_counters_agree(mode, monkeypatch):
-    from stairverify import verifier
+def _counter_query(kind: str) -> VerificationQuery:
+    """An all-DoReFa query (flat staircases) or a ReLU one, robust through xi."""
+    if kind == "relu":
+        q = recipe_query("relu", 7, 0.05)
+        return VerificationQuery(q.network, q.x0, q.eps, q.label, xi=1e9)
     rng = np.random.default_rng(75)
     net = random_quantized_network(rng, n_in=3, hidden=(4, 3), n_out=3, weight_scale=1.5)
-    q = VerificationQuery(net, np.zeros(3), 0.25, int(np.argmax(net.forward(np.zeros(3)))),
-                          xi=1e9)
-    sols, warm_given, oracle_calls, adding_rounds, points = [], [], [], [], []
+    return VerificationQuery(net, np.zeros(3), 0.25, int(np.argmax(net.forward(np.zeros(3)))),
+                             xi=1e9)
+
+
+@pytest.mark.parametrize("mode, kind", [
+    pytest.param(mode, kind, id=mode if kind == "dorefa" else f"{mode}-{kind}")
+    for kind in ("dorefa", "relu")
+    for mode in ("bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")])
+def test_report_counters_agree(mode, kind, monkeypatch):
+    from stairverify import verifier
+    q = _counter_query(kind)
+    sols, warm_given, oracle_calls, adding_rounds, points, doubled = [], [], [], [], [], []
     solve_, separate_, cut_round_ = verifier.solve, verifier.separate_pwl, verifier._cut_round
 
     def spy_solve(lp, warm=None, *args):
@@ -340,8 +351,10 @@ def test_report_counters_agree(mode, monkeypatch):
 
     def spy_cut_round(model, *args):
         # a flat staircase is checked once per point, any other neuron twice
-        points.append(sum(1 if pwl.staircase_slope(nf.neuron.activation) == 0.0 else 2
-                          for nf in model.activated_neurons() if not nf.pinned))
+        counts = [1 if pwl.staircase_slope(nf.neuron.activation) == 0.0 else 2
+                  for nf in model.activated_neurons() if not nf.pinned]
+        points.append(sum(counts))
+        doubled.append(2 in counts)
         added = cut_round_(model, *args)
         adding_rounds.extend([added] if added else [])
         return added
@@ -358,6 +371,8 @@ def test_report_counters_agree(mode, monkeypatch):
     assert report.warm_solves == sum(warm_given) > 0 or mode == "bigm-lp"
     assert report.separation_calls - report.separation_screened == len(oracle_calls)
     assert report.separation_calls == sum(points)
+    # the ReLU query reaches the count of 2 per point (a sloped neuron)
+    assert any(doubled) == (kind == "relu" and mode.startswith("cayley"))
     assert (report.separation_screened > 0) == mode.startswith("cayley")
     # a round counts when it adds cuts; in cayley-exact its node is re-solved in place
     assert report.rounds == len(adding_rounds)
