@@ -42,8 +42,8 @@ def _load_vector(path: str) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
-def _load_dataset(path: str):
-    """CSV rows of (input components..., integer label)."""
+def _load_dataset(path: str, dim: int):
+    """CSV rows of (`dim` input components..., integer label)."""
     rows = []
     try:
         with open(path, newline="") as fh:
@@ -55,6 +55,8 @@ def _load_dataset(path: str):
                     label = int(float(row[-1]))
                 except ValueError as exc:
                     raise InputError(f"{path}:{ln}: {exc}") from exc
+                if vec.size != dim:
+                    raise InputError(f"{path}:{ln}: {vec.size} inputs, network expects {dim}")
                 rows.append((vec, label))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -104,7 +106,7 @@ def cmd_verify(args) -> int:
                           cut_tol=args.tol, node_limit=args.node_limit,
                           timeout=args.timeout)
     net = load_network(args.net)
-    rows = _load_dataset(args.dataset)
+    rows = _load_dataset(args.dataset, net.input_dim)
     if args.jobs > 1:
         # queries are independent; processes, since threads share one GIL. Workers
         # import numpy with one BLAS thread unless set: on small LPs more add only CPU time

@@ -29,9 +29,11 @@ Every candidate has one form: a per-piece multiplier pattern m in
 the whole dual solution. General piecewise-linear activations are separated
 one staircase component at a time (a staircase is its own single component).
 
-Cut coefficients are always recomputed by exact per-slice maximization
-(retrieve_cut), so any alpha yields a valid inequality; candidate-search
-errors can only weaken cuts, never make them unsound.
+Cut coefficients are always recomputed exactly (retrieve_cut): one box
+knapsack per slice, the slices of each distinct slope answered by a single
+search over the running sums of the greedy order. So any alpha yields a
+valid inequality; candidate-search errors can only weaken cuts, never make
+them unsound.
 """
 
 from __future__ import annotations
@@ -614,71 +616,46 @@ def _oracle(canon: _Canonical) -> OracleOutcome:
 
 
 # ---------------------------------------------------------------------------
-# cut retrieval (series of knapsack problems over the slices)
+# cut retrieval (a series of box knapsacks over the slices, one search per slope)
 
 
-def _box_slice_series(c_vec, w, lower, upper, lo_ts, hi_ts):
-    """max c.x over box cap {lo_t <= w.x <= hi_t} for a series of slices.
+def _slice_maxima(c, w, lower, upper, lo_ts, hi_ts) -> np.ndarray:
+    """max c.x over the box cut down to each slice lo_t <= w.x <= hi_t.
 
-    Starts at the box optimum x* and walks outward; slices beyond x* in either
-    direction pin w.x at their near edge and the walk shifts coordinates in
-    order of increasing objective sacrifice per unit of w.x, each coordinate
-    crossing at most once per direction.
+    The box optimum x* serves every slice it reaches. A slice below or above
+    it pins w.x at its near edge, and the optimum there moves coordinates off
+    x* in order of increasing objective sacrifice per unit of w.x,
+    |c_j / w_j| (ties by index), each across the box once. Running sums of
+    w.x and c.x along that order give each slice's number of whole moves by
+    one search; the next coordinate then moves part way, up to the pin.
     """
-    n = c_vec.size
-    x_star = np.where(c_vec > 0, upper, lower).astype(float)
-    t_star = float(w @ x_star)
-    val_star = float(c_vec @ x_star)
-    k = len(lo_ts)
-    vals = np.empty(k)
+    x_star = np.where(c > 0, upper, lower)
+    t_star, v_star = float(w @ x_star), float(c @ x_star)
     eps = 1e-9 * max(1.0, float(np.abs(w @ np.abs(upper - lower))))
-
-    inside = [i for i in range(k) if lo_ts[i] - eps <= t_star <= hi_ts[i] + eps]
-    below = sorted((i for i in range(k) if hi_ts[i] < t_star - eps),
-                   key=lambda i: -hi_ts[i])
-    above = sorted((i for i in range(k) if lo_ts[i] > t_star + eps),
-                   key=lambda i: lo_ts[i])
-    for i in inside:
-        vals[i] = val_star
-
-    for direction, series, pin_of in ((-1.0, below, lambda i: hi_ts[i]),
-                                      (+1.0, above, lambda i: lo_ts[i])):
-        if not series:
+    movable = np.flatnonzero((w != 0.0) & (upper > lower))
+    order = movable[np.argsort(np.abs(c[movable] / w[movable]), kind="stable")]
+    vals = np.full(lo_ts.size, v_star)
+    for sign, side, pins in ((-1.0, hi_ts < t_star - eps, hi_ts),
+                             (1.0, lo_ts > t_star + eps, lo_ts)):
+        if not side.any():
             continue
-        moves = []
-        for j in range(n):
-            if w[j] == 0.0 or upper[j] <= lower[j]:
-                continue
-            dest = lower[j] if (w[j] > 0) == (direction < 0) else upper[j]
-            if dest != x_star[j]:
-                moves.append((abs(c_vec[j] / w[j]), j, dest))
-        moves.sort(key=lambda mv: (mv[0], mv[1]))
-        x = x_star.copy()
-        t, val, ptr = t_star, val_star, 0
-        for i in series:
-            pin = pin_of(i)
-            while ptr < len(moves):
-                _, j, dest = moves[ptr]
-                dt = w[j] * (dest - x[j])
-                if direction * (pin - (t + dt)) >= 0:
-                    # full move still stops short of (or exactly at) the pin
-                    val += c_vec[j] * (dest - x[j])
-                    x[j] = dest
-                    t += dt
-                    ptr += 1
-                else:
-                    break
-            need = pin - t
-            if direction * need > eps:
-                if ptr >= len(moves):
-                    if abs(need) <= 1e-7 * max(1.0, abs(pin)):
-                        vals[i] = val
-                        continue
-                    raise FormulationError("empty slice: pin outside the box range")
-                _, j, dest = moves[ptr]
-                vals[i] = val + c_vec[j] * (need / w[j])
-            else:
-                vals[i] = val
+        dest = np.where((w > 0) == (sign < 0), lower, upper)
+        j = order[dest[order] != x_star[order]]
+        step = dest[j] - x_star[j]
+        # sequential sums, in the order the moves are made: t runs monotone in sign
+        t = np.add.accumulate(np.concatenate(([t_star], w[j] * step)))
+        v = np.add.accumulate(np.concatenate(([v_star], c[j] * step)))
+        pin = pins[side]
+        done = np.searchsorted(sign * t, sign * pin, side="right") - 1
+        need, val = pin - t[done], v[done]
+        part = sign * need > eps
+        short = part & (done == j.size)
+        if np.any(np.abs(need[short]) > 1e-7 * np.maximum(1.0, np.abs(pin[short]))):
+            raise FormulationError("empty slice: pin outside the box range")
+        part &= ~short
+        nxt = j[done[part]]
+        val[part] += c[nxt] * (need[part] / w[nxt])
+        vals[side] = val
     return vals
 
 
@@ -712,37 +689,26 @@ def retrieve_cut(neuron: Neuron, alpha, direction: str, y_coef: float = 1.0) -> 
     lower cuts the min. Ray cuts (``y_coef = 0``) drop the activation part and
     use ``c_i = max_{x in slice_i} (-alpha) . x`` so the inequality reads
     ``0 <= alpha . x + sum c_i z_i``. Slices are nonempty by construction
-    because activations are aligned to the true pre-activation range.
+    because activations are aligned to the true pre-activation range. The
+    slices of each distinct slope share one `_slice_maxima` pass. A direction
+    other than "upper" or "lower", or an alpha that is not `neuron.dim` finite
+    numbers, raises InputError.
     """
     alpha = np.asarray(alpha, dtype=float)
-    f = neuron.activation
-    w = neuron.weight
-    lo, hi = neuron.box.lower, neuron.box.upper
-    k = f.num_pieces
-    if y_coef == 0.0:
-        slopes = np.zeros(k)
-        dbar = np.zeros(k)
-        sense = "max"
-    else:
-        slopes = f.slopes
-        dbar = neuron.dbar()
-        sense = "max" if direction == UPPER else "min"
+    if direction not in (UPPER, LOWER):
+        raise InputError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    if alpha.shape != (neuron.dim,) or not np.all(np.isfinite(alpha)):
+        raise InputError(f"alpha must be {neuron.dim} finite numbers")
+    ray = y_coef == 0.0
+    slopes = np.zeros(neuron.activation.num_pieces) if ray else neuron.activation.slopes
+    sign = -1.0 if direction == LOWER and not ray else 1.0
+    w, lo, hi = neuron.weight, neuron.box.lower, neuron.box.upper
     lo_ts, hi_ts = _slice_ends(neuron)
-
-    zcoef = np.empty(k)
-    groups: dict[float, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(round(float(slopes[i]), 12), []).append(i)
-    for a_val, idxs in groups.items():
-        c_vec = a_val * w - alpha
-        eff = c_vec if sense == "max" else -c_vec
-        vals = _box_slice_series(eff, w, lo, hi,
-                                 [float(lo_ts[i]) for i in idxs],
-                                 [float(hi_ts[i]) for i in idxs])
-        for pos, i in enumerate(idxs):
-            zcoef[i] = vals[pos] if sense == "max" else -vals[pos]
-    zcoef += dbar
-    return Cut(direction, alpha, zcoef, 0.0, y_coef)
+    zcoef = np.empty(slopes.size)
+    for a in np.unique(slopes):
+        on = slopes == a
+        zcoef[on] = sign * _slice_maxima(sign * (a * w - alpha), w, lo, hi, lo_ts[on], hi_ts[on])
+    return Cut(direction, alpha, zcoef + (0.0 if ray else neuron.dbar()), 0.0, y_coef)
 
 
 # ---------------------------------------------------------------------------

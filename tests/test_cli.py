@@ -347,6 +347,17 @@ def test_verify_rejects_bad_limits_before_reading_rows(net_file, tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("row", ["0.1,0.2,0.3,1", "0.1,1", "0.1,x,1"],
+                         ids=["long", "short", "text"])
+def test_verify_rejects_malformed_rows_with_their_line(net_file, tmp_path, capsys, row):
+    _, netp = net_file      # a 2-input net
+    path = tmp_path / "ds.csv"
+    path.write_text(f"0.1,0.2,1\n{row}\n")
+    code, out = _run(["verify", "--net", netp, "--dataset", str(path), "--eps", "0.1"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+
 def test_cli_runs_as_module(net_file):
     _, netp = net_file
     # the subprocess imports the package this test process imported

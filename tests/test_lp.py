@@ -6,7 +6,7 @@ import pytest
 
 from stairverify.errors import FormulationError, ParameterError
 from stairverify.lp import INF, LESS, EQUAL, GREATER, LinearProgram, LpSolution, solve
-from stairverify.separation import _box_slice_series
+from stairverify.separation import _slice_maxima
 
 from helpers import NaiveSimplex
 
@@ -186,11 +186,14 @@ def test_knapsack_box_optimum_inside_slice():
     hi = np.ones(2)
     # slice 3 of 4 equal slices of [0, 2] is [1.0, 1.5] and misses (1,1);
     # the top slice [1.5, 2] contains the box optimum
-    assert _box_slice_series(c, w, lo, hi, [1.5], [2.0]) == pytest.approx([2.0], abs=1e-12)
-    # walking down into slice [1.0, 1.5] pins w.x at 1.5
-    assert _box_slice_series(c, w, lo, hi, [1.0], [1.5]) == pytest.approx([1.5], abs=1e-12)
+    assert _slice_maxima(c, w, lo, hi, np.array([1.5]), np.array([2.0])) == pytest.approx(
+        [2.0], abs=1e-12)
+    # moving down into slice [1.0, 1.5] pins w.x at 1.5
+    assert _slice_maxima(c, w, lo, hi, np.array([1.0]), np.array([1.5])) == pytest.approx(
+        [1.5], abs=1e-12)
     # all four slices in one series
-    vals = _box_slice_series(c, w, lo, hi, [0.0, 0.5, 1.0, 1.5], [0.5, 1.0, 1.5, 2.0])
+    vals = _slice_maxima(c, w, lo, hi, np.array([0.0, 0.5, 1.0, 1.5]),
+                         np.array([0.5, 1.0, 1.5, 2.0]))
     assert vals == pytest.approx([0.5, 1.0, 1.5, 2.0], abs=1e-12)
 
 
@@ -204,7 +207,7 @@ def test_knapsack_whole_box_slice_returns_box_optimum():
         hi = lo + rng.uniform(0.1, 2, size=n)
         tmin = float(w @ np.where(w >= 0, lo, hi))
         tmax = float(w @ np.where(w >= 0, hi, lo))
-        vals = _box_slice_series(c, w, lo, hi, [tmin - 1.0], [tmax + 1.0])
+        vals = _slice_maxima(c, w, lo, hi, np.array([tmin - 1.0]), np.array([tmax + 1.0]))
         assert vals[0] == float(c @ np.where(c > 0, hi, lo))
 
 
@@ -230,8 +233,8 @@ def test_knapsack_matches_simplex_on_random_instances():
         a, b = sorted(rng.uniform(tmin, tmax, size=2))
         # one slice, then consecutive slices tiling the whole range
         edges = np.concatenate([[tmin], np.sort(rng.uniform(tmin, tmax, size=3)), [tmax]])
-        for lo_ts, hi_ts in (([a], [b]), (list(edges[:-1]), list(edges[1:]))):
-            vals = _box_slice_series(c, w, lo, hi, lo_ts, hi_ts)
+        for lo_ts, hi_ts in ((np.array([a]), np.array([b])), (edges[:-1], edges[1:])):
+            vals = _slice_maxima(c, w, lo, hi, lo_ts, hi_ts)
             for val, lo_t, hi_t in zip(vals, lo_ts, hi_ts):
                 ref = _slice_lp_optimum(c, w, lo_t, hi_t, lo, hi)
                 assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
@@ -239,8 +242,8 @@ def test_knapsack_matches_simplex_on_random_instances():
 
 def test_knapsack_empty_slice_raises():
     with pytest.raises(FormulationError):
-        _box_slice_series(np.array([1.0]), np.array([1.0]), np.array([0.0]),
-                          np.array([1.0]), [5.0], [6.0])
+        _slice_maxima(np.array([1.0]), np.array([1.0]), np.array([0.0]),
+                      np.array([1.0]), np.array([5.0]), np.array([6.0]))
 
 
 def test_initial_point_matches_per_column_rule():

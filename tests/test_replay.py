@@ -42,3 +42,29 @@ def test_recipe_replay_runs_the_three_modes(capsys):
     assert replay.compare(doc, doc) == 0
     with pytest.raises(SystemExit, match="different corpora"):
         replay.compare(doc, {**doc, "eps": 0.1})
+
+
+def test_oracle_sweep_replay_lists_changed_cuts(capsys):
+    doc = replay.replay_cuts(1, items=8)
+    assert (doc["workload"], doc["seed"], len(doc["items"])) == ("oracle-sweep", 1, 8)
+    cuts = [i for i, item in enumerate(doc["items"]) if item is not None]
+    assert 0 < len(cuts) < 8
+    for i in cuts:
+        assert set(doc["items"][i]) == {"alpha", "zcoef", "const", "y_coef"}
+        assert all(isinstance(v, str) for v in doc["items"][i]["zcoef"])
+    assert replay.compare(doc, doc) == 0
+    assert "0 of 8 items differ" in capsys.readouterr().out
+
+    def changed(i, item):
+        return {**doc, "items": doc["items"][:i] + [item] + doc["items"][i + 1:]}
+
+    i, inside = cuts[0], doc["items"].index(None)
+    nudged = {**doc["items"][i], "const": float.hex(1e-300)}
+    assert replay.compare(doc, changed(i, nudged)) == 0
+    assert f"1 of 8 items differ: [{i}]" in capsys.readouterr().out
+    assert replay.compare(doc, changed(i, None)) == 1
+    assert f"item {i}: cut -> none" in capsys.readouterr().out
+    assert replay.compare(doc, changed(inside, {"error": "DomainError: x"})) == 1
+    assert f"item {inside}: none -> error" in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="different corpora"):
+        replay.compare(doc, {**doc, "seed": 2})

@@ -409,26 +409,45 @@ def test_retrieve_cut_unit_square_walk():
 
 
 def test_retrieve_cut_matches_slice_lp():
+    # random neurons, then `_table_neuron`s (a pinned coordinate, a zero weight);
+    # every third one also gets a ray cut: no activation part, a max in either direction
+    from stairverify.lp import GREATER, LESS, LinearProgram
     rng = np.random.default_rng(40)
-    for _ in range(120):
-        n = int(rng.integers(1, 5))
-        k = int(rng.integers(1, 6))
-        neuron = random_neuron(rng, n, k, pwl_activation=rng.random() < 0.4)
-        alpha = rng.normal(size=n)
+    for trial in range(200):
+        if trial < 120:
+            n = int(rng.integers(1, 5))
+            k = int(rng.integers(1, 6))
+            neuron = random_neuron(rng, n, k, pwl_activation=rng.random() < 0.4)
+        else:
+            neuron = _table_neuron(rng, ("relu", "dorefa", "tanh-style", "3-slope")[trial % 4])
+        alpha = rng.normal(size=neuron.dim)
         direction = UPPER if rng.random() < 0.5 else LOWER
-        cut = retrieve_cut(neuron, alpha, direction)
         f = neuron.activation
-        dbar = neuron.dbar()
-        for i in range(k):
-            from stairverify.lp import GREATER, LESS, LinearProgram
-            c_vec = f.slopes[i] * neuron.weight - alpha
-            lp = LinearProgram("max" if direction == UPPER else "min", c_vec,
-                               lower=neuron.box.lower, upper=neuron.box.upper)
-            lp.add_row(neuron.weight, GREATER, float(f.breakpoints[i]) - neuron.bias)
-            lp.add_row(neuron.weight, LESS, float(f.breakpoints[i + 1]) - neuron.bias)
-            ref = solve(lp)
-            assert ref.status == "optimal"
-            assert cut.zcoef[i] == pytest.approx(ref.objective + dbar[i], abs=1e-8)
+        for ray in (False, True)[:1 + (trial % 3 == 2)]:
+            cut = retrieve_cut(neuron, alpha, direction, y_coef=0.0 if ray else 1.0)
+            dbar = np.zeros(f.num_pieces) if ray else neuron.dbar()
+            for i in range(f.num_pieces):
+                c_vec = (0.0 if ray else f.slopes[i]) * neuron.weight - alpha
+                sense = "max" if ray or direction == UPPER else "min"
+                lp = LinearProgram(sense, c_vec, lower=neuron.box.lower, upper=neuron.box.upper)
+                lp.add_row(neuron.weight, GREATER, float(f.breakpoints[i]) - neuron.bias)
+                lp.add_row(neuron.weight, LESS, float(f.breakpoints[i + 1]) - neuron.bias)
+                ref = solve(lp)
+                assert ref.status == "optimal"
+                assert cut.zcoef[i] == pytest.approx(ref.objective + dbar[i], abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha, direction", [
+    ([1.0, 0.5], "sideways"),       # read as LOWER by `Cut.slack`
+    (0.5, UPPER),                   # a scalar: the cut's `key()` raised TypeError
+    ([np.nan, 0.5], LOWER),         # NaN z-coefficients
+    ([1.0, 0.5, 0.0], UPPER),       # a bare numpy broadcasting error
+], ids=["direction", "scalar", "nan", "length"])
+def test_retrieve_cut_rejects_bad_inputs(alpha, direction):
+    neuron = Neuron.aligned(np.array([1.5, -0.5]), 0.3, pwl.identity,
+                            BoxDomain([-1.0, 0.0], [1.0, 2.0]))
+    with pytest.raises(InputError):
+        retrieve_cut(neuron, alpha, direction)
 
 
 def _table_neuron(rng, kind: str) -> Neuron:

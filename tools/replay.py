@@ -1,9 +1,10 @@
-"""Replay a benchmark corpus through `verify` and compare two replays.
+"""Replay a benchmark corpus through `verify` or the oracle and compare two replays.
 
 Usage, from the repository root:
 
     python3 tools/replay.py --workload exact-bnb --seed 1 --out before.json
     python3 tools/replay.py --workload tanh-style --eps 0.1 --out before.json
+    python3 tools/replay.py --workload oracle-sweep --seed 1 --out before.json
     python3 tools/replay.py --compare before.json after.json
 
 The first form builds the queries of a verify workload of
@@ -14,10 +15,14 @@ writes every `VerifyReport.as_dict()` field except the two times, floats as
 `tanh-style` and `relu` (`tests/helpers.recipe_query`, 5-8-8-3 nets) take
 `--eps` in place of a seed and run 12 queries in bigm-exact, cayley-exact
 and cayley-lp with the default config, printing each mode's total time
-and nodes. The second form prints, per mode, each field that differs (how
-many queries, and the totals of a numeric field), the largest relative
-change of a target bound, and every verdict change; it exits 1 when a
-verdict changed.
+and nodes. The `oracle-sweep` workload writes each item's `separate_pwl`
+result instead: the cut (alpha, zcoef, const and y_coef, as `float.hex`),
+None, or the error. The last form prints, per mode, each field that differs
+(how many queries, and the totals of a numeric field), the largest
+relative change of a target bound, and every verdict change; it exits 1
+when a verdict changed. On two oracle-sweep replays it lists the items that
+differ and exits 1 when a cut appears or disappears or an error comes or
+goes.
 """
 
 import argparse
@@ -46,12 +51,17 @@ def _fields(report) -> dict:
     return {k: _hex(v) for k, v in report.as_dict().items() if k not in TIMES}
 
 
-def replay(workload: str, seed: int) -> dict:
+def _corpus(workload: str, seed: int):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
     work = WORKLOADS[workload](seed)
     work.generate()
+    return work
+
+
+def replay(workload: str, seed: int) -> dict:
+    work = _corpus(workload, seed)
     out = []
     for i in range(len(work.items)):
         rec = work.run_op(i)
@@ -60,6 +70,36 @@ def replay(workload: str, seed: int) -> dict:
             modes[mode] = {"error": f"{kind}: {message}"}
         out.append(modes)
     return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
+
+
+def _cut_fields(rec):
+    if rec.errors:
+        _, kind, message = rec.errors[0]
+        return {"error": f"{kind}: {message}"}
+    cut = rec.cut
+    return None if cut is None else {
+        "alpha": _hex(cut.alpha.tolist()), "zcoef": _hex(cut.zcoef.tolist()),
+        "const": _hex(float(cut.const)), "y_coef": _hex(float(cut.y_coef))}
+
+
+def replay_cuts(seed: int, items: int | None = None) -> dict:
+    """The oracle-sweep corpus (its first `items`): each item's cut, None, or its error."""
+    work = _corpus("oracle-sweep", seed)
+    return {"workload": "oracle-sweep", "seed": seed,
+            "items": [_cut_fields(work.run_op(i)) for i in range(len(work.items))[:items]]}
+
+
+def compare_cuts(a: dict, b: dict) -> int:
+    """Print the oracle-sweep items that differ; 1 when an item's kind changed."""
+    def kind(item):
+        return "none" if item is None else "error" if "error" in item else "cut"
+
+    differ = [i for i, (x, y) in enumerate(zip(a["items"], b["items"])) if x != y]
+    print(f"{len(differ)} of {len(a['items'])} items differ" + (f": {differ}" if differ else ""))
+    flips = [i for i in differ if kind(a["items"][i]) != kind(b["items"][i])]
+    for i in flips:
+        print(f"item {i}: {kind(a['items'][i])} -> {kind(b['items'][i])}")
+    return 1 if flips else 0
 
 
 def replay_recipe(recipe: str, eps: float, queries: int = 12) -> dict:
@@ -89,6 +129,8 @@ def compare(a: dict, b: dict) -> int:
 
     if corpus(a) != corpus(b):
         sys.exit("error: the replays are of different corpora")
+    if a["workload"] == "oracle-sweep":
+        return compare_cuts(a, b)
     verdicts = []
     for mode in a["modes"]:
         fields: dict[str, list] = {}
@@ -124,7 +166,8 @@ def compare(a: dict, b: dict) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload",
-                        choices=("relaxed-lp", "exact-bnb", "deeppoly-wide") + RECIPES)
+                        choices=("relaxed-lp", "exact-bnb", "deeppoly-wide", "oracle-sweep")
+                        + RECIPES)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--eps", type=float, default=0.05, help="ball radius of a recipe")
     parser.add_argument("--out", help="replay file to write")
@@ -137,6 +180,8 @@ def main(argv=None) -> int:
         parser.error("give --workload and --out, or --compare A B")
     if args.workload in RECIPES:
         doc = replay_recipe(args.workload, args.eps)
+    elif args.workload == "oracle-sweep":
+        doc = replay_cuts(args.seed)
     else:
         doc = replay(args.workload, args.seed)
     Path(args.out).write_text(json.dumps(doc))
