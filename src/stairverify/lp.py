@@ -9,6 +9,11 @@ sides, validated once when it is made. Every solve, with rows or without,
 takes one path: the tableau [A | I] appends one slack per row, bounded by the
 row's sense, to the variable bounds. Infinite bounds use the sentinel +/-1e30
 and never enter arithmetic beyond comparisons.
+
+Each optimal solution carries the clean inverse of its final basis, and a
+solve warm-started from it with as many rows takes a copy of that inverse
+instead of inverting again (branch-and-bound children, the next target of a
+query); after appended rows the basis is inverted afresh.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ class LinearProgram:
         self.upper = np.full(n, INF) if self.upper is None else np.asarray(self.upper, dtype=float)
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ParameterError("bounds must match the objective length")
+        if any(np.isnan(v).any() for v in (self.objective, self.lower, self.upper)):
+            raise ParameterError("objective and bounds must not be NaN")
         self.rows = np.zeros((0, n)) if self.rows is None else np.asarray(self.rows, dtype=float)
         self.senses = np.array([] if self.senses is None else self.senses, dtype=str)
         self.rhs = np.array([] if self.rhs is None else self.rhs, dtype=float)
@@ -84,6 +91,8 @@ class LpSolution:
     iterations: int = 0                      # phase 2
     phase1_iterations: int = 0
     warm_used: bool = False                  # started from the `warm` solution
+    binv: np.ndarray | None = None           # inverse of the columns of `basis`
+    refactorizations: int = 0                # basis inversions this solve made
 
 
 class _Tableau:
@@ -98,14 +107,20 @@ class _Tableau:
         self.upper = np.concatenate([lp.upper, np.where(lp.senses == LESS, INF, 0.0)])
         self.b = lp.rhs
         self.ncols = n + m
+        self.refactorizations = 0
 
     def refactor(self):
-        B = self.A[:, self.basis]
         try:
-            self.binv = np.linalg.inv(B)
+            self.use(np.linalg.inv(self.A[:, self.basis]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis") from exc
+        self.refactorizations += 1
+
+    def use(self, binv: np.ndarray) -> None:
+        """Take `binv`, the clean inverse of the current basis."""
+        self.binv = binv
         self.updates = 0   # product-form updates since this factorization
+        self.fresh = True  # no pivot since
 
 
 def _initial_point(tab: _Tableau) -> np.ndarray:
@@ -129,33 +144,26 @@ def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
     tab.updates = 0   # the refactor schedule restarts with every loop
     basic_mask = np.zeros(tab.ncols, dtype=bool)
     basic_mask[tab.basis] = True
+    movable = ~fixed & (tab.upper - tab.lower > PIVOT_TOL)   # a pinned column never moves
+    has_lo, lo_tol = tab.lower > -INF, tab.lower + FEAS_TOL
+    has_hi, hi_tol = tab.upper < INF, tab.upper - FEAS_TOL
     while True:
         if iters >= max_iter:
             raise NumericalError("cycling guard exceeded")
         y = cost[tab.basis] @ tab.binv
         d = cost - y @ tab.A
-        entering = -1
-        direction = 0.0
-        for j in range(tab.ncols):
-            if basic_mask[j] or fixed[j]:
-                continue
-            if tab.upper[j] - tab.lower[j] <= PIVOT_TOL:
-                continue  # pinned variable, can never move
-            at_lower = tab.lower[j] > -INF and x[j] <= tab.lower[j] + FEAS_TOL
-            at_upper = tab.upper[j] < INF and x[j] >= tab.upper[j] - FEAS_TOL
-            on_bound = at_lower or at_upper
-            if at_lower and d[j] < -PIVOT_TOL:
-                entering, direction = j, 1.0
-                break
-            if at_upper and d[j] > PIVOT_TOL:
-                entering, direction = j, -1.0
-                break
-            if not on_bound and abs(d[j]) > PIVOT_TOL:
-                entering, direction = j, (1.0 if d[j] < 0 else -1.0)
-                break
-        if entering < 0:
+        at_lower, at_upper = has_lo & (x <= lo_tol), has_hi & (x >= hi_tol)
+        inside = ~(at_lower | at_upper)
+        eligible = movable & ~basic_mask & ((at_lower & (d < -PIVOT_TOL))
+                                            | (at_upper & (d > PIVOT_TOL))
+                                            | (inside & (np.abs(d) > PIVOT_TOL)))
+        # Bland's rule: the first eligible column, moved against its reduced cost
+        first = np.flatnonzero(eligible)[:1]
+        if not first.size:
             return "optimal", iters
-        if not _move(tab, x, entering, direction, on_bound, basic_mask):
+        entering = int(first[0])
+        direction = 1.0 if d[entering] < 0 else -1.0
+        if not _move(tab, x, entering, direction, not inside[entering], basic_mask):
             return "unbounded", iters
         iters += 1
 
@@ -167,24 +175,19 @@ def _move(tab: _Tableau, x: np.ndarray, entering: int, direction: float,
     blocks (an unbounded ray)."""
     col = tab.binv @ tab.A[:, entering]
     u = col if direction > 0 else -col
-    # max step before a basic variable or the entering bound blocks
-    step = INF
-    leaving = -1
-    leave_to = 0.0
-    for i in range(tab.m):
-        bi = tab.basis[i]
-        if u[i] > PIVOT_TOL:
-            lo = tab.lower[bi]
-            if lo > -INF:
-                r = (x[bi] - lo) / u[i]
-                if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
-                    step, leaving, leave_to = r, i, lo
-        elif u[i] < -PIVOT_TOL:
-            hi = tab.upper[bi]
-            if hi < INF:
-                r = (hi - x[bi]) / (-u[i])
-                if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
-                    step, leaving, leave_to = r, i, hi
+    # max step before a basic variable or the entering bound blocks: the rows
+    # falling to a finite lower or rising to a finite upper bound
+    lo, hi, xb = tab.lower[tab.basis], tab.upper[tab.basis], x[tab.basis]
+    down = (u > PIVOT_TOL) & (lo > -INF)
+    rows = np.flatnonzero(down | ((u < -PIVOT_TOL) & (hi < INF)))
+    down = down[rows]
+    ratios = np.where(down, (xb[rows] - lo[rows]) / u[rows], (hi[rows] - xb[rows]) / -u[rows])
+    step, leaving, leave_to, out = INF, -1, 0.0, -1
+    # in row order, ties within PIVOT_TOL (chained) go to the smallest basis index
+    for i, r, bi, to in zip(rows.tolist(), ratios.tolist(), tab.basis[rows].tolist(),
+                            np.where(down, lo[rows], hi[rows]).tolist()):
+        if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < out)):
+            step, leaving, leave_to, out = r, i, to, bi
     target = tab.upper[entering] if direction > 0 else tab.lower[entering]
     if abs(target) >= INF:
         flip = INF
@@ -208,7 +211,6 @@ def _move(tab: _Tableau, x: np.ndarray, entering: int, direction: float,
     step = max(step, 0.0)
     x[entering] += direction * step
     x[tab.basis] -= step * u
-    out = tab.basis[leaving]
     x[out] = leave_to
     tab.basis[leaving] = entering
     basic_mask[out] = False
@@ -218,6 +220,7 @@ def _move(tab: _Tableau, x: np.ndarray, entering: int, direction: float,
         tab.refactor()
     else:
         _update_inverse(tab.binv, col, leaving)
+        tab.fresh = False
     return True
 
 
@@ -252,7 +255,10 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     extended by the slacks of the appended rows, and its point, clipped into
     the current bounds, start the solve when that basis is still nonsingular;
     any numerical failure under a warm start falls back to the cold start
-    before being reported. A `warm` with an empty basis is a start point, its
+    before being reported. `warm.binv`, the inverse of its basis, is copied
+    when no row was appended and it inverts this LP's basis columns (one
+    O(m^2) probe, which a warm solution of another LP fails); otherwise the
+    basis is inverted afresh. A `warm` with an empty basis is a start point, its
     x clipped into the bounds on the slack basis: phase 1 runs only from a
     point that misses a row by more than FEAS_TOL. Bounds that cross by more
     than FEAS_TOL make the LP infeasible before any solve.
@@ -277,6 +283,13 @@ def _extended_basis(warm: LpSolution | None, n: int, m: int) -> list[int] | None
     return list(warm.basis) + list(range(n + old_m, n + m))
 
 
+def _inverts(binv: np.ndarray | None, B: np.ndarray) -> bool:
+    """Whether `binv` maps B @ v back to a fixed probe vector v."""
+    probe = np.linspace(1.0, 2.0, len(B))
+    return (binv is not None and binv.shape == B.shape
+            and float(np.abs(binv @ (B @ probe) - probe).max()) <= FEAS_TOL)
+
+
 def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
     tab = _Tableau(lp)
     m, n = tab.m, tab.n
@@ -285,9 +298,13 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
     x = _initial_point(tab)
     basis = _extended_basis(warm, n, m)
     warm_used = basis is not None
-    # a singular warm basis raises here, and `solve` restarts cold
-    tab.basis = basis if warm_used else list(range(n, n + m))
-    tab.refactor()
+    tab.basis = np.array(basis if warm_used else range(n, n + m), dtype=np.intp)
+    if not (warm_used and warm.basis):
+        tab.use(np.eye(m))   # the slack basis
+    elif len(warm.basis) == m and _inverts(warm.binv, tab.A[:, tab.basis]):
+        tab.use(warm.binv.copy())   # the updates write in place
+    else:
+        tab.refactor()   # a singular warm basis raises here, and `solve` restarts cold
     if warm_used:
         # nonbasic structurals resume at the previous vertex
         x[:n] = np.clip(warm.x, lp.lower, lp.upper)
@@ -299,26 +316,20 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
     # basic values stay put; on the cold slack basis these are +-e_i.
     viol_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
     viol_hi = np.maximum(x[tab.basis] - tab.upper[tab.basis], 0.0)
-    art_cols: list[int] = []
-    displaced: list[int] = []
+    displaced, art_sign = np.zeros(0, dtype=np.intp), np.zeros(0)
     it1 = 0
     if np.any(viol_lo > FEAS_TOL) or np.any(viol_hi > FEAS_TOL):
-        sign = np.where(viol_lo > 0, -1.0, 1.0)
         mag = viol_lo + viol_hi
         keep = np.flatnonzero(mag > FEAS_TOL)
-        displaced = [tab.basis[i] for i in keep]
-        tab.A = np.hstack([tab.A, tab.A[:, displaced] * sign[keep]])
+        displaced, art_sign = tab.basis[keep], np.where(viol_lo[keep] > 0, -1.0, 1.0)
+        tab.A = np.hstack([tab.A, tab.A[:, displaced] * art_sign])
         tab.lower = np.concatenate([tab.lower, np.zeros(len(keep))])
         tab.upper = np.concatenate([tab.upper, np.full(len(keep), INF)])
-        x = np.concatenate([x, np.zeros(len(keep))])
-        art_cols = list(range(tab.ncols, tab.ncols + len(keep)))
+        x = np.concatenate([x, mag[keep]])
+        x[displaced] = np.clip(x[displaced], tab.lower[displaced], tab.upper[displaced])
+        tab.basis[keep] = np.arange(tab.ncols, tab.ncols + len(keep))
         tab.ncols += len(keep)
-        for pos, i in enumerate(keep):
-            bi = tab.basis[i]
-            x[bi] = np.clip(x[bi], max(tab.lower[bi], -INF), min(tab.upper[bi], INF))
-            x[art_cols[pos]] = mag[i]
-            tab.basis[i] = art_cols[pos]
-        tab.refactor()
+        tab.binv[keep] *= art_sign[:, None]   # the inverse of the signed columns
         _set_basic_values(tab, x)
         still_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
         still_hi = np.maximum(x[tab.basis] - tab.upper[tab.basis], 0.0)
@@ -326,7 +337,7 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
             raise NumericalError("inconsistent phase-1 start")
 
         cost1 = np.zeros(tab.ncols)
-        cost1[art_cols] = 1.0
+        cost1[n + m:] = 1.0
         fixed = np.zeros(tab.ncols, dtype=bool)
         threshold = FEAS_TOL * max(1.0, np.abs(tab.b).max())
         status, it1 = _simplex_loop(tab, cost1, x, max_iter, fixed)
@@ -340,39 +351,47 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
                 it1 += more
         if status != "optimal" or float(cost1 @ x) > threshold:
             return LpSolution(status="infeasible", phase1_iterations=it1,
-                              warm_used=warm_used)
+                              warm_used=warm_used, refactorizations=tab.refactorizations)
         # pin artificials at zero for phase 2
-        tab.lower[art_cols] = 0.0
-        tab.upper[art_cols] = 0.0
-        x[art_cols] = 0.0
+        tab.lower[n + m:] = 0.0
+        tab.upper[n + m:] = 0.0
+        x[n + m:] = 0.0
 
     cost = np.zeros(tab.ncols)
     user_cost = lp.objective if lp.sense == "min" else -lp.objective
     cost[:n] = user_cost
     fixed = np.zeros(tab.ncols, dtype=bool)
-    fixed[art_cols] = True
+    fixed[n + m:] = True
     status, iters = _simplex_loop(tab, cost, x, max_iter, fixed)
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=iters,
-                          phase1_iterations=it1, warm_used=warm_used)
+        return LpSolution(status="unbounded", iterations=iters, phase1_iterations=it1,
+                          warm_used=warm_used, refactorizations=tab.refactorizations)
     _settle_interior(tab, cost, x, fixed)
 
-    # clean recomputation of the basic values from the final basis
-    tab.refactor()
+    # clean recomputation of the basic values from the final basis, whose
+    # inverse is clean already when nothing pivoted since it was taken
+    if not tab.fresh:
+        tab.refactor()
     _set_basic_values(tab, x)
 
     y = cost[tab.basis] @ tab.binv
     sense_sign = 1.0 if lp.sense == "min" else -1.0
     obj = float(lp.objective @ x[:n])
-    # an artificial still basic (at zero) stands for the column it displaced
-    back = dict(zip(art_cols, displaced))
+    # an artificial still basic (at zero) stands for the column it displaced,
+    # whose inverse row is the artificial's times its sign
+    held = np.flatnonzero(tab.basis >= n + m)
+    art = tab.basis[held] - (n + m)
+    tab.basis[held] = displaced[art]
+    tab.binv[held] *= art_sign[art, None]
     return LpSolution(
         status="optimal",
         x=x[:n].copy(),
         objective=obj,
         duals=sense_sign * y,
-        basis=[back.get(j, j) for j in tab.basis],
+        basis=tab.basis.tolist(),
         iterations=iters,
         phase1_iterations=it1,
         warm_used=warm_used,
+        binv=tab.binv,
+        refactorizations=tab.refactorizations,
     )

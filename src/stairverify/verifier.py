@@ -97,6 +97,7 @@ class VerifyReport:
     lp_phase1_iterations: int = 0
     lp_phase2_iterations: int = 0
     warm_solves: int = 0              # LP solves that started from a warm solution
+    lp_refactorizations: int = 0      # basis inversions of those LP solves
     diagnostic: str = ""
 
     def as_dict(self) -> dict:
@@ -108,11 +109,12 @@ class VerifyReport:
 
 
 def _solve(lp, warm, report: VerifyReport):
-    """`lp.solve` with its iteration and warm-start counts added to `report`."""
+    """`lp.solve` with its iteration, warm-start and inversion counts added to `report`."""
     sol = solve(lp, warm)
     report.lp_phase1_iterations += sol.phase1_iterations
     report.lp_phase2_iterations += sol.iterations
     report.warm_solves += sol.warm_used
+    report.lp_refactorizations += sol.refactorizations
     return sol
 
 

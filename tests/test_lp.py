@@ -1,11 +1,14 @@
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stairverify.errors import FormulationError, ParameterError
-from stairverify.lp import INF, LESS, EQUAL, GREATER, LinearProgram, LpSolution, solve
+from stairverify import lp as lp_mod
+from stairverify.errors import FormulationError, NumericalError, ParameterError
+from stairverify.lp import (FEAS_TOL, INF, LESS, EQUAL, GREATER, PIVOT_TOL, LinearProgram,
+                            LpSolution, solve)
 from stairverify.separation import _slice_maxima
 
 from helpers import NaiveSimplex
@@ -74,6 +77,15 @@ def test_add_row_rejects_bad_rows(coeffs, sense, rhs, message):
     with pytest.raises(ParameterError, match=message):
         lp.add_row(coeffs, sense, rhs)
     assert lp.rows.shape == (0, 2) and lp.senses.size == lp.rhs.size == 0
+
+
+@pytest.mark.parametrize("field", ["objective", "lower", "upper"])
+def test_linear_program_rejects_nan(field):
+    values = {"objective": [1.0, 1.0], "lower": [0.0, -np.inf], "upper": [1.0, np.inf]}
+    values[field][1] = np.nan
+    with pytest.raises(ParameterError, match="NaN"):
+        LinearProgram("max", values["objective"], lower=np.array(values["lower"]),
+                      upper=np.array(values["upper"]))
 
 
 def test_random_lps_match_textbook_tableau():
@@ -294,6 +306,247 @@ def test_tableau_matches_the_per_row_form():
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
+# -- the array pricing and ratio test against the per-column and per-row loops ---
+
+
+def _reference_simplex_loop(tab, cost, x, max_iter, fixed, move=None):
+    """`lp._simplex_loop` as a per-column loop; `move` defaults to the reference."""
+    move = move or _reference_move
+    iters = 0
+    tab.updates = 0
+    basic_mask = np.zeros(tab.ncols, dtype=bool)
+    basic_mask[tab.basis] = True
+    while True:
+        if iters >= max_iter:
+            raise NumericalError("cycling guard exceeded")
+        y = cost[tab.basis] @ tab.binv
+        d = cost - y @ tab.A
+        entering = -1
+        direction = 0.0
+        for j in range(tab.ncols):
+            if basic_mask[j] or fixed[j]:
+                continue
+            if tab.upper[j] - tab.lower[j] <= PIVOT_TOL:
+                continue  # pinned variable, can never move
+            at_lower = tab.lower[j] > -INF and x[j] <= tab.lower[j] + FEAS_TOL
+            at_upper = tab.upper[j] < INF and x[j] >= tab.upper[j] - FEAS_TOL
+            on_bound = at_lower or at_upper
+            if at_lower and d[j] < -PIVOT_TOL:
+                entering, direction = j, 1.0
+                break
+            if at_upper and d[j] > PIVOT_TOL:
+                entering, direction = j, -1.0
+                break
+            if not on_bound and abs(d[j]) > PIVOT_TOL:
+                entering, direction = j, (1.0 if d[j] < 0 else -1.0)
+                break
+        if entering < 0:
+            return "optimal", iters
+        if not move(tab, x, entering, direction, on_bound, basic_mask):
+            return "unbounded", iters
+        iters += 1
+
+
+def _reference_move(tab, x, entering, direction, on_bound, basic_mask):
+    """`lp._move` with its ratio test as a per-row loop."""
+    col = tab.binv @ tab.A[:, entering]
+    u = col if direction > 0 else -col
+    step = INF
+    leaving = -1
+    leave_to = 0.0
+    for i in range(tab.m):
+        bi = tab.basis[i]
+        if u[i] > PIVOT_TOL:
+            lo = tab.lower[bi]
+            if lo > -INF:
+                r = (x[bi] - lo) / u[i]
+                if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
+                    step, leaving, leave_to = r, i, lo
+        elif u[i] < -PIVOT_TOL:
+            hi = tab.upper[bi]
+            if hi < INF:
+                r = (hi - x[bi]) / (-u[i])
+                if r < step - PIVOT_TOL or (r < step + PIVOT_TOL and (leaving < 0 or bi < tab.basis[leaving])):
+                    step, leaving, leave_to = r, i, hi
+    target = tab.upper[entering] if direction > 0 else tab.lower[entering]
+    if abs(target) >= INF:
+        flip = INF
+    elif on_bound:
+        flip = tab.upper[entering] - tab.lower[entering]
+    else:
+        flip = direction * (target - x[entering])
+    if flip < step - PIVOT_TOL:
+        x[entering] += direction * flip
+        x[tab.basis] -= flip * u
+        return True
+    if step >= INF:
+        return False
+    if abs(col[leaving]) < FEAS_TOL and tab.updates:
+        tab.refactor()
+        return _reference_move(tab, x, entering, direction, on_bound, basic_mask)
+
+    step = max(step, 0.0)
+    x[entering] += direction * step
+    x[tab.basis] -= step * u
+    out = tab.basis[leaving]
+    x[out] = leave_to
+    tab.basis[leaving] = entering
+    basic_mask[out] = False
+    basic_mask[entering] = True
+    tab.updates += 1
+    if tab.updates >= 64:
+        tab.refactor()
+    else:
+        lp_mod._update_inverse(tab.binv, col, leaving)
+    return True
+
+
+def _random_tableau(rng):
+    """A tableau on a random basis, with columns of every bound kind (free,
+    one-sided, boxed, pinned, just wider than PIVOT_TOL, within 2 FEAS_TOL),
+    nonbasic values on and near their bounds, and reduced costs near
+    PIVOT_TOL; returns (tab, cost, x, fixed)."""
+    n, m = int(rng.integers(2, 10)), int(rng.integers(1, 8))
+    lower, upper = np.full(n, -INF), np.full(n, INF)
+    for j, kind in enumerate(rng.integers(0, 8, size=n)):
+        lo = float(rng.integers(-2, 2))
+        width = [INF, 1.0, 2.5, 0.0, PIVOT_TOL / 2, 1.5 * PIVOT_TOL, 1.5 * FEAS_TOL,
+                 2 * FEAS_TOL][kind]
+        if kind == 0 and rng.random() < 0.5:   # one-sided
+            upper[j] = lo
+        elif kind != 0 or rng.random() < 0.5:
+            lower[j], upper[j] = lo, lo + width
+    rows = rng.integers(-2, 3, size=(m, n)).astype(float)   # small integers: exact ties
+    senses = rng.choice([LESS, EQUAL, GREATER], size=m)
+    tab = lp_mod._Tableau(LinearProgram("max", np.zeros(n), rows, senses, np.zeros(m),
+                                        lower, upper))
+    tab.b = rng.normal(size=m)
+    try:
+        tab.basis = rng.choice(n + m, size=m, replace=False)
+        tab.refactor()
+    except NumericalError:
+        tab.basis = np.arange(n, n + m)
+        tab.refactor()
+    x = np.zeros(tab.ncols)
+    for j in range(tab.ncols):
+        lo, hi = tab.lower[j], tab.upper[j]
+        picks = [v for v in (lo, hi, lo + FEAS_TOL / 2, hi - FEAS_TOL / 2, lo + 2 * FEAS_TOL,
+                             (lo + hi) / 2, 0.0) if abs(v) < INF]
+        x[j] = picks[int(rng.integers(len(picks)))]
+    lp_mod._set_basic_values(tab, x)
+    cost = rng.normal(size=tab.ncols) * (rng.random(tab.ncols) < 0.7)
+    # reduced costs on either side of +-PIVOT_TOL for some nonbasic columns
+    y = cost[tab.basis] @ tab.binv
+    for j in rng.choice(tab.ncols, size=tab.ncols // 2, replace=False):
+        if j not in tab.basis:
+            cost[j] = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0]) * PIVOT_TOL + y @ tab.A[:, j]
+    fixed = rng.random(tab.ncols) < 0.1
+    return tab, cost, x, fixed
+
+
+def _plant_ratio_ties(rng, tab, x, entering, direction):
+    """Bounds on the basic columns that block the move at ratios 1 + k 0.6 PIVOT_TOL
+    (k = 0..3, so ties within PIVOT_TOL chain past the smallest), or far away."""
+    u = direction * (tab.binv @ tab.A[:, entering])
+    for i, bi in enumerate(tab.basis):
+        r = rng.choice([1.0, 1.0 + 0.6 * PIVOT_TOL, 1.0 + 1.2 * PIVOT_TOL,
+                        1.0 + 1.8 * PIVOT_TOL, 3.0])
+        if rng.random() < 0.8 and abs(u[i]) > PIVOT_TOL:
+            blocked = x[bi] - r * u[i]
+            if u[i] > 0:
+                tab.lower[bi] = blocked
+            else:
+                tab.upper[bi] = blocked
+
+
+def _copy_state(tab, x):
+    return copy.deepcopy(tab), x.copy()
+
+
+def _same_state(a, b):
+    (tab_a, x_a), (tab_b, x_b) = a, b
+    assert list(tab_a.basis) == list(tab_b.basis)
+    assert x_a.tobytes() == x_b.tobytes() and tab_a.binv.tobytes() == tab_b.binv.tobytes()
+
+
+def test_pricing_matches_the_per_column_loop(monkeypatch):
+    def first_choice(loop, tab, x, cost, fixed):
+        """The loop's outcome when its first move stops it, and that move."""
+        picked = []
+
+        def stop(tab, x, entering, direction, on_bound, basic_mask):
+            picked.append((entering, direction, bool(on_bound)))
+            return False
+
+        monkeypatch.setattr(lp_mod, "_move", stop)
+        kwargs = {"move": stop} if loop is _reference_simplex_loop else {}
+        return loop(tab, cost, x, 100, fixed, **kwargs), picked
+
+    rng = np.random.default_rng(27)
+    entered = both_bounds = 0
+    for _ in range(400):
+        tab, cost, x, fixed = _random_tableau(rng)
+        ref = first_choice(_reference_simplex_loop, *_copy_state(tab, x), cost, fixed)
+        got = first_choice(lp_mod._simplex_loop, *_copy_state(tab, x), cost, fixed)
+        assert got == ref
+        if ref[1]:
+            entered += 1
+            j = ref[1][0][0]
+            both_bounds += bool(x[j] <= tab.lower[j] + FEAS_TOL
+                                and x[j] >= tab.upper[j] - FEAS_TOL)
+    assert entered >= 200 and both_bounds > 0
+
+
+def test_ratio_test_matches_the_per_row_loop():
+    rng = np.random.default_rng(28)
+    pivots = chained = 0
+    for _ in range(400):
+        tab, _, x, _ = _random_tableau(rng)
+        basic_mask = np.zeros(tab.ncols, dtype=bool)
+        basic_mask[tab.basis] = True
+        entering = int(rng.choice(np.flatnonzero(~basic_mask)))
+        direction = float(rng.choice([-1.0, 1.0]))
+        on_bound = bool(rng.random() < 0.5)
+        _plant_ratio_ties(rng, tab, x, entering, direction)
+        tab.updates = int(rng.integers(0, 3))
+        ref, got = _copy_state(tab, x), _copy_state(tab, x)
+        masks = basic_mask.copy(), basic_mask.copy()
+        moved = _reference_move(*ref, entering, direction, on_bound, masks[0])
+        assert lp_mod._move(*got, entering, direction, on_bound, masks[1]) == moved
+        _same_state(ref, got)
+        assert np.array_equal(*masks)
+        if list(ref[0].basis) != list(tab.basis):
+            # the leaving row's ratio, against the smallest blocking ratio
+            pivots += 1
+            u = direction * (tab.binv @ tab.A[:, entering])
+            ratio = [(x[bi] - tab.lower[bi]) / u[i] if u[i] > PIVOT_TOL
+                     else (tab.upper[bi] - x[bi]) / -u[i] for i, bi in enumerate(tab.basis)
+                     if abs(u[i]) > PIVOT_TOL]
+            step = (ref[1][entering] - x[entering]) * direction
+            chained += step > min(ratio) + PIVOT_TOL
+    assert pivots >= 100 and chained > 0
+
+
+def test_simplex_loop_matches_the_loop_version():
+    def run(loop, state, cost, fixed):
+        tab, x = state
+        try:
+            return loop(tab, cost, x, 60, fixed)
+        except NumericalError as exc:
+            return str(exc)
+
+    rng = np.random.default_rng(29)
+    iterations = 0
+    for _ in range(200):
+        tab, cost, x, fixed = _random_tableau(rng)
+        ref, got = _copy_state(tab, x), _copy_state(tab, x)
+        outcome = run(_reference_simplex_loop, ref, cost, fixed)
+        assert run(lp_mod._simplex_loop, got, cost, fixed) == outcome
+        _same_state(ref, got)
+        iterations += outcome[1] if isinstance(outcome, tuple) else 0
+    assert iterations >= 200
+
+
 # -- warm starts -----------------------------------------------------------------
 
 
@@ -416,6 +669,72 @@ def test_warm_start_ignores_an_unusable_solution():
         sol = solve(lp, warm)
         assert not sol.warm_used
         assert sol.status == cold.status and sol.objective == cold.objective
+
+
+def test_warm_inverse_of_another_lp_is_not_reused():
+    # same shape, other rows: the basis indices fit, the inverse does not
+    rng = np.random.default_rng(30)
+    checked = 0
+    for _ in range(30):
+        lp, other = _random_bounded_lp(rng, 6, 4), _random_bounded_lp(rng, 6, 4)
+        warm = solve(other)
+        if warm.status != "optimal":
+            continue
+        sol = solve(lp, warm)
+        _assert_same_solve(sol, solve(lp), lp)
+        # the probe refactors, so the result is that of the same start without an inverse
+        bare = solve(lp, LpSolution("optimal", x=warm.x, basis=warm.basis))
+        assert sol.warm_used == bare.warm_used
+        assert sol.refactorizations == bare.refactorizations >= 1
+        assert sol.x.tobytes() == bare.x.tobytes() and sol.basis == bare.basis
+        assert sol.binv.tobytes() == bare.binv.tobytes()
+        checked += sol.warm_used   # a singular warm basis restarts cold
+    assert checked >= 15
+
+
+def test_resolve_after_tightened_bounds_reuses_the_inverse():
+    rng = np.random.default_rng(31)
+    reused = fewer = 0
+    for _ in range(60):
+        lp = _random_bounded_lp(rng, int(rng.integers(3, 10)), int(rng.integers(1, 8)))
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        n, m = lp.num_vars, len(lp.rows)
+        # the reported inverse inverts the reported basis
+        B = np.hstack([lp.rows, np.eye(m)])[:, sol.basis]
+        assert np.allclose(sol.binv @ B, np.eye(m), atol=1e-9)
+        j = int(rng.integers(n))
+        lp.upper[j] = 0.5 * (lp.lower[j] + np.clip(sol.x[j], lp.lower[j], lp.upper[j]))
+        warm, cold = solve(lp, sol), solve(lp)
+        bare = solve(lp, LpSolution("optimal", x=sol.x, basis=sol.basis))
+        _assert_same_solve(warm, cold, lp)
+        assert warm.status == bare.status and warm.refactorizations < bare.refactorizations
+        if warm.status == "optimal":
+            assert warm.x.tobytes() == bare.x.tobytes() and warm.basis == bare.basis
+            reused += 1
+            fewer += bare.refactorizations - warm.refactorizations
+    assert reused >= 40 and fewer >= reused
+
+
+def test_inverse_of_a_basis_with_an_artificial_left_in():
+    # a repeated equality row keeps one phase-1 artificial (the negated slack
+    # column) basic at zero; the solution reports the slack it displaced, and
+    # an inverse of that basis
+    lp = LinearProgram("max", [1.0, 2.0], [[-1.0, -1.0], [-1.0, -1.0]], [EQUAL, EQUAL],
+                       [-1.0, -1.0], lower=np.zeros(2), upper=np.ones(2))
+    sol = solve(lp)
+    assert sol.status == "optimal" and abs(sol.objective - 2.0) <= 1e-12
+    assert sol.phase1_iterations > 0 and sorted(sol.basis) in ([1, 2], [1, 3])
+    # the slack basis and its artificials need no inversion, the final basis one
+    assert sol.refactorizations == 1
+    B = np.hstack([lp.rows, np.eye(2)])[:, sol.basis]
+    assert np.array_equal(sol.binv @ B, np.eye(2))
+    lp.upper[1] = 0.5
+    warm = solve(lp, sol)
+    bare = solve(lp, LpSolution("optimal", x=sol.x, basis=sol.basis))
+    assert warm.refactorizations < bare.refactorizations
+    assert warm.x.tobytes() == bare.x.tobytes() and abs(warm.objective - 1.5) <= 1e-12
 
 
 def _fixture_lp(name):

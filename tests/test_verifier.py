@@ -367,6 +367,9 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     assert report.lp_phase1_iterations == sum(s.phase1_iterations for s in sols)
     assert report.lp_phase2_iterations == sum(s.iterations for s in sols)
     assert report.warm_solves == sum(s.warm_used for s in sols)
+    assert report.lp_refactorizations == sum(s.refactorizations for s in sols)
+    # the slack basis and an unchanged warm basis start without an inversion
+    assert report.lp_refactorizations < 2 * len(sols)
     # every solve after the first of a target or node starts warm, and is taken
     assert report.warm_solves == sum(warm_given) > 0 or mode == "bigm-lp"
     assert report.separation_calls - report.separation_screened == len(oracle_calls)
@@ -381,7 +384,7 @@ def test_report_counters_agree(mode, kind, monkeypatch):
         assert report.warm_solves >= report.rounds > 0
     doc = report.as_dict()
     for key in ("lp_phase1_iterations", "lp_phase2_iterations", "warm_solves",
-                "separation_calls", "separation_screened"):
+                "lp_refactorizations", "separation_calls", "separation_screened"):
         assert doc[key] == getattr(report, key)
 
 
