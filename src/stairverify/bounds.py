@@ -250,7 +250,9 @@ def output_linear_bound(net: Network, input_box: BoxDomain, c: np.ndarray,
                                   input_box)[0][0])
 
 
-def upper_corner(input_box: BoxDomain, c: np.ndarray, preact: PreActBounds) -> np.ndarray:
+def upper_corner(net: Network, input_box: BoxDomain, c: np.ndarray,
+                 preact: PreActBounds) -> np.ndarray:
     """The input box corner at which DeepPoly takes its upper bound on c . N(x)."""
-    _, coeffs = _back_substitute(np.atleast_2d(c), np.zeros(1), preact.relaxation, input_box)
+    _, coeffs = _back_substitute(np.atleast_2d(c), np.zeros(1), preact.relaxed_layers(net),
+                                 input_box)
     return np.where(coeffs[0] > 0, input_box.upper, input_box.lower)

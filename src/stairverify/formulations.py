@@ -29,7 +29,7 @@ from .lp import EQUAL, GREATER, LESS, LinearProgram
 from .network import BoxDomain, Network, Neuron
 from .pwl import distinct_slopes
 # no model build calls retrieve_cut; the benchmark tracer (perfbench/tracing.py) wraps it here
-from .separation import Cut, LOWER, UPPER, is_pinned, retrieve_cut, slab_extremes
+from .separation import Cut, LOWER, UPPER, retrieve_cut, slab_extremes
 
 BIGM, CAYLEY = "bigm", "cayley"
 
@@ -96,10 +96,6 @@ class NeuronFormulation:
     y_var: int
     z_vars: list[int]
     pool: set = field(default_factory=set)   # keys of the installed cuts
-    pinned: bool = field(init=False)  # constant pre-activation: nothing to separate
-
-    def __post_init__(self):
-        self.pinned = is_pinned(self.neuron)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -320,15 +316,9 @@ class QueryModel(_RowModel):
     # -- independent pattern route (used by the exhaustive oracle) ------------
 
     def pattern_prefilter(self) -> list[list[int]]:
-        """Per neuron, the pieces whose slab meets the reachable interval."""
-        out = []
-        for nf in self.activated_neurons():
-            lo, hi = self.bounds.interval(nf.layer, nf.index)
-            f = nf.neuron.activation
-            keep = [i for i in range(f.num_pieces)
-                    if f.breakpoints[i] <= hi + 1e-9 and f.breakpoints[i + 1] >= lo - 1e-9]
-            out.append(keep or list(range(f.num_pieces)))
-        return out
+        """Per neuron, every piece index: each activation is already clipped to
+        the neuron's interval, so every piece's slab meets it."""
+        return [list(range(len(nf.z_vars))) for nf in self.activated_neurons()]
 
     def pattern_lp(self, pattern, margin: float = 0.0) -> LinearProgram:
         """One closure branch: every activated neuron pinned to one piece.

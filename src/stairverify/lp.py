@@ -342,9 +342,10 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
         threshold = FEAS_TOL * max(1.0, np.abs(tab.b).max())
         status, it1 = _simplex_loop(tab, cost1, x, max_iter, fixed)
         if status == "optimal" and float(cost1 @ x) > threshold:
-            # the updated inverse may have drifted: refresh it, and if the
+            # an updated inverse may have drifted: refresh it, and if the
             # artificials still carry weight, let phase 1 go on from there
-            tab.refactor()
+            if not tab.fresh:
+                tab.refactor()
             _set_basic_values(tab, x)
             if float(cost1 @ x) > threshold:
                 status, more = _simplex_loop(tab, cost1, x, max_iter, fixed)

@@ -154,8 +154,8 @@ def exhaustive_verify(model) -> float:
     Every activated neuron is pinned to one piece; each pattern becomes a
     small LP whose feasible set is the corresponding closure branch, and the
     result is the max over feasible patterns (-inf when none is feasible).
-    Patterns whose slab misses the reachable pre-activation interval are
-    pruned up front.
+    No pattern is pruned up front: each activation is clipped to its
+    neuron's interval, so every piece is reachable by bounds alone.
     """
     options = model.pattern_prefilter()
     total = 1

@@ -806,8 +806,8 @@ def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     nonzero entry i equal to 1.0, x lies in the box, t = w.x + b lies in
     [h_i, h_{i+1}] and y is on the inside of a_i t + d_i by the margin tol/2;
     any other point, invalid ones included, answers False. The neuron is
-    not checked: the oracle rejects a pinned one (`is_pinned`), so the
-    callers that stand in for it check that themselves.
+    not checked: the oracle rejects a pinned one (`is_pinned`), which
+    `separate_pwl` tests and the verifier's one-piece skip covers.
     """
     f = neuron.activation
     zhat = np.asarray(zhat, dtype=float)

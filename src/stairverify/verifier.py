@@ -81,7 +81,9 @@ class VerifyReport:
     rounds that added cuts, per target in cayley-lp and summed over the
     targets' roots in cayley-exact. `separation_calls` counts the
     (neuron, direction) points the cut rounds checked, a flat staircase
-    neuron once per point and any other neuron twice."""
+    neuron once per point, a neuron with one piece on its interval (every
+    stable or pinned one, whose seed rows write its hull) never, and any
+    other neuron twice."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
     counterexample: np.ndarray | None = None
@@ -122,8 +124,8 @@ def _forward_start(model: QueryModel) -> LpSolution:
     """The forward pass of the input corner where DeepPoly bounds the current
     objective, on the slack basis (empty `basis`). With sound bounds it meets
     every row of both formulations, pooled cuts included: no phase 1."""
-    corner = bounds_mod.upper_corner(model.region, model.objective[model.y_vars[-1]],
-                                     model.bounds)
+    corner = bounds_mod.upper_corner(model.net, model.region,
+                                     model.objective[model.y_vars[-1]], model.bounds)
     return LpSolution("optimal", x=model.trace_assignment(corner), basis=[])
 
 
@@ -137,7 +139,8 @@ def _replay(network, x, label) -> bool:
 def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyReport) -> int:
     """Separate every activated neuron at the LP point; returns cuts added.
 
-    Pinned neurons have a constant pre-activation and are skipped. A flat
+    A neuron with one piece on its interval (every stable or pinned one) is
+    skipped: its seed rows write its hull, one affine graph, exactly. A flat
     staircase (slope 0) is separated in the UPPER direction only: its seed
     cuts hold y at the z-weighted piece levels from both sides, and the ray
     sweeps read only (x, z), so LOWER would return the same cut. Points on
@@ -147,7 +150,7 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyRepor
     """
     added = 0
     for nf in model.activated_neurons():
-        if nf.pinned:
+        if len(nf.z_vars) == 1:
             continue
         xin, yv, zv = model.neuron_point(x, nf.key)
         xin = nf.neuron.box.clamp(xin)

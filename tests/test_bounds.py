@@ -4,7 +4,7 @@ import pytest
 from stairverify import pwl
 from stairverify.bounds import (PreActBounds, _LayerRelax, deeppoly_activation_relax,
                                 deeppoly_bounds, interval_bounds, output_linear_bound,
-                                relax_activation)
+                                relax_activation, upper_corner)
 from stairverify.errors import InputError, ParameterError
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 
@@ -326,3 +326,16 @@ def test_output_bound_rejects_bounds_without_relaxation():
     net = random_quantized_network(np.random.default_rng(28), n_in=3, hidden=(3,), n_out=3)
     with pytest.raises(InputError, match="deeppoly_bounds"):
         output_linear_bound(net, net.input_box, np.ones(3), interval_bounds(net, net.input_box))
+
+
+@pytest.mark.parametrize("n_out", [2, 3])
+def test_upper_corner_rejects_bounds_without_relaxation(n_out):
+    # with no layer to back-substitute through, the output objective would be
+    # read as input coefficients: a wrong corner at n_out = n_in, a shape
+    # error otherwise
+    net = random_quantized_network(np.random.default_rng(29), n_in=2, hidden=(3,), n_out=n_out)
+    c = np.ones(n_out)
+    with pytest.raises(InputError, match="deeppoly_bounds"):
+        upper_corner(net, net.input_box, c, interval_bounds(net, net.input_box))
+    corner = upper_corner(net, net.input_box, c, deeppoly_bounds(net, net.input_box))
+    assert set(np.abs(corner)) == {1.0}

@@ -9,9 +9,9 @@ from stairverify.formulations import (BIGM, CAYLEY, VerificationQuery, attack_ob
 from stairverify.lp import EQUAL, GREATER, LESS, solve
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.oracles import enumerate_cayley_vertices
-from stairverify.separation import UPPER, separate_pwl
+from stairverify.separation import UPPER, is_pinned, separate_pwl
 
-from helpers import random_neuron, random_quantized_network
+from helpers import random_neuron, random_quantized_network, wide_tanh_query
 
 
 def _row_holds(coeffs, sense, rhs, vals, tol=1e-8):
@@ -343,3 +343,44 @@ def test_query_model_rejects_bounds_without_relaxation():
     for mode in (BIGM, CAYLEY):
         with pytest.raises(InputError, match="deeppoly_bounds"):
             build_query_model(q, mode, interval_bounds(net, q.input_region()))
+
+
+# a pre-activation interval inside one flat piece of each activation kind
+FLAT_BIAS = {"dorefa": 5.0, "relu": -5.0, "tanh-style": 10.0}
+
+
+def _pinned_case_query(kind: str, case: str, seed: int) -> VerificationQuery:
+    """A 4-6-6-3 net of `kind` with pinned neurons: every input pinned by
+    eps = 0 (anchor inside the box or on its edge), or a first layer of
+    flat-stable neurons (small weights, a bias deep in a flat piece) whose
+    constant outputs pin every input of the second layer."""
+    spec = {"dorefa": ActivationSpec("dorefa", {"bits": 2, "lo": -1.0, "hi": 1.0}),
+            "relu": ActivationSpec("relu", {}),
+            "tanh-style": wide_tanh_query(0).network.layers[0].activations[0]}[kind]
+    rng = np.random.default_rng(seed)
+    w1, b1 = rng.normal(size=(6, 4)), rng.normal(size=6)
+    if case == "flat layer":
+        w1, b1 = 0.1 * w1, np.full(6, FLAT_BIAS[kind])
+    net = Network((Layer.dense(w1, b1, spec),
+                   Layer.dense(rng.normal(size=(6, 6)), rng.normal(size=6), spec),
+                   Layer.dense(rng.normal(size=(3, 6)), rng.normal(size=3), None)),
+                  BoxDomain(-np.ones(4), np.ones(4)))
+    x0 = rng.choice([-1.0, 1.0], size=4) if case == "box edge" else rng.uniform(-0.8, 0.8, 4)
+    eps = 0.3 if case == "flat layer" else 0.0
+    return VerificationQuery(net, x0, eps, int(np.argmax(net.forward(x0))))
+
+
+@pytest.mark.parametrize("case", ["eps 0", "box edge", "flat layer"])
+@pytest.mark.parametrize("kind", ["dorefa", "relu", "tanh-style"])
+def test_pinned_neurons_have_one_piece(kind, case):
+    # the verifier's cut round skips one-piece neurons in place of pinned ones,
+    # which covers the pinned ones only when the clip leaves them one piece
+    seen = 0
+    for seed in range(5):
+        model = build_query_model(_pinned_case_query(kind, case, seed), CAYLEY)
+        pinned = [nf for nf in model.activated_neurons() if is_pinned(nf.neuron)]
+        # at eps = 0 every first-layer neuron; past a flat layer every second-layer one
+        assert sum(nf.layer == (1 if case == "flat layer" else 0) for nf in pinned) == 6
+        assert all(len(nf.z_vars) == 1 for nf in pinned)
+        seen += len(pinned)
+    assert seen > 0

@@ -786,6 +786,24 @@ def test_phase_one_refreshes_before_reporting_infeasible():
     assert abs(value - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
 
 
+def test_phase_one_without_a_pivot_reports_infeasible_without_inverting(monkeypatch):
+    # x in [0, 1] cannot meet x >= 2: phase 1 only flips x to its upper bound,
+    # so the clean slack-basis inverse needs no refresh before the answer
+    calls = []
+    refactor = lp_mod._Tableau.refactor
+
+    def spy(tab):
+        calls.append(tab)
+        refactor(tab)
+
+    monkeypatch.setattr(lp_mod._Tableau, "refactor", spy)
+    lp = LinearProgram("max", [1.0], [[1.0]], [GREATER], [2.0],
+                       lower=np.zeros(1), upper=np.ones(1))
+    sol = solve(lp)
+    assert sol.status == "infeasible" and sol.phase1_iterations == 1
+    assert calls == [] and sol.refactorizations == 0
+
+
 def _shifted_standard_form(lp):
     """min c.x' s.t. A x' <= b, x' >= 0 for a max LP with finite lower bounds."""
     A, b = [], []

@@ -8,7 +8,7 @@ from stairverify.errors import InputError
 from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
 from stairverify.oracles import exhaustive_verify
-from stairverify.separation import LOWER, UPPER
+from stairverify.separation import LOWER, UPPER, is_pinned
 from stairverify.verifier import VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts, verify
 
 from helpers import random_quantized_network, recipe_query, wide_tanh_query
@@ -197,8 +197,9 @@ def test_pinned_neurons_are_skipped_and_oracle_errors_counted(monkeypatch):
                   BoxDomain([-1, -1], [1, 1]))
     q = VerificationQuery(net, np.array([0.1, 0.2]), 0.5, 0)
     model = build_query_model(q.with_target(1), "cayley")
-    pinned = {nf.key: nf.pinned for nf in model.activated_neurons()}
-    assert pinned == {(0, 0): True, (0, 1): False, (0, 2): False}
+    # the pinned neuron has one piece, which the cut round skips
+    shape = {nf.key: (is_pinned(nf.neuron), len(nf.z_vars)) for nf in model.activated_neurons()}
+    assert shape == {(0, 0): (True, 1), (0, 1): (False, 2), (0, 2): (False, 2)}
     rep = verify(q, VerifyConfig(mode="cayley-lp"))
     assert rep.separation_failures == 0
     assert rep.as_dict()["separation_failures"] == 0
@@ -216,6 +217,27 @@ def test_pinned_neurons_are_skipped_and_oracle_errors_counted(monkeypatch):
     assert _cut_round(model, sol.x, 1e-6, report) == 0
     assert report.separation_failures == 4   # two free neurons, both directions
     assert all(neuron is not model.neurons[(0, 0)].neuron for neuron in calls)
+
+
+@pytest.mark.parametrize("mode", ["cayley-lp", "cayley-exact"])
+@pytest.mark.parametrize("recipe", ["relu", "tanh-style"])
+def test_cut_rounds_check_only_neurons_with_pieces_to_choose_between(recipe, mode, monkeypatch):
+    from stairverify import verifier
+    q = recipe_query(recipe, 1, 0.1)
+    model = build_query_model(q.with_target(q.targets()[0]), "cayley")
+    assert any(len(nf.z_vars) == 1 for nf in model.activated_neurons())
+    checked = []
+
+    def spy(real):
+        def wrapped(neuron, *args, **kwargs):
+            checked.append(neuron.activation.num_pieces)
+            return real(neuron, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(verifier, "on_vertex_graph", spy(verifier.on_vertex_graph))
+    monkeypatch.setattr(verifier, "separate_pwl", spy(verifier.separate_pwl))
+    verify(q, VerifyConfig(mode=mode, timeout=60))
+    assert checked and min(checked) > 1
 
 
 def test_declared_pwl_activation_end_to_end():
@@ -338,7 +360,9 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     from stairverify import verifier
     q = _counter_query(kind)
     sols, warm_given, oracle_calls, adding_rounds, points, doubled = [], [], [], [], [], []
+    screens = []
     solve_, separate_, cut_round_ = verifier.solve, verifier.separate_pwl, verifier._cut_round
+    screen_ = verifier.on_vertex_graph
 
     def spy_solve(lp, warm=None, *args):
         sols.append(solve_(lp, warm, *args))
@@ -349,10 +373,15 @@ def test_report_counters_agree(mode, kind, monkeypatch):
         oracle_calls.append(args)
         return separate_(*args, **kwargs)
 
+    def spy_screen(*args):
+        screens.append(screen_(*args))
+        return screens[-1]
+
     def spy_cut_round(model, *args):
-        # a flat staircase is checked once per point, any other neuron twice
+        # a flat staircase is checked once per point, any other neuron with
+        # more than one piece twice, a one-piece neuron never
         counts = [1 if pwl.staircase_slope(nf.neuron.activation) == 0.0 else 2
-                  for nf in model.activated_neurons() if not nf.pinned]
+                  for nf in model.activated_neurons() if len(nf.z_vars) > 1]
         points.append(sum(counts))
         doubled.append(2 in counts)
         added = cut_round_(model, *args)
@@ -361,6 +390,7 @@ def test_report_counters_agree(mode, kind, monkeypatch):
 
     monkeypatch.setattr(verifier, "solve", spy_solve)
     monkeypatch.setattr(verifier, "separate_pwl", spy_separate)
+    monkeypatch.setattr(verifier, "on_vertex_graph", spy_screen)
     monkeypatch.setattr(verifier, "_cut_round", spy_cut_round)
     report = verify(q, VerifyConfig(mode=mode, timeout=60))
     assert report.verdict == "robust"
@@ -376,7 +406,11 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     assert report.separation_calls == sum(points)
     # the ReLU query reaches the count of 2 per point (a sloped neuron)
     assert any(doubled) == (kind == "relu" and mode.startswith("cayley"))
-    assert (report.separation_screened > 0) == mode.startswith("cayley")
+    assert report.separation_calls == len(screens)
+    assert report.separation_screened == sum(screens)
+    # the all-DoReFa query has points on a vertex's graph; the ReLU query need not
+    if kind == "dorefa":
+        assert (report.separation_screened > 0) == mode.startswith("cayley")
     # a round counts when it adds cuts; in cayley-exact its node is re-solved in place
     assert report.rounds == len(adding_rounds)
     assert report.cuts_added == sum(adding_rounds)
