@@ -98,8 +98,6 @@ def _verify_one(net, row_idx, x0, label, eps, config: VerifyConfig):
 
 
 def cmd_verify(args) -> int:
-    if not args.eps >= 0.0:
-        raise InputError(f"--eps must be a nonnegative number, got {args.eps}")
     if not args.jobs >= 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     config = VerifyConfig(mode=args.mode, max_cut_rounds=args.max_cut_rounds,
@@ -245,6 +243,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not getattr(args, "eps", 0.0) >= 0.0:   # bounds and verify
+            raise InputError(f"--eps must be a nonnegative number, got {args.eps}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

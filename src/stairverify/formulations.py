@@ -1,17 +1,17 @@
 """Per-neuron constraint systems and whole-query models.
 
 Two interchangeable encodings of one neuron's lifted graph over piece
-indicators z in the unit simplex. Both take their z coefficients from one
-slab table, `slab_extremes(neuron, a)`: the min and max of
-(a_i - a) w.x + dbar_i over each piece i's slice.
+indicators z in the unit simplex. Both write the simplex and slab coupling
+rows; a flat activation gets the exact ``y = sum_i d_i z_i`` in both, and a
+neuron with one piece Big-M's rows, its graph. The other y rows take their
+z coefficients from one slab table, `slab_extremes(neuron, a)`: the min and
+max of (a_i - a) w.x + dbar_i over each piece i's slice.
 
-* Big-M: slab coupling rows plus indicator rows deactivated by M constants,
-  piece i's being the table at a = a_i less dbar_i; piecewise-constant
-  activations drop the M rows in favor of the exact ``y = sum_i d_i z_i``.
-* Cayley: slab coupling and simplex rows plus a growable pool of hull cuts,
-  seeded in both directions with alpha = a w for a = 0 and each distinct
-  nonzero slope a, the table at a giving their z coefficients, so an
-  integral z holds y on its piece.
+* Big-M: indicator rows deactivated by M constants, piece i's being the
+  table at a = a_i less dbar_i.
+* Cayley: a growable pool of hull cuts, seeded in both directions with
+  alpha = a w for a = 0 and each distinct nonzero slope a, the table at a
+  giving their z coefficients, so an integral z holds y on its piece.
 
 Integrality of z is a solver-mode flag, never a formulation change, and the
 same pre-activation bounds feed both builders.
@@ -53,6 +53,8 @@ class VerificationQuery:
             raise InputError("anchor input must be finite")
         if not self.eps >= 0.0:
             raise InputError(f"eps must be a nonnegative number, got {self.eps}")
+        if np.isnan(self.xi):
+            raise InputError(f"xi must be a number, got {self.xi}")
         if not (0 <= self.label < self.network.output_dim):
             raise InputError("label out of range")
         if self.target is not None and (
@@ -141,35 +143,32 @@ class _RowModel:
         return len(self.lower)
 
     def _attach_neuron(self, nf: NeuronFormulation) -> None:
+        """Simplex and slab rows, then the y rows: the formulations differ
+        only on a neuron with two or more pieces and a nonzero slope."""
         self.neurons[nf.key] = nf
         f, w = nf.neuron.activation, nf.neuron.weight
         self._add_row(nf.z_vars, 1.0, EQUAL, 1.0)
         for ends, sense in ((f.breakpoints[:-1], GREATER), (f.breakpoints[1:], LESS)):
             self._add_row(nf.x_vars + nf.z_vars, np.concatenate([w, -ends]), sense,
                           -nf.neuron.bias)
-        if self.mode == BIGM:
-            self._add_bigm_rows(nf)
-            return
-        # the seeds: at z = e_i the pair of a_i holds y on piece i's line
-        slopes = [0.0] + distinct_slopes(f.slopes)
-        for a, low, high in zip(slopes, *slab_extremes(nf.neuron, slopes)):
-            self.add_cut(nf, Cut(UPPER, a * w, high))
-            self.add_cut(nf, Cut(LOWER, a * w, low))
-
-    def _add_bigm_rows(self, nf: NeuronFormulation) -> None:
-        f = nf.neuron.activation
         if np.all(np.abs(f.slopes) <= 1e-12):
-            # constant pieces never need the M constants
+            # flat: y = sum_i d_i z_i, which is also the alpha = 0 seed pair
             self._add_row(nf.z_vars + [nf.y_var], np.append(-f.intercepts, 1.0), EQUAL, 0.0)
-            return
-        # M constants bound y - (a_i t + d_i). No empty-slice check: the slab
-        # rows already make z_j = 1 infeasible for a slab that misses the box.
-        lows, highs = slab_extremes(nf.neuron, f.slopes, check=False)
-        dbar = nf.neuron.dbar()
-        for i, z in enumerate(nf.z_vars):
-            line = np.append(-f.slopes[i] * nf.neuron.weight, 1.0)
-            for m, sense in ((highs[i].max() - dbar[i], LESS), (lows[i].min() - dbar[i], GREATER)):
-                self._add_row(nf.x_vars + [nf.y_var, z], np.append(line, m), sense, m + dbar[i])
+        elif self.mode == BIGM or f.num_pieces == 1:
+            # M constants bound y - (a_i t + d_i), 0 for one piece. No empty-slice
+            # check: the slab rows make z_j = 1 infeasible for a slab off the box.
+            lows, highs = slab_extremes(nf.neuron, f.slopes, check=False)
+            dbar = nf.neuron.dbar()
+            for i, z in enumerate(nf.z_vars):
+                line = np.append(-f.slopes[i] * w, 1.0)
+                for m, sense in ((highs[i].max() - dbar[i], LESS), (lows[i].min() - dbar[i], GREATER)):
+                    self._add_row(nf.x_vars + [nf.y_var, z], np.append(line, m), sense, m + dbar[i])
+        else:
+            # the seeds: at z = e_i the pair of a_i holds y on piece i's line
+            slopes = [0.0] + distinct_slopes(f.slopes)
+            for a, low, high in zip(slopes, *slab_extremes(nf.neuron, slopes)):
+                self.add_cut(nf, Cut(UPPER, a * w, high))
+                self.add_cut(nf, Cut(LOWER, a * w, low))
 
     def add_cut(self, nf: NeuronFormulation, cut: Cut) -> bool:
         """Install a cut row unless an equal one (up to 1e-10) is pooled already."""

@@ -778,11 +778,11 @@ def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
     One staircase separation per component (see `_component_outcomes`): an
     unbounded component gives its ray cut in (x, z) alone; otherwise the
     query is compared with the summed envelope and the component cuts add
-    up to the violated inequality. The surrounding formulation is expected
-    to hold the seed cuts already: alpha = a w for a = 0 and each distinct
-    slope a, both directions, their z coefficients read from
-    `slab_extremes` (for a staircase of slope s, alpha = 0 and alpha = s w).
-    The candidate-family search is complete under that hypothesis.
+    up to the violated inequality. The formulation is expected to hold the
+    seed cuts already: alpha = a w for a = 0 and each distinct slope a, both
+    directions, z coefficients from `slab_extremes` (for a staircase of
+    slope s, alpha = 0 and alpha = s w; if s = 0, y = sum_i d_i z_i). The
+    candidate-family search is complete under that hypothesis.
     """
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
     return _cut(outcomes, yhat, direction, tol)

@@ -14,8 +14,8 @@ in exact modes; in cayley mode it alternates solving with per-neuron
 separation until no pooled-new cut is violated or its round cap is
 reached. Cayley-exact separates only at each target's root; every other
 node solves with the pooled cuts alone, which is exact at the leaves since
-the seed cuts pin every integral point to its piece. A flat staircase
-neuron is separated in one direction per point.
+each neuron's y rows (its seeds, or Big-M's) pin every integral point to
+its piece. A flat staircase neuron is separated in one direction per point.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ class VerifyConfig:
     """Verification settings. `max_cut_rounds` caps the cut rounds of each
     target in cayley-lp and of each target's root in cayley-exact;
     `node_limit` caps each target's distinct branch-and-bound nodes
-    (`VerifyReport.nodes`). The seed cuts pin every integral point to its
-    piece, so branch-and-bound is exact without node cuts, at any
-    `max_cut_rounds`. `cut_tol`, `timeout` and `node_limit` must be
-    positive and `max_cut_rounds` nonnegative (NaN is rejected)."""
+    (`VerifyReport.nodes`). The y rows (seeds, or Big-M's) pin every
+    integral point to its piece, so branch-and-bound is exact without node
+    cuts, at any `max_cut_rounds`. `cut_tol`, `timeout` and `node_limit`
+    must be positive and `max_cut_rounds` nonnegative (NaN is rejected)."""
 
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
@@ -82,7 +82,7 @@ class VerifyReport:
     targets' roots in cayley-exact. `separation_calls` counts the
     (neuron, direction) points the cut rounds checked, a flat staircase
     neuron once per point, a neuron with one piece on its interval (every
-    stable or pinned one, whose seed rows write its hull) never, and any
+    stable or pinned one, whose Big-M rows write its hull) never, and any
     other neuron twice."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
@@ -140,13 +140,13 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyRepor
     """Separate every activated neuron at the LP point; returns cuts added.
 
     A neuron with one piece on its interval (every stable or pinned one) is
-    skipped: its seed rows write its hull, one affine graph, exactly. A flat
-    staircase (slope 0) is separated in the UPPER direction only: its seed
-    cuts hold y at the z-weighted piece levels from both sides, and the ray
-    sweeps read only (x, z), so LOWER would return the same cut. Points on
-    the graph at a simplex vertex are answered by `on_vertex_graph` without
-    the oracle; the report counts checked and screened points, and any oracle
-    error in `separation_failures`.
+    skipped: its Big-M rows write its hull, one affine graph, exactly. A flat
+    staircase (slope 0) is separated UPPER only: its alpha = 0 seed pair, or
+    Big-M's y = sum_i d_i z_i, holds y at the z-weighted piece levels from
+    both sides, and the ray sweeps read only (x, z), so LOWER gives the same
+    cut. Points on the graph at a simplex vertex are answered by
+    `on_vertex_graph` without the oracle; the report counts checked and
+    screened points, and any oracle error in `separation_failures`.
     """
     added = 0
     for nf in model.activated_neurons():
@@ -328,7 +328,7 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     cutting off at the incumbent; a node is pushed only to be branched. In
     cayley mode the root runs up to `max_cut_rounds` cut rounds and any other
     node solves with the pooled cuts alone: an integral node's LP value is
-    exact, since the seed cuts pin its point to its pieces. The root LP
+    exact, since seeds or Big-M rows pin its point to its pieces. The root LP
     starts from `_forward_start`, node LPs from the parent's solution.
     Without a limit the bound is the exact optimum, attained by the
     incumbent (None when no node is feasible). The search stops at this

@@ -330,6 +330,16 @@ def test_verify_rejects_bad_eps_before_reading_rows(net_file, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: --eps must be a nonnegative number")
 
 
+@pytest.mark.parametrize("eps", ["nan", "-0.1"])
+def test_bounds_rejects_bad_eps(net_file, tmp_path, capsys, eps):
+    _, netp = net_file
+    inp = tmp_path / "x.json"
+    inp.write_text(json.dumps([0.1, 0.2]))
+    code, out = _run(["bounds", "--net", netp, "--input", str(inp), "--eps", eps])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: --eps must be a nonnegative number")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--timeout", "nan", "timeout must be positive"),
     ("--timeout", "0", "timeout must be positive"),

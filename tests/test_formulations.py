@@ -11,7 +11,8 @@ from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuro
 from stairverify.oracles import enumerate_cayley_vertices
 from stairverify.separation import UPPER, is_pinned, separate_pwl
 
-from helpers import random_neuron, random_quantized_network, wide_tanh_query
+from helpers import (dense_query, random_neuron, random_quantized_network, recipe_query,
+                     wide_tanh_query)
 
 
 def _row_holds(coeffs, sense, rhs, vals, tol=1e-8):
@@ -116,24 +117,31 @@ def test_vertices_feasible_in_both_formulations():
 
 
 def test_cayley_alpha_zero_seed_caps_y():
-    rng = np.random.default_rng(51)
-    neuron = random_neuron(rng, 2, 3, s=1.0)
-    model = build_cayley(neuron)
-    f = neuron.activation
-    dbar = neuron.dbar()
-    # find the upper alpha=0 seed row: -y + sum c_i z_i >= 0 with
-    # c_i = max over the slice of a_i w.x plus dbar_i
+    # the upper alpha = 0 seed: -y + sum c_i z_i >= 0 with c_i = max over
+    # the slice of a_i w.x plus dbar_i; on a flat neuron its pair is Big-M's
+    # equality y - sum c_i z_i = 0, the neuron's only y row
     from stairverify.separation import retrieve_cut
 
-    seed = retrieve_cut(neuron, np.zeros(2), UPPER)
-    found = False
-    lp = model.to_lp()
-    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-        if coeffs[model.nf.y_var] == -1.0 and sense == GREATER:
-            zc = coeffs[model.nf.z_vars]
-            if np.allclose(zc, seed.zcoef) and np.all(coeffs[model.nf.x_vars] == 0.0):
-                found = True
-    assert found
+    flat = random_neuron(np.random.default_rng(51), 2, 3, s=1.0)
+    assert np.all(flat.activation.slopes == 0.0)   # the draw: slopes [0, 0, 0]
+    ramp = Neuron(np.array([1.0, 0.5]), 0.0, pwl.relu(-1.5, 1.5),
+                  BoxDomain([-1.0, -1.0], [1.0, 1.0]))   # slopes {0, 1}
+    for neuron, y_coef, sense in ((flat, 1.0, EQUAL), (ramp, -1.0, GREATER)):
+        model = build_cayley(neuron)
+        nf = model.nf
+        seed = retrieve_cut(neuron, np.zeros(2), UPPER)
+        found = False
+        lp = model.to_lp()
+        for coeffs, s, rhs in zip(lp.rows, lp.senses, lp.rhs):
+            if coeffs[nf.y_var] == y_coef and s == sense:
+                zc = y_coef * -coeffs[nf.z_vars]
+                if np.allclose(zc, seed.zcoef) and np.all(coeffs[nf.x_vars] == 0.0):
+                    found = rhs == 0.0
+        assert found, sense
+        if neuron is flat:
+            assert np.count_nonzero(lp.rows[:, nf.y_var]) == 1 and not nf.pool
+            big = build_bigm(neuron).to_lp()
+            assert np.array_equal(lp.rows, big.rows) and np.array_equal(lp.rhs, big.rhs)
 
 
 def test_cayley_seeds_pin_every_integral_point_to_its_piece():
@@ -156,6 +164,44 @@ def test_cayley_seeds_pin_every_integral_point_to_its_piece():
             sol = solve(model.to_lp(upper))
             assert sol.status == "optimal"
             assert sign * sol.objective - offset == pytest.approx(0.0, abs=1e-9), (i, sign)
+
+
+def _same_lp(a, b) -> bool:
+    return (np.array_equal(a.rows, b.rows) and list(a.senses) == list(b.senses)
+            and np.array_equal(a.rhs, b.rhs) and np.array_equal(a.lower, b.lower)
+            and np.array_equal(a.upper, b.upper))
+
+
+def test_one_piece_cayley_neuron_has_bigm_rows():
+    # an active ReLU: one piece of slope 1, whose hull is its graph
+    neuron = Neuron.aligned(np.array([1.0, -0.5]), 1.0, pwl.relu,
+                            BoxDomain([-0.5, -0.5], [1.0, 1.0]))
+    assert neuron.activation.num_pieces == 1 and neuron.activation.slopes[0] == 1.0
+    cay = build_cayley(neuron)
+    assert _same_lp(cay.to_lp(), build_bigm(neuron).to_lp()) and not cay.nf.pool
+
+
+def test_cayley_dorefa_query_model_is_the_bigm_model():
+    spec = ActivationSpec("dorefa", {"bits": 2, "lo": -1.0, "hi": 1.0})
+    for j in range(4):
+        q = dense_query(j, spec, eps=0.1)
+        q = q.with_target(q.targets()[0])
+        cay = build_query_model(q, CAYLEY)
+        assert _same_lp(cay.to_lp(), build_query_model(q, BIGM).to_lp()), j
+        assert cay.activated_neurons() and not any(nf.pool for nf in cay.activated_neurons())
+
+
+@pytest.mark.parametrize("recipe", ["relu", "tanh-style"])
+def test_cayley_seeds_only_neurons_with_pieces_and_a_slope(recipe):
+    q = recipe_query(recipe, 1, 0.1)
+    model = build_query_model(q.with_target(q.targets()[0]), CAYLEY)
+    kinds = set()
+    for nf in model.activated_neurons():
+        f = nf.neuron.activation
+        differs = f.num_pieces >= 2 and bool(np.any(np.abs(f.slopes) > 1e-12))
+        assert bool(nf.pool) == differs, nf.key
+        kinds.add((f.num_pieces >= 2, differs))
+    assert (True, True) in kinds and (False, False) in kinds
 
 
 def test_relu_single_neuron_cayley_lp_is_exact_hull():
@@ -293,11 +339,15 @@ def test_empty_perturbation_region_rejected():
 
 @pytest.mark.parametrize("eps, x0, message", [
     (float("nan"), [0.5], "eps"), (-0.1, [0.5], "eps"), (-np.inf, [0.5], "eps"),
-    (0.1, [np.nan], "finite"), (0.1, [np.inf], "finite")])
+    (0.1, [np.nan], "finite"), (0.1, [np.inf], "finite"), (0.1, [0.5], "xi")])
 def test_query_rejects_bad_eps_and_anchor_when_built(eps, x0, message):
+    # the "xi" case is a NaN threshold, under which every bound would read robust
     net = Network((Layer.dense([[1.0]], [0.0], None),), BoxDomain([0.0], [1.0]))
+    xi = np.nan if message == "xi" else 0.0
     with pytest.raises(InputError, match=message):
-        VerificationQuery(net, np.array(x0), eps, 0, None)
+        VerificationQuery(net, np.array(x0), eps, 0, None, xi)
+    for inf in (np.inf, -np.inf):   # an infinite threshold stays allowed
+        VerificationQuery(net, np.array([0.5]), 0.1, 0, None, inf)
 
 
 def test_infinite_eps_covers_the_network_box():

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,15 @@ def test_oracle_sweep_replay_lists_changed_cuts(capsys):
     assert f"item {inside}: none -> error" in capsys.readouterr().out
     with pytest.raises(SystemExit, match="different corpora"):
         replay.compare(doc, {**doc, "seed": 2})
+
+
+def test_corpus_replay_prints_each_mode_time_and_nodes(capsys):
+    doc = replay.replay("exact-bnb", 1, items=3)
+    assert (doc["workload"], doc["modes"], len(doc["items"])) == (
+        "exact-bnb", ["bigm-exact", "cayley-exact"], 3)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for mode, line in zip(doc["modes"], lines):
+        name, seconds, nodes = re.fullmatch(r"(\S+): (\d+\.\d\d) s, (\d+) nodes", line).groups()
+        assert name == mode and float(seconds) > 0.0
+        assert int(nodes) == sum(item[mode]["nodes"] for item in doc["items"])

@@ -14,10 +14,11 @@ writes every `VerifyReport.as_dict()` field except the two times, floats as
 `float.hex`, so two replays compare bit for bit. The off-benchmark recipes
 `tanh-style` and `relu` (`tests/helpers.recipe_query`, 5-8-8-3 nets) take
 `--eps` in place of a seed and run 12 queries in bigm-exact, cayley-exact
-and cayley-lp with the default config, printing each mode's total time
-and nodes. The `oracle-sweep` workload writes each item's `separate_pwl`
-result instead: the cut (alpha, zcoef, const and y_coef, as `float.hex`),
-None, or the error. The last form prints, per mode, each field that differs
+and cayley-lp with the default config. Both print each mode's total time
+(for a workload, the reports' summed solve and separation time) and nodes.
+The `oracle-sweep` workload writes each item's `separate_pwl` result
+instead: the cut (alpha, zcoef, const and y_coef, as `float.hex`), None,
+or the error. The last form prints, per mode, each field that differs
 (how many queries, and the totals of a numeric field), the largest
 relative change of a target bound, and every verdict change; it exits 1
 when a verdict changed. On two oracle-sweep replays it lists the items that
@@ -60,15 +61,23 @@ def _corpus(workload: str, seed: int):
     return work
 
 
-def replay(workload: str, seed: int) -> dict:
+def replay(workload: str, seed: int, items: int | None = None) -> dict:
+    """The verify corpus (its first `items`): each query's report per mode.
+    Prints each mode's summed solve and separation time and its nodes."""
     work = _corpus(workload, seed)
     out = []
-    for i in range(len(work.items)):
+    totals = {mode: [0.0, 0] for mode in work.modes}
+    for i in range(len(work.items))[:items]:
         rec = work.run_op(i)
         modes = {mode: _fields(rep) for mode, rep in rec.reports.items()}
+        for mode, rep in rec.reports.items():
+            totals[mode][0] += rep.solve_time + rep.separation_time
+            totals[mode][1] += rep.nodes
         for mode, kind, message in rec.errors:
             modes[mode] = {"error": f"{kind}: {message}"}
         out.append(modes)
+    for mode, (seconds, nodes) in totals.items():
+        print(f"{mode}: {seconds:.2f} s, {nodes} nodes")
     return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
 
 
