@@ -1,4 +1,4 @@
-"""Bundled dense LP solver: bounded-variable primal simplex with Bland's rule.
+"""Bundled dense LP solver: bounded-variable primal and dual simplex.
 
 Instances at desk scale (hundreds of variables) do not justify sparse
 machinery, so everything is dense numpy. The solver is the single numeric
@@ -10,10 +10,19 @@ takes one path: the tableau [A | I] appends one slack per row, bounded by the
 row's sense, to the variable bounds. Infinite bounds use the sentinel +/-1e30
 and never enter arithmetic beyond comparisons.
 
-Each optimal solution carries the clean inverse of its final basis, and a
-solve warm-started from it with as many rows takes a copy of that inverse
-instead of inverting again (branch-and-bound children, the next target of a
-query); after appended rows the basis is inverted afresh.
+A start outside the bounds is repaired in one of two ways. A warm start with
+the same rows whose basis is still dual feasible for this objective (a
+branch-and-bound child, whose bounds only tightened) runs the bounded dual
+simplex. Any other (a cold start, appended rows, a new objective) runs a
+primal phase 1 on artificial columns. The primal simplex then runs phase 2
+by Bland's rule.
+
+Each optimal solution carries the inverse of its final basis. A warm solve
+takes it instead of inverting again: a copy under the same rows, bordered
+as [[B^-1, 0], [-R_B B^-1, I]] after rows R were appended. No solve inverts
+its final basis: the basic values are recomputed from the updated inverse,
+which is inverted afresh only when their row residual exceeds 1e-9 relative
+to the right-hand side, or after 64 product-form updates.
 """
 
 from __future__ import annotations
@@ -88,10 +97,12 @@ class LpSolution:
     objective: float | None = None
     duals: np.ndarray | None = None          # per row, user sense
     basis: list[int] | None = None           # column indices incl. slacks
-    iterations: int = 0                      # phase 2
-    phase1_iterations: int = 0
+    iterations: int = 0                      # primal phase 2
+    phase1_iterations: int = 0               # primal phase 1
+    dual_iterations: int = 0                 # dual simplex
     warm_used: bool = False                  # started from the `warm` solution
     binv: np.ndarray | None = None           # inverse of the columns of `basis`
+    binv_updates: int = 0                    # product-form updates since its inversion
     refactorizations: int = 0                # basis inversions this solve made
 
 
@@ -116,11 +127,11 @@ class _Tableau:
             raise NumericalError("singular basis") from exc
         self.refactorizations += 1
 
-    def use(self, binv: np.ndarray) -> None:
-        """Take `binv`, the clean inverse of the current basis."""
+    def use(self, binv: np.ndarray, updates: int = 0) -> None:
+        """Take `binv`, the inverse of the current basis after `updates`
+        product-form updates since it was inverted."""
         self.binv = binv
-        self.updates = 0   # product-form updates since this factorization
-        self.fresh = True  # no pivot since
+        self.updates = updates
 
 
 def _initial_point(tab: _Tableau) -> np.ndarray:
@@ -132,16 +143,32 @@ def _initial_point(tab: _Tableau) -> np.ndarray:
 
 def _set_basic_values(tab: _Tableau, x: np.ndarray) -> None:
     """Solve for the basic values given the nonbasic ones."""
-    nonbasic = np.ones(tab.ncols, dtype=bool)
-    nonbasic[tab.basis] = False
-    x[tab.basis] = tab.binv @ (tab.b - tab.A[:, nonbasic] @ x[nonbasic])
+    x[tab.basis] = 0.0   # so that A @ x sums the nonbasic columns alone
+    x[tab.basis] = tab.binv @ (tab.b - tab.A @ x)
+
+
+def _reduced_costs(tab: _Tableau, cost: np.ndarray) -> np.ndarray:
+    return cost - (cost[tab.basis] @ tab.binv) @ tab.A
+
+
+def _bound_masks(tab: _Tableau, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns within FEAS_TOL of their finite lower and upper bounds."""
+    return ((tab.lower > -INF) & (x <= tab.lower + FEAS_TOL),
+            (tab.upper < INF) & (x >= tab.upper - FEAS_TOL))
+
+
+def _improving(d: np.ndarray, at_lower: np.ndarray, at_upper: np.ndarray, movable: np.ndarray):
+    """The `movable` columns whose move off their bound against the reduced
+    cost `d` lowers the cost, and the mask of columns inside their box."""
+    inside = ~(at_lower | at_upper)
+    return movable & ((at_lower & (d < -PIVOT_TOL)) | (at_upper & (d > PIVOT_TOL))
+                      | (inside & (np.abs(d) > PIVOT_TOL))), inside
 
 
 def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
                   max_iter: int, fixed: np.ndarray) -> tuple[str, int]:
     """Bland-rule bounded-variable primal simplex on a feasible basis."""
     iters = 0
-    tab.updates = 0   # the refactor schedule restarts with every loop
     basic_mask = np.zeros(tab.ncols, dtype=bool)
     basic_mask[tab.basis] = True
     movable = ~fixed & (tab.upper - tab.lower > PIVOT_TOL)   # a pinned column never moves
@@ -150,13 +177,9 @@ def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
     while True:
         if iters >= max_iter:
             raise NumericalError("cycling guard exceeded")
-        y = cost[tab.basis] @ tab.binv
-        d = cost - y @ tab.A
-        at_lower, at_upper = has_lo & (x <= lo_tol), has_hi & (x >= hi_tol)
-        inside = ~(at_lower | at_upper)
-        eligible = movable & ~basic_mask & ((at_lower & (d < -PIVOT_TOL))
-                                            | (at_upper & (d > PIVOT_TOL))
-                                            | (inside & (np.abs(d) > PIVOT_TOL)))
+        d = _reduced_costs(tab, cost)
+        eligible, inside = _improving(d, has_lo & (x <= lo_tol), has_hi & (x >= hi_tol),
+                                      movable & ~basic_mask)
         # Bland's rule: the first eligible column, moved against its reduced cost
         first = np.flatnonzero(eligible)[:1]
         if not first.size:
@@ -165,6 +188,56 @@ def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
         direction = 1.0 if d[entering] < 0 else -1.0
         if not _move(tab, x, entering, direction, not inside[entering], basic_mask):
             return "unbounded", iters
+        iters += 1
+
+
+def _dual_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray, max_iter: int) -> tuple[str, int]:
+    """Bounded dual simplex from a dual feasible basis, until the basic values
+    are within their bounds. The basic column farthest outside its box leaves
+    at the bound it crosses. Of the nonbasic columns whose move off their
+    bound pushes it back, the dual ratio test enters the one whose reduced
+    cost reaches 0 first, ties within PIVOT_TOL to the largest |pivot|. A
+    leaving row that no column can push proves the LP infeasible, on a
+    fresh inverse."""
+    iters = 0
+    basic_mask = np.zeros(tab.ncols, dtype=bool)
+    basic_mask[tab.basis] = True
+    movable = tab.upper - tab.lower > PIVOT_TOL
+    while True:
+        lo, hi, xb = tab.lower[tab.basis], tab.upper[tab.basis], x[tab.basis]
+        below = lo - xb
+        r = int(np.argmax(np.maximum(below, xb - hi)))
+        if max(below[r], xb[r] - hi[r]) <= FEAS_TOL:
+            return "optimal", iters
+        if iters >= max_iter:
+            raise NumericalError("cycling guard exceeded")
+        target = lo[r] if below[r] > 0 else hi[r]
+        # row r of binv @ [A I], signed so that raising a column with a
+        # negative entry moves x[basis[r]] toward its target
+        alpha = (tab.binv[r] @ tab.A) * (1.0 if below[r] > 0 else -1.0)
+        at_lower, at_upper = _bound_masks(tab, x)
+        cand = np.flatnonzero(movable & ~basic_mask & (((alpha < -PIVOT_TOL) & ~at_upper)
+                                                       | ((alpha > PIVOT_TOL) & ~at_lower)))
+        if cand.size:
+            ratio = np.maximum(-_reduced_costs(tab, cost)[cand] / alpha[cand], 0.0)
+            ties = cand[ratio <= ratio.min() + PIVOT_TOL]
+            entering = int(ties[np.argmax(np.abs(alpha[ties]))])
+            col = tab.binv @ tab.A[:, entering]
+        if not cand.size or (abs(col[r]) < FEAS_TOL and tab.updates):
+            # no column, or a tiny pivot, on an updated inverse may be drift
+            if not tab.updates:
+                return "infeasible", iters
+            tab.refactor()
+            _set_basic_values(tab, x)
+            continue
+        step = (xb[r] - target) / col[r]
+        x[entering] += step
+        x[tab.basis] -= step * col
+        out = tab.basis[r]
+        x[out] = target
+        basic_mask[out] = False
+        basic_mask[entering] = True
+        _pivot(tab, col, r, entering)
         iters += 1
 
 
@@ -212,16 +285,20 @@ def _move(tab: _Tableau, x: np.ndarray, entering: int, direction: float,
     x[entering] += direction * step
     x[tab.basis] -= step * u
     x[out] = leave_to
-    tab.basis[leaving] = entering
     basic_mask[out] = False
     basic_mask[entering] = True
+    _pivot(tab, col, leaving, entering)
+    return True
+
+
+def _pivot(tab: _Tableau, col: np.ndarray, leaving: int, entering: int) -> None:
+    """Put `entering` into the basis at row `leaving`; `col` = binv @ its column."""
+    tab.basis[leaving] = entering
     tab.updates += 1
     if tab.updates >= 64:
         tab.refactor()
     else:
         _update_inverse(tab.binv, col, leaving)
-        tab.fresh = False
-    return True
 
 
 def _settle_interior(tab: _Tableau, cost: np.ndarray, x: np.ndarray, fixed: np.ndarray) -> None:
@@ -251,17 +328,22 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     """Solve the LP; optimal solutions are vertex (basic) solutions.
 
     `warm` is an earlier solution of the same LP before rows were appended
-    (row i keeps slack column n + i) or bounds were tightened. Its basis,
-    extended by the slacks of the appended rows, and its point, clipped into
-    the current bounds, start the solve when that basis is still nonsingular;
-    any numerical failure under a warm start falls back to the cold start
-    before being reported. `warm.binv`, the inverse of its basis, is copied
-    when no row was appended and it inverts this LP's basis columns (one
-    O(m^2) probe, which a warm solution of another LP fails); otherwise the
-    basis is inverted afresh. A `warm` with an empty basis is a start point, its
-    x clipped into the bounds on the slack basis: phase 1 runs only from a
-    point that misses a row by more than FEAS_TOL. Bounds that cross by more
-    than FEAS_TOL make the LP infeasible before any solve.
+    (row i keeps slack column n + i), bounds were tightened or the objective
+    changed. Its basis, extended by the slacks of the appended rows, and its
+    point, clipped into the current bounds, start the solve when that basis
+    is still nonsingular; any numerical failure under a warm start (the
+    cycling guard included) falls back to the cold start before being
+    reported. `warm.binv`, the inverse of its basis, is taken when it
+    inverts this LP's old basis columns (one O(m^2) probe, which a warm
+    solution of another LP fails), bordered by the appended rows; otherwise
+    the basis is inverted afresh. With no row appended and a basis that is
+    dual feasible for this objective within PIVOT_TOL, basic values outside
+    their bounds are repaired by the bounded dual simplex
+    (`dual_iterations`); any other start outside the bounds runs phase 1. A
+    `warm` with an empty basis is a start point, its x clipped into the
+    bounds on the slack basis: phase 1 runs only from a point that misses a
+    row by more than FEAS_TOL. Bounds that cross by more than FEAS_TOL make
+    the LP infeasible before any solve.
     """
     if np.any(lp.lower > lp.upper + FEAS_TOL):
         return LpSolution(status="infeasible")
@@ -278,7 +360,7 @@ def _extended_basis(warm: LpSolution | None, n: int, m: int) -> list[int] | None
     if warm is None or warm.basis is None or warm.x is None or warm.x.size != n:
         return None
     old_m = len(warm.basis)
-    if old_m > m or any(j >= n + old_m for j in warm.basis):
+    if old_m > m or max(warm.basis, default=-1) >= n + old_m:
         return None
     return list(warm.basis) + list(range(n + old_m, n + m))
 
@@ -290,19 +372,33 @@ def _inverts(binv: np.ndarray | None, B: np.ndarray) -> bool:
             and float(np.abs(binv @ (B @ probe) - probe).max()) <= FEAS_TOL)
 
 
+def _dual_feasible(tab: _Tableau, cost: np.ndarray, x: np.ndarray) -> bool:
+    """Whether no nonbasic column improves `cost`, as phase 2 prices them."""
+    movable = tab.upper - tab.lower > PIVOT_TOL
+    movable[tab.basis] = False
+    return not _improving(_reduced_costs(tab, cost), *_bound_masks(tab, x), movable)[0].any()
+
+
 def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
     tab = _Tableau(lp)
     m, n = tab.m, tab.n
     max_iter = 2000 + 200 * (m + n)   # cycling guard
+    cost = np.zeros(n + m)
+    cost[:n] = lp.objective if lp.sense == "min" else -lp.objective
 
     x = _initial_point(tab)
     basis = _extended_basis(warm, n, m)
     warm_used = basis is not None
     tab.basis = np.array(basis if warm_used else range(n, n + m), dtype=np.intp)
-    if not (warm_used and warm.basis):
+    old = len(warm.basis) if warm_used else 0
+    if not old:
         tab.use(np.eye(m))   # the slack basis
-    elif len(warm.basis) == m and _inverts(warm.binv, tab.A[:, tab.basis]):
-        tab.use(warm.binv.copy())   # the updates write in place
+    elif _inverts(warm.binv, tab.A[:old, tab.basis[:old]]):
+        binv = np.eye(m)
+        binv[:old, :old] = warm.binv
+        # bordered by the appended rows' entries in the old basis columns
+        binv[old:, :old] = -tab.A[old:, tab.basis[:old]] @ warm.binv
+        tab.use(binv, warm.binv_updates)
     else:
         tab.refactor()   # a singular warm basis raises here, and `solve` restarts cold
     if warm_used:
@@ -310,15 +406,24 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
         x[:n] = np.clip(warm.x, lp.lower, lp.upper)
 
     _set_basic_values(tab, x)
-
-    # Phase 1: shift infeasible basic values onto artificial columns, each
-    # the (signed) column of the basic variable it displaces, so the other
-    # basic values stay put; on the cold slack basis these are +-e_i.
     viol_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
     viol_hi = np.maximum(x[tab.basis] - tab.upper[tab.basis], 0.0)
     displaced, art_sign = np.zeros(0, dtype=np.intp), np.zeros(0)
-    it1 = 0
-    if np.any(viol_lo > FEAS_TOL) or np.any(viol_hi > FEAS_TOL):
+    it1 = it_dual = 0
+
+    def done(status: str, **fields) -> LpSolution:
+        return LpSolution(status, phase1_iterations=it1, dual_iterations=it_dual,
+                          warm_used=warm_used, refactorizations=tab.refactorizations, **fields)
+
+    infeasible = np.any(viol_lo > FEAS_TOL) or np.any(viol_hi > FEAS_TOL)
+    if infeasible and old == m and _dual_feasible(tab, cost, x):
+        status, it_dual = _dual_loop(tab, cost, x, max_iter)
+        if status == "infeasible":
+            return done("infeasible")
+    elif infeasible:
+        # Phase 1: shift infeasible basic values onto artificial columns, each
+        # the (signed) column of the basic variable it displaces, so the other
+        # basic values stay put; on the cold slack basis these are +-e_i.
         mag = viol_lo + viol_hi
         keep = np.flatnonzero(mag > FEAS_TOL)
         displaced, art_sign = tab.basis[keep], np.where(viol_lo[keep] > 0, -1.0, 1.0)
@@ -344,55 +449,43 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
         if status == "optimal" and float(cost1 @ x) > threshold:
             # an updated inverse may have drifted: refresh it, and if the
             # artificials still carry weight, let phase 1 go on from there
-            if not tab.fresh:
+            if tab.updates:
                 tab.refactor()
             _set_basic_values(tab, x)
             if float(cost1 @ x) > threshold:
                 status, more = _simplex_loop(tab, cost1, x, max_iter, fixed)
                 it1 += more
         if status != "optimal" or float(cost1 @ x) > threshold:
-            return LpSolution(status="infeasible", phase1_iterations=it1,
-                              warm_used=warm_used, refactorizations=tab.refactorizations)
+            return done("infeasible")
         # pin artificials at zero for phase 2
         tab.lower[n + m:] = 0.0
         tab.upper[n + m:] = 0.0
         x[n + m:] = 0.0
+        cost = np.concatenate([cost, np.zeros(len(keep))])
 
-    cost = np.zeros(tab.ncols)
-    user_cost = lp.objective if lp.sense == "min" else -lp.objective
-    cost[:n] = user_cost
     fixed = np.zeros(tab.ncols, dtype=bool)
     fixed[n + m:] = True
     status, iters = _simplex_loop(tab, cost, x, max_iter, fixed)
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=iters, phase1_iterations=it1,
-                          warm_used=warm_used, refactorizations=tab.refactorizations)
+        return done("unbounded", iterations=iters)
     _settle_interior(tab, cost, x, fixed)
 
-    # clean recomputation of the basic values from the final basis, whose
-    # inverse is clean already when nothing pivoted since it was taken
-    if not tab.fresh:
-        tab.refactor()
+    # the basic values from the updated inverse, inverted afresh only when
+    # those values miss their rows
     _set_basic_values(tab, x)
+    scale = max(1.0, np.abs(tab.b).max(initial=0.0))
+    if np.abs(tab.A @ x - tab.b).max(initial=0.0) > 1e-9 * scale:
+        tab.refactor()
+        _set_basic_values(tab, x)
 
     y = cost[tab.basis] @ tab.binv
     sense_sign = 1.0 if lp.sense == "min" else -1.0
-    obj = float(lp.objective @ x[:n])
     # an artificial still basic (at zero) stands for the column it displaced,
     # whose inverse row is the artificial's times its sign
     held = np.flatnonzero(tab.basis >= n + m)
     art = tab.basis[held] - (n + m)
     tab.basis[held] = displaced[art]
     tab.binv[held] *= art_sign[art, None]
-    return LpSolution(
-        status="optimal",
-        x=x[:n].copy(),
-        objective=obj,
-        duals=sense_sign * y,
-        basis=tab.basis.tolist(),
-        iterations=iters,
-        phase1_iterations=it1,
-        warm_used=warm_used,
-        binv=tab.binv,
-        refactorizations=tab.refactorizations,
-    )
+    return done("optimal", x=x[:n].copy(), objective=float(lp.objective @ x[:n]),
+                duals=sense_sign * y, basis=tab.basis.tolist(), iterations=iters,
+                binv=tab.binv, binv_updates=tab.updates)

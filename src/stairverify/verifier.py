@@ -83,7 +83,10 @@ class VerifyReport:
     (neuron, direction) points the cut rounds checked, a flat staircase
     neuron once per point, a neuron with one piece on its interval (every
     stable or pinned one, whose Big-M rows write its hull) never, and any
-    other neuron twice."""
+    other neuron twice. `lp_phase1_iterations` and `lp_phase2_iterations`
+    count the primal simplex's pivots in its two phases, and
+    `lp_dual_iterations` the dual simplex's, which repairs a
+    branch-and-bound child from its parent's basis in place of phase 1."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
     counterexample: np.ndarray | None = None
@@ -98,6 +101,7 @@ class VerifyReport:
     separation_screened: int = 0      # of those, answered by the vertex screen
     lp_phase1_iterations: int = 0
     lp_phase2_iterations: int = 0
+    lp_dual_iterations: int = 0
     warm_solves: int = 0              # LP solves that started from a warm solution
     lp_refactorizations: int = 0      # basis inversions of those LP solves
     diagnostic: str = ""
@@ -115,6 +119,7 @@ def _solve(lp, warm, report: VerifyReport):
     sol = solve(lp, warm)
     report.lp_phase1_iterations += sol.phase1_iterations
     report.lp_phase2_iterations += sol.iterations
+    report.lp_dual_iterations += sol.dual_iterations
     report.warm_solves += sol.warm_used
     report.lp_refactorizations += sol.refactorizations
     return sol
@@ -300,8 +305,10 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
     on the graph at all, so the fallback keeps its piece pattern (argmax z
     per neuron) and solves `pattern_lp` with the interior slab edges pulled
     in by each margin in turn, taking the first optimum above the threshold
-    that replays to a flip. Any input of the region that flips the label will
-    do, so the `_forward_start` corner is the last try. None if none does.
+    that replays to a flip. A larger margin only shrinks the slabs, so the
+    ladder stops at the first LP that is infeasible or has no optimum above
+    the threshold. Any input of the region that flips the label will do, so
+    the `_forward_start` corner is the last try. None if none does.
     """
     query = model.query
     x_cand = model.input_point(point)
@@ -311,10 +318,11 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
                for nf in model.activated_neurons()]
     for margin in (1e-9, 1e-7, 1e-5):
         sol = _solve(model.pattern_lp(pattern, margin), None, report)
-        if sol.status == "optimal" and sol.objective > query.xi + 1e-9:
-            x_cand = model.input_point(sol.x)
-            if _replay(query.network, x_cand, query.label):
-                return x_cand
+        if sol.status != "optimal" or sol.objective <= query.xi + 1e-9:
+            break
+        x_cand = model.input_point(sol.x)
+        if _replay(query.network, x_cand, query.label):
+            return x_cand
     x_cand = model.input_point(_forward_start(model).x)
     return x_cand if _replay(query.network, x_cand, query.label) else None
 

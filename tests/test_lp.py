@@ -313,7 +313,6 @@ def _reference_simplex_loop(tab, cost, x, max_iter, fixed, move=None):
     """`lp._simplex_loop` as a per-column loop; `move` defaults to the reference."""
     move = move or _reference_move
     iters = 0
-    tab.updates = 0
     basic_mask = np.zeros(tab.ncols, dtype=bool)
     basic_mask[tab.basis] = True
     while True:
@@ -685,7 +684,7 @@ def test_warm_inverse_of_another_lp_is_not_reused():
         # the probe refactors, so the result is that of the same start without an inverse
         bare = solve(lp, LpSolution("optimal", x=warm.x, basis=warm.basis))
         assert sol.warm_used == bare.warm_used
-        assert sol.refactorizations == bare.refactorizations >= 1
+        assert sol.refactorizations == bare.refactorizations >= sol.warm_used
         assert sol.x.tobytes() == bare.x.tobytes() and sol.basis == bare.basis
         assert sol.binv.tobytes() == bare.binv.tobytes()
         checked += sol.warm_used   # a singular warm basis restarts cold
@@ -709,9 +708,12 @@ def test_resolve_after_tightened_bounds_reuses_the_inverse():
         warm, cold = solve(lp, sol), solve(lp)
         bare = solve(lp, LpSolution("optimal", x=sol.x, basis=sol.basis))
         _assert_same_solve(warm, cold, lp)
-        assert warm.status == bare.status and warm.refactorizations < bare.refactorizations
+        # the bare start inverts the basis that the warm start copies; an
+        # infeasible end may refresh either inverse once
+        assert warm.status == bare.status and warm.refactorizations <= bare.refactorizations
         if warm.status == "optimal":
-            assert warm.x.tobytes() == bare.x.tobytes() and warm.basis == bare.basis
+            assert warm.refactorizations < bare.refactorizations and warm.basis == bare.basis
+            assert np.allclose(warm.x, bare.x, rtol=0.0, atol=1e-12)
             reused += 1
             fewer += bare.refactorizations - warm.refactorizations
     assert reused >= 40 and fewer >= reused
@@ -726,8 +728,9 @@ def test_inverse_of_a_basis_with_an_artificial_left_in():
     sol = solve(lp)
     assert sol.status == "optimal" and abs(sol.objective - 2.0) <= 1e-12
     assert sol.phase1_iterations > 0 and sorted(sol.basis) in ([1, 2], [1, 3])
-    # the slack basis and its artificials need no inversion, the final basis one
-    assert sol.refactorizations == 1
+    # the slack basis and its artificials need no inversion, nor does the
+    # final basis, whose basic values meet their rows
+    assert sol.refactorizations == 0
     B = np.hstack([lp.rows, np.eye(2)])[:, sol.basis]
     assert np.array_equal(sol.binv @ B, np.eye(2))
     lp.upper[1] = 0.5
@@ -735,6 +738,8 @@ def test_inverse_of_a_basis_with_an_artificial_left_in():
     bare = solve(lp, LpSolution("optimal", x=sol.x, basis=sol.basis))
     assert warm.refactorizations < bare.refactorizations
     assert warm.x.tobytes() == bare.x.tobytes() and abs(warm.objective - 1.5) <= 1e-12
+    # the tightened bound is repaired by the dual simplex from that basis
+    assert warm.dual_iterations == 1 and warm.phase1_iterations == 0
 
 
 def _fixture_lp(name):
@@ -852,3 +857,98 @@ def test_start_point_solve_rechecks_a_tiny_pivot_on_a_fresh_inverse():
     sol, cold = solve(lp, LpSolution("optimal", x=start, basis=[])), solve(lp)
     assert sol.warm_used and sol.phase1_iterations == 0
     _assert_same_solve(sol, cold, lp)
+
+
+# -- the dual simplex, the bordered inverse and the residual check -------------------
+
+
+def _referee(lp):
+    """`NaiveSimplex`'s status and optimum of a box-bounded LP."""
+    sign = 1.0 if lp.sense == "max" else -1.0
+    c, A, b = _shifted_standard_form(lp)
+    status, obj, _ = NaiveSimplex(sign * c, A, b).solve()
+    return status, (None if obj is None else float(lp.objective @ lp.lower) - sign * obj)
+
+
+def test_dual_simplex_after_tightened_upper_bounds_matches_the_referee():
+    # branch-and-bound children: only upper bounds tighten, so the parent's
+    # basis stays dual feasible and no phase 1 runs
+    rng = np.random.default_rng(32)
+    dual = infeasible = 0
+    for _ in range(60):
+        n, m = int(rng.integers(3, 10)), int(rng.integers(1, 8))
+        lp = _random_bounded_lp(rng, n, m)
+        sol = solve(lp)
+        for _ in range(3):
+            if sol.status != "optimal":
+                break
+            for j in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+                # pin at the lower bound, or cut below the optimum
+                keep = 0.0 if rng.random() < 0.3 else rng.uniform(0.2, 0.9)
+                lp.upper[j] = lp.lower[j] + keep * (min(sol.x[j], lp.upper[j]) - lp.lower[j])
+            warm, cold = solve(lp, sol), solve(lp)
+            status, value = _referee(lp)
+            assert warm.warm_used and warm.status == cold.status == status
+            # the dual simplex keeps the basis dual feasible: no primal pivot follows
+            assert warm.phase1_iterations == warm.iterations == 0
+            if status == "optimal":
+                assert abs(warm.objective - value) <= 1e-9 * max(1.0, abs(value))
+                assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(value))
+            dual += warm.dual_iterations > 0
+            infeasible += status == "infeasible"
+            sol = warm
+    assert dual >= 40 and infeasible >= 5
+
+
+def test_appended_rows_border_the_inverse():
+    rng = np.random.default_rng(33)
+    bordered = 0
+    for _ in range(40):
+        n, m = int(rng.integers(3, 10)), int(rng.integers(1, 8))
+        lp = _random_bounded_lp(rng, n, m)
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        # rows that the optimum meets with room to spare: the old vertex stays
+        # optimal, and its bordered inverse inverts the extended basis
+        for _ in range(int(rng.integers(1, 4))):
+            row = rng.normal(size=n)
+            lp.add_row(row, LESS, float(row @ sol.x) + rng.uniform(0.1, 1.0))
+        warm = solve(lp, sol)
+        assert warm.status == "optimal" and warm.refactorizations == 0
+        assert warm.iterations == warm.phase1_iterations == warm.dual_iterations == 0
+        assert np.allclose(warm.x, sol.x, rtol=0.0, atol=1e-12)
+        # and a cut through the optimum, which phase 1 repairs
+        row = rng.normal(size=n)
+        lp.add_row(row, LESS, float(row @ sol.x) - 0.3)
+        cut = solve(lp, warm)
+        _assert_same_solve(cut, solve(lp), lp)
+        for s in (warm, cut):
+            if s.status == "optimal":
+                B = np.hstack([lp.rows[:len(s.basis)], np.eye(len(s.basis))])[:, s.basis]
+                assert np.abs(s.binv @ B - np.eye(len(s.basis))).max() <= 1e-9
+        bordered += 1
+    assert bordered >= 25
+
+
+def test_perturbed_inverse_fails_the_residual_check():
+    rng = np.random.default_rng(34)
+    checked = 0
+    for _ in range(30):
+        lp = _random_bounded_lp(rng, int(rng.integers(3, 10)), int(rng.integers(2, 8)))
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        # off by 1e-8 per entry: the warm probe accepts it, the residual check does not
+        binv = sol.binv + 1e-8 * rng.choice([-1.0, 1.0], size=sol.binv.shape)
+        warm = solve(lp, LpSolution("optimal", x=sol.x, basis=sol.basis, binv=binv))
+        assert warm.warm_used and warm.refactorizations == 1
+        assert warm.iterations == warm.phase1_iterations == warm.dual_iterations == 0
+        assert abs(warm.objective - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
+        m = len(lp.rows)
+        B = np.hstack([lp.rows, np.eye(m)])[:, warm.basis]
+        assert np.abs(warm.binv @ B - np.eye(m)).max() <= 1e-12
+        status, value = _referee(lp)
+        assert status == "optimal" and abs(warm.objective - value) <= 1e-9 * max(1.0, abs(value))
+        checked += 1
+    assert checked >= 20

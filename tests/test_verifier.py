@@ -9,7 +9,8 @@ from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
 from stairverify.oracles import exhaustive_verify
 from stairverify.separation import LOWER, UPPER, is_pinned
-from stairverify.verifier import VerifyConfig, VerifyReport, _cut_round, _solve_with_cuts, verify
+from stairverify.verifier import (VerifyConfig, VerifyReport, _counterexample, _cut_round,
+                                  _solve_with_cuts, verify)
 
 from helpers import random_quantized_network, recipe_query, wide_tanh_query
 
@@ -396,6 +397,7 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     assert report.verdict == "robust"
     assert report.lp_phase1_iterations == sum(s.phase1_iterations for s in sols)
     assert report.lp_phase2_iterations == sum(s.iterations for s in sols)
+    assert report.lp_dual_iterations == sum(s.dual_iterations for s in sols)
     assert report.warm_solves == sum(s.warm_used for s in sols)
     assert report.lp_refactorizations == sum(s.refactorizations for s in sols)
     # the slack basis and an unchanged warm basis start without an inversion
@@ -417,8 +419,9 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     if mode.startswith("cayley"):
         assert report.warm_solves >= report.rounds > 0
     doc = report.as_dict()
-    for key in ("lp_phase1_iterations", "lp_phase2_iterations", "warm_solves",
-                "lp_refactorizations", "separation_calls", "separation_screened"):
+    for key in ("lp_phase1_iterations", "lp_phase2_iterations", "lp_dual_iterations",
+                "warm_solves", "lp_refactorizations", "separation_calls",
+                "separation_screened"):
         assert doc[key] == getattr(report, key)
 
 
@@ -446,6 +449,23 @@ def _breakpoint_query(case="upper edge"):
     return VerificationQuery(net, np.array(x0), 0.02, label)
 
 
+# the input and piece pattern of an exact optimum of the "lower edge" query
+# that branch-and-bound has ended on (in both exact modes): a pre-activation
+# sits a rounding error below its slab, so the input does not flip the label
+LOWER_EDGE_OPTIMUM = ([-0.5060168736490511, 0.5002306060432432, 0.522082957379637,
+                       -0.03660534198322839, -0.5376021053119766],
+                      [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0])
+
+
+def _pattern_point(model, x_input, pattern):
+    """A model point with input `x_input` and one-hot z on `pattern`."""
+    point = np.zeros(model.num_vars())
+    point[:len(x_input)] = x_input
+    for nf, piece in zip(model.activated_neurons(), pattern):
+        point[nf.z_vars[piece]] = 1.0
+    return point
+
+
 @pytest.mark.parametrize("case", ["lower edge", "upper edge"])
 @pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
 def test_breakpoint_optimum_is_repaired_into_a_counterexample(mode, case, monkeypatch):
@@ -466,10 +486,19 @@ def _check_repair(mode, case, monkeypatch):
         return pattern_lp(self, pattern, margin)
 
     monkeypatch.setattr(formulations.QueryModel, "pattern_lp", spy)
-    report = verify(q, VerifyConfig(mode=mode, timeout=60))
+    config = VerifyConfig(mode=mode, timeout=60)
+    report = verify(q, config)
     assert report.verdict == "falsified", report.diagnostic
-    assert margins and margins[0] == 1e-9          # the optimum's own input failed
     x = report.counterexample
+    if case == "lower edge":
+        # the search may end on another optimal vertex, whose input flips the
+        # label: repair the breakpoint optimum directly
+        margins.clear()
+        target = list(report.target_bounds)[-1]   # the target above the threshold
+        model = build_query_model(q.with_target(target), config.formulation)
+        x = _counterexample(model, _pattern_point(model, *LOWER_EDGE_OPTIMUM),
+                            VerifyReport(verdict="robust"))
+    assert margins and margins[0] == 1e-9          # the optimum's own input failed
     assert np.all(np.abs(x - q.x0) <= q.eps + 1e-12)
     assert int(np.argmax(q.network.forward(x))) != q.label
     model = build_query_model(q.with_target(0), BIGM)
@@ -497,6 +526,27 @@ def test_pattern_lp_margin_pulls_interior_slab_edges_in():
                 moved.append(s0)
         # the first piece keeps its lower edge, the last its upper edge
         assert moved == ["<=" if side == "first" else ">="] * sum(split)
+
+
+def test_margin_ladder_stops_at_an_infeasible_pattern_lp(monkeypatch):
+    # a larger margin only shrinks the slabs, so an infeasible first pattern
+    # LP ends the ladder
+    q = _breakpoint_query()
+    model = build_query_model(q.with_target(0), BIGM)
+    pattern = next(p for p in itertools.product(*model.pattern_prefilter())
+                   if solve(model.pattern_lp(p)).status == "infeasible")
+    margins = []
+    pattern_lp = formulations.QueryModel.pattern_lp
+
+    def spy(self, pattern, margin=0.0):
+        margins.append(margin)
+        return pattern_lp(self, pattern, margin)
+
+    monkeypatch.setattr(formulations.QueryModel, "pattern_lp", spy)
+    # the anchor keeps its label, so the ladder runs
+    x = _counterexample(model, _pattern_point(model, q.x0, pattern), VerifyReport("robust"))
+    assert margins == [1e-9]
+    assert x is None or int(np.argmax(q.network.forward(x))) != q.label
 
 
 def _three_label_query():
