@@ -10,12 +10,13 @@ takes one path: the tableau [A | I] appends one slack per row, bounded by the
 row's sense, to the variable bounds. Infinite bounds use the sentinel +/-1e30
 and never enter arithmetic beyond comparisons.
 
-A start outside the bounds is repaired in one of two ways. A warm start with
-the same rows whose basis is still dual feasible for this objective (a
-branch-and-bound child, whose bounds only tightened) runs the bounded dual
-simplex. Any other (a cold start, appended rows, a new objective) runs a
-primal phase 1 on artificial columns. The primal simplex then runs phase 2
-by Bland's rule.
+A start whose basic values lie outside their bounds (a cold start, a
+branch-and-bound child, appended cut rows, a new objective) is repaired in
+one way: nonbasic columns that the objective would move go to the bound
+they move toward, or, where that bound is infinite, keep their place under
+a temporarily shifted cost, so the basis is dual feasible; the bounded dual
+simplex then reaches a feasible basis. The primal simplex finishes under
+the true cost by Bland's rule.
 
 Each optimal solution carries the inverse of its final basis. A warm solve
 takes it instead of inverting again: a copy under the same rows, bordered
@@ -97,8 +98,7 @@ class LpSolution:
     objective: float | None = None
     duals: np.ndarray | None = None          # per row, user sense
     basis: list[int] | None = None           # column indices incl. slacks
-    iterations: int = 0                      # primal phase 2
-    phase1_iterations: int = 0               # primal phase 1
+    iterations: int = 0                      # primal simplex
     dual_iterations: int = 0                 # dual simplex
     warm_used: bool = False                  # started from the `warm` solution
     binv: np.ndarray | None = None           # inverse of the columns of `basis`
@@ -107,7 +107,7 @@ class LpSolution:
 
 
 class _Tableau:
-    """Working state of one solve: columns = structurals + slacks + artificials."""
+    """Working state of one solve: columns = n structurals + m slacks."""
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.rows.shape
@@ -117,7 +117,6 @@ class _Tableau:
         self.lower = np.concatenate([lp.lower, np.where(lp.senses == GREATER, -INF, 0.0)])
         self.upper = np.concatenate([lp.upper, np.where(lp.senses == LESS, INF, 0.0)])
         self.b = lp.rhs
-        self.ncols = n + m
         self.refactorizations = 0
 
     def refactor(self):
@@ -166,12 +165,12 @@ def _improving(d: np.ndarray, at_lower: np.ndarray, at_upper: np.ndarray, movabl
 
 
 def _simplex_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray,
-                  max_iter: int, fixed: np.ndarray) -> tuple[str, int]:
+                  max_iter: int) -> tuple[str, int]:
     """Bland-rule bounded-variable primal simplex on a feasible basis."""
     iters = 0
-    basic_mask = np.zeros(tab.ncols, dtype=bool)
+    basic_mask = np.zeros(tab.m + tab.n, dtype=bool)
     basic_mask[tab.basis] = True
-    movable = ~fixed & (tab.upper - tab.lower > PIVOT_TOL)   # a pinned column never moves
+    movable = tab.upper - tab.lower > PIVOT_TOL   # a pinned column never moves
     has_lo, lo_tol = tab.lower > -INF, tab.lower + FEAS_TOL
     has_hi, hi_tol = tab.upper < INF, tab.upper - FEAS_TOL
     while True:
@@ -200,7 +199,7 @@ def _dual_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray, max_iter: int) ->
     leaving row that no column can push proves the LP infeasible, on a
     fresh inverse."""
     iters = 0
-    basic_mask = np.zeros(tab.ncols, dtype=bool)
+    basic_mask = np.zeros(tab.m + tab.n, dtype=bool)
     basic_mask[tab.basis] = True
     movable = tab.upper - tab.lower > PIVOT_TOL
     while True:
@@ -301,14 +300,15 @@ def _pivot(tab: _Tableau, col: np.ndarray, leaving: int, entering: int) -> None:
         _update_inverse(tab.binv, col, leaving)
 
 
-def _settle_interior(tab: _Tableau, cost: np.ndarray, x: np.ndarray, fixed: np.ndarray) -> None:
-    """Move each nonbasic column that phase 2 left strictly inside its box (a
-    start point's y, at a reduced cost of about 0) along its ratio test, against
-    that cost's sign, to a bound or into the basis: a vertex, of the same value
-    within PIVOT_TOL. A free column that nothing blocks either way stays put."""
-    basic_mask = np.zeros(tab.ncols, dtype=bool)
+def _settle_interior(tab: _Tableau, cost: np.ndarray, x: np.ndarray) -> None:
+    """Move each nonbasic column that the primal simplex left strictly inside
+    its box (a start point's y, at a reduced cost of about 0) along its ratio
+    test, against that cost's sign, to a bound or into the basis: a vertex, of
+    the same value within PIVOT_TOL. A free column that nothing blocks either
+    way stays put."""
+    basic_mask = np.zeros(tab.m + tab.n, dtype=bool)
     basic_mask[tab.basis] = True
-    inside = (x > tab.lower + FEAS_TOL) & (x < tab.upper - FEAS_TOL) & ~basic_mask & ~fixed
+    inside = (x > tab.lower + FEAS_TOL) & (x < tab.upper - FEAS_TOL) & ~basic_mask
     for j in np.flatnonzero(inside):
         d = cost[j] - (cost[tab.basis] @ tab.binv) @ tab.A[:, j]
         direction = -1.0 if d > 0 else 1.0
@@ -336,14 +336,13 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     reported. `warm.binv`, the inverse of its basis, is taken when it
     inverts this LP's old basis columns (one O(m^2) probe, which a warm
     solution of another LP fails), bordered by the appended rows; otherwise
-    the basis is inverted afresh. With no row appended and a basis that is
-    dual feasible for this objective within PIVOT_TOL, basic values outside
-    their bounds are repaired by the bounded dual simplex
-    (`dual_iterations`); any other start outside the bounds runs phase 1. A
+    the basis is inverted afresh. Basic values outside their bounds, from
+    any start, are repaired by the bounded dual simplex (`dual_iterations`)
+    after `_dual_start`; the primal simplex (`iterations`) then finishes. A
     `warm` with an empty basis is a start point, its x clipped into the
-    bounds on the slack basis: phase 1 runs only from a point that misses a
-    row by more than FEAS_TOL. Bounds that cross by more than FEAS_TOL make
-    the LP infeasible before any solve.
+    bounds on the slack basis: the dual simplex runs only from a point that
+    misses a row by more than FEAS_TOL. Bounds that cross by more than
+    FEAS_TOL make the LP infeasible before any solve.
     """
     if np.any(lp.lower > lp.upper + FEAS_TOL):
         return LpSolution(status="infeasible")
@@ -372,11 +371,23 @@ def _inverts(binv: np.ndarray | None, B: np.ndarray) -> bool:
             and float(np.abs(binv @ (B @ probe) - probe).max()) <= FEAS_TOL)
 
 
-def _dual_feasible(tab: _Tableau, cost: np.ndarray, x: np.ndarray) -> bool:
-    """Whether no nonbasic column improves `cost`, as phase 2 prices them."""
+def _dual_start(tab: _Tableau, cost: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Make the basis dual feasible for the returned cost: each nonbasic
+    column that the primal simplex would enter moves to the bound it moves
+    toward, or, where that bound is infinite, stays under a cost shifted so
+    that its reduced cost is 0 (the cost modification of Koberstein 2005).
+    The basic values are recomputed when a column moved."""
+    d = _reduced_costs(tab, cost)
     movable = tab.upper - tab.lower > PIVOT_TOL
     movable[tab.basis] = False
-    return not _improving(_reduced_costs(tab, cost), *_bound_masks(tab, x), movable)[0].any()
+    enter = _improving(d, *_bound_masks(tab, x), movable)[0]
+    to = np.where(d < 0, tab.upper, tab.lower)
+    flip = enter & (np.abs(to) < INF)
+    shifted = np.where(enter & ~flip, cost - d, cost)
+    if flip.any():
+        x[flip] = to[flip]
+        _set_basic_values(tab, x)
+    return shifted
 
 
 def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
@@ -406,69 +417,22 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
         x[:n] = np.clip(warm.x, lp.lower, lp.upper)
 
     _set_basic_values(tab, x)
-    viol_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
-    viol_hi = np.maximum(x[tab.basis] - tab.upper[tab.basis], 0.0)
-    displaced, art_sign = np.zeros(0, dtype=np.intp), np.zeros(0)
-    it1 = it_dual = 0
+    it_dual = 0
 
     def done(status: str, **fields) -> LpSolution:
-        return LpSolution(status, phase1_iterations=it1, dual_iterations=it_dual,
-                          warm_used=warm_used, refactorizations=tab.refactorizations, **fields)
+        return LpSolution(status, dual_iterations=it_dual, warm_used=warm_used,
+                          refactorizations=tab.refactorizations, **fields)
 
-    infeasible = np.any(viol_lo > FEAS_TOL) or np.any(viol_hi > FEAS_TOL)
-    if infeasible and old == m and _dual_feasible(tab, cost, x):
-        status, it_dual = _dual_loop(tab, cost, x, max_iter)
+    xb, lo, hi = x[tab.basis], tab.lower[tab.basis], tab.upper[tab.basis]
+    if np.any(xb < lo - FEAS_TOL) or np.any(xb > hi + FEAS_TOL):
+        status, it_dual = _dual_loop(tab, _dual_start(tab, cost, x), x, max_iter)
         if status == "infeasible":
             return done("infeasible")
-    elif infeasible:
-        # Phase 1: shift infeasible basic values onto artificial columns, each
-        # the (signed) column of the basic variable it displaces, so the other
-        # basic values stay put; on the cold slack basis these are +-e_i.
-        mag = viol_lo + viol_hi
-        keep = np.flatnonzero(mag > FEAS_TOL)
-        displaced, art_sign = tab.basis[keep], np.where(viol_lo[keep] > 0, -1.0, 1.0)
-        tab.A = np.hstack([tab.A, tab.A[:, displaced] * art_sign])
-        tab.lower = np.concatenate([tab.lower, np.zeros(len(keep))])
-        tab.upper = np.concatenate([tab.upper, np.full(len(keep), INF)])
-        x = np.concatenate([x, mag[keep]])
-        x[displaced] = np.clip(x[displaced], tab.lower[displaced], tab.upper[displaced])
-        tab.basis[keep] = np.arange(tab.ncols, tab.ncols + len(keep))
-        tab.ncols += len(keep)
-        tab.binv[keep] *= art_sign[:, None]   # the inverse of the signed columns
-        _set_basic_values(tab, x)
-        still_lo = np.maximum(tab.lower[tab.basis] - x[tab.basis], 0.0)
-        still_hi = np.maximum(x[tab.basis] - tab.upper[tab.basis], 0.0)
-        if float(np.maximum(still_lo, still_hi).max()) > FEAS_TOL:
-            raise NumericalError("inconsistent phase-1 start")
 
-        cost1 = np.zeros(tab.ncols)
-        cost1[n + m:] = 1.0
-        fixed = np.zeros(tab.ncols, dtype=bool)
-        threshold = FEAS_TOL * max(1.0, np.abs(tab.b).max())
-        status, it1 = _simplex_loop(tab, cost1, x, max_iter, fixed)
-        if status == "optimal" and float(cost1 @ x) > threshold:
-            # an updated inverse may have drifted: refresh it, and if the
-            # artificials still carry weight, let phase 1 go on from there
-            if tab.updates:
-                tab.refactor()
-            _set_basic_values(tab, x)
-            if float(cost1 @ x) > threshold:
-                status, more = _simplex_loop(tab, cost1, x, max_iter, fixed)
-                it1 += more
-        if status != "optimal" or float(cost1 @ x) > threshold:
-            return done("infeasible")
-        # pin artificials at zero for phase 2
-        tab.lower[n + m:] = 0.0
-        tab.upper[n + m:] = 0.0
-        x[n + m:] = 0.0
-        cost = np.concatenate([cost, np.zeros(len(keep))])
-
-    fixed = np.zeros(tab.ncols, dtype=bool)
-    fixed[n + m:] = True
-    status, iters = _simplex_loop(tab, cost, x, max_iter, fixed)
+    status, iters = _simplex_loop(tab, cost, x, max_iter)
     if status == "unbounded":
         return done("unbounded", iterations=iters)
-    _settle_interior(tab, cost, x, fixed)
+    _settle_interior(tab, cost, x)
 
     # the basic values from the updated inverse, inverted afresh only when
     # those values miss their rows
@@ -480,12 +444,6 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
 
     y = cost[tab.basis] @ tab.binv
     sense_sign = 1.0 if lp.sense == "min" else -1.0
-    # an artificial still basic (at zero) stands for the column it displaced,
-    # whose inverse row is the artificial's times its sign
-    held = np.flatnonzero(tab.basis >= n + m)
-    art = tab.basis[held] - (n + m)
-    tab.basis[held] = displaced[art]
-    tab.binv[held] *= art_sign[art, None]
     return done("optimal", x=x[:n].copy(), objective=float(lp.objective @ x[:n]),
                 duals=sense_sign * y, basis=tab.basis.tolist(), iterations=iters,
                 binv=tab.binv, binv_updates=tab.updates)

@@ -83,10 +83,11 @@ class VerifyReport:
     (neuron, direction) points the cut rounds checked, a flat staircase
     neuron once per point, a neuron with one piece on its interval (every
     stable or pinned one, whose Big-M rows write its hull) never, and any
-    other neuron twice. `lp_phase1_iterations` and `lp_phase2_iterations`
-    count the primal simplex's pivots in its two phases, and
-    `lp_dual_iterations` the dual simplex's, which repairs a
-    branch-and-bound child from its parent's basis in place of phase 1."""
+    other neuron twice. `lp_dual_iterations` counts the dual simplex's
+    pivots, which bring every LP start that misses its bounds (a cold
+    start, a branch-and-bound child, a re-solve after cut rows) to a
+    feasible basis, and `lp_phase2_iterations` the primal simplex's pivots
+    from there to the optimum."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
     counterexample: np.ndarray | None = None
@@ -99,7 +100,6 @@ class VerifyReport:
     separation_failures: int = 0      # oracle errors inside the cut loop
     separation_calls: int = 0         # (neuron, direction) points the cut loop checked
     separation_screened: int = 0      # of those, answered by the vertex screen
-    lp_phase1_iterations: int = 0
     lp_phase2_iterations: int = 0
     lp_dual_iterations: int = 0
     warm_solves: int = 0              # LP solves that started from a warm solution
@@ -117,7 +117,6 @@ class VerifyReport:
 def _solve(lp, warm, report: VerifyReport):
     """`lp.solve` with its iteration, warm-start and inversion counts added to `report`."""
     sol = solve(lp, warm)
-    report.lp_phase1_iterations += sol.phase1_iterations
     report.lp_phase2_iterations += sol.iterations
     report.lp_dual_iterations += sol.dual_iterations
     report.warm_solves += sol.warm_used
@@ -128,7 +127,8 @@ def _solve(lp, warm, report: VerifyReport):
 def _forward_start(model: QueryModel) -> LpSolution:
     """The forward pass of the input corner where DeepPoly bounds the current
     objective, on the slack basis (empty `basis`). With sound bounds it meets
-    every row of both formulations, pooled cuts included: no phase 1."""
+    every row of both formulations, pooled cuts included, so the dual
+    simplex has nothing to repair."""
     corner = bounds_mod.upper_corner(model.net, model.region,
                                      model.objective[model.y_vars[-1]], model.bounds)
     return LpSolution("optimal", x=model.trace_assignment(corner), basis=[])

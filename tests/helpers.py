@@ -100,25 +100,34 @@ def dense_query(j, spec, eps=0.05) -> VerificationQuery:
     return VerificationQuery(net, x0, eps, int(np.argmax(net.forward(x0))))
 
 
+def activation_spec(kind: str) -> ActivationSpec:
+    """A hidden activation: "dorefa" (2 bits on [-1, 1]), "relu", or
+    "tanh-style" (`tanh_staircase_pair` slopes and breakpoints, the outer two
+    at +-40 and the intercepts continuous from f(-40) = -1)."""
+    if kind == "dorefa":
+        return ActivationSpec("dorefa", {"bits": 2, "lo": -1.0, "hi": 1.0})
+    if kind == "relu":
+        return ActivationSpec("relu", {})
+    if kind == "tanh-style":
+        f = pwl.tanh_staircase_pair()
+        bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
+        ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
+        return ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,
+                                      "intercepts": ends[:-1] - f.slopes * bp[:-1]})
+    raise ValueError(f"unknown activation {kind!r}")
+
+
 def wide_tanh_query(j, eps=0.05) -> VerificationQuery:
-    """`dense_query` with `tanh_staircase_pair` slopes and breakpoints, the
-    outer two at +-40 and the intercepts continuous from f(-40) = -1."""
-    f = pwl.tanh_staircase_pair()
-    bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
-    ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
-    return dense_query(j, ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,
-                                                 "intercepts": ends[:-1] - f.slopes * bp[:-1]}),
-                       eps)
+    """`dense_query` with the "tanh-style" `activation_spec`."""
+    return dense_query(j, activation_spec("tanh-style"), eps)
 
 
 def recipe_query(recipe: str, j: int, eps=0.05) -> VerificationQuery:
     """Query j of an off-benchmark recipe: "tanh-style" (`wide_tanh_query`,
     two staircase components) or "relu" (`dense_query` with ReLU)."""
-    if recipe == "tanh-style":
-        return wide_tanh_query(j, eps)
-    if recipe == "relu":
-        return dense_query(j, ActivationSpec("relu", {}), eps)
-    raise ValueError(f"unknown recipe {recipe!r}")
+    if recipe not in ("tanh-style", "relu"):
+        raise ValueError(f"unknown recipe {recipe!r}")
+    return dense_query(j, activation_spec(recipe), eps)
 
 
 def separation_lp(canon) -> LinearProgram:

@@ -50,7 +50,7 @@ def test_lp_without_rows_runs_the_general_path():
     # crossed bounds are infeasible with rows too, before any pivoting
     crossed.add_row([1.0, 1.0], LESS, 5.0)
     sol = solve(crossed)
-    assert sol.status == "infeasible" and sol.iterations == sol.phase1_iterations == 0
+    assert sol.status == "infeasible" and sol.iterations == sol.dual_iterations == 0
 
 
 @pytest.mark.parametrize("rows, senses, rhs, message", [
@@ -88,7 +88,7 @@ def test_linear_program_rejects_nan(field):
                       upper=np.array(values["upper"]))
 
 
-def test_random_lps_match_textbook_tableau():
+def test_random_lps_match_textbook_tableau(monkeypatch):
     """Independent oracle: standard-form dense-tableau simplex on x >= 0 LPs."""
     rng = np.random.default_rng(10)
     solved = 0
@@ -111,6 +111,53 @@ def test_random_lps_match_textbook_tableau():
             assert abs(sol.objective - obj) <= 1e-7 * max(1.0, abs(obj))
             solved += 1
     assert solved >= 20
+
+    # free, half-bounded and boxed columns under rows that the slack-basis
+    # start misses: the dual start flips boxed columns to the bound they move
+    # toward and shifts the cost of columns whose bound that way is infinite
+    dual_start = lp_mod._dual_start
+    starts = []
+
+    def spy(tab, cost, x):
+        before = x.copy()
+        shifted = dual_start(tab, cost, x)
+        # no nonbasic column prices in under the returned cost: dual feasible
+        movable = tab.upper - tab.lower > PIVOT_TOL
+        movable[tab.basis] = False
+        d = lp_mod._reduced_costs(tab, shifted)
+        assert not lp_mod._improving(d, *lp_mod._bound_masks(tab, x), movable)[0].any()
+        starts.append((bool(np.any(shifted != cost)), bool(np.any(x[:tab.n] != before[:tab.n]))))
+        return shifted
+
+    monkeypatch.setattr(lp_mod, "_dual_start", spy)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    shifts = flips = 0
+    for _ in range(150):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 10))
+        kind = rng.integers(0, 4, size=n)   # free, lower only, upper only, boxed
+        lo = np.where((kind == 1) | (kind == 3), rng.uniform(-1, 0, size=n), -INF)
+        hi = np.where(kind == 2, rng.uniform(0, 1, size=n),
+                      np.where(kind == 3, lo + rng.uniform(0.5, 2, size=n), INF))
+        # rows met with room at a point away from the start, or at random
+        far = np.clip(rng.uniform(-3, 3, size=n), lo, hi)
+        lp = LinearProgram(str(rng.choice(["max", "min"])), rng.normal(size=n),
+                           lower=lo, upper=hi)
+        for _ in range(m):
+            row = rng.normal(size=n)
+            sense = [LESS, GREATER, EQUAL][int(rng.integers(3))]
+            gap = 0.0 if sense == EQUAL else float(rng.uniform(0, 1))
+            rhs = float(row @ far) + (gap if sense == LESS else -gap)
+            lp.add_row(row, sense, rhs if rng.random() < 0.8 else float(rng.normal()))
+        starts.clear()
+        sol = solve(lp)
+        status, value = _referee(lp)
+        assert sol.status == status
+        if status == "optimal":
+            assert abs(sol.objective - value) <= 1e-7 * max(1.0, abs(value))
+        statuses[status] += 1
+        shifts += any(s for s, _ in starts)
+        flips += any(f for _, f in starts)
+    assert min(statuses.values()) >= 20 and shifts >= 100 and flips >= 40
 
 
 def test_duality_and_feasibility_residuals():
@@ -171,7 +218,7 @@ def test_optimal_solutions_are_vertices():
         at_bound = np.sum((np.abs(warm.x - lo) <= 1e-8) | (np.abs(warm.x - hi) <= 1e-8))
         assert at_bound >= n - m - 1
     # started from an interior feasible point (an empty basis), with costless
-    # columns that phase 2 has no reason to move off it
+    # columns that the primal simplex has no reason to move off it
     started = 0
     for _ in range(40):
         n, m = 8, 3
@@ -182,7 +229,7 @@ def test_optimal_solutions_are_vertices():
             row = rng.normal(size=n) * (rng.random(n) < 0.5)
             lp.add_row(row, LESS, float(row @ x0) + float(rng.uniform(0, 0.3)))
         sol = solve(lp, LpSolution("optimal", x=x0, basis=[]))
-        assert sol.status == "optimal" and sol.warm_used and sol.phase1_iterations == 0
+        assert sol.status == "optimal" and sol.warm_used and sol.dual_iterations == 0
         cold = solve(lp)
         assert abs(sol.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
         at_bound = np.sum((np.abs(sol.x - lo) <= 1e-8) | (np.abs(sol.x - hi) <= 1e-8))
@@ -262,8 +309,8 @@ def test_initial_point_matches_per_column_rule():
     from stairverify.lp import _initial_point, _Tableau
 
     def reference(tab):
-        x = np.zeros(tab.ncols)
-        for j in range(tab.ncols):
+        x = np.zeros(tab.n + tab.m)
+        for j in range(tab.n + tab.m):
             lo, hi = tab.lower[j], tab.upper[j]
             if lo > -INF and hi < INF:
                 x[j] = lo if abs(lo) <= abs(hi) else hi
@@ -309,11 +356,11 @@ def test_tableau_matches_the_per_row_form():
 # -- the array pricing and ratio test against the per-column and per-row loops ---
 
 
-def _reference_simplex_loop(tab, cost, x, max_iter, fixed, move=None):
+def _reference_simplex_loop(tab, cost, x, max_iter, move=None):
     """`lp._simplex_loop` as a per-column loop; `move` defaults to the reference."""
     move = move or _reference_move
     iters = 0
-    basic_mask = np.zeros(tab.ncols, dtype=bool)
+    basic_mask = np.zeros(tab.n + tab.m, dtype=bool)
     basic_mask[tab.basis] = True
     while True:
         if iters >= max_iter:
@@ -322,8 +369,8 @@ def _reference_simplex_loop(tab, cost, x, max_iter, fixed, move=None):
         d = cost - y @ tab.A
         entering = -1
         direction = 0.0
-        for j in range(tab.ncols):
-            if basic_mask[j] or fixed[j]:
+        for j in range(tab.n + tab.m):
+            if basic_mask[j]:
                 continue
             if tab.upper[j] - tab.lower[j] <= PIVOT_TOL:
                 continue  # pinned variable, can never move
@@ -403,8 +450,9 @@ def _reference_move(tab, x, entering, direction, on_bound, basic_mask):
 def _random_tableau(rng):
     """A tableau on a random basis, with columns of every bound kind (free,
     one-sided, boxed, pinned, just wider than PIVOT_TOL, within 2 FEAS_TOL),
-    nonbasic values on and near their bounds, and reduced costs near
-    PIVOT_TOL; returns (tab, cost, x, fixed)."""
+    nonbasic values on and near their bounds, about one nonbasic column in
+    ten pinned where it stands, and reduced costs near PIVOT_TOL; returns
+    (tab, cost, x)."""
     n, m = int(rng.integers(2, 10)), int(rng.integers(1, 8))
     lower, upper = np.full(n, -INF), np.full(n, INF)
     for j, kind in enumerate(rng.integers(0, 8, size=n)):
@@ -426,21 +474,23 @@ def _random_tableau(rng):
     except NumericalError:
         tab.basis = np.arange(n, n + m)
         tab.refactor()
-    x = np.zeros(tab.ncols)
-    for j in range(tab.ncols):
+    ncols = n + m
+    x = np.zeros(ncols)
+    for j in range(ncols):
         lo, hi = tab.lower[j], tab.upper[j]
         picks = [v for v in (lo, hi, lo + FEAS_TOL / 2, hi - FEAS_TOL / 2, lo + 2 * FEAS_TOL,
                              (lo + hi) / 2, 0.0) if abs(v) < INF]
         x[j] = picks[int(rng.integers(len(picks)))]
     lp_mod._set_basic_values(tab, x)
-    cost = rng.normal(size=tab.ncols) * (rng.random(tab.ncols) < 0.7)
+    cost = rng.normal(size=ncols) * (rng.random(ncols) < 0.7)
     # reduced costs on either side of +-PIVOT_TOL for some nonbasic columns
     y = cost[tab.basis] @ tab.binv
-    for j in rng.choice(tab.ncols, size=tab.ncols // 2, replace=False):
+    for j in rng.choice(ncols, size=ncols // 2, replace=False):
         if j not in tab.basis:
             cost[j] = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0]) * PIVOT_TOL + y @ tab.A[:, j]
-    fixed = rng.random(tab.ncols) < 0.1
-    return tab, cost, x, fixed
+    pinned = (rng.random(ncols) < 0.1) & ~np.isin(np.arange(ncols), tab.basis)
+    tab.lower[pinned] = tab.upper[pinned] = x[pinned]
+    return tab, cost, x
 
 
 def _plant_ratio_ties(rng, tab, x, entering, direction):
@@ -469,7 +519,7 @@ def _same_state(a, b):
 
 
 def test_pricing_matches_the_per_column_loop(monkeypatch):
-    def first_choice(loop, tab, x, cost, fixed):
+    def first_choice(loop, tab, x, cost):
         """The loop's outcome when its first move stops it, and that move."""
         picked = []
 
@@ -479,14 +529,14 @@ def test_pricing_matches_the_per_column_loop(monkeypatch):
 
         monkeypatch.setattr(lp_mod, "_move", stop)
         kwargs = {"move": stop} if loop is _reference_simplex_loop else {}
-        return loop(tab, cost, x, 100, fixed, **kwargs), picked
+        return loop(tab, cost, x, 100, **kwargs), picked
 
     rng = np.random.default_rng(27)
     entered = both_bounds = 0
     for _ in range(400):
-        tab, cost, x, fixed = _random_tableau(rng)
-        ref = first_choice(_reference_simplex_loop, *_copy_state(tab, x), cost, fixed)
-        got = first_choice(lp_mod._simplex_loop, *_copy_state(tab, x), cost, fixed)
+        tab, cost, x = _random_tableau(rng)
+        ref = first_choice(_reference_simplex_loop, *_copy_state(tab, x), cost)
+        got = first_choice(lp_mod._simplex_loop, *_copy_state(tab, x), cost)
         assert got == ref
         if ref[1]:
             entered += 1
@@ -500,8 +550,8 @@ def test_ratio_test_matches_the_per_row_loop():
     rng = np.random.default_rng(28)
     pivots = chained = 0
     for _ in range(400):
-        tab, _, x, _ = _random_tableau(rng)
-        basic_mask = np.zeros(tab.ncols, dtype=bool)
+        tab, _, x = _random_tableau(rng)
+        basic_mask = np.zeros(tab.n + tab.m, dtype=bool)
         basic_mask[tab.basis] = True
         entering = int(rng.choice(np.flatnonzero(~basic_mask)))
         direction = float(rng.choice([-1.0, 1.0]))
@@ -527,20 +577,20 @@ def test_ratio_test_matches_the_per_row_loop():
 
 
 def test_simplex_loop_matches_the_loop_version():
-    def run(loop, state, cost, fixed):
+    def run(loop, state, cost):
         tab, x = state
         try:
-            return loop(tab, cost, x, 60, fixed)
+            return loop(tab, cost, x, 60)
         except NumericalError as exc:
             return str(exc)
 
     rng = np.random.default_rng(29)
     iterations = 0
     for _ in range(200):
-        tab, cost, x, fixed = _random_tableau(rng)
+        tab, cost, x = _random_tableau(rng)
         ref, got = _copy_state(tab, x), _copy_state(tab, x)
-        outcome = run(_reference_simplex_loop, ref, cost, fixed)
-        assert run(lp_mod._simplex_loop, got, cost, fixed) == outcome
+        outcome = run(_reference_simplex_loop, ref, cost)
+        assert run(lp_mod._simplex_loop, got, cost) == outcome
         _same_state(ref, got)
         iterations += outcome[1] if isinstance(outcome, tuple) else 0
     assert iterations >= 200
@@ -576,7 +626,7 @@ def _assert_same_solve(warm, cold, lp):
 def test_warm_resolve_after_appended_rows_matches_cold():
     rng = np.random.default_rng(21)
     attempts = warm_used = 0
-    phase1 = [0, 0]   # warm, cold
+    dual = [0, 0]   # warm, cold
     for _ in range(80):
         n, m = int(rng.integers(3, 12)), int(rng.integers(1, 10))
         lp = _random_bounded_lp(rng, n, m)
@@ -592,17 +642,17 @@ def test_warm_resolve_after_appended_rows_matches_cold():
             _assert_same_solve(warm, cold, lp)
             attempts += 1
             warm_used += warm.warm_used
-            phase1[0] += warm.phase1_iterations
-            phase1[1] += cold.phase1_iterations
+            dual[0] += warm.dual_iterations
+            dual[1] += cold.dual_iterations
             sol = warm
     assert attempts >= 100 and warm_used >= 0.9 * attempts
-    assert phase1[0] < phase1[1] / 2   # the old vertex is most of the way there
+    assert dual[0] < dual[1] / 2   # the old vertex is most of the way there
 
 
 def test_warm_resolve_after_tightened_bounds_matches_cold():
     rng = np.random.default_rng(22)
     attempts = warm_used = 0
-    phase1 = [0, 0]   # warm, cold
+    dual = [0, 0]   # warm, cold
     for _ in range(80):
         n, m = int(rng.integers(3, 12)), int(rng.integers(1, 10))
         lp = _random_bounded_lp(rng, n, m)
@@ -624,11 +674,11 @@ def test_warm_resolve_after_tightened_bounds_matches_cold():
             _assert_same_solve(warm, cold, lp)
             attempts += 1
             warm_used += warm.warm_used
-            phase1[0] += warm.phase1_iterations
-            phase1[1] += cold.phase1_iterations
+            dual[0] += warm.dual_iterations
+            dual[1] += cold.dual_iterations
             sol = warm
     assert attempts >= 100 and warm_used >= 0.9 * attempts
-    assert phase1[0] < 0.75 * phase1[1]
+    assert dual[0] < 0.75 * dual[1]
 
 
 def test_off_bound_entering_column_stops_at_its_bound():
@@ -719,27 +769,53 @@ def test_resolve_after_tightened_bounds_reuses_the_inverse():
     assert reused >= 40 and fewer >= reused
 
 
-def test_inverse_of_a_basis_with_an_artificial_left_in():
-    # a repeated equality row keeps one phase-1 artificial (the negated slack
-    # column) basic at zero; the solution reports the slack it displaced, and
-    # an inverse of that basis
+def test_inverse_of_a_basis_on_repeated_equality_rows():
+    # a repeated equality row: the dual start flips both columns to their
+    # upper bounds, and the one dual pivot that meets the first row meets the
+    # second too, whose slack stays basic at zero
     lp = LinearProgram("max", [1.0, 2.0], [[-1.0, -1.0], [-1.0, -1.0]], [EQUAL, EQUAL],
                        [-1.0, -1.0], lower=np.zeros(2), upper=np.ones(2))
     sol = solve(lp)
     assert sol.status == "optimal" and abs(sol.objective - 2.0) <= 1e-12
-    assert sol.phase1_iterations > 0 and sorted(sol.basis) in ([1, 2], [1, 3])
-    # the slack basis and its artificials need no inversion, nor does the
-    # final basis, whose basic values meet their rows
+    assert sol.dual_iterations == 1 and sol.iterations == 0 and sorted(sol.basis) == [0, 3]
+    # the slack basis needs no inversion, nor does the final basis, whose
+    # basic values meet their rows
     assert sol.refactorizations == 0
     B = np.hstack([lp.rows, np.eye(2)])[:, sol.basis]
     assert np.array_equal(sol.binv @ B, np.eye(2))
-    lp.upper[1] = 0.5
+    lp.lower[0] = 0.5
     warm = solve(lp, sol)
     bare = solve(lp, LpSolution("optimal", x=sol.x, basis=sol.basis))
     assert warm.refactorizations < bare.refactorizations
     assert warm.x.tobytes() == bare.x.tobytes() and abs(warm.objective - 1.5) <= 1e-12
     # the tightened bound is repaired by the dual simplex from that basis
-    assert warm.dual_iterations == 1 and warm.phase1_iterations == 0
+    assert warm.dual_iterations == 1 and warm.iterations == 0
+
+
+def _referee(lp):
+    """`NaiveSimplex`'s status and optimum of an LP, rewritten over x' >= 0 as
+    x = shift + T x': a column with a finite lower bound shifted by it, one
+    with only an upper bound reflected at it, a free one split as x+ - x-;
+    the finite upper bounds of boxed columns become rows."""
+    has_lo, has_hi = lp.lower > -INF, lp.upper < INF
+    shift = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
+    T = np.diag(np.where(has_lo | ~has_hi, 1.0, -1.0))
+    T = np.hstack([T, -T[:, ~has_lo & ~has_hi]])
+    A, b = [], []
+    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
+        row, rhs = coeffs @ T, rhs - float(coeffs @ shift)
+        if sense != GREATER:
+            A.append(row)
+            b.append(rhs)
+        if sense != LESS:
+            A.append(-row)
+            b.append(-rhs)
+    for j in np.flatnonzero(has_lo & has_hi):
+        A.append(T[j])
+        b.append(lp.upper[j] - lp.lower[j])
+    sign = 1.0 if lp.sense == "min" else -1.0
+    status, obj, _ = NaiveSimplex(sign * (lp.objective @ T), np.array(A), np.array(b)).solve()
+    return status, (None if obj is None else float(lp.objective @ shift) + sign * obj)
 
 
 def _fixture_lp(name):
@@ -770,8 +846,9 @@ def _dual_bound(lp, duals):
 
 
 def test_phase_one_refreshes_before_reporting_infeasible():
-    # a Cayley re-solve after two cut rounds, on which phase 1 used to stop at
-    # an artificial sum of 1e-4 that a refactorization turns into 1e-16
+    # a Cayley re-solve after two cut rounds, on which a primal phase 1 once
+    # stopped at an infeasibility sum of 1e-4 that a refactorization turns
+    # into 1e-16
     lp = _fixture_lp("cayley_resolve_66x36.json")
     assert lp.sense == "max"
     sol = solve(lp)
@@ -783,17 +860,16 @@ def test_phase_one_refreshes_before_reporting_infeasible():
         lhs = float(coeffs @ sol.x)
         assert (lhs <= rhs + 1e-7) if sense == LESS else \
             (lhs >= rhs - 1e-7) if sense == GREATER else abs(lhs - rhs) <= 1e-7
-    # the textbook referee on the LP shifted to x' = x - lower >= 0, with the
-    # upper bounds as rows
-    status, obj, _ = NaiveSimplex(*_shifted_standard_form(lp)).solve()
+    # the textbook referee
+    status, value = _referee(lp)
     assert status == "optimal"
-    value = float(lp.objective @ lp.lower) - obj
     assert abs(value - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
 
 
 def test_phase_one_without_a_pivot_reports_infeasible_without_inverting(monkeypatch):
-    # x in [0, 1] cannot meet x >= 2: phase 1 only flips x to its upper bound,
-    # so the clean slack-basis inverse needs no refresh before the answer
+    # x in [0, 1] cannot meet x >= 2: the dual start only flips x to its upper
+    # bound, where no column can push the row, so the clean slack-basis
+    # inverse needs no refresh before the answer
     calls = []
     refactor = lp_mod._Tableau.refactor
 
@@ -805,25 +881,8 @@ def test_phase_one_without_a_pivot_reports_infeasible_without_inverting(monkeypa
     lp = LinearProgram("max", [1.0], [[1.0]], [GREATER], [2.0],
                        lower=np.zeros(1), upper=np.ones(1))
     sol = solve(lp)
-    assert sol.status == "infeasible" and sol.phase1_iterations == 1
+    assert sol.status == "infeasible" and sol.dual_iterations == sol.iterations == 0
     assert calls == [] and sol.refactorizations == 0
-
-
-def _shifted_standard_form(lp):
-    """min c.x' s.t. A x' <= b, x' >= 0 for a max LP with finite lower bounds."""
-    A, b = [], []
-    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-        rhs = rhs - float(coeffs @ lp.lower)
-        if sense != GREATER:
-            A.append(coeffs)
-            b.append(rhs)
-        if sense != LESS:
-            A.append(-coeffs)
-            b.append(-rhs)
-    for j in np.flatnonzero(lp.upper < INF):
-        A.append(np.eye(lp.num_vars)[j])
-        b.append(lp.upper[j] - lp.lower[j])
-    return -lp.objective, np.array(A), np.array(b)
 
 
 def test_inverse_update_matches_the_row_list_form():
@@ -855,24 +914,18 @@ def test_start_point_solve_rechecks_a_tiny_pivot_on_a_fresh_inverse():
     lp = _fixture_lp(name)
     start = np.array(json.loads((Path(__file__).parent / "data" / name).read_text())["start"])
     sol, cold = solve(lp, LpSolution("optimal", x=start, basis=[])), solve(lp)
-    assert sol.warm_used and sol.phase1_iterations == 0
+    assert sol.warm_used and sol.dual_iterations == 0
     _assert_same_solve(sol, cold, lp)
 
 
 # -- the dual simplex, the bordered inverse and the residual check -------------------
 
 
-def _referee(lp):
-    """`NaiveSimplex`'s status and optimum of a box-bounded LP."""
-    sign = 1.0 if lp.sense == "max" else -1.0
-    c, A, b = _shifted_standard_form(lp)
-    status, obj, _ = NaiveSimplex(sign * c, A, b).solve()
-    return status, (None if obj is None else float(lp.objective @ lp.lower) - sign * obj)
 
 
 def test_dual_simplex_after_tightened_upper_bounds_matches_the_referee():
     # branch-and-bound children: only upper bounds tighten, so the parent's
-    # basis stays dual feasible and no phase 1 runs
+    # basis stays dual feasible and needs neither a bound flip nor a cost shift
     rng = np.random.default_rng(32)
     dual = infeasible = 0
     for _ in range(60):
@@ -890,7 +943,7 @@ def test_dual_simplex_after_tightened_upper_bounds_matches_the_referee():
             status, value = _referee(lp)
             assert warm.warm_used and warm.status == cold.status == status
             # the dual simplex keeps the basis dual feasible: no primal pivot follows
-            assert warm.phase1_iterations == warm.iterations == 0
+            assert warm.iterations == 0
             if status == "optimal":
                 assert abs(warm.objective - value) <= 1e-9 * max(1.0, abs(value))
                 assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(value))
@@ -916,9 +969,9 @@ def test_appended_rows_border_the_inverse():
             lp.add_row(row, LESS, float(row @ sol.x) + rng.uniform(0.1, 1.0))
         warm = solve(lp, sol)
         assert warm.status == "optimal" and warm.refactorizations == 0
-        assert warm.iterations == warm.phase1_iterations == warm.dual_iterations == 0
+        assert warm.iterations == warm.dual_iterations == 0
         assert np.allclose(warm.x, sol.x, rtol=0.0, atol=1e-12)
-        # and a cut through the optimum, which phase 1 repairs
+        # and a cut through the optimum, which the dual simplex repairs
         row = rng.normal(size=n)
         lp.add_row(row, LESS, float(row @ sol.x) - 0.3)
         cut = solve(lp, warm)
@@ -943,7 +996,7 @@ def test_perturbed_inverse_fails_the_residual_check():
         binv = sol.binv + 1e-8 * rng.choice([-1.0, 1.0], size=sol.binv.shape)
         warm = solve(lp, LpSolution("optimal", x=sol.x, basis=sol.basis, binv=binv))
         assert warm.warm_used and warm.refactorizations == 1
-        assert warm.iterations == warm.phase1_iterations == warm.dual_iterations == 0
+        assert warm.iterations == warm.dual_iterations == 0
         assert abs(warm.objective - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
         m = len(lp.rows)
         B = np.hstack([lp.rows, np.eye(m)])[:, warm.basis]

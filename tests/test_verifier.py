@@ -7,12 +7,13 @@ from stairverify import bounds, formulations, pwl
 from stairverify.errors import InputError
 from stairverify.formulations import BIGM, VerificationQuery, build_query_model
 from stairverify.lp import solve
+from stairverify.network import BoxDomain, Layer, Network
 from stairverify.oracles import exhaustive_verify
 from stairverify.separation import LOWER, UPPER, is_pinned
 from stairverify.verifier import (VerifyConfig, VerifyReport, _counterexample, _cut_round,
                                   _solve_with_cuts, verify)
 
-from helpers import random_quantized_network, recipe_query, wide_tanh_query
+from helpers import activation_spec, random_quantized_network, recipe_query, wide_tanh_query
 
 
 def _tiny_query(rng, hidden=(3,), bits=2, eps=0.12, activation="dorefa",
@@ -395,7 +396,6 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     monkeypatch.setattr(verifier, "_cut_round", spy_cut_round)
     report = verify(q, VerifyConfig(mode=mode, timeout=60))
     assert report.verdict == "robust"
-    assert report.lp_phase1_iterations == sum(s.phase1_iterations for s in sols)
     assert report.lp_phase2_iterations == sum(s.iterations for s in sols)
     assert report.lp_dual_iterations == sum(s.dual_iterations for s in sols)
     assert report.warm_solves == sum(s.warm_used for s in sols)
@@ -419,7 +419,7 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     if mode.startswith("cayley"):
         assert report.warm_solves >= report.rounds > 0
     doc = report.as_dict()
-    for key in ("lp_phase1_iterations", "lp_phase2_iterations", "lp_dual_iterations",
+    for key in ("lp_phase2_iterations", "lp_dual_iterations",
                 "warm_solves", "lp_refactorizations", "separation_calls",
                 "separation_screened"):
         assert doc[key] == getattr(report, key)
@@ -436,7 +436,7 @@ BREAKPOINT_QUERIES = {
     # (seed-1 item 87)
     "lower edge": (11, [-0.5072114215411193, 0.5202306060432432, 0.542082957379637,
                         -0.016605341983228383, -0.5358687162200043], 2),
-    # only the lower-edge margin lifts the cayley-exact optimum back into its
+    # only the lower-edge margin lifts the recorded cayley-exact optimum into its
     # slab; the bigm-exact optimum replays directly (seed-101 item 54)
     "lower margin": (5, [0.36664354928418497, -0.06567838251315428, -0.1417965210565873,
                          -0.5377315753371203, 0.23779373187575725], 1),
@@ -449,12 +449,19 @@ def _breakpoint_query(case="upper edge"):
     return VerificationQuery(net, np.array(x0), 0.02, label)
 
 
-# the input and piece pattern of an exact optimum of the "lower edge" query
-# that branch-and-bound has ended on (in both exact modes): a pre-activation
-# sits a rounding error below its slab, so the input does not flip the label
-LOWER_EDGE_OPTIMUM = ([-0.5060168736490511, 0.5002306060432432, 0.522082957379637,
-                       -0.03660534198322839, -0.5376021053119766],
-                      [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0])
+# the input and piece pattern of exact optima that branch-and-bound has
+# ended on, whose input does not flip the label: in the "lower edge" query
+# (both exact modes) a pre-activation sits a rounding error below its slab;
+# in the "lower margin" query (cayley-exact) only the lower-edge margin
+# lifts the input back into its slab
+RECORDED_OPTIMA = {
+    "lower edge": ([-0.5060168736490511, 0.5002306060432432, 0.522082957379637,
+                    -0.03660534198322839, -0.5376021053119766],
+                   [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0]),
+    "lower margin": ([0.3466435492841838, -0.045678382513154675, -0.1617965210565873,
+                      -0.5285616353602117, 0.25206940981218245],
+                     [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]),
+}
 
 
 def _pattern_point(model, x_input, pattern):
@@ -490,13 +497,13 @@ def _check_repair(mode, case, monkeypatch):
     report = verify(q, config)
     assert report.verdict == "falsified", report.diagnostic
     x = report.counterexample
-    if case == "lower edge":
+    if case in RECORDED_OPTIMA:
         # the search may end on another optimal vertex, whose input flips the
-        # label: repair the breakpoint optimum directly
+        # label: repair the recorded optimum directly
         margins.clear()
         target = list(report.target_bounds)[-1]   # the target above the threshold
         model = build_query_model(q.with_target(target), config.formulation)
-        x = _counterexample(model, _pattern_point(model, *LOWER_EDGE_OPTIMUM),
+        x = _counterexample(model, _pattern_point(model, *RECORDED_OPTIMA[case]),
                             VerifyReport(verdict="robust"))
     assert margins and margins[0] == 1e-9          # the optimum's own input failed
     assert np.all(np.abs(x - q.x0) <= q.eps + 1e-12)
@@ -692,8 +699,9 @@ def test_first_solve_and_every_root_skip_phase_one(mode, monkeypatch):
         # the first relaxed solve of the query, or the root of every target
         assert len(starts) == (2 if mode.endswith("exact") else 1)
         for sol in starts:
+            # a feasible start: the dual simplex has nothing to repair
             assert sol.status == "optimal" and sol.warm_used
-            assert sol.phase1_iterations == 0
+            assert sol.dual_iterations == 0
 
 
 @pytest.mark.parametrize("mode", ["bigm", "cayley"])
@@ -712,7 +720,7 @@ def test_forward_start_meets_every_row_and_matches_cold(mode):
                 lp = model.to_lp()
                 assert _meets_every_row(lp, start.x, FEAS_TOL)
                 sol, cold = solve(lp, start), solve(lp)
-                assert sol.phase1_iterations == 0 and sol.warm_used
+                assert sol.dual_iterations == 0 and sol.warm_used
                 assert abs(sol.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
                 _solve_with_cuts(model, VerifyConfig(), report, np.inf, start)
     assert (report.cuts_added > 0) == (mode == "cayley")
@@ -897,3 +905,41 @@ def test_exact_deadline_between_cut_rounds_keeps_the_node_open(monkeypatch):
     assert (diag, report.nodes, report.rounds) == ("timeout limit reached", 1, 0)
     assert value == pytest.approx(root_lp, rel=1e-9) and value >= exact - 1e-9
     assert report.gap_percent == float("inf")
+
+
+# -- seeded fuzz: no LP mode raises --------------------------------------------------
+
+
+def _fuzz_query(rng, kind, eps):
+    """A dense net of 2-5 inputs, two hidden layers of 3-6 `kind` neurons
+    (`activation_spec`) and 3 outputs, weights N(0, 2^2), and an anchor
+    drawn in its box."""
+    sizes = [int(rng.integers(2, 6)), int(rng.integers(3, 7)), int(rng.integers(3, 7)), 3]
+    spec = activation_spec(kind)
+    layers = tuple(Layer.dense(rng.normal(size=(out, n_in)) * 2.0, rng.normal(size=out) * 0.3,
+                               spec if i < 2 else None)
+                   for i, (n_in, out) in enumerate(zip(sizes, sizes[1:])))
+    net = Network(layers, BoxDomain(-np.ones(sizes[0]), np.ones(sizes[0])))
+    x0 = rng.uniform(-0.7, 0.7, sizes[0])
+    return VerificationQuery(net, x0, eps, int(np.argmax(net.forward(x0))))
+
+
+@pytest.mark.parametrize("kind, seed, per_eps", [("dorefa", 80, 20), ("relu", 81, 20),
+                                                 ("tanh-style", 82, 8)])
+def test_verify_never_raises_on_seeded_nets(kind, seed, per_eps):
+    # every cold LP start goes through the dual simplex, whose cycling guard
+    # raises `NumericalError`: no LP mode may let one escape `verify`
+    rng = np.random.default_rng(seed)
+    verdicts = set()
+    for eps in (0.08, 0.14):
+        for _ in range(per_eps):
+            q = _fuzz_query(rng, kind, eps)
+            reports = {mode: verify(q, VerifyConfig(mode=mode, timeout=60))
+                       for mode in ("bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")}
+            bigm, cayley = reports["bigm-exact"], reports["cayley-exact"]
+            assert bigm.verdict == cayley.verdict != "unknown"
+            assert bigm.target_bounds.keys() == cayley.target_bounds.keys()
+            for target, bound in bigm.target_bounds.items():
+                assert cayley.target_bounds[target] == pytest.approx(bound, rel=1e-6, abs=1e-6)
+            verdicts.update(r.verdict for r in reports.values())
+    assert {"robust", "falsified"} <= verdicts
