@@ -217,30 +217,34 @@ class Network:
         pre-activation escaping its activation domain raises DomainError: that
         signals stale bounds rather than a numerical issue.
         """
-        from .bounds import interval_bounds  # local import to avoid a cycle
-
-        preact_bounds = interval_bounds(self, self.input_box)
+        functions = self._functions   # raises, as `interval_bounds` would, before the box check
         x = np.asarray(x, dtype=float)
         batched = x.ndim == 2
         vals = x if batched else x[None, :]
         if not self.input_box.contains(vals.min(axis=0)) or not self.input_box.contains(vals.max(axis=0)):
             raise DomainError("input outside the declared input box")
-        for li, layer in enumerate(self.layers):
+        for li, (layer, fs) in enumerate(zip(self.layers, functions)):
             pre = vals @ layer.weights.T + layer.bias
             out = np.empty_like(pre)
-            for j in range(layer.out_dim):
-                spec = layer.activations[j]
-                if spec is None:
+            for j, f in enumerate(fs):
+                if f is None:
                     out[:, j] = pre[:, j]
                     continue
-                lo, hi = preact_bounds.interval(li, j)
-                f = spec.instantiate(lo, hi)
                 col = pre[:, j]
                 if np.any(col < f.lo - 1e-7) or np.any(col > f.hi + 1e-7):
                     raise DomainError(f"pre-activation of neuron ({li},{j}) left [{f.lo}, {f.hi}]")
                 out[:, j] = f.batch(np.clip(col, f.lo, f.hi))
             vals = out
         return vals if batched else vals[0]
+
+    @cached_property
+    def _functions(self) -> tuple[list[PiecewiseLinear | None], ...]:
+        """Each layer's activations on its interval pre-activation ranges, built once."""
+        from .bounds import interval_bounds  # local import to avoid a cycle
+        pre = interval_bounds(self, self.input_box)
+        return tuple([None if spec is None else spec.instantiate(*pre.interval(li, j))
+                      for j, spec in enumerate(layer.activations)]
+                     for li, layer in enumerate(self.layers))
 
     def classify(self, x) -> int:
         return int(np.argmax(self.forward(x)))

@@ -388,17 +388,17 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     return incumbent, incumbent_sol, ""
 
 
-def _branch_pieces(model: QueryModel, x: np.ndarray, upper: np.ndarray) -> list[int]:
+def _branch_pieces(model: QueryModel, x: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The z variables of the pieces that the least integral neuron at `x`
-    still allows under `upper`: the pieces a branch there splits. At most
+    still allows under `upper`: the pieces a branch there splits. The first
+    neuron of the largest score 1 - max z wins, if it exceeds 1e-6. At most
     one when `x` is integral, which makes the node a leaf; a numerically
     fractional but structurally fixed neuron counts as integral."""
-    frac_nf, frac_score = None, 1e-6
-    for nf in model.activated_neurons():
-        score = 1.0 - float(model.neuron_point(x, nf.key)[2].max())
-        if score > frac_score:
-            frac_nf, frac_score = nf, score
-    return [] if frac_nf is None else [z for z in frac_nf.z_vars if upper[z] > 0]
+    starts = model.z_starts
+    scores = np.append(1.0 - np.maximum.reduceat(x[model.z_index], starts[:-1]), 0.0)
+    i = int(np.argmax(scores))   # the first largest; the appended 0 wins only at a leaf
+    zs = model.z_index[starts[i]:starts[i + 1]] if scores[i] > 1e-6 else starts[:0]
+    return zs[upper[zs] > 0]
 
 
 def _gap_percent(bound: float, incumbent: float) -> float:

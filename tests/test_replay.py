@@ -2,6 +2,7 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 spec = importlib.util.spec_from_file_location(
@@ -81,3 +82,24 @@ def test_corpus_replay_prints_each_mode_time_and_nodes(capsys):
         name, seconds, nodes = re.fullmatch(r"(\S+): (\d+\.\d\d) s, (\d+) nodes", line).groups()
         assert name == mode and float(seconds) > 0.0
         assert int(nodes) == sum(item[mode]["nodes"] for item in doc["items"])
+
+
+def test_replay_records_each_lp_model_and_compare_lists_a_perturbed_row(capsys, monkeypatch):
+    from stairverify import formulations
+
+    doc = replay.replay("exact-bnb", 1, items=2)
+    for item in doc["items"]:
+        assert all(re.fullmatch(r"[0-9a-f]{64}", item[mode]["model"]) for mode in doc["modes"])
+    assert replay.compare(doc, doc) == 0
+    assert "model" not in capsys.readouterr().out
+    write_rows = formulations._RowModel._write_rows
+
+    def perturbed(self):   # the last row's right-hand side one ulp up
+        write_rows(self)
+        self.rhs = np.append(self.rhs[:-1], np.nextafter(self.rhs[-1], np.inf))
+
+    monkeypatch.setattr(formulations._RowModel, "_write_rows", perturbed)
+    replay.compare(doc, replay.replay("exact-bnb", 1, items=2))
+    out = capsys.readouterr().out
+    for mode in doc["modes"]:
+        assert re.search(rf"{mode}: \d+ differing fields\n(  .*\n)*  model: 2 queries\n", out), out

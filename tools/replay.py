@@ -11,26 +11,32 @@ The first form builds the queries of a verify workload of
 `perfbench/workloads.py` (relaxed-lp, exact-bnb or deeppoly-wide) for the
 seed, runs every query in each of the workload's modes with its config, and
 writes every `VerifyReport.as_dict()` field except the two times, floats as
-`float.hex`, so two replays compare bit for bit. The off-benchmark recipes
-`tanh-style` and `relu` (`tests/helpers.recipe_query`, 5-8-8-3 nets) take
-`--eps` in place of a seed and run 12 queries in bigm-exact, cayley-exact
-and cayley-lp with the default config. Both print each mode's total time
-(for a workload, the reports' summed solve and separation time) and nodes.
-The `oracle-sweep` workload writes each item's `separate_pwl` result
-instead: the cut (alpha, zcoef, const and y_coef, as `float.hex`), None,
-or the error. The last form prints, per mode, each field that differs
-(how many queries, and the totals of a numeric field), the largest
-relative change of a target bound, and every verdict change; it exits 1
-when a verdict changed. On two oracle-sweep replays it lists the items that
+`float.hex`, so two replays compare bit for bit. In an LP mode it adds a
+`model` field: the sha256 of the LP arrays (rows, senses, right-hand sides,
+bounds and objective) of the model `verify` builds for the query. The
+off-benchmark recipes `tanh-style` and `relu` (`tests/helpers.recipe_query`,
+5-8-8-3 nets) take `--eps` in place of a seed and run 12 queries in
+bigm-exact, cayley-exact and cayley-lp with the default config. Both print
+each mode's total time (for a workload, the reports' summed solve and
+separation time) and nodes. The `oracle-sweep` workload writes each item's
+`separate_pwl` result instead: the cut (alpha, zcoef, const and y_coef, as
+`float.hex`), None, or the error. The last form prints, per mode, each
+field that differs (how many queries, and the totals of a numeric field;
+`model` counts the queries whose model changed), the largest relative
+change of a target bound, and every verdict change; it exits 1 when a
+verdict changed. On two oracle-sweep replays it lists the items that
 differ and exits 1 when a cut appears or disappears or an error comes or
 goes.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMES = ("solve_time", "separation_time")
@@ -50,6 +56,28 @@ def _hex(value):
 
 def _fields(report) -> dict:
     return {k: _hex(v) for k, v in report.as_dict().items() if k not in TIMES}
+
+
+def _model_digest(query, mode: str) -> str:
+    """sha256 of the LP arrays of the model `verify` builds for `query` in LP `mode`."""
+    from stairverify.bounds import deeppoly_bounds
+    from stairverify.formulations import build_query_model
+    from stairverify.verifier import VerifyConfig
+
+    lp = build_query_model(query, VerifyConfig(mode=mode).formulation,
+                           deeppoly_bounds(query.network, query.input_region())).to_lp()
+    digest = hashlib.sha256()
+    for a in (lp.rows, lp.senses.astype("U2"), lp.rhs, lp.lower, lp.upper, lp.objective):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _with_models(modes: dict, query) -> dict:
+    """`modes` with each LP mode's `model` digest (none for deeppoly or an error)."""
+    for mode, fields in modes.items():
+        if mode != "deeppoly" and "error" not in fields:
+            fields["model"] = _model_digest(query, mode)
+    return modes
 
 
 def _corpus(workload: str, seed: int):
@@ -75,7 +103,7 @@ def replay(workload: str, seed: int, items: int | None = None) -> dict:
             totals[mode][1] += rep.nodes
         for mode, kind, message in rec.errors:
             modes[mode] = {"error": f"{kind}: {message}"}
-        out.append(modes)
+        out.append(_with_models(modes, work.items[rec.item]))
     for mode, (seconds, nodes) in totals.items():
         print(f"{mode}: {seconds:.2f} s, {nodes} nodes")
     return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
@@ -123,6 +151,8 @@ def replay_recipe(recipe: str, eps: float, queries: int = 12) -> dict:
             out[j][mode] = _fields(verify(recipe_query(recipe, j, eps), VerifyConfig(mode=mode)))
         print(f"{mode}: {time.perf_counter() - t0:.2f} s, "
               f"{sum(item[mode]['nodes'] for item in out)} nodes")
+    for j, item in enumerate(out):
+        _with_models(item, recipe_query(recipe, j, eps))
     return {"workload": recipe, "seed": None, "eps": eps, "modes": list(RECIPE_MODES),
             "items": out}
 
