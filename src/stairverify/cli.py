@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--eps", type=float, required=True)
     defaults = VerifyConfig()
     v.add_argument("--mode", default=defaults.mode, choices=MODES)
-    v.add_argument("--max-cut-rounds", type=int, default=defaults.max_cut_rounds)
+    v.add_argument("--max-cut-rounds", type=int, default=defaults.max_cut_rounds,
+                   help="cut rounds per target in cayley-lp; no other mode separates")
     v.add_argument("--tol", type=float, default=defaults.cut_tol)
     v.add_argument("--timeout", type=float, default=defaults.timeout)
     v.add_argument("--node-limit", type=int, default=defaults.node_limit)

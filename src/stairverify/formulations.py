@@ -202,9 +202,8 @@ class _RowModel:
         formulations differ only on a neuron with two or more pieces and a
         nonzero slope. A flat one gets y = sum_i d_i z_i, which is also the
         alpha = 0 seed pair; Big-M and a one-piece neuron two M rows per piece
-        i, bounding y - (a_i t + d_i) (0 for one piece; no empty-slice check:
-        the slab rows make z_j = 1 infeasible for a slab off the box); Cayley
-        the seed cuts, installed by `add_cut` after the neuron's slab rows."""
+        i, bounding y - (a_i t + d_i) (0 for one piece); Cayley the seed cuts,
+        installed by `add_cut` after the neuron's slab rows."""
         y, act, bias, start, z = self._y, self._act, self._bias, self.z_starts, self.z_index
         k = np.diff(start)
         owner = np.repeat(np.arange(k.size), k)
@@ -216,7 +215,7 @@ class _RowModel:
         affine, r, ro, ya = np.flatnonzero(count == 1), row[act], row[act][owner], y[act]
         fp, p = flat[owner], np.flatnonzero(bigm[owner])
         hi_row, pa = ro[p] + 3 + 2 * (p - start[owner[p]]), owner[p]
-        ext = [(n.dbar(), *slab_extremes(n, n.activation.slopes, check=False))
+        ext = [(n.dbar(), *slab_extremes(n, n.activation.slopes))
                for n in (self.activated[a].neuron for a in np.flatnonzero(bigm))]
         m_lo = np.concatenate([lows.min(axis=1) - d for d, lows, _ in ext] or [[]])
         m_hi = np.concatenate([highs.max(axis=1) - d for d, _, highs in ext] or [[]])

@@ -240,21 +240,3 @@ def decompose_staircase(f: PiecewiseLinear
             value = comp_slopes[i] * bp[i + 1] + intercepts[i]
         parts.append(PiecewiseLinear(bp, comp_slopes, intercepts))
     return f0, parts
-
-
-def tanh_staircase_pair(scale: float = 1.0) -> PiecewiseLinear:
-    """Symmetric 7-piece tanh-style approximation that splits into 2 staircases.
-
-    The slope multiset {0, a, b, a, b, a, 0} uses only two nonzero values, so
-    decompose_staircase returns exactly two components.
-    """
-    a, b = 0.12 * scale, 0.55 * scale
-    bp = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
-    slopes = np.array([0.0, a, b, a, b, a, 0.0])
-    # integrate from f(-4) = -1 for a tanh-like shape
-    intercepts = np.empty(7)
-    value = -1.0
-    for i in range(7):
-        intercepts[i] = value - slopes[i] * bp[i]
-        value = slopes[i] * bp[i + 1] + intercepts[i]
-    return PiecewiseLinear(bp, slopes, intercepts)

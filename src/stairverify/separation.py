@@ -672,11 +672,13 @@ def _slice_ends(neuron: Neuron, check: bool = True) -> tuple[np.ndarray, np.ndar
     return ends[:-1], ends[1:]
 
 
-def slab_extremes(neuron: Neuron, a, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def slab_extremes(neuron: Neuron, a) -> tuple[np.ndarray, np.ndarray]:
     """Min and max of (a_i - a) w.x + dbar_i over each piece i's slice: `retrieve_cut`'s
     lower and upper z-coefficients for alpha = a w, taken at the slice ends since the
-    objective is linear in w.x. An array `a` gives one row per entry."""
-    lo_ts, hi_ts = _slice_ends(neuron, check)
+    objective is linear in w.x. An array `a` gives one row per entry. A slab off the
+    box is clipped to the box's end unchecked: its model's slab rows make z_i = 1
+    infeasible, so any finite coefficient of z_i is valid there."""
+    lo_ts, hi_ts = _slice_ends(neuron, check=False)
     slope = neuron.activation.slopes - np.asarray(a, dtype=float)[..., None]
     ends = slope * lo_ts, slope * hi_ts
     return np.minimum(*ends) + neuron.dbar(), np.maximum(*ends) + neuron.dbar()

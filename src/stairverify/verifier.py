@@ -5,17 +5,16 @@ Every LP mode builds one model per query and runs one loop over the targets;
 a target changes only the model's objective, so rows and pooled hull cuts
 carry over. The first LP of a query and every branch-and-bound root start at
 a feasible forward-pass point. Relaxed modes bound a target by its LP, later
-targets warm-started from the previous target's last solution. Exact modes
-run best-first branch-and-bound on the piece indicators; a node is a vector
-of variable upper bounds, and a branch bisects the pieces the least integral
-neuron allows by setting the z of each dropped piece to 0. One cut loop,
-`_solve_with_cuts`, solves a target's LP in relaxed modes and each node's LP
-in exact modes; in cayley mode it alternates solving with per-neuron
-separation until no pooled-new cut is violated or its round cap is
-reached. Cayley-exact separates only at each target's root; every other
-node solves with the pooled cuts alone, which is exact at the leaves since
-each neuron's y rows (its seeds, or Big-M's) pin every integral point to
-its piece. A flat staircase neuron is separated in one direction per point.
+targets warm-started from the previous target's last solution; cayley-lp's
+cut loop, `_solve_with_cuts`, alternates solving with per-neuron separation
+until no pooled-new cut is violated or its round cap is reached, and a flat
+staircase neuron is separated in one direction per point. Exact modes run
+best-first branch-and-bound on the piece indicators; a node is a vector of
+variable upper bounds, solved once with the model's rows (in cayley mode its
+seed cuts), and a branch bisects the pieces the least integral neuron allows
+by setting the z of each dropped piece to 0. No exact node separates: each
+neuron's y rows (its seeds, or Big-M's) pin every integral point to its
+piece, so the leaves are exact.
 """
 
 from __future__ import annotations
@@ -43,12 +42,12 @@ MIP_GAP = 1e-9   # a node is pruned unless its bound beats the incumbent by more
 @dataclass
 class VerifyConfig:
     """Verification settings. `max_cut_rounds` caps the cut rounds of each
-    target in cayley-lp and of each target's root in cayley-exact;
-    `node_limit` caps each target's distinct branch-and-bound nodes
-    (`VerifyReport.nodes`). The y rows (seeds, or Big-M's) pin every
-    integral point to its piece, so branch-and-bound is exact without node
-    cuts, at any `max_cut_rounds`. `cut_tol`, `timeout` and `node_limit`
-    must be positive and `max_cut_rounds` nonnegative (NaN is rejected)."""
+    target in cayley-lp, the one mode that separates; `node_limit` caps each
+    target's distinct branch-and-bound nodes (`VerifyReport.nodes`). The y
+    rows (seeds, or Big-M's) pin every integral point to its piece, so
+    branch-and-bound is exact without cuts. `cut_tol`, `timeout` and
+    `node_limit` must be positive and `max_cut_rounds` nonnegative (NaN is
+    rejected)."""
 
     mode: str = "cayley-lp"
     max_cut_rounds: int = 20
@@ -78,8 +77,8 @@ class VerifyConfig:
 class VerifyReport:
     """Outcome and counters of one query. `nodes` counts the distinct
     branch-and-bound nodes an exact search solved; `rounds` counts the cut
-    rounds that added cuts, per target in cayley-lp and summed over the
-    targets' roots in cayley-exact. `separation_calls` counts the
+    rounds that added cuts, summed over the targets, in cayley-lp (0 in
+    every other mode). `separation_calls` counts the
     (neuron, direction) points the cut rounds checked, a flat staircase
     neuron once per point, a neuron with one piece on its interval (every
     stable or pinned one, whose Big-M rows write its hull) never, and any
@@ -227,29 +226,22 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
 
 
 def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
-                     deadline: float, warm: LpSolution | None = None,
-                     upper: np.ndarray | None = None, cutoff: float = -np.inf,
-                     max_rounds: int | None = None):
+                     deadline: float, warm: LpSolution | None = None):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    `upper` replaces the variable upper bounds as in `model.to_lp` (a
-    branch-and-bound node). The first solve starts from `warm`, each re-solve
-    from the previous solution. Returns (value, last LpSolution, diagnostic),
-    value None when the LP has no optimum, and adds the rounds, cuts,
-    separation and LP counts to `report`. No round runs after `max_rounds`
-    rounds (None: `config.max_cut_rounds`) or once the value is at or below
-    `cutoff` (the node would be pruned anyway). Past the deadline
-    no round runs, and the last (sound) value comes with the timeout
-    diagnostic. The objective is non-increasing round over round since rows
-    only accumulate.
+    The first solve starts from `warm`, each re-solve from the previous
+    solution. Returns (value, last LpSolution, diagnostic), value None when
+    the LP has no optimum, and adds the rounds, cuts, separation and LP
+    counts to `report`. No round runs after `config.max_cut_rounds` rounds.
+    Past the deadline no round runs, and the last (sound) value comes with
+    the timeout diagnostic. The objective is non-increasing round over round
+    since rows only accumulate.
     """
-    if max_rounds is None:
-        max_rounds = config.max_cut_rounds
     prev = np.inf
     rounds = 0
     sol = warm
     while True:
-        sol = _solve(model.to_lp(upper), sol, report)
+        sol = _solve(model.to_lp(), sol, report)
         if sol.status == "infeasible":
             return None, None, "relaxation infeasible (stale bounds?)"
         if sol.status != "optimal":
@@ -258,7 +250,7 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
         if value > prev + 1e-9:
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
-        if model.mode != CAYLEY or rounds >= max_rounds or value <= cutoff:
+        if model.mode != CAYLEY or rounds >= config.max_cut_rounds:
             return value, sol, ""
         if time.monotonic() > deadline:
             return value, sol, TIMEOUT
@@ -332,18 +324,16 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     """Best-first search; returns (upper bound, incumbent LpSolution, diagnostic).
 
     A node is the model's variable upper bounds with the z of every piece
-    its branches dropped at 0. Each node is solved once by `_solve_with_cuts`,
-    cutting off at the incumbent; a node is pushed only to be branched. In
-    cayley mode the root runs up to `max_cut_rounds` cut rounds and any other
-    node solves with the pooled cuts alone: an integral node's LP value is
-    exact, since seeds or Big-M rows pin its point to its pieces. The root LP
-    starts from `_forward_start`, node LPs from the parent's solution.
+    its branches dropped at 0. Each node's LP is solved once, with the
+    model's rows and no separation; a node is pushed only to be branched,
+    and dropped when its LP has no optimum. An integral node's LP value is
+    exact, since seeds or Big-M rows pin its point to its pieces. The root
+    LP starts from `_forward_start`, node LPs from the parent's solution.
     Without a limit the bound is the exact optimum, attained by the
     incumbent (None when no node is feasible). The search stops at this
     target's node limit or the deadline; the bound is then the larger of the
     best open node's bound and the incumbent's value, which is sound, and
-    the diagnostic names the limit. A deadline between the root's cut rounds
-    gives the root's solution in place of the incumbent's.
+    the diagnostic names the limit.
     """
     serial = itertools.count()
     incumbent = -np.inf
@@ -354,9 +344,9 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     def push(upper, bound, warm):
         heapq.heappush(heap, _Node(-bound, next(serial), upper, warm))
 
-    def stop(limit, open_bound, point=None):
+    def stop(limit, open_bound):
         report.gap_percent = max(report.gap_percent, _gap_percent(open_bound, incumbent))
-        return max(open_bound, incumbent), point or incumbent_sol, limit
+        return max(open_bound, incumbent), incumbent_sol, limit
 
     push(np.array(model.upper), np.inf, _forward_start(model))
     while heap:
@@ -368,13 +358,10 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
         if -node.neg_bound <= incumbent + MIP_GAP:
             continue
         report.nodes += 1
-        max_rounds = config.max_cut_rounds if node.serial == 0 else 0
-        bound, sol, diag = _solve_with_cuts(model, config, report, deadline, node.warm,
-                                            node.upper, incumbent + MIP_GAP, max_rounds)
-        if bound is None or bound <= incumbent + MIP_GAP:
+        sol = _solve(model.to_lp(node.upper), node.warm, report)
+        if sol.status != "optimal" or sol.objective <= incumbent + MIP_GAP:
             continue
-        if diag:  # the deadline between the root's cut rounds: the root stays open
-            return stop(diag, bound, sol)
+        bound = sol.objective
         allowed = _branch_pieces(model, sol.x, node.upper)
         if len(allowed) <= 1:
             incumbent = bound

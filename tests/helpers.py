@@ -100,6 +100,24 @@ def dense_query(j, spec, eps=0.05) -> VerificationQuery:
     return VerificationQuery(net, x0, eps, int(np.argmax(net.forward(x0))))
 
 
+def tanh_staircase_pair(scale: float = 1.0) -> pwl.PiecewiseLinear:
+    """Symmetric 7-piece tanh-style approximation that splits into 2 staircases.
+
+    The slope multiset {0, a, b, a, b, a, 0} uses only two nonzero values, so
+    decompose_staircase returns exactly two components.
+    """
+    a, b = 0.12 * scale, 0.55 * scale
+    bp = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+    slopes = np.array([0.0, a, b, a, b, a, 0.0])
+    # integrate from f(-4) = -1 for a tanh-like shape
+    intercepts = np.empty(7)
+    value = -1.0
+    for i in range(7):
+        intercepts[i] = value - slopes[i] * bp[i]
+        value = slopes[i] * bp[i + 1] + intercepts[i]
+    return pwl.PiecewiseLinear(bp, slopes, intercepts)
+
+
 def activation_spec(kind: str) -> ActivationSpec:
     """A hidden activation: "dorefa" (2 bits on [-1, 1]), "relu", or
     "tanh-style" (`tanh_staircase_pair` slopes and breakpoints, the outer two
@@ -109,7 +127,7 @@ def activation_spec(kind: str) -> ActivationSpec:
     if kind == "relu":
         return ActivationSpec("relu", {})
     if kind == "tanh-style":
-        f = pwl.tanh_staircase_pair()
+        f = tanh_staircase_pair()
         bp = np.concatenate([[-40.0], f.breakpoints[1:-1], [40.0]])
         ends = np.concatenate([[0.0], np.cumsum(f.slopes * np.diff(bp))]) - 1.0
         return ActivationSpec("pwl", {"breakpoints": bp, "slopes": f.slopes,

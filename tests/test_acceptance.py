@@ -21,7 +21,7 @@ from stairverify.separation import (LOWER, THETA2_ZERO, UPPER, PsiInstance,
 from stairverify.verifier import VerifyConfig, verify
 
 from helpers import (random_neuron, random_pwl, random_quantized_network,
-                     random_query_point, scaled_dual_lp, separation_lp)
+                     random_query_point, scaled_dual_lp, separation_lp, tanh_staircase_pair)
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -303,7 +303,7 @@ def test_criterion_8_decomposition():
         if f0 is not None:
             total = total + f0.batch(ts)
         worst = max(worst, float(np.max(np.abs(total - f.batch(ts)))))
-    tanh = pwl.tanh_staircase_pair()
+    tanh = tanh_staircase_pair()
     f0, parts = pwl.decompose_staircase(tanh)
     _report("criterion 8: staircase decomposition",
             worst <= 1e-9 and f0 is None and len(parts) == 2

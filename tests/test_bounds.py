@@ -8,7 +8,7 @@ from stairverify.bounds import (PreActBounds, _LayerRelax, deeppoly_activation_r
 from stairverify.errors import InputError, ParameterError
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
 
-from helpers import random_quantized_network
+from helpers import random_quantized_network, tanh_staircase_pair
 
 
 def test_interval_two_inputs():
@@ -72,7 +72,7 @@ def test_relax_sandwich_grid_oracle():
     rng = np.random.default_rng(21)
     cases = [pwl.dorefa(2, -1.0, 1.0), pwl.dorefa(3, -0.7, 1.3),
              pwl.dorefa(1, 0.0, 1.0), pwl.relu(-1.0, 2.0), pwl.relu(-2.0, 0.5),
-             pwl.tanh_staircase_pair(),
+             tanh_staircase_pair(),
              pwl.PiecewiseLinear([0.0, 0.4, 1.0], [0.0, 0.0], [0.0, 0.8])]
     for _ in range(10):
         k = int(rng.integers(1, 6))

@@ -20,8 +20,8 @@ from stairverify.formulations import (BIGM, CAYLEY, NeuronFormulation, Verificat
 from stairverify.lp import EQUAL, GREATER, LESS, LinearProgram
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.pwl import distinct_slopes
-from stairverify.separation import LOWER, UPPER, Cut, slab_extremes
-from stairverify.verifier import _branch_pieces
+from stairverify.separation import LOWER, UPPER, Cut, _slice_ends, slab_extremes
+from stairverify.verifier import VerifyConfig, _branch_pieces, verify
 
 from helpers import activation_spec, dense_query, random_neuron
 
@@ -66,7 +66,7 @@ class _ReferenceModel:
         if np.all(np.abs(f.slopes) <= 1e-12):
             self._add_row(nf.z_vars + [nf.y_var], np.append(-f.intercepts, 1.0), EQUAL, 0.0)
         elif self.mode == BIGM or f.num_pieces == 1:
-            lows, highs = slab_extremes(nf.neuron, f.slopes, check=False)
+            lows, highs = slab_extremes(nf.neuron, f.slopes)
             dbar = nf.neuron.dbar()
             for i, z in enumerate(nf.z_vars):
                 line = np.append(-f.slopes[i] * w, 1.0)
@@ -259,12 +259,7 @@ def test_query_models_equal_the_per_neuron_build(mode):
     pieces = set()
     for name, query in _queries():
         for q in (query, query.with_target(query.targets()[0])):
-            try:
-                ref = _reference_query_model(q, mode)
-            except FormulationError as exc:   # a Cayley seed on a slab off the box
-                with pytest.raises(FormulationError, match=str(exc)):
-                    build_query_model(q, mode)
-                continue
+            ref = _reference_query_model(q, mode)
             _assert_same_lp(build_query_model(q, mode), ref)
             pieces |= {len(nf.z_vars) for nf in ref.activated_neurons()}
     assert 1 in pieces and max(pieces) >= 3
@@ -397,3 +392,34 @@ def test_forward_builds_its_functions_once_and_still_raises(monkeypatch):
         assert str(new.value) == str(old.value)
     with pytest.raises(DomainError, match="input box"):
         net.forward(np.array([1.1]))
+
+
+
+def _off_box_slabs(model):
+    """Keys of the neurons with a piece whose slab misses the range of w.x over the box."""
+    off = []
+    for nf in model.activated_neurons():
+        try:
+            _slice_ends(nf.neuron)
+        except FormulationError:
+            off.append(nf.key)
+    return off
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_lp_mode_answers_the_mixed_queries(kind):
+    # a second-layer neuron's DeepPoly interval can reach past the range of
+    # w.x over its (exact, first-layer) input box; its Cayley seeds then
+    # take a slab off the box, whose z = 1 the slab rows make infeasible
+    modes = ("bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")
+    for eps in (0.05, 0.3):
+        q = _mixed_query(kind, eps)
+        if (kind, eps) == ("tanh-style", 0.3):
+            assert _off_box_slabs(build_query_model(q, CAYLEY))
+        reports = {mode: verify(q, VerifyConfig(mode=mode, timeout=60)) for mode in modes}
+        assert len({r.verdict for r in reports.values()}) == 1, (kind, eps)
+        assert all(r.diagnostic == "" for r in reports.values()), (kind, eps)
+        (target,) = reports["bigm-exact"].target_bounds
+        bigm_lp, cayley_lp, bigm, cayley = (reports[m].target_bounds[target] for m in modes)
+        assert cayley == pytest.approx(bigm, rel=1e-9, abs=1e-9)
+        assert bigm - 1e-9 <= cayley_lp <= bigm_lp + 1e-9

@@ -5,7 +5,7 @@ from stairverify import pwl
 from stairverify.errors import DomainError, ParameterError
 from stairverify.pwl import PiecewiseLinear, staircase_slope
 
-from helpers import random_pwl
+from helpers import random_pwl, tanh_staircase_pair
 
 
 def test_relu_evaluate_zero_piece():
@@ -91,7 +91,7 @@ def test_decompose_relu_is_identity():
 
 
 def test_decompose_tanh_fixture_two_staircases():
-    f = pwl.tanh_staircase_pair()
+    f = tanh_staircase_pair()
     assert f.num_pieces == 7
     f0, parts = pwl.decompose_staircase(f)
     assert f0 is None

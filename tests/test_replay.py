@@ -79,7 +79,7 @@ def test_corpus_replay_prints_each_mode_time_and_nodes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     for mode, line in zip(doc["modes"], lines):
-        name, seconds, nodes = re.fullmatch(r"(\S+): (\d+\.\d\d) s, (\d+) nodes", line).groups()
+        name, seconds, nodes = re.fullmatch(r"(\S+): (\d[\d.e+-]*) s, (\d+) nodes", line).groups()
         assert name == mode and float(seconds) > 0.0
         assert int(nodes) == sum(item[mode]["nodes"] for item in doc["items"])
 

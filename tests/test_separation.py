@@ -484,16 +484,20 @@ def test_slab_extremes_match_retrieve_cut(kind):
                     (kind, a, direction)
 
 
-def test_empty_slice_check_stays_on_retrieve_cut_and_cayley_seeds():
+def test_empty_slice_check_stays_on_retrieve_cut_only():
     # the box reaches w.x in [0, 1] only, so the slab of piece 0 ([-3, -1]) is empty
     from stairverify.formulations import build_bigm, build_cayley
     f = pwl.PiecewiseLinear([-3.0, -1.0, 2.0], [0.0, 1.0], [0.0, 1.0])
     neuron = Neuron(np.array([1.0]), 0.0, f, BoxDomain([0.0], [1.0]))
     with pytest.raises(FormulationError):
         retrieve_cut(neuron, np.zeros(1), UPPER)
-    with pytest.raises(FormulationError):
-        build_cayley(neuron)
-    build_bigm(neuron)   # Big-M never made this check
+    # both models build, the Cayley seeds from the unchecked slab table, and
+    # their slab rows alone make the empty piece's z = 1 infeasible
+    for model in (build_bigm(neuron), build_cayley(neuron)):
+        lp = model.to_lp()
+        assert solve(lp).status == "optimal"
+        lp.lower[model.nf.z_vars[0]] = 1.0
+        assert solve(lp).status == "infeasible"
 
 
 # -- separate_pwl ------------------------------------------------------------

@@ -239,7 +239,10 @@ def test_cut_rounds_check_only_neurons_with_pieces_to_choose_between(recipe, mod
     monkeypatch.setattr(verifier, "on_vertex_graph", spy(verifier.on_vertex_graph))
     monkeypatch.setattr(verifier, "separate_pwl", spy(verifier.separate_pwl))
     verify(q, VerifyConfig(mode=mode, timeout=60))
-    assert checked and min(checked) > 1
+    if mode == "cayley-exact":   # branch-and-bound separates nowhere
+        assert checked == []
+    else:
+        assert checked and min(checked) > 1
 
 
 def test_declared_pwl_activation_end_to_end():
@@ -406,18 +409,21 @@ def test_report_counters_agree(mode, kind, monkeypatch):
     assert report.warm_solves == sum(warm_given) > 0 or mode == "bigm-lp"
     assert report.separation_calls - report.separation_screened == len(oracle_calls)
     assert report.separation_calls == sum(points)
-    # the ReLU query reaches the count of 2 per point (a sloped neuron)
-    assert any(doubled) == (kind == "relu" and mode.startswith("cayley"))
+    # the ReLU query reaches the count of 2 per point (a sloped neuron); only
+    # cayley-lp runs cut rounds
+    assert any(doubled) == (kind == "relu" and mode == "cayley-lp")
     assert report.separation_calls == len(screens)
     assert report.separation_screened == sum(screens)
     # the all-DoReFa query has points on a vertex's graph; the ReLU query need not
     if kind == "dorefa":
-        assert (report.separation_screened > 0) == mode.startswith("cayley")
-    # a round counts when it adds cuts; in cayley-exact its node is re-solved in place
+        assert (report.separation_screened > 0) == (mode == "cayley-lp")
+    # a round counts when it adds cuts, and its LP is re-solved warm
     assert report.rounds == len(adding_rounds)
     assert report.cuts_added == sum(adding_rounds)
-    if mode.startswith("cayley"):
+    if mode == "cayley-lp":
         assert report.warm_solves >= report.rounds > 0
+    else:
+        assert report.rounds == report.cuts_added == report.separation_calls == 0
     doc = report.as_dict()
     for key in ("lp_phase2_iterations", "lp_dual_iterations",
                 "warm_solves", "lp_refactorizations", "separation_calls",
@@ -597,8 +603,12 @@ def test_cuts_carry_over_to_the_next_target(mode, monkeypatch):
     monkeypatch.setattr(verifier, name, spy)
     report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))
     assert report.verdict == "robust" and len(calls) == 2
-    assert exit_[0] > entry[0] and exit_[0] == entry[1]
-    if mode == "cayley-lp":
+    assert exit_[0] == entry[1]
+    if mode == "cayley-exact":
+        # branch-and-bound adds no cut: the pool holds the seeds alone
+        assert exit_ == entry and entry[0] == entry[1]
+    else:
+        assert exit_[0] > entry[0]
         # the second target starts from the first target's last LP solution
         first_sol, second_args = calls[0][1][1], calls[1][0]
         assert second_args[-1] is first_sol and report.warm_solves >= report.rounds + 1
@@ -765,14 +775,24 @@ def test_node_limit_applies_to_each_target(monkeypatch):
 
 
 def test_cayley_exact_honours_max_cut_rounds():
+    # the cap bounds cayley-lp's rounds; cayley-exact runs none at any cap, so
+    # its report is the same at 0, 1 and 20 rounds, times aside
     q = _three_label_query()
-    full = verify(q, VerifyConfig(mode="cayley-exact", timeout=60))
-    none = verify(q, VerifyConfig(mode="cayley-exact", max_cut_rounds=0, timeout=60))
-    assert full.rounds > 0 and none.rounds == none.cuts_added == 0
-    assert none.verdict == full.verdict == "robust"
-    assert none.target_bounds.keys() == full.target_bounds.keys()
-    for target, bound in full.target_bounds.items():
-        assert none.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-12)
+    lp = {cap: verify(q, VerifyConfig(mode="cayley-lp", max_cut_rounds=cap, timeout=60))
+          for cap in (0, 1, 20)}
+    assert lp[0].rounds == lp[0].cuts_added == 0 and lp[20].rounds > len(lp[20].target_bounds)
+    assert 0 < lp[1].rounds <= len(lp[1].target_bounds)
+    docs = []
+    for cap in (0, 1, 20):
+        report = verify(q, VerifyConfig(mode="cayley-exact", max_cut_rounds=cap, timeout=60))
+        assert report.verdict == "robust" and report.nodes > 2
+        assert report.rounds == report.cuts_added == report.separation_calls == 0
+        doc = report.as_dict()
+        del doc["solve_time"], doc["separation_time"]
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+    assert all(float.hex(docs[0]["target_bounds"][t]) == float.hex(b)
+               for t, b in docs[2]["target_bounds"].items())
 
 
 def test_cayley_exact_without_cut_rounds_is_exact_on_non_staircases():
@@ -792,7 +812,7 @@ def test_cayley_exact_without_cut_rounds_is_exact_on_non_staircases():
 @pytest.mark.parametrize("recipe", ["tanh-style", "relu"])
 def test_cayley_exact_matches_bigm_exact_off_the_benchmark(recipe):
     # tanh-style neurons have two staircase components and ReLU (s = 1) one;
-    # both separate at the roots alone, in both directions
+    # the seeds alone make both searches exact
     for j in range(6):
         q = recipe_query(recipe, j)
         exact = verify(q, VerifyConfig(mode="bigm-exact", timeout=60))
@@ -805,33 +825,72 @@ def test_cayley_exact_matches_bigm_exact_off_the_benchmark(recipe):
 
 @pytest.mark.parametrize("net", ["dorefa", "tanh-style"])
 def test_cayley_exact_cuts_only_at_the_roots(net, monkeypatch):
+    # the only cuts of a search are those its root LP carries (the model's
+    # seeds, none on a flat neuron): every node LP of a target has the root
+    # LP's rows, senses and rhs, and differs from it in its bounds alone
     from stairverify import verifier
-    bnb, solve_with_cuts, cut_round = (verifier._branch_and_bound, verifier._solve_with_cuts,
-                                       verifier._cut_round)
-    node_solves, rounds_at = [], []   # per target; (target, node solve) of each round
+    bnb, solve_ = verifier._branch_and_bound, verifier._solve
+    lps = []   # per target, the node LPs
 
     def spy_bnb(*args):
-        node_solves.append(0)
+        lps.append([])
         return bnb(*args)
 
-    def spy_solve(*args):
-        node_solves[-1] += 1
-        return solve_with_cuts(*args)
-
-    def spy_round(*args):
-        rounds_at.append((len(node_solves), node_solves[-1]))
-        return cut_round(*args)
+    def spy_solve(lp, warm, report):
+        lps[-1].append(lp)
+        return solve_(lp, warm, report)
 
     monkeypatch.setattr(verifier, "_branch_and_bound", spy_bnb)
-    monkeypatch.setattr(verifier, "_solve_with_cuts", spy_solve)
-    monkeypatch.setattr(verifier, "_cut_round", spy_round)
+    monkeypatch.setattr(verifier, "_solve", spy_solve)
     q = _three_label_query() if net == "dorefa" else wide_tanh_query(0)
     report = verify(q, VerifyConfig(mode="cayley-exact", timeout=60))
-    assert report.verdict == "robust" and report.rounds > 0
-    assert node_solves[0] > 1 and node_solves[1] > 1 and sum(node_solves) == report.nodes
-    # every round ran inside a root solve, and both roots separated
-    assert {solve for _, solve in rounds_at} == {1}
-    assert {target for target, _ in rounds_at} == {1, 2}
+    assert report.verdict == "robust" and report.rounds == report.cuts_added == 0
+    assert len(lps) == 2 and all(len(node_lps) > 1 for node_lps in lps)
+    assert sum(map(len, lps)) == report.nodes
+    for root, *nodes in lps:
+        assert any(not np.array_equal(lp.upper, root.upper) for lp in nodes)
+        for lp in nodes:
+            assert np.array_equal(lp.rows, root.rows)
+            assert np.array_equal(lp.senses, root.senses) and np.array_equal(lp.rhs, root.rhs)
+            assert np.array_equal(lp.lower, root.lower)
+
+
+@pytest.mark.parametrize("net", ["dorefa", "tanh-style"])
+def test_cayley_exact_never_separates(net, monkeypatch):
+    # the seeds (or Big-M's rows on a flat neuron) pin the leaves, so no node
+    # runs a cut round
+    from stairverify import verifier
+
+    def never(*args, **kwargs):
+        raise AssertionError("cayley-exact separated")
+
+    for name in ("_cut_round", "separate_pwl", "on_vertex_graph"):
+        monkeypatch.setattr(verifier, name, never)
+    q = _three_label_query() if net == "dorefa" else wide_tanh_query(0)
+    report = verify(q, VerifyConfig(mode="cayley-exact", timeout=60))
+    assert report.verdict == "robust" and report.nodes > 2
+    assert report.rounds == report.cuts_added == report.separation_calls == 0
+    assert report.separation_time == 0.0
+
+
+def test_cayley_exact_is_bigm_exact_on_flat_staircases():
+    # on all-DoReFa nets the Cayley LP is Big-M's array for array, so the two
+    # searches are one: every report field but the times, bounds bit for bit
+    queries = [_three_label_query(), _counter_query("dorefa"), *_start_queries()] + [
+        _tiny_query(np.random.default_rng(seed), hidden=(4,), eps=0.25, weight_scale=1.5)
+        for seed in range(64, 68)]
+    searched = 0
+    for q in queries:
+        docs = []
+        for mode in ("bigm-exact", "cayley-exact"):
+            doc = verify(q, VerifyConfig(mode=mode, timeout=60)).as_dict()
+            del doc["solve_time"], doc["separation_time"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert all(float.hex(docs[0]["target_bounds"][t]) == float.hex(b)
+                   for t, b in docs[1]["target_bounds"].items())
+        searched += docs[0]["nodes"] > len(docs[0]["target_bounds"])
+    assert searched >= 3
 
 
 @pytest.mark.parametrize("mode", ["cayley-lp", "cayley-exact"])
@@ -864,32 +923,35 @@ def test_flat_staircases_are_separated_upward_only(mode, monkeypatch):
                  for m in models]
         runs.append((reports, pools, set(directions)))
     (upward, pools, dirs), (both, pools_both, dirs_both) = runs
-    assert dirs == {UPPER} and dirs_both == {UPPER, LOWER}
     assert pools == pools_both
+    if mode == "cayley-exact":   # no direction is separated, whatever the slopes
+        assert dirs == dirs_both == set()
+        assert all(r.separation_calls == 0 for r in upward + both)
+    else:
+        assert dirs == {UPPER} and dirs_both == {UPPER, LOWER}
     for one, two in zip(upward, both):
         assert one.verdict == two.verdict and one.target_bounds == two.target_bounds
-        assert 2 * one.separation_calls == two.separation_calls > 0
+        assert 2 * one.separation_calls == two.separation_calls
+        assert (one.separation_calls > 0) == (mode == "cayley-lp")
 
 
 @pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
 def test_nodes_count_each_node_solve_once(mode, monkeypatch):
     from stairverify import verifier
-    solve_with_cuts = verifier._solve_with_cuts
+    solve_ = verifier._solve
     node_solves = []
 
-    def spy(model, config, report, deadline, warm=None, upper=None, cutoff=-np.inf,
-            max_rounds=None):
-        assert upper is not None and max_rounds is not None
-        node_solves.append(upper)
-        return solve_with_cuts(model, config, report, deadline, warm, upper, cutoff, max_rounds)
+    def spy(lp, warm, report):
+        node_solves.append(lp.upper)
+        return solve_(lp, warm, report)
 
-    monkeypatch.setattr(verifier, "_solve_with_cuts", spy)
+    monkeypatch.setattr(verifier, "_solve", spy)
     report = verify(_three_label_query(), VerifyConfig(mode=mode, timeout=60))
     assert report.verdict == "robust"
     assert report.nodes == len(node_solves) > 2
 
 
-def test_exact_deadline_between_cut_rounds_keeps_the_node_open(monkeypatch):
+def test_exact_deadline_after_the_root_keeps_its_bound_open(monkeypatch):
     from types import SimpleNamespace
     from stairverify import verifier
     q = _three_label_query()

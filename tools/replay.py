@@ -17,8 +17,8 @@ bounds and objective) of the model `verify` builds for the query. The
 off-benchmark recipes `tanh-style` and `relu` (`tests/helpers.recipe_query`,
 5-8-8-3 nets) take `--eps` in place of a seed and run 12 queries in
 bigm-exact, cayley-exact and cayley-lp with the default config. Both print
-each mode's total time (for a workload, the reports' summed solve and
-separation time) and nodes. The `oracle-sweep` workload writes each item's
+each mode's total time in seconds to three significant digits (for a
+workload, the reports' summed solve and separation time) and nodes. The `oracle-sweep` workload writes each item's
 `separate_pwl` result instead: the cut (alpha, zcoef, const and y_coef, as
 `float.hex`), None, or the error. The last form prints, per mode, each
 field that differs (how many queries, and the totals of a numeric field;
@@ -105,7 +105,7 @@ def replay(workload: str, seed: int, items: int | None = None) -> dict:
             modes[mode] = {"error": f"{kind}: {message}"}
         out.append(_with_models(modes, work.items[rec.item]))
     for mode, (seconds, nodes) in totals.items():
-        print(f"{mode}: {seconds:.2f} s, {nodes} nodes")
+        print(f"{mode}: {seconds:.3g} s, {nodes} nodes")
     return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
 
 
@@ -149,7 +149,7 @@ def replay_recipe(recipe: str, eps: float, queries: int = 12) -> dict:
         t0 = time.perf_counter()
         for j in range(queries):
             out[j][mode] = _fields(verify(recipe_query(recipe, j, eps), VerifyConfig(mode=mode)))
-        print(f"{mode}: {time.perf_counter() - t0:.2f} s, "
+        print(f"{mode}: {time.perf_counter() - t0:.3g} s, "
               f"{sum(item[mode]['nodes'] for item in out)} nodes")
     for j, item in enumerate(out):
         _with_models(item, recipe_query(recipe, j, eps))
