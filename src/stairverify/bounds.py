@@ -1,10 +1,13 @@
 """Pre-activation bound propagation: interval arithmetic and quantized DeepPoly.
 
-DeepPoly sandwiches every activation between two linear functions of its
-pre-activation and back-substitutes through the affine layers all the way to
-the input box. The final intervals are intersected with plain interval bounds,
-so they are never looser than interval arithmetic. The same bounds feed the
-Big-M and Cayley formulation builders.
+Interval arithmetic handles a whole layer in arrays: the neurons of each
+activation spec get their output ranges from one call, and affine neurons
+pass their pre-activation interval through. DeepPoly sandwiches every
+activation between two linear functions of its pre-activation and
+back-substitutes through the affine layers all the way to the input box.
+The final intervals are intersected with plain interval bounds, so they are
+never looser than interval arithmetic. The same bounds feed the Big-M and
+Cayley formulation builders.
 """
 
 from __future__ import annotations
@@ -53,17 +56,12 @@ class PreActBounds:
         return out
 
 
-def _layer_output_interval(layer, pre_lo, pre_hi):
-    """Activation output intervals given the pre-activation intervals."""
-    out_lo, out_hi = pre_lo.copy(), pre_hi.copy()
-    for j, spec in enumerate(layer.activations):
-        if spec is not None:
-            out_lo[j], out_hi[j] = spec.output_range(pre_lo[j], pre_hi[j])
-    return out_lo, out_hi
-
-
 def interval_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
-    """Plain interval arithmetic layer by layer."""
+    """Plain interval arithmetic layer by layer in arrays: one `output_ranges`
+    call per `Layer.spec_groups` entry; affine neurons pass through."""
+    if input_box.dim != net.input_dim:
+        raise InputError(f"input box has {input_box.dim} dimensions, "
+                         f"the network takes {net.input_dim}")
     out = PreActBounds()
     lo, hi = input_box.lower, input_box.upper
     for layer in net.layers:
@@ -73,7 +71,9 @@ def interval_bounds(net: Network, input_box: BoxDomain) -> PreActBounds:
         pre_hi = w_pos @ hi + w_neg @ lo + layer.bias
         out.lower.append(pre_lo)
         out.upper.append(pre_hi)
-        lo, hi = _layer_output_interval(layer, pre_lo, pre_hi)
+        lo, hi = pre_lo.copy(), pre_hi.copy()
+        for spec, idx in layer.spec_groups:
+            lo[idx], hi[idx] = spec.output_ranges(pre_lo[idx], pre_hi[idx])
     return out
 
 

@@ -72,12 +72,7 @@ class VerificationQuery:
                                  target, self.xi)
 
     def input_region(self) -> BoxDomain:
-        ball = BoxDomain(self.x0 - self.eps, self.x0 + self.eps)
-        lower = np.maximum(self.network.input_box.lower, ball.lower)
-        upper = np.minimum(self.network.input_box.upper, ball.upper)
-        if np.any(lower > upper + 1e-12):
-            raise InputError("perturbation ball misses the network input box")
-        return BoxDomain(lower, upper)
+        return self.network.input_box.around(self.x0, self.eps)
 
 
 def attack_objective(n_out: int, label: int, target: int) -> np.ndarray:

@@ -56,9 +56,13 @@ class BoxDomain:
     def clamp(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def intersect(self, other: "BoxDomain") -> "BoxDomain":
-        return BoxDomain(np.maximum(self.lower, other.lower),
-                         np.minimum(self.upper, other.upper))
+    def around(self, x0, eps: float) -> "BoxDomain":
+        """The part of this box within `eps` of `x0` in every coordinate."""
+        lower = np.maximum(self.lower, x0 - eps)
+        upper = np.minimum(self.upper, x0 + eps)
+        if np.any(lower > upper + 1e-12):
+            raise InputError("perturbation ball misses the network input box")
+        return BoxDomain(lower, upper)
 
     def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
         shape = (self.dim,) if count is None else (count, self.dim)
@@ -113,25 +117,12 @@ class ActivationSpec:
     params: dict
 
     def instantiate(self, lo: float, hi: float) -> PiecewiseLinear:
-        if self.kind not in ("identity", "relu"):
-            return PiecewiseLinear(*self._clipped_pieces(lo, hi))
         if hi <= lo:
             hi = lo + 1e-9
-        return pwl.identity(lo, hi) if self.kind == "identity" else pwl.relu(lo, hi)
-
-    def output_range(self, lo: float, hi: float) -> tuple[float, float]:
-        """`instantiate(lo, hi).output_range()` to the bit, without building a
-        dorefa or declared function: its range is read from the clipped arrays."""
         if self.kind in ("identity", "relu"):
-            return self.instantiate(lo, hi).output_range()
-        return pwl.pieces_range(*self._clipped_pieces(lo, hi))
-
-    def _clipped_pieces(self, lo: float, hi: float):
-        """Arrays of the dorefa or declared base function clipped to [lo, hi]."""
+            return pwl.identity(lo, hi) if self.kind == "identity" else pwl.relu(lo, hi)
         if self.kind not in ("dorefa", "pwl", "staircase"):
             raise InputError(f"unknown activation kind {self.kind!r}")
-        if hi <= lo:
-            hi = lo + 1e-9
         f = self._base
         bp = f.breakpoints
         if self.kind == "dorefa":
@@ -142,7 +133,54 @@ class ActivationSpec:
                 f"declared {self.kind} domain [{f.lo}, {f.hi}] does not cover "
                 f"the pre-activation range [{lo}, {hi}]")
         # [lo, hi] now lies inside the domain, so `clip`'s checks are not needed
-        return pwl.clip_arrays(bp, f.slopes, f.intercepts, lo, hi)
+        return PiecewiseLinear(*pwl.clip_arrays(bp, f.slopes, f.intercepts, lo, hi))
+
+    def output_ranges(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`instantiate(lo[j], hi[j]).output_range()` for every j, to the bit, in
+        arrays and without building a function: every clipped piece's value at
+        both ends, computed as slope * point + intercept. On a range that
+        `instantiate` rejects it raises that error, for the first such j."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.where(hi <= lo, lo + 1e-9, hi)
+        if self.kind in ("identity", "relu"):   # a strict kink at 0, or none (at -inf)
+            self._raise_first(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)), lo, hi)
+            kink = 0.0 if self.kind == "relu" else -np.inf
+            return np.where(lo >= kink, lo, kink) + 0.0, np.where(hi > kink, hi, kink) + 0.0
+        if self.kind not in ("dorefa", "pwl", "staircase"):
+            raise InputError(f"unknown activation kind {self.kind!r}")
+        f = self._base
+        if self.kind == "dorefa":   # outer constant pieces widened to [lo, hi]
+            f_lo, f_hi = np.where(lo < f.lo, lo, f.lo), np.where(hi > f.hi, hi, f.hi)
+            outside = False
+        else:
+            f_lo, f_hi, outside = f.lo, f.hi, (lo < f.lo - 1e-9) | (hi > f.hi + 1e-9)
+        # `pwl.clip_arrays` per neuron: clip, then merge breakpoints within `merge`
+        lo_c, hi_c = np.where(f_lo > lo, f_lo, lo), np.where(f_hi < hi, f_hi, hi)
+        merge = pwl.BREAKPOINT_MERGE_TOL * np.fmax(f_hi - f_lo, 1.0)
+        thin = hi_c - lo_c <= merge
+        self._raise_first(outside | (thin & (lo_c > f_hi)), lo, hi)
+        hi_c = np.where(thin, lo_c + merge, hi_c)   # one thin piece [lo, lo + merge]
+        inner = f.breakpoints[1:-1]
+        keep = (inner > (lo_c + merge)[:, None]) & (inner < (hi_c - merge)[:, None])
+        after = np.arange(1, f.num_pieces)   # the piece right of each interior breakpoint
+        first = (inner <= lo_c[:, None]).sum(axis=1)   # right-continuous piece at lo
+        last = np.maximum(first, (keep * after).max(axis=1, initial=0))
+        # the piece left of each kept breakpoint (column 0 multiplies by 0)
+        before = np.maximum(first[:, None], np.roll(keep, 1, axis=1) * (after - 1))
+        # every clipped piece at both ends: lo, hi, and both sides of each kept breakpoint
+        at_inner = np.broadcast_to(inner, keep.shape)
+        at = np.concatenate((lo_c[:, None], hi_c[:, None], at_inner, at_inner), axis=1)
+        piece = np.concatenate((first[:, None], last[:, None],
+                                np.broadcast_to(after, keep.shape), before), axis=1)
+        values = f.slopes[piece] * at + f.intercepts[piece]
+        mask = np.concatenate((np.ones((lo.size, 2), bool), keep, keep), axis=1)
+        return (values.min(axis=1, where=mask, initial=np.inf),
+                values.max(axis=1, where=mask, initial=-np.inf))
+
+    def _raise_first(self, bad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Raise what `instantiate` raises on the first range flagged in `bad`."""
+        if bad.any():
+            self.instantiate(float(lo[bad.argmax()]), float(hi[bad.argmax()]))
 
     @cached_property
     def _base(self) -> PiecewiseLinear:
@@ -181,6 +219,18 @@ class Layer:
     @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
+
+    @cached_property
+    def spec_groups(self) -> tuple[tuple[ActivationSpec, np.ndarray], ...]:
+        """The activated neurons grouped by equal kind and params (arrays by
+        value): (spec, neuron indices) in order of first use."""
+        groups: dict[tuple, tuple[ActivationSpec, list[int]]] = {}
+        for j, spec in enumerate(self.activations):
+            if spec is not None:
+                key = spec.kind, json.dumps(spec.params, sort_keys=True,
+                                            default=lambda v: np.asarray(v).tolist())
+                groups.setdefault(key, (spec, []))[1].append(j)
+        return tuple((spec, np.array(idx)) for spec, idx in groups.values())
 
     @staticmethod
     def dense(weights, bias, activation: ActivationSpec | None) -> "Layer":

@@ -84,7 +84,9 @@ class PiecewiseLinear:
 
     def output_range(self) -> tuple[float, float]:
         """Min/max of the closure of the graph over the full domain."""
-        return pieces_range(self.breakpoints, self.slopes, self.intercepts)
+        left = self.slopes * self.breakpoints[:-1] + self.intercepts
+        right = self.slopes * self.breakpoints[1:] + self.intercepts
+        return float(min(left.min(), right.min())), float(max(left.max(), right.max()))
 
     def is_continuous(self) -> bool:
         """No jump above 1e-9 relative to the largest slope or intercept."""
@@ -116,13 +118,6 @@ def distinct_slopes(slopes: np.ndarray) -> list[float]:
         if abs(a) > 0 and not any(abs(a - s) <= 1e-12 * max(1.0, abs(s)) for s in distinct):
             distinct.append(float(a))
     return distinct
-
-
-def pieces_range(bp, slopes, intercepts) -> tuple[float, float]:
-    """Min/max of the closure of the graph of the pieces (slopes, intercepts) on bp."""
-    left = slopes * bp[:-1] + intercepts
-    right = slopes * bp[1:] + intercepts
-    return float(min(left.min(), right.min())), float(max(left.max(), right.max()))
 
 
 def constant(value: float, lo: float, hi: float) -> PiecewiseLinear:

@@ -6,9 +6,10 @@ from stairverify.bounds import (PreActBounds, _LayerRelax, deeppoly_activation_r
                                 deeppoly_bounds, interval_bounds, output_linear_bound,
                                 relax_activation, upper_corner)
 from stairverify.errors import InputError, ParameterError
-from stairverify.network import ActivationSpec, BoxDomain, Layer, Network
+from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, network_from_json
 
 from helpers import random_quantized_network, tanh_staircase_pair
+from test_model_layout import KINDS, _mixed_query
 
 
 def test_interval_two_inputs():
@@ -320,6 +321,53 @@ def test_matrix_deeppoly_matches_per_neuron_form():
             c = rng.normal(size=net.output_dim)
             old = _reference_back_substitute(c, 0.0, relaxed, box, "upper")
             assert close(output_linear_bound(net, box, c, dp), old)
+
+
+_DOREFA = {"kind": "dorefa", "bits": 2, "lo": -1.0, "hi": 1.0}
+_DECLARED = {"kind": "pwl", "breakpoints": [-30.0, -0.5, 0.0, 0.7, 30.0],
+             "slopes": [0.0, 1.5, -0.5, 0.2], "intercepts": [0.2, 0.95, 0.95, 0.6]}
+
+
+def _mixed_layer_nets():
+    """Layers where activations of several specs and affine neurons meet."""
+    for kind in KINDS:
+        for eps in (0.0, 1e-10, 0.3):
+            query = _mixed_query(kind, eps)
+            yield query.network, query.input_region()
+    rng = np.random.default_rng(17)
+    acts = ([dict(_DOREFA) for _ in range(3)] + [None] + [dict(_DOREFA, bits=1)],
+            [_DOREFA, {"kind": "relu"}, _DECLARED, None, {"kind": "relu"}, _DECLARED, _DOREFA],
+            None)
+    dims = (4, 5, 7, 3)
+    net = network_from_json({
+        "layers": [{"weights": rng.normal(size=(n_out, n_in)).tolist(),
+                    "bias": rng.normal(size=n_out).tolist(), "activation": act}
+                   for n_in, n_out, act in zip(dims, dims[1:], acts)],
+        "input_box": {"lower": [-2.0] * 4, "upper": [2.0] * 4}})
+    yield net, net.input_box
+    yield net, BoxDomain(np.full(4, 0.3), np.full(4, 0.3))
+
+
+def test_interval_bounds_equal_the_per_neuron_loop_on_mixed_layers():
+    for net, box in _mixed_layer_nets():
+        iv = interval_bounds(net, box)
+        ref_lo, ref_hi = _reference_interval_bounds(net, box)
+        for new, old in zip(iv.lower + iv.upper, ref_lo + ref_hi):
+            assert new.tobytes() == old.tobytes()
+    # the equal dorefa specs the file loader built apart share one group
+    first, second = net.layers[0], net.layers[1]
+    assert first.activations[0] == first.activations[1] is not first.activations[0]
+    assert [idx.tolist() for _, idx in first.spec_groups] == [[0, 1, 2], [4]]
+    assert [(spec.kind, idx.tolist()) for spec, idx in second.spec_groups] == [
+        ("dorefa", [0, 6]), ("relu", [1, 4]), ("pwl", [2, 5])]
+
+
+def test_bounds_reject_a_box_of_the_wrong_dimension():
+    net = random_quantized_network(np.random.default_rng(30), n_in=2, hidden=(3,), n_out=2)
+    box = BoxDomain(-np.ones(3), np.ones(3))
+    for bound in (interval_bounds, deeppoly_bounds):
+        with pytest.raises(InputError, match="input box has 3 dimensions, the network takes 2"):
+            bound(net, box)
 
 
 def test_output_bound_rejects_bounds_without_relaxation():

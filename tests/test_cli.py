@@ -81,6 +81,16 @@ def test_bounds_eps_zero_point_evaluation(tmp_path):
     assert doc["layer0/neuron0"] == pytest.approx([val, val], abs=1e-12)
 
 
+def test_bounds_reports_a_ball_that_misses_the_input_box(net_file, tmp_path, capsys):
+    _, netp = net_file
+    inp = tmp_path / "x.json"
+    inp.write_text(json.dumps([5.0, 5.0]))
+    code, out = _run(["bounds", "--net", netp, "--input", str(inp), "--eps", "0.1"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: perturbation ball misses the network input box\n")
+
+
 def test_malformed_network_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -216,21 +216,51 @@ def test_instantiate_matches_reference_construction(spec):
 def _range_outcome(fn, spec, lo, hi):
     try:
         out = fn(spec, lo, hi)
-    except Exception as exc:  # the exception type must match too
-        return type(exc)
+    except Exception as exc:  # the exception type and message must match too
+        return type(exc), str(exc)
     return np.array(out, dtype=float).tobytes()  # bitwise, so -0.0 != 0.0
+
+
+def _scalar_range(spec, lo, hi):
+    return spec.instantiate(lo, hi).output_range()
+
+
+def _batch_ranges(spec, lo, hi):
+    out_lo, out_hi = spec.output_ranges(np.array(lo, dtype=float), np.array(hi, dtype=float))
+    return np.stack((out_lo, out_hi), axis=1).ravel()
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{s.kind}{s.params.get('bits', '')}")
 def test_output_range_matches_instantiated_range(spec):
-    outcomes = []
-    for lo, hi in _instantiate_grid(spec):
-        new = _range_outcome(ActivationSpec.output_range, spec, lo, hi)
-        old = _range_outcome(lambda sp, a, b: sp.instantiate(a, b).output_range(), spec, lo, hi)
-        assert new == old, (spec.kind, lo, hi)
-        outcomes.append(new)
+    grid = _instantiate_grid(spec)
+    outcomes = [_range_outcome(_scalar_range, spec, lo, hi) for lo, hi in grid]
+    for (lo, hi), old in zip(grid, outcomes):   # pair by pair
+        assert _range_outcome(_batch_ranges, spec, [lo], [hi]) == old, (spec.kind, lo, hi)
+    # the whole grid in one batch raises what instantiate raises on its first failing pair
+    failed = [o for o in outcomes if isinstance(o, tuple)]
+    lows, highs = zip(*grid)
+    assert _range_outcome(_batch_ranges, spec, lows, highs) == (
+        failed[0] if failed else b"".join(outcomes))
+    # and every pair instantiate accepts, as a single batch
+    ok = [pair for pair, o in zip(grid, outcomes) if isinstance(o, bytes)]
+    lows, highs = zip(*ok)
+    assert _batch_ranges(spec, lows, highs).tobytes() == b"".join(
+        o for o in outcomes if isinstance(o, bytes))
     # declared domains end at -2 and 1.5, so the grid also checks the error path
-    assert any(o is InputError for o in outcomes) == (spec.kind in ("pwl", "staircase"))
+    assert any(o[0] is InputError for o in failed) == (spec.kind in ("pwl", "staircase"))
+
+
+@pytest.mark.parametrize("spec", _SPECS[-2:], ids=lambda s: s.kind)
+def test_output_ranges_name_the_first_range_a_declared_domain_misses(spec):
+    lo, hi = np.array([-1.0, 0.0, -1.0, 1.0]), np.array([1.0, 1.4, 1.7, 1.9])
+    with pytest.raises(InputError, match=r"pre-activation range \[-1.0, 1.7\]"):
+        spec.output_ranges(lo, hi)
+    spec.output_ranges(lo[:2], hi[:2])
+
+
+def test_output_ranges_reject_an_unknown_kind():
+    with pytest.raises(InputError, match="unknown activation kind 'tanh'"):
+        ActivationSpec("tanh", {}).output_ranges(np.zeros(3), np.ones(3))
 
 
 @pytest.mark.parametrize("kind", ["pwl", "staircase"])

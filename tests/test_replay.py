@@ -90,6 +90,7 @@ def test_replay_records_each_lp_model_and_compare_lists_a_perturbed_row(capsys, 
     doc = replay.replay("exact-bnb", 1, items=2)
     for item in doc["items"]:
         assert all(re.fullmatch(r"[0-9a-f]{64}", item[mode]["model"]) for mode in doc["modes"])
+        assert len({item[mode]["bounds"] for mode in doc["modes"]}) == 1
     assert replay.compare(doc, doc) == 0
     assert "model" not in capsys.readouterr().out
     write_rows = formulations._RowModel._write_rows
@@ -103,3 +104,26 @@ def test_replay_records_each_lp_model_and_compare_lists_a_perturbed_row(capsys, 
     out = capsys.readouterr().out
     for mode in doc["modes"]:
         assert re.search(rf"{mode}: \d+ differing fields\n(  .*\n)*  model: 2 queries\n", out), out
+
+
+def test_replay_records_every_mode_bounds_and_compare_counts_a_changed_bound(capsys,
+                                                                           monkeypatch):
+    from stairverify import bounds
+
+    doc = replay.replay("deeppoly-wide", 1, items=2)
+    assert doc["modes"] == ["deeppoly"]
+    for item in doc["items"]:
+        assert re.fullmatch(r"[0-9a-f]{64}", item["deeppoly"]["bounds"])
+    assert replay.compare(doc, doc) == 0
+    assert "bounds" not in capsys.readouterr().out
+    deeppoly_bounds = bounds.deeppoly_bounds
+
+    def loosened(net, box):   # the first neuron's lower bound one ulp down
+        out = deeppoly_bounds(net, box)
+        out.lower[0] = np.append(np.nextafter(out.lower[0][0], -np.inf), out.lower[0][1:])
+        return out
+
+    monkeypatch.setattr(bounds, "deeppoly_bounds", loosened)
+    replay.compare(doc, replay.replay("deeppoly-wide", 1, items=2))
+    assert re.search(r"deeppoly: \d+ differing fields\n(  .*\n)*  bounds: 2 queries\n",
+                     capsys.readouterr().out)

@@ -11,22 +11,24 @@ The first form builds the queries of a verify workload of
 `perfbench/workloads.py` (relaxed-lp, exact-bnb or deeppoly-wide) for the
 seed, runs every query in each of the workload's modes with its config, and
 writes every `VerifyReport.as_dict()` field except the two times, floats as
-`float.hex`, so two replays compare bit for bit. In an LP mode it adds a
-`model` field: the sha256 of the LP arrays (rows, senses, right-hand sides,
-bounds and objective) of the model `verify` builds for the query. The
-off-benchmark recipes `tanh-style` and `relu` (`tests/helpers.recipe_query`,
-5-8-8-3 nets) take `--eps` in place of a seed and run 12 queries in
-bigm-exact, cayley-exact and cayley-lp with the default config. Both print
-each mode's total time in seconds to three significant digits (for a
-workload, the reports' summed solve and separation time) and nodes. The `oracle-sweep` workload writes each item's
+`float.hex`, so two replays compare bit for bit. Every mode adds a `bounds`
+field, the sha256 of the query's `deeppoly_bounds` lower and upper arrays,
+and an LP mode a `model` field: the sha256 of the LP arrays (rows, senses,
+right-hand sides, bounds and objective) of the model `verify` builds for
+the query. The off-benchmark recipes `tanh-style` and `relu`
+(`tests/helpers.recipe_query`, 5-8-8-3 nets) take `--eps` in place of a
+seed and run 12 queries in bigm-exact, cayley-exact and cayley-lp with the
+default config. Both print each mode's total time in seconds to three
+significant digits (for a workload, the reports' summed solve and
+separation time) and nodes. The `oracle-sweep` workload writes each item's
 `separate_pwl` result instead: the cut (alpha, zcoef, const and y_coef, as
 `float.hex`), None, or the error. The last form prints, per mode, each
 field that differs (how many queries, and the totals of a numeric field;
-`model` counts the queries whose model changed), the largest relative
-change of a target bound, and every verdict change; it exits 1 when a
-verdict changed. On two oracle-sweep replays it lists the items that
-differ and exits 1 when a cut appears or disappears or an error comes or
-goes.
+`bounds` and `model` count the queries whose digest changed), the largest
+relative change of a target bound, and every verdict change; it exits 1
+when a verdict changed. On two oracle-sweep replays it lists the items
+that differ and exits 1 when a cut appears or disappears or an error comes
+or goes.
 """
 
 import argparse
@@ -58,25 +60,35 @@ def _fields(report) -> dict:
     return {k: _hex(v) for k, v in report.as_dict().items() if k not in TIMES}
 
 
-def _model_digest(query, mode: str) -> str:
-    """sha256 of the LP arrays of the model `verify` builds for `query` in LP `mode`."""
-    from stairverify.bounds import deeppoly_bounds
-    from stairverify.formulations import build_query_model
-    from stairverify.verifier import VerifyConfig
-
-    lp = build_query_model(query, VerifyConfig(mode=mode).formulation,
-                           deeppoly_bounds(query.network, query.input_region())).to_lp()
+def _digest(arrays) -> str:
     digest = hashlib.sha256()
-    for a in (lp.rows, lp.senses.astype("U2"), lp.rhs, lp.lower, lp.upper, lp.objective):
+    for a in arrays:
         digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
 
 
-def _with_models(modes: dict, query) -> dict:
-    """`modes` with each LP mode's `model` digest (none for deeppoly or an error)."""
-    for mode, fields in modes.items():
-        if mode != "deeppoly" and "error" not in fields:
-            fields["model"] = _model_digest(query, mode)
+def _model_digest(query, mode: str, preact) -> str:
+    """sha256 of the LP arrays of the model `verify` builds for `query` in LP `mode`."""
+    from stairverify.formulations import build_query_model
+    from stairverify.verifier import VerifyConfig
+
+    lp = build_query_model(query, VerifyConfig(mode=mode).formulation, preact).to_lp()
+    return _digest((lp.rows, lp.senses.astype("U2"), lp.rhs, lp.lower, lp.upper, lp.objective))
+
+
+def _with_digests(modes: dict, query) -> dict:
+    """`modes` with every mode's `bounds` digest and each LP mode's `model`
+    digest (neither for a mode that raised)."""
+    from stairverify.bounds import deeppoly_bounds
+
+    answered = {mode: fields for mode, fields in modes.items() if "error" not in fields}
+    if answered:
+        preact = deeppoly_bounds(query.network, query.input_region())
+        bounds = _digest(preact.lower + preact.upper)
+    for mode, fields in answered.items():
+        fields["bounds"] = bounds
+        if mode != "deeppoly":
+            fields["model"] = _model_digest(query, mode, preact)
     return modes
 
 
@@ -103,7 +115,7 @@ def replay(workload: str, seed: int, items: int | None = None) -> dict:
             totals[mode][1] += rep.nodes
         for mode, kind, message in rec.errors:
             modes[mode] = {"error": f"{kind}: {message}"}
-        out.append(_with_models(modes, work.items[rec.item]))
+        out.append(_with_digests(modes, work.items[rec.item]))
     for mode, (seconds, nodes) in totals.items():
         print(f"{mode}: {seconds:.3g} s, {nodes} nodes")
     return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
@@ -152,7 +164,7 @@ def replay_recipe(recipe: str, eps: float, queries: int = 12) -> dict:
         print(f"{mode}: {time.perf_counter() - t0:.3g} s, "
               f"{sum(item[mode]['nodes'] for item in out)} nodes")
     for j, item in enumerate(out):
-        _with_models(item, recipe_query(recipe, j, eps))
+        _with_digests(item, recipe_query(recipe, j, eps))
     return {"workload": recipe, "seed": None, "eps": eps, "modes": list(RECIPE_MODES),
             "items": out}
 
