@@ -84,13 +84,13 @@ def _is_uniform(values, tol) -> bool:
 
 
 def deeppoly_activation_relax(f: PiecewiseLinear) -> tuple[Line, Line]:
-    """Upper and lower (slope, const) lines of a non-decreasing uniform
-    piecewise-constant staircase.
+    """Upper and lower (slope, const) lines of a uniform piecewise-constant staircase.
 
     The slope applies to the pre-activation value t in f's domain. Cases:
     k = 2 branches on the widths of the outer pieces; k > 2 branches on the
-    first/last widths against the uniform interior step. Non-uniform steps fall
-    back to constant bounds; decreasing staircases are rejected.
+    first/last widths against the uniform interior step; a decreasing staircase
+    takes its negation's lines, negated and swapped. Non-uniform steps, and
+    levels that rise and fall, fall back to constant bounds.
     """
     if np.any(np.abs(f.slopes) > 1e-12):
         raise ParameterError("relaxation rules require a piecewise-constant staircase")
@@ -100,8 +100,10 @@ def deeppoly_activation_relax(f: PiecewiseLinear) -> tuple[Line, Line]:
         c = float(levels[0])
         return (0.0, c), (0.0, c)
     steps = np.diff(levels)
-    if np.any(steps < -1e-12):
-        raise ParameterError("decreasing staircases are not supported by these rules")
+    if np.any(steps < -1e-12) and np.all(steps <= 1e-12):
+        (cu, bu), (cl, bl) = deeppoly_activation_relax(
+            PiecewiseLinear(f.breakpoints, f.slopes, -levels))
+        return (-cl, -bl), (-cu, -bu)
 
     h = f.breakpoints
     widths = np.diff(h)

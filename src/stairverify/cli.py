@@ -70,6 +70,8 @@ def cmd_bounds(args) -> int:
         x0 = _load_vector(args.input)
         if x0.size != net.input_dim:
             raise InputError(f"input has {x0.size} entries, network expects {net.input_dim}")
+        if not np.all(np.isfinite(x0)):
+            raise InputError("anchor input must be finite")
         region = net.input_box.around(x0, args.eps)
     report = deeppoly_bounds(net, region).as_report()
     json.dump(report, sys.stdout, indent=1, sort_keys=True)

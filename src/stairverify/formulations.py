@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import PreActBounds, deeppoly_bounds
-from .errors import InputError
-from .lp import EQUAL, GREATER, LESS, LinearProgram
+from .errors import InputError, ParameterError
+from .lp import EQUAL, GREATER, LESS, LinearProgram, Stacked
 from .network import BoxDomain, Network, Neuron
 from .pwl import distinct_slopes
 # no model build calls retrieve_cut; the benchmark tracer (perfbench/tracing.py) wraps it here
@@ -110,9 +110,10 @@ class _RowModel:
     slab ends `left` and `right`, z columns `z_index`, each neuron's first
     piece at `z_starts` (the count appended). `layers` keeps one trace table
     per layer. `_write_rows` writes every row from these arrays through
-    `_write`, the one row writer, which `add_cut` uses too. The rows live in
-    one dense matrix, grown by doubling, next to their sense and right-hand
-    side arrays: `to_lp` hands them to `LinearProgram` as they are.
+    `_write`, the one row writer, which `add_cut` uses too and which checks
+    each row. The rows live in one dense matrix, grown by doubling, next to
+    their sense and right-hand side arrays: `to_lp` hands them to
+    `LinearProgram` as they are, with one `Stacked` tableau per row set.
     """
 
     def __init__(self, mode: str):
@@ -122,6 +123,7 @@ class _RowModel:
         self.lower, self.upper, self.rhs = np.zeros(0), np.zeros(0), np.zeros(0)
         self._matrix = np.zeros((0, 0))
         self.senses = np.zeros(0, dtype="<U2")
+        self._stacked: Stacked | None = None
         self.objective: np.ndarray | None = None
         self.neurons: dict[tuple[int, int], NeuronFormulation] = {}
         self.activated: list[NeuronFormulation] = []   # in (layer, index) order
@@ -250,6 +252,8 @@ class _RowModel:
     def _write(self, rows, cols, vals, senses, rhs) -> None:
         """Append len(rhs) rows holding `vals` at (`rows`, `cols`), rows counted
         from the first new one, and zero elsewhere."""
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(rhs))):
+            raise ParameterError("row coefficients must be finite")
         m, cap = self.rhs.size, len(self._matrix)
         if m + len(rhs) > cap:   # double the rows; the first rows set the width
             grown = np.zeros((cap + max(64, m + len(rhs), cap), self.num_vars()))
@@ -258,6 +262,7 @@ class _RowModel:
         self._matrix[m + rows, cols] = vals
         self.senses = np.append(self.senses, senses)
         self.rhs = np.append(self.rhs, rhs)
+        self._stacked = None
 
     def add_cut(self, nf: NeuronFormulation, cut: Cut) -> bool:
         """Install a cut row unless an equal one (up to 1e-10) is pooled already."""
@@ -276,10 +281,13 @@ class _RowModel:
 
     def to_lp(self, upper: np.ndarray | None = None) -> LinearProgram:
         """The LP maximizing the objective, its rows a view of the model's (not
-        to be written); `upper` replaces the variable upper bounds (a B&B node)."""
-        return LinearProgram("max", self.objective.copy(), self._matrix[:self.rhs.size],
-                             self.senses, self.rhs, self.lower.copy(),
-                             self.upper.copy() if upper is None else upper)
+        to be written) and shared tableau; `upper` replaces the variable upper
+        bounds (a B&B node)."""
+        rows = self._matrix[:self.rhs.size]
+        self._stacked = self._stacked or Stacked(rows, self.senses)
+        return LinearProgram("max", self.objective.copy(), rows, self.senses, self.rhs,
+                             self.lower.copy(), self.upper.copy() if upper is None else upper,
+                             self._stacked)
 
     def activated_neurons(self) -> list[NeuronFormulation]:
         return self.activated

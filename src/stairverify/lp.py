@@ -7,8 +7,8 @@ authority for the toolkit: pivot tolerance 1e-9, feasibility tolerance 1e-7.
 An LP is one dense (m, n) row matrix with its row senses and right-hand
 sides, validated once when it is made. Every solve, with rows or without,
 takes one path: the tableau [A | I] appends one slack per row, bounded by the
-row's sense, to the variable bounds. Infinite bounds use the sentinel +/-1e30
-and never enter arithmetic beyond comparisons.
+row's sense, to the variable bounds; a model's LPs share one `Stacked` [A | I].
+Infinite bounds use the sentinel +/-1e30, compared but never computed with.
 
 A start whose basic values lie outside their bounds (a cold start, a
 branch-and-bound child, appended cut rows, a new objective) is repaired in
@@ -23,12 +23,13 @@ takes it instead of inverting again: a copy under the same rows, bordered
 as [[B^-1, 0], [-R_B B^-1, I]] after rows R were appended. No solve inverts
 its final basis: the basic values are recomputed from the updated inverse,
 which is inverted afresh only when their row residual exceeds 1e-9 relative
-to the right-hand side, or after 64 product-form updates.
+to the right-hand side, or after 64 product-form updates. An infeasibility
+proof on an updated inverse recomputes its row with one solve of B^T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +40,15 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
+
+
+class Stacked:
+    """[rows | I] of a row set; slack i >= 0 under LESS, <= 0 under GREATER, 0 under EQUAL."""
+
+    def __init__(self, rows: np.ndarray, senses: np.ndarray):
+        self.A = np.hstack([rows, np.eye(len(senses))])
+        self.lower = np.where(senses == GREATER, -INF, 0.0)
+        self.upper = np.where(senses == LESS, INF, 0.0)
 
 
 @dataclass
@@ -53,8 +63,11 @@ class LinearProgram:
     rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    stacked: Stacked | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.stacked is not None:
+            return   # a model's LP: the model checked each row as it wrote it
         self.objective = np.asarray(self.objective, dtype=float)
         n = self.objective.size
         if self.sense not in ("max", "min"):
@@ -89,6 +102,7 @@ class LinearProgram:
                               np.append(self.senses, sense), np.append(self.rhs, rhs),
                               self.lower, self.upper)
         self.rows, self.senses, self.rhs = grown.rows, grown.senses, grown.rhs
+        self.stacked = None
 
 
 @dataclass
@@ -104,6 +118,7 @@ class LpSolution:
     binv: np.ndarray | None = None           # inverse of the columns of `basis`
     binv_updates: int = 0                    # product-form updates since its inversion
     refactorizations: int = 0                # basis inversions this solve made
+    lp: LinearProgram | None = field(default=None, repr=False, compare=False)   # the LP solved
 
 
 class _Tableau:
@@ -112,10 +127,10 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         m, n = lp.rows.shape
         self.m, self.n = m, n
-        self.A = np.hstack([lp.rows, np.eye(m)])
-        # slack i of row i: >= 0 under LESS, <= 0 under GREATER, 0 under EQUAL
-        self.lower = np.concatenate([lp.lower, np.where(lp.senses == GREATER, -INF, 0.0)])
-        self.upper = np.concatenate([lp.upper, np.where(lp.senses == LESS, INF, 0.0)])
+        stacked = lp.stacked or Stacked(lp.rows, lp.senses)
+        self.A = stacked.A
+        self.lower = np.concatenate([lp.lower, stacked.lower])
+        self.upper = np.concatenate([lp.upper, stacked.upper])
         self.b = lp.rhs
         self.refactorizations = 0
 
@@ -197,7 +212,7 @@ def _dual_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray, max_iter: int) ->
     bound pushes it back, the dual ratio test enters the one whose reduced
     cost reaches 0 first, ties within PIVOT_TOL to the largest |pivot|. A
     leaving row that no column can push proves the LP infeasible, on a
-    fresh inverse."""
+    fresh inverse or a fresh row (`_proves_infeasible`)."""
     iters = 0
     basic_mask = np.zeros(tab.m + tab.n, dtype=bool)
     basic_mask[tab.basis] = True
@@ -213,10 +228,9 @@ def _dual_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray, max_iter: int) ->
         target = lo[r] if below[r] > 0 else hi[r]
         # row r of binv @ [A I], signed so that raising a column with a
         # negative entry moves x[basis[r]] toward its target
-        alpha = (tab.binv[r] @ tab.A) * (1.0 if below[r] > 0 else -1.0)
-        at_lower, at_upper = _bound_masks(tab, x)
-        cand = np.flatnonzero(movable & ~basic_mask & (((alpha < -PIVOT_TOL) & ~at_upper)
-                                                       | ((alpha > PIVOT_TOL) & ~at_lower)))
+        sign = 1.0 if below[r] > 0 else -1.0
+        alpha, free = (tab.binv[r] @ tab.A) * sign, movable & ~basic_mask
+        cand = _pushers(tab, x, alpha, free)
         if cand.size:
             ratio = np.maximum(-_reduced_costs(tab, cost)[cand] / alpha[cand], 0.0)
             ties = cand[ratio <= ratio.min() + PIVOT_TOL]
@@ -224,7 +238,7 @@ def _dual_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray, max_iter: int) ->
             col = tab.binv @ tab.A[:, entering]
         if not cand.size or (abs(col[r]) < FEAS_TOL and tab.updates):
             # no column, or a tiny pivot, on an updated inverse may be drift
-            if not tab.updates:
+            if not tab.updates or (not cand.size and _proves_infeasible(tab, x, r, sign, free)):
                 return "infeasible", iters
             tab.refactor()
             _set_basic_values(tab, x)
@@ -238,6 +252,27 @@ def _dual_loop(tab: _Tableau, cost: np.ndarray, x: np.ndarray, max_iter: int) ->
         basic_mask[entering] = True
         _pivot(tab, col, r, entering)
         iters += 1
+
+
+def _pushers(tab: _Tableau, x: np.ndarray, alpha: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The `free` columns whose move off their bound pushes the signed row `alpha` up."""
+    at_lo, at_hi = _bound_masks(tab, x)
+    return np.flatnonzero(free & (((alpha < -PIVOT_TOL) & ~at_hi) | ((alpha > PIVOT_TOL) & ~at_lo)))
+
+
+def _proves_infeasible(tab: _Tableau, x: np.ndarray, r: int, sign: float,
+                       free: np.ndarray) -> bool:
+    """Whether row r of B^-1, afresh from one solve with B^T, confirms the
+    proof: x_B[r] still misses its bound on the `sign` side, and no `free`
+    column pushes it back."""
+    try:
+        row = np.linalg.solve(tab.A[:, tab.basis].T, np.eye(tab.m)[r])
+    except np.linalg.LinAlgError:
+        return False
+    j = tab.basis[r]
+    value = x[j] + row @ (tab.b - tab.A @ x)   # row @ A x_B is x_B[r]
+    miss = tab.lower[j] - value if sign > 0 else value - tab.upper[j]
+    return miss > FEAS_TOL and not _pushers(tab, x, sign * (row @ tab.A), free).size
 
 
 def _move(tab: _Tableau, x: np.ndarray, entering: int, direction: float,
@@ -333,16 +368,17 @@ def solve(lp: LinearProgram, warm: LpSolution | None = None) -> LpSolution:
     point, clipped into the current bounds, start the solve when that basis
     is still nonsingular; any numerical failure under a warm start (the
     cycling guard included) falls back to the cold start before being
-    reported. `warm.binv`, the inverse of its basis, is taken when it
-    inverts this LP's old basis columns (one O(m^2) probe, which a warm
-    solution of another LP fails), bordered by the appended rows; otherwise
-    the basis is inverted afresh. Basic values outside their bounds, from
-    any start, are repaired by the bounded dual simplex (`dual_iterations`)
-    after `_dual_start`; the primal simplex (`iterations`) then finishes. A
-    `warm` with an empty basis is a start point, its x clipped into the
-    bounds on the slack basis: the dual simplex runs only from a point that
-    misses a row by more than FEAS_TOL. Bounds that cross by more than
-    FEAS_TOL make the LP infeasible before any solve.
+    reported. `warm.binv`, the inverse of its basis, is copied from a `warm`
+    of the same `stacked` tableau, else taken when it inverts this LP's old
+    basis columns (one O(m^2) probe), bordered by the appended rows, else
+    inverted afresh. Basic values outside their bounds, from any start, are
+    repaired by the bounded dual simplex (`dual_iterations`) after
+    `_dual_start`, which a `warm` of the same tableau and objective skips,
+    its basis being dual feasible; the primal simplex (`iterations`) then
+    finishes. A `warm` with an empty basis is a start point, its x clipped
+    into the bounds on the slack basis: the dual simplex runs only from a
+    point that misses a row by more than FEAS_TOL. Bounds that cross by more
+    than FEAS_TOL make the LP infeasible before any solve.
     """
     if np.any(lp.lower > lp.upper + FEAS_TOL):
         return LpSolution(status="infeasible")
@@ -402,8 +438,11 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
     warm_used = basis is not None
     tab.basis = np.array(basis if warm_used else range(n, n + m), dtype=np.intp)
     old = len(warm.basis) if warm_used else 0
+    same = old and lp.stacked is not None and warm.lp is not None and warm.lp.stacked is lp.stacked
     if not old:
         tab.use(np.eye(m))   # the slack basis
+    elif same:
+        tab.use(warm.binv.copy(), warm.binv_updates)
     elif _inverts(warm.binv, tab.A[:old, tab.basis[:old]]):
         binv = np.eye(m)
         binv[:old, :old] = warm.binv
@@ -421,11 +460,14 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
 
     def done(status: str, **fields) -> LpSolution:
         return LpSolution(status, dual_iterations=it_dual, warm_used=warm_used,
-                          refactorizations=tab.refactorizations, **fields)
+                          refactorizations=tab.refactorizations, lp=lp, **fields)
 
     xb, lo, hi = x[tab.basis], tab.lower[tab.basis], tab.upper[tab.basis]
     if np.any(xb < lo - FEAS_TOL) or np.any(xb > hi + FEAS_TOL):
-        status, it_dual = _dual_loop(tab, _dual_start(tab, cost, x), x, max_iter)
+        optimal = same and warm.lp.sense == lp.sense and np.array_equal(warm.lp.objective,
+                                                                        lp.objective)
+        status, it_dual = _dual_loop(tab, cost if optimal else _dual_start(tab, cost, x), x,
+                                     max_iter)
         if status == "infeasible":
             return done("infeasible")
 

@@ -3,9 +3,10 @@
 A query is robust when every target-attack optimum stays below the threshold.
 Every LP mode builds one model per query and runs one loop over the targets;
 a target changes only the model's objective, so rows and pooled hull cuts
-carry over. The first LP of a query and every branch-and-bound root start at
-a feasible forward-pass point. Relaxed modes bound a target by its LP, later
-targets warm-started from the previous target's last solution; cayley-lp's
+carry over. The first LP of a query starts at a feasible forward-pass point,
+each later target's first LP at the previous target's last relaxed solution
+or branch-and-bound root, whose basis stays primal feasible. Relaxed modes
+bound a target by its LP, and cayley-lp's
 cut loop, `_solve_with_cuts`, alternates solving with per-neuron separation
 until no pooled-new cut is violated or its round cap is reached, and a flat
 staircase neuron is separated in one direction per point. Exact modes run
@@ -86,7 +87,7 @@ class VerifyReport:
     pivots, which bring every LP start that misses its bounds (a cold
     start, a branch-and-bound child, a re-solve after cut rows) to a
     feasible basis, and `lp_phase2_iterations` the primal simplex's pivots
-    from there to the optimum."""
+    from there to the optimum, over `lp_solves` solves."""
     verdict: str                      # robust | falsified | unknown
     target_bounds: dict = field(default_factory=dict)   # target -> best upper bound
     counterexample: np.ndarray | None = None
@@ -99,6 +100,7 @@ class VerifyReport:
     separation_failures: int = 0      # oracle errors inside the cut loop
     separation_calls: int = 0         # (neuron, direction) points the cut loop checked
     separation_screened: int = 0      # of those, answered by the vertex screen
+    lp_solves: int = 0
     lp_phase2_iterations: int = 0
     lp_dual_iterations: int = 0
     warm_solves: int = 0              # LP solves that started from a warm solution
@@ -114,8 +116,9 @@ class VerifyReport:
 
 
 def _solve(lp, warm, report: VerifyReport):
-    """`lp.solve` with its iteration, warm-start and inversion counts added to `report`."""
+    """`lp.solve`, counted with its iteration, warm-start and inversion counts in `report`."""
     sol = solve(lp, warm)
+    report.lp_solves += 1
     report.lp_phase2_iterations += sol.iterations
     report.lp_dual_iterations += sol.dual_iterations
     report.warm_solves += sol.warm_used
@@ -193,18 +196,19 @@ def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyRep
     deadline = t0 + config.timeout
     preact = bounds_mod.deeppoly_bounds(query.network, query.input_region())
     model = build_query_model(query, config.formulation, preact)
-    sol = None
+    start = None   # the previous target's last relaxed solution or root solution
     for target in query.targets():
         if time.monotonic() > deadline:
             report.verdict = "unknown"
             report.diagnostic = TIMEOUT
             break
         model.set_target(target)
+        warm = _forward_start(model) if start is None else start
         if config.is_exact:
-            value, sol, diag = _branch_and_bound(model, config, deadline, report)
+            value, sol, diag, start = _branch_and_bound(model, config, deadline, report, warm)
         else:
-            warm = _forward_start(model) if sol is None else sol
             value, sol, diag = _solve_with_cuts(model, config, report, deadline, warm)
+            start = sol
         report.diagnostic = diag or report.diagnostic
         if value is None:
             report.verdict = "unknown"
@@ -320,24 +324,25 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
 
 
 def _branch_and_bound(model: QueryModel, config: VerifyConfig,
-                      deadline: float, report: VerifyReport):
-    """Best-first search; returns (upper bound, incumbent LpSolution, diagnostic).
+                      deadline: float, report: VerifyReport, start: LpSolution):
+    """Best-first search; returns (upper bound, incumbent, diagnostic, root).
 
     A node is the model's variable upper bounds with the z of every piece
     its branches dropped at 0. Each node's LP is solved once, with the
     model's rows and no separation; a node is pushed only to be branched,
     and dropped when its LP has no optimum. An integral node's LP value is
     exact, since seeds or Big-M rows pin its point to its pieces. The root
-    LP starts from `_forward_start`, node LPs from the parent's solution.
-    Without a limit the bound is the exact optimum, attained by the
-    incumbent (None when no node is feasible). The search stops at this
-    target's node limit or the deadline; the bound is then the larger of the
-    best open node's bound and the incumbent's value, which is sound, and
-    the diagnostic names the limit.
+    LP starts from `start` (a `_forward_start` point, or the previous
+    target's root), node LPs from the parent's solution; `root` is the root
+    LP's optimal solution, if any. Without a limit the bound is the exact
+    optimum, attained by the incumbent LpSolution (None when no node is
+    feasible). The search stops at this target's node limit or the deadline;
+    the bound is then the larger of the best open node's bound and the
+    incumbent's value, which is sound, and the diagnostic names the limit.
     """
     serial = itertools.count()
     incumbent = -np.inf
-    incumbent_sol = None
+    incumbent_sol = root = None
     heap: list[_Node] = []
     node_budget = report.nodes + config.node_limit
 
@@ -346,9 +351,9 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
 
     def stop(limit, open_bound):
         report.gap_percent = max(report.gap_percent, _gap_percent(open_bound, incumbent))
-        return max(open_bound, incumbent), incumbent_sol, limit
+        return max(open_bound, incumbent), incumbent_sol, limit, root
 
-    push(np.array(model.upper), np.inf, _forward_start(model))
+    push(np.array(model.upper), np.inf, start)
     while heap:
         if time.monotonic() > deadline:
             return stop(TIMEOUT, -heap[0].neg_bound)
@@ -361,6 +366,7 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
         sol = _solve(model.to_lp(node.upper), node.warm, report)
         if sol.status != "optimal" or sol.objective <= incumbent + MIP_GAP:
             continue
+        root = root or sol   # the root's, since no node follows a root without optimum
         bound = sol.objective
         allowed = _branch_pieces(model, sol.x, node.upper)
         if len(allowed) <= 1:
@@ -372,7 +378,7 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
             child = node.upper.copy()
             child[dropped] = 0.0
             push(child, bound, sol)
-    return incumbent, incumbent_sol, ""
+    return incumbent, incumbent_sol, "", root
 
 
 def _branch_pieces(model: QueryModel, x: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from stairverify import pwl
 from stairverify.bounds import (PreActBounds, _LayerRelax, deeppoly_activation_relax,
                                 deeppoly_bounds, interval_bounds, output_linear_bound,
                                 relax_activation, upper_corner)
-from stairverify.errors import InputError, ParameterError
+from stairverify.errors import InputError
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, network_from_json
 
 from helpers import random_quantized_network, tanh_staircase_pair
@@ -95,10 +95,34 @@ def test_nonuniform_quantizer_falls_back_to_constants():
     assert lb[0] == 0.0 and lb[1] == 0.0
 
 
-def test_decreasing_quantizer_rejected():
+def test_decreasing_quantizer_mirrors_the_increasing_rules():
+    # a non-increasing staircase takes the lines of its negation, negated and
+    # swapped; levels that rise and fall take constant lines at their extremes
     f = pwl.PiecewiseLinear([0.0, 0.5, 1.0], np.zeros(2), [1.0, 0.0])
-    with pytest.raises(ParameterError):
-        deeppoly_activation_relax(f)
+    assert deeppoly_activation_relax(f) == ((-2.0, 2.0), (0.0, 0.0))
+    rng = np.random.default_rng(29)
+    cases = [f, pwl.PiecewiseLinear([-10.0, -0.5, 0.5, 10.0], np.zeros(3), [1.0, 0.0, -1.0])]
+    for uniform in [True, False] * 15:   # uniform steps, where the sloped rules apply
+        k = int(rng.integers(2, 6))
+        inner = (np.arange(k - 1) * rng.uniform(0.1, 1.0) if uniform
+                 else np.sort(rng.uniform(0.0, 2.0, size=k - 1)))
+        bp = np.concatenate(([-rng.uniform(0.05, 2.0)], inner, [inner[-1] + rng.uniform(0.05, 2.0)]))
+        drops = np.full(k, rng.uniform(0.2, 1.0)) if uniform else rng.uniform(0.2, 1.0, size=k)
+        cases.append(pwl.PiecewiseLinear(bp, np.zeros(k), -np.cumsum(drops)))
+    for f in cases:
+        upper, lower = deeppoly_activation_relax(f)
+        mirrored = pwl.PiecewiseLinear(f.breakpoints, f.slopes, -f.intercepts)
+        (mu, mb), (ml, mlb) = deeppoly_activation_relax(mirrored)
+        assert upper == (-ml, -mlb) and lower == (-mu, -mb)
+        # sound at sampled points and at both ends of every piece
+        ts = np.concatenate((rng.uniform(f.lo, f.hi, size=200), f.breakpoints[:-1],
+                             f.breakpoints[1:]))
+        ys = np.concatenate((f.batch(ts[:200]), f.intercepts, f.intercepts))
+        scale = 1e-9 * max(1.0, float(np.abs(f.breakpoints).max()))
+        assert np.all(upper[0] * ts + upper[1] >= ys - scale)
+        assert np.all(lower[0] * ts + lower[1] <= ys + scale)
+    rise_and_fall = pwl.PiecewiseLinear([0.0, 1.0, 2.0, 3.0], np.zeros(3), [0.0, 1.0, 0.5])
+    assert deeppoly_activation_relax(rise_and_fall) == ((0.0, 1.0), (0.0, 0.0))
 
 
 def test_deeppoly_equals_interval_on_single_affine_layer():

@@ -350,6 +350,16 @@ def test_bounds_rejects_bad_eps(net_file, tmp_path, capsys, eps):
     assert capsys.readouterr().err.startswith("error: --eps must be a nonnegative number")
 
 
+@pytest.mark.parametrize("anchor", [[float("nan"), 0.0], [0.0, float("inf")]])
+def test_bounds_rejects_a_non_finite_anchor(net_file, tmp_path, capsys, anchor):
+    _, netp = net_file
+    inp = tmp_path / "x.json"
+    inp.write_text(json.dumps(anchor))
+    code, out = _run(["bounds", "--net", netp, "--input", str(inp), "--eps", "0.1"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: anchor input must be finite")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--timeout", "nan", "timeout must be positive"),
     ("--timeout", "0", "timeout must be positive"),

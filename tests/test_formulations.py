@@ -434,3 +434,23 @@ def test_pinned_neurons_have_one_piece(kind, case):
         assert all(len(nf.z_vars) == 1 for nf in pinned)
         seen += len(pinned)
     assert seen > 0
+
+
+def test_a_row_with_a_non_finite_entry_raises_when_written():
+    # a model's LPs take its rows unchecked: `_write` checks each one
+    from stairverify.errors import ParameterError
+    from stairverify.separation import Cut
+
+    model = build_query_model(recipe_query("relu", 0), CAYLEY)
+    nf = max(model.activated_neurons(), key=lambda nf: len(nf.z_vars))
+    before, pool = model.to_lp(), set(nf.pool)
+    dim, k = nf.neuron.weight.size, len(nf.z_vars)
+    for cut in (Cut(UPPER, np.full(dim, np.nan), np.zeros(k)),
+                Cut(UPPER, np.zeros(dim), np.array([np.inf] + [0.0] * (k - 1))),
+                Cut(UPPER, np.zeros(dim), np.zeros(k), const=-np.inf)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            model.add_cut(nf, cut)
+    after = model.to_lp()
+    assert nf.pool == pool and after.stacked is before.stacked
+    assert np.array_equal(after.rows, before.rows) and np.array_equal(after.rhs, before.rhs)
+    assert solve(after).status == "optimal"

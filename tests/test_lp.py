@@ -953,6 +953,79 @@ def test_dual_simplex_after_tightened_upper_bounds_matches_the_referee():
     assert dual >= 40 and infeasible >= 5
 
 
+def test_leaving_row_proof_matches_the_referee(monkeypatch):
+    # chains of children whose bounds tighten until some are infeasible: where
+    # no column can push the leaving row on an updated inverse, one solve with
+    # B^T decides, and the answer is the referee's
+    prove, proofs = lp_mod._proves_infeasible, []
+
+    def spy(*args):
+        proofs.append(prove(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(lp_mod, "_proves_infeasible", spy)
+    rng = np.random.default_rng(36)
+    statuses = set()
+    for _ in range(120):
+        n, m = int(rng.integers(3, 10)), int(rng.integers(2, 8))
+        lp = _random_bounded_lp(rng, n, m)
+        sol = solve(lp)
+        for _ in range(4):
+            if sol.status != "optimal":
+                break
+            for j in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+                # move one bound toward the other, past the optimum
+                width, keep = lp.upper[j] - lp.lower[j], rng.uniform(0.0, 0.6)
+                if rng.random() < 0.5:
+                    lp.upper[j] = lp.lower[j] + keep * (min(sol.x[j], lp.upper[j]) - lp.lower[j])
+                else:
+                    lp.lower[j] = lp.upper[j] - keep * width
+            warm = solve(lp, sol)
+            status, value = _referee(lp)
+            assert warm.warm_used and warm.status == status
+            if status == "optimal":
+                assert abs(warm.objective - value) <= 1e-9 * max(1.0, abs(value))
+            statuses.add(status)
+            sol = warm
+    assert statuses == {"optimal", "infeasible"}
+    assert sum(proofs) >= 40
+
+
+def test_a_stale_leaving_row_is_refuted_by_the_fresh_row():
+    # a leaving row of the updated inverse that no column can push (zeroed
+    # here) is checked on a fresh row: the LP stays feasible, so the row
+    # admits a column, the inverse is refreshed once, and the solve goes on
+    rng = np.random.default_rng(37)
+    refuted = 0
+    for _ in range(60):
+        n, m = int(rng.integers(3, 10)), int(rng.integers(2, 8))
+        lp = _random_bounded_lp(rng, n, m)
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        j = int(rng.integers(n))
+        lp.upper[j] = 0.5 * (lp.lower[j] + np.clip(sol.x[j], lp.lower[j], lp.upper[j]))
+        status, value = _referee(lp)
+        tab = lp_mod._Tableau(lp)
+        tab.basis = np.array(sol.basis)
+        tab.use(sol.binv.copy(), 1)
+        x = lp_mod._initial_point(tab)
+        x[:n] = np.clip(sol.x, lp.lower, lp.upper)
+        lp_mod._set_basic_values(tab, x)
+        cost = np.concatenate(((1.0 if lp.sense == "min" else -1.0) * lp.objective, np.zeros(m)))
+        shifted = lp_mod._dual_start(tab, cost, x)
+        xb, lo, hi = x[tab.basis], tab.lower[tab.basis], tab.upper[tab.basis]
+        miss = np.maximum(lo - xb, xb - hi)
+        r = int(np.argmax(miss))
+        if status != "optimal" or miss[r] <= FEAS_TOL:
+            continue
+        tab.binv[r] = 0.0
+        assert lp_mod._dual_loop(tab, shifted, x, 10000)[0] == "optimal"
+        assert tab.refactorizations == 1
+        refuted += 1
+    assert refuted >= 15
+
+
 def test_appended_rows_border_the_inverse():
     rng = np.random.default_rng(33)
     bordered = 0

@@ -39,8 +39,7 @@ def test_recipe_replay_runs_the_three_modes(capsys):
     for report in item.values():
         assert "solve_time" not in report and report["verdict"] in ("robust", "falsified")
         assert all(isinstance(v, str) for v in report["target_bounds"].values())
-    out = capsys.readouterr().out
-    assert all(f"{mode}: " in out for mode in doc["modes"])
+    _check_totals(doc, capsys.readouterr().out.splitlines())
     assert replay.compare(doc, doc) == 0
     with pytest.raises(SystemExit, match="different corpora"):
         replay.compare(doc, {**doc, "eps": 0.1})
@@ -72,16 +71,31 @@ def test_oracle_sweep_replay_lists_changed_cuts(capsys):
         replay.compare(doc, {**doc, "seed": 2})
 
 
+LINE = re.compile(r"(\S+): (\d[\d.e+-]*) s, (\d+) nodes, (\d+) solves, (\d+) pivots, "
+                  r"(\d+) inversions")
+
+
+def _check_totals(doc, lines):
+    """Each mode's line sums its reports' nodes, LP solves, pivots and inversions."""
+    assert len(lines) == len(doc["modes"])
+    for mode, line in zip(doc["modes"], lines):
+        name, seconds, *counts = LINE.fullmatch(line).groups()
+        assert name == mode and float(seconds) > 0.0
+        reports = [item[mode] for item in doc["items"]]
+        assert [int(c) for c in counts] == [
+            sum(r[key] for r in reports) for key in ("nodes", "lp_solves")] + [
+            sum(r["lp_dual_iterations"] + r["lp_phase2_iterations"] for r in reports),
+            sum(r["lp_refactorizations"] for r in reports)]
+        assert int(counts[1]) >= int(counts[0]) and int(counts[1]) > 0
+
+
 def test_corpus_replay_prints_each_mode_time_and_nodes(capsys):
     doc = replay.replay("exact-bnb", 1, items=3)
     assert (doc["workload"], doc["modes"], len(doc["items"])) == (
         "exact-bnb", ["bigm-exact", "cayley-exact"], 3)
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    for mode, line in zip(doc["modes"], lines):
-        name, seconds, nodes = re.fullmatch(r"(\S+): (\d[\d.e+-]*) s, (\d+) nodes", line).groups()
-        assert name == mode and float(seconds) > 0.0
-        assert int(nodes) == sum(item[mode]["nodes"] for item in doc["items"])
+    _check_totals(doc, capsys.readouterr().out.splitlines())
+    for item in doc["items"]:
+        assert all(item[mode]["lp_solves"] >= item[mode]["nodes"] > 0 for mode in doc["modes"])
 
 
 def test_replay_records_each_lp_model_and_compare_lists_a_perturbed_row(capsys, monkeypatch):

@@ -287,6 +287,39 @@ def test_negative_slope_staircase_end_to_end():
     assert relax.target_bounds[1 - label] >= truth - 1e-7
 
 
+def test_falling_staircases_end_to_end():
+    # flat staircases whose levels fall, and whose levels rise and fall: every
+    # mode answers, the exact modes reach the exhaustive optimum, and the
+    # relaxed and DeepPoly bounds stay above it
+    from stairverify.network import ActivationSpec
+
+    bp = [-10.0, -0.5, 0.5, 10.0]
+    specs = [ActivationSpec("staircase", {"breakpoints": bp, "slopes": [0.0] * 3,
+                                          "intercepts": levels})
+             for levels in ([1.0, 0.0, -1.0], [0.0, 1.0, -0.5])]
+    searched = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        net = Network((Layer.dense(rng.normal(size=(4, 3)), rng.normal(size=4) * 0.3,
+                                   specs[seed % 2]),
+                       Layer.dense(rng.normal(size=(2, 4)), rng.normal(size=2) * 0.3, None)),
+                      BoxDomain(-np.ones(3), np.ones(3)))
+        x0 = rng.uniform(-0.5, 0.5, size=3)
+        label = int(np.argmax(net.forward(x0)))
+        q = VerificationQuery(net, x0, 0.3, label, 1 - label)
+        truth = exhaustive_verify(build_query_model(q, BIGM))
+        for mode in ("deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"):
+            rep = verify(q, VerifyConfig(mode=mode, timeout=60))
+            bound = rep.target_bounds[1 - label]
+            if mode.endswith("exact"):
+                assert rep.verdict == ("robust" if truth <= 1e-9 else "falsified"), (seed, mode)
+                assert bound == pytest.approx(truth, rel=1e-9, abs=1e-9), (seed, mode)
+                searched += rep.nodes > 1
+            else:
+                assert bound >= truth - 1e-7, (seed, mode)
+    assert searched >= 10
+
+
 @pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
 def test_each_query_builds_its_bounds_once(mode, monkeypatch):
     rng = np.random.default_rng(73)
@@ -692,26 +725,72 @@ def _meets_every_row(lp, x, tol):
 @pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
 def test_first_solve_and_every_root_skip_phase_one(mode, monkeypatch):
     from stairverify import verifier
-    solve_ = verifier.solve
-    starts = []
+    solve_, bnb = verifier.solve, verifier._branch_and_bound
+    solves, roots = [], []   # every (warm, solution); per target the root's start and solve
 
     def spy(lp, warm=None, *args):
-        sol = solve_(lp, warm, *args)
-        if warm is not None and warm.basis == []:
-            starts.append(sol)
-        return sol
+        solves.append((warm, solve_(lp, warm, *args)))
+        return solves[-1][1]
+
+    def spy_bnb(model, config, deadline, report, start):
+        first = len(solves)
+        out = bnb(model, config, deadline, report, start)
+        assert out[3] is solves[first][1]   # the root solution it returns
+        roots.append((start, solves[first]))
+        return out
 
     monkeypatch.setattr(verifier, "solve", spy)
+    monkeypatch.setattr(verifier, "_branch_and_bound", spy_bnb)
     for q in _start_queries():
-        starts.clear()
+        solves.clear()
+        roots.clear()
         report = verify(q, VerifyConfig(mode=mode, timeout=60))
         assert report.verdict == "robust" and len(report.target_bounds) == 2
-        # the first relaxed solve of the query, or the root of every target
-        assert len(starts) == (2 if mode.endswith("exact") else 1)
-        for sol in starts:
+        # the first solve of the query starts at the forward point, and no other
+        assert solves[0][0].basis == []
+        assert sum(warm is not None and warm.basis == [] for warm, _ in solves) == 1
+        starts = [solves[0]]
+        if mode.endswith("exact"):
+            # the first root is that solve, and every later root starts from
+            # the previous root's solution
+            assert len(roots) == 2 and roots[0][1] is solves[0]
+            assert roots[1][0] is roots[0][1][1]
+            starts = [pair for start, pair in roots if pair[0] is start]
+            assert len(starts) == 2
+        for _, sol in starts:
             # a feasible start: the dual simplex has nothing to repair
             assert sol.status == "optimal" and sol.warm_used
             assert sol.dual_iterations == 0
+
+
+@pytest.mark.parametrize("mode", ["bigm-exact", "cayley-exact"])
+def test_warm_roots_match_cold_roots(mode, monkeypatch):
+    # every root after a query's first starts from the previous target's root
+    # solution: per target, the bound is the one a forward start at every
+    # root gives
+    import dataclasses
+    from stairverify import verifier
+    from test_model_layout import KINDS, _mixed_query
+
+    queries = [dataclasses.replace(recipe_query(recipe, j, eps), xi=1e9)
+               for recipe in ("tanh-style", "relu") for j in range(6) for eps in (0.05, 0.1)]
+    queries += [_mixed_query(kind, eps) for kind in KINDS for eps in (0.05, 0.3)]
+    warm = [verify(q, VerifyConfig(mode=mode, timeout=60)) for q in queries]
+    bnb = verifier._branch_and_bound
+
+    def cold(model, config, deadline, report, start):
+        return bnb(model, config, deadline, report, verifier._forward_start(model))
+
+    monkeypatch.setattr(verifier, "_branch_and_bound", cold)
+    later = 0
+    for q, w in zip(queries, warm):
+        c = verify(q, VerifyConfig(mode=mode, timeout=60))
+        assert w.verdict == c.verdict and w.diagnostic == c.diagnostic == ""
+        assert w.target_bounds.keys() == c.target_bounds.keys()
+        for target, bound in c.target_bounds.items():
+            assert w.target_bounds[target] == pytest.approx(bound, rel=1e-9, abs=1e-9)
+        later += len(w.target_bounds) - 1
+    assert later >= 24
 
 
 @pytest.mark.parametrize("mode", ["bigm", "cayley"])
@@ -756,9 +835,9 @@ def test_node_limit_applies_to_each_target(monkeypatch):
     bnb = verifier._branch_and_bound
     nodes = []
 
-    def spy(model, config, deadline, report):
+    def spy(model, config, deadline, report, start):
         before = report.nodes
-        out = bnb(model, config, deadline, report)
+        out = bnb(model, config, deadline, report, start)
         nodes.append(report.nodes - before)
         return out
 
@@ -962,8 +1041,8 @@ def test_exact_deadline_after_the_root_keeps_its_bound_open(monkeypatch):
     ticks = iter([0.0])   # the search starts before the deadline, every later reading is past it
     monkeypatch.setattr(verifier, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
     report = VerifyReport("robust")
-    value, _, diag = verifier._branch_and_bound(model, VerifyConfig(mode="cayley-exact"), 1.0,
-                                                report)
+    value, _, diag, _ = verifier._branch_and_bound(model, VerifyConfig(mode="cayley-exact"), 1.0,
+                                                   report, verifier._forward_start(model))
     assert (diag, report.nodes, report.rounds) == ("timeout limit reached", 1, 0)
     assert value == pytest.approx(root_lp, rel=1e-9) and value >= exact - 1e-9
     assert report.gap_percent == float("inf")

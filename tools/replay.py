@@ -20,7 +20,8 @@ the query. The off-benchmark recipes `tanh-style` and `relu`
 seed and run 12 queries in bigm-exact, cayley-exact and cayley-lp with the
 default config. Both print each mode's total time in seconds to three
 significant digits (for a workload, the reports' summed solve and
-separation time) and nodes. The `oracle-sweep` workload writes each item's
+separation time), nodes, LP solves, pivots (dual plus primal) and basis
+inversions. The `oracle-sweep` workload writes each item's
 `separate_pwl` result instead: the cut (alpha, zcoef, const and y_coef, as
 `float.hex`), None, or the error. The last form prints, per mode, each
 field that differs (how many queries, and the totals of a numeric field;
@@ -92,6 +93,18 @@ def _with_digests(modes: dict, query) -> dict:
     return modes
 
 
+def _totals(mode: str, seconds: float, items: list) -> str:
+    """One mode's line: its time, and its nodes, LP solves, pivots and
+    inversions summed over the replayed reports (0 for a counter a report
+    lacks)."""
+    def total(*keys):
+        return sum(item[mode].get(key, 0) for item in items for key in keys)
+
+    return (f"{mode}: {seconds:.3g} s, {total('nodes')} nodes, {total('lp_solves')} solves, "
+            f"{total('lp_dual_iterations', 'lp_phase2_iterations')} pivots, "
+            f"{total('lp_refactorizations')} inversions")
+
+
 def _corpus(workload: str, seed: int):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
@@ -103,21 +116,20 @@ def _corpus(workload: str, seed: int):
 
 def replay(workload: str, seed: int, items: int | None = None) -> dict:
     """The verify corpus (its first `items`): each query's report per mode.
-    Prints each mode's summed solve and separation time and its nodes."""
+    Prints each mode's summed solve and separation time and its counters."""
     work = _corpus(workload, seed)
     out = []
-    totals = {mode: [0.0, 0] for mode in work.modes}
+    seconds = {mode: 0.0 for mode in work.modes}
     for i in range(len(work.items))[:items]:
         rec = work.run_op(i)
         modes = {mode: _fields(rep) for mode, rep in rec.reports.items()}
         for mode, rep in rec.reports.items():
-            totals[mode][0] += rep.solve_time + rep.separation_time
-            totals[mode][1] += rep.nodes
+            seconds[mode] += rep.solve_time + rep.separation_time
         for mode, kind, message in rec.errors:
             modes[mode] = {"error": f"{kind}: {message}"}
         out.append(_with_digests(modes, work.items[rec.item]))
-    for mode, (seconds, nodes) in totals.items():
-        print(f"{mode}: {seconds:.3g} s, {nodes} nodes")
+    for mode in work.modes:
+        print(_totals(mode, seconds[mode], out))
     return {"workload": workload, "seed": seed, "modes": list(work.modes), "items": out}
 
 
@@ -161,8 +173,7 @@ def replay_recipe(recipe: str, eps: float, queries: int = 12) -> dict:
         t0 = time.perf_counter()
         for j in range(queries):
             out[j][mode] = _fields(verify(recipe_query(recipe, j, eps), VerifyConfig(mode=mode)))
-        print(f"{mode}: {time.perf_counter() - t0:.3g} s, "
-              f"{sum(item[mode]['nodes'] for item in out)} nodes")
+        print(_totals(mode, time.perf_counter() - t0, out))
     for j, item in enumerate(out):
         _with_digests(item, recipe_query(recipe, j, eps))
     return {"workload": recipe, "seed": None, "eps": eps, "modes": list(RECIPE_MODES),
