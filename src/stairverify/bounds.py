@@ -2,9 +2,11 @@
 
 Interval arithmetic handles a whole layer in arrays: the neurons of each
 activation spec get their output ranges from one call, and affine neurons
-pass their pre-activation interval through. DeepPoly sandwiches every
-activation between two linear functions of its pre-activation and
-back-substitutes through the affine layers all the way to the input box.
+pass their pre-activation interval through. DeepPoly clips a layer's
+activations the same way, one `Layer.functions` call with one clip per
+spec, sandwiches every activation between two linear functions of its
+pre-activation and back-substitutes through the affine layers all the way
+to the input box.
 The final intervals are intersected with plain interval bounds, so they are
 never looser than interval arithmetic. The same bounds feed the Big-M and
 Cayley formulation builders.
@@ -177,23 +179,18 @@ def _secant_sandwich(f: PiecewiseLinear) -> tuple[Line, Line]:
 
 
 class _LayerRelax:
-    """Back-substitution data: affine map plus each neuron's clipped activation
-    on [pre_lo, pre_hi] (None for affine neurons) and its sandwich there."""
+    """Back-substitution data: affine map plus each neuron's activation clipped
+    to [pre_lo, pre_hi] (None for affine neurons), from one `Layer.functions`
+    call, and its sandwich there, relaxed neuron by neuron."""
 
     def __init__(self, layer, pre_lo, pre_hi):
         self.weights = layer.weights
         self.bias = layer.bias
-        self.functions: list[PiecewiseLinear | None] = []
+        self.functions = layer.functions(pre_lo, pre_hi)
         self.cu, self.bu, self.cl, self.bl = np.empty((4, layer.out_dim))
-        for j, spec in enumerate(layer.activations):
-            f = None if spec is None else spec.instantiate(pre_lo[j], pre_hi[j])
-            self.functions.append(f)
-            if f is None:
-                self.cu[j] = self.cl[j] = 1.0
-                self.bu[j] = self.bl[j] = 0.0
-                continue
-            upper, lower = relax_activation(f)
-            (self.cu[j], self.bu[j]), (self.cl[j], self.bl[j]) = upper, lower
+        for j, f in enumerate(self.functions):   # an affine neuron is its own line
+            (self.cu[j], self.bu[j]), (self.cl[j], self.bl[j]) = (
+                ((1.0, 0.0), (1.0, 0.0)) if f is None else relax_activation(f))
 
 
 def _back_substitute(coeffs: np.ndarray, const: np.ndarray, relaxed: list[_LayerRelax],

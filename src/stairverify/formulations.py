@@ -132,12 +132,11 @@ class _RowModel:
     def num_vars(self) -> int:
         return self.lower.size
 
-    def _build(self, lower, upper, weights, biases, functions, pre_lo, pre_hi,
-               neurons: list[Neuron] | None = None) -> None:
+    def _build(self, lower, upper, weights, biases, functions, pre_lo, pre_hi) -> None:
         """Variables, trace tables and rows of the layers over inputs in [lower,
         upper]: an affine y (`functions` None) in its pre-activation interval, an
         activated one in its output range (`PiecewiseLinear.output_range`), a z
-        in [0, 1]. `neurons`: the activated ones, else built on each layer's box."""
+        in [0, 1]. Each activated neuron is built on its layer's input box."""
         fs = [f for fl in functions for f in fl if f is not None]
         act = np.flatnonzero([f is not None for fl in functions for f in fl])
         k = np.array([f.num_pieces for f in fs], dtype=int)
@@ -170,11 +169,9 @@ class _RowModel:
             i1 = start[a1] - a1
             self._wpad[g:g1, :x.size], self._xcols[g:g1, :x.size] = w, x
             js = act[a:a1] - g
-            if a1 > a and neurons is None:
-                box = BoxDomain(self.lower[x], self.upper[x])
-                neurons = [Neuron(w[j], float(b[j]), fl[j], box) for j in js]
-            for j, s, e, nrn in zip(js.tolist(), start[a:a1].tolist(),
-                                    start[a + 1:a1 + 1].tolist(), neurons or []):
+            box = BoxDomain(self.lower[x], self.upper[x])
+            for j, s, e in zip(js.tolist(), start[a:a1].tolist(), start[a + 1:a1 + 1].tolist()):
+                nrn = Neuron(w[j], float(b[j]), fl[j], box)
                 nf = NeuronFormulation(li, j, nrn, x, int(y[g + j]), z[s:e])
                 self.neurons[nf.key] = nf
                 self.activated.append(nf)
@@ -182,7 +179,7 @@ class _RowModel:
                                 self.right[start[a + 1:a1 + 1] - 1], start[a:a1],
                                 inner_bp[i:i1], inner_of[i:i1] - a,
                                 start[a:a1 + 1] - np.arange(a, a1 + 1) - i))
-            x, g, a, i, neurons = y[g:g1], g1, a1, i1, None
+            x, g, a, i = y[g:g1], g1, a1, i1
         self._y, self._act, self._bias = y, act, np.concatenate(biases)
         self._write_rows()
 
@@ -299,7 +296,7 @@ class NeuronModel(_RowModel):
     def __init__(self, neuron: Neuron, mode: str):
         super().__init__(mode)
         self._build(neuron.box.lower, neuron.box.upper, [neuron.weight[None]],
-                    [np.array([neuron.bias])], [[neuron.activation]], [[0.0]], [[0.0]], [neuron])
+                    [np.array([neuron.bias])], [[neuron.activation]], [[0.0]], [[0.0]])
         self.nf = self.activated[0]
         self.objective = np.zeros(self.num_vars())
 

@@ -110,87 +110,104 @@ class Neuron:
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """Declarative activation, instantiated on a concrete pre-activation range;
-    the base function is built from `params` on first use, so keep them fixed."""
+    """Declarative activation, clipped to concrete pre-activation ranges by
+    `_clip`, the one clip rule; the base function is built from `params` on
+    first use, so keep them fixed."""
 
     kind: str  # relu | dorefa | pwl | staircase | identity (None in files)
     params: dict
 
     def instantiate(self, lo: float, hi: float) -> PiecewiseLinear:
-        if hi <= lo:
-            hi = lo + 1e-9
-        if self.kind in ("identity", "relu"):
-            return pwl.identity(lo, hi) if self.kind == "identity" else pwl.relu(lo, hi)
-        if self.kind not in ("dorefa", "pwl", "staircase"):
-            raise InputError(f"unknown activation kind {self.kind!r}")
-        f = self._base
-        bp = f.breakpoints
-        if self.kind == "dorefa":
-            if lo < bp[0] or hi > bp[-1]:  # extend the outer constant pieces
-                bp = np.concatenate(([min(bp[0], lo)], bp[1:-1], [max(bp[-1], hi)]))
-        elif lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
-            raise InputError(
-                f"declared {self.kind} domain [{f.lo}, {f.hi}] does not cover "
-                f"the pre-activation range [{lo}, {hi}]")
-        # [lo, hi] now lies inside the domain, so `clip`'s checks are not needed
-        return PiecewiseLinear(*pwl.clip_arrays(bp, f.slopes, f.intercepts, lo, hi))
+        """The activation clipped to [lo, hi]: `functions` on one range."""
+        return self.functions(np.array([lo], dtype=float), np.array([hi], dtype=float))[0]
+
+    def functions(self, lo: np.ndarray, hi: np.ndarray) -> list[PiecewiseLinear]:
+        """The activation clipped to [lo[j], hi[j]], one function per j."""
+        bp, piece, start = self._pieces(lo, hi)
+        slopes, intercepts = self._base.slopes[piece], self._base.intercepts[piece]
+        ends = start.tolist()   # row j's pieces are [a, b), its breakpoints [a + j, b + j]
+        return [PiecewiseLinear(bp[a + j:b + j + 1], slopes[a:b], intercepts[a:b])
+                for j, (a, b) in enumerate(zip(ends, ends[1:]))]
 
     def output_ranges(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`instantiate(lo[j], hi[j]).output_range()` for every j, to the bit, in
-        arrays and without building a function: every clipped piece's value at
-        both ends, computed as slope * point + intercept. On a range that
-        `instantiate` rejects it raises that error, for the first such j."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.where(hi <= lo, lo + 1e-9, hi)
-        if self.kind in ("identity", "relu"):   # a strict kink at 0, or none (at -inf)
-            self._raise_first(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)), lo, hi)
-            kink = 0.0 if self.kind == "relu" else -np.inf
-            return np.where(lo >= kink, lo, kink) + 0.0, np.where(hi > kink, hi, kink) + 0.0
-        if self.kind not in ("dorefa", "pwl", "staircase"):
+        """`instantiate(lo[j], hi[j]).output_range()` for every j, in arrays and
+        without building a function: every clipped piece's value at both ends."""
+        bp, piece, start = self._pieces(lo, hi)
+        # each piece's left breakpoint in bp: row j's breakpoints are shifted by j
+        left = np.arange(piece.size) + np.repeat(np.arange(start.size - 1), np.diff(start))
+        slopes, intercepts = self._base.slopes[piece], self._base.intercepts[piece]
+        low, high = (slopes * bp[e] + intercepts for e in (left, left + 1))
+        return (np.minimum.reduceat(np.minimum(low, high), start[:-1]),
+                np.maximum.reduceat(np.maximum(low, high), start[:-1]))
+
+    def _pieces(self, lo: np.ndarray, hi: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_clip`'s functions in flat arrays: every row's breakpoints, every
+        row's pieces as base piece indices (its first piece, then the one right
+        of each kept breakpoint), and where each row's pieces start, count appended."""
+        lo_c, hi_c, keep, first = self._clip(lo, hi)
+        f, ends = self._base, np.ones((keep.shape[0], 1), dtype=bool)
+        # kept columns only are read, so `keep *` leaves each kept entry as it is
+        bp = np.concatenate((lo_c[:, None], keep * f.breakpoints[1:-1], hi_c[:, None]), axis=1)
+        piece = np.concatenate((first[:, None], keep * np.arange(1, f.num_pieces)), axis=1)
+        return (bp[np.concatenate((ends, keep, ends), axis=1)],
+                piece[np.concatenate((ends, keep), axis=1)],
+                np.concatenate(([0], np.cumsum(keep.sum(axis=1) + 1))))
+
+    def _clip(self, lo: np.ndarray, hi: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The clip rule for every range [lo[j], hi[j]] at once.
+
+        A range with hi <= lo is widened to [lo, lo + 1e-9]. dorefa, relu and
+        identity widen `_base`'s outer pieces to the range; a pwl or staircase
+        domain must cover it to 1e-9. The range is clipped to the domain, and
+        interior breakpoints within the merge band (BREAKPOINT_MERGE_TOL times
+        the domain's width, at least 1; none for relu and identity) of either
+        end are dropped; a range no wider than the band becomes one thin piece
+        [lo, lo + band]. Returns the clipped ends, a mask of the interior
+        breakpoints each row keeps, and each row's first piece: the base piece
+        at lo + band or the clipped hi, whichever is lower (at lo for a point
+        range), so a dropped breakpoint moves only values within the band of
+        it. On a range it rejects it raises, for the first such j.
+        """
+        if self.kind not in ("relu", "identity", "dorefa", "pwl", "staircase"):
             raise InputError(f"unknown activation kind {self.kind!r}")
+        lo = np.asarray(lo, dtype=float)
+        point = hi <= lo
+        hi = np.where(point, lo + 1e-9, hi)
         f = self._base
-        if self.kind == "dorefa":   # outer constant pieces widened to [lo, hi]
-            f_lo, f_hi = np.where(lo < f.lo, lo, f.lo), np.where(hi > f.hi, hi, f.hi)
-            outside = False
-        else:
-            f_lo, f_hi, outside = f.lo, f.hi, (lo < f.lo - 1e-9) | (hi > f.hi + 1e-9)
-        # `pwl.clip_arrays` per neuron: clip, then merge breakpoints within `merge`
-        lo_c, hi_c = np.where(f_lo > lo, f_lo, lo), np.where(f_hi < hi, f_hi, hi)
-        merge = pwl.BREAKPOINT_MERGE_TOL * np.fmax(f_hi - f_lo, 1.0)
-        thin = hi_c - lo_c <= merge
-        self._raise_first(outside | (thin & (lo_c > f_hi)), lo, hi)
-        hi_c = np.where(thin, lo_c + merge, hi_c)   # one thin piece [lo, lo + merge]
+        f_lo, f_hi = f.lo, f.hi
+        if self.kind not in ("pwl", "staircase"):
+            f_lo, f_hi = np.minimum(lo, f_lo), np.maximum(hi, f_hi)
+        merge = 0.0 if self.kind in ("relu", "identity") else (
+            pwl.BREAKPOINT_MERGE_TOL * np.fmax(f_hi - f_lo, 1.0))
+        lo_c, hi_c = (np.minimum(np.maximum(e, f_lo), f_hi) for e in (lo, hi))
+        start = np.where(point, lo_c, np.minimum(lo_c + merge, hi_c))
+        hi_c = np.where(hi_c - lo_c <= merge, lo_c + merge, hi_c)
+        outside = (lo < f_lo - 1e-9) | (hi > f_hi + 1e-9)
+        bad = outside | ~(hi_c > lo_c) | ~(np.isfinite(lo_c) & np.isfinite(hi_c))
+        if bad.any():
+            j = bad.argmax()
+            if outside[j]:
+                raise InputError(
+                    f"declared {self.kind} domain [{f.lo}, {f.hi}] does not cover "
+                    f"the pre-activation range [{float(lo[j])}, {float(hi[j])}]")
+            PiecewiseLinear([lo_c[j], hi_c[j]], [0.0], [0.0])   # raises: unordered or not finite
         inner = f.breakpoints[1:-1]
         keep = (inner > (lo_c + merge)[:, None]) & (inner < (hi_c - merge)[:, None])
-        after = np.arange(1, f.num_pieces)   # the piece right of each interior breakpoint
-        first = (inner <= lo_c[:, None]).sum(axis=1)   # right-continuous piece at lo
-        last = np.maximum(first, (keep * after).max(axis=1, initial=0))
-        # the piece left of each kept breakpoint (column 0 multiplies by 0)
-        before = np.maximum(first[:, None], np.roll(keep, 1, axis=1) * (after - 1))
-        # every clipped piece at both ends: lo, hi, and both sides of each kept breakpoint
-        at_inner = np.broadcast_to(inner, keep.shape)
-        at = np.concatenate((lo_c[:, None], hi_c[:, None], at_inner, at_inner), axis=1)
-        piece = np.concatenate((first[:, None], last[:, None],
-                                np.broadcast_to(after, keep.shape), before), axis=1)
-        values = f.slopes[piece] * at + f.intercepts[piece]
-        mask = np.concatenate((np.ones((lo.size, 2), bool), keep, keep), axis=1)
-        return (values.min(axis=1, where=mask, initial=np.inf),
-                values.max(axis=1, where=mask, initial=-np.inf))
-
-    def _raise_first(self, bad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Raise what `instantiate` raises on the first range flagged in `bad`."""
-        if bad.any():
-            self.instantiate(float(lo[bad.argmax()]), float(hi[bad.argmax()]))
+        return lo_c, hi_c, keep, (inner <= start[:, None]).sum(axis=1)
 
     @cached_property
     def _base(self) -> PiecewiseLinear:
-        """The dorefa quantizer or declared function on its own domain, built once."""
+        """The dorefa quantizer or declared function on its own domain, built
+        once; relu and identity on [-1, 1], of which `_clip` reads the pieces."""
+        if self.kind in ("relu", "identity"):
+            return pwl.relu(-1.0, 1.0) if self.kind == "relu" else pwl.identity(-1.0, 1.0)
         if self.kind == "dorefa":
             return pwl.dorefa(int(self.params["bits"]),
                               float(self.params["lo"]), float(self.params["hi"]))
-        f = PiecewiseLinear(np.asarray(self.params["breakpoints"], dtype=float),
-                            np.asarray(self.params["slopes"], dtype=float),
-                            np.asarray(self.params["intercepts"], dtype=float))
+        f = PiecewiseLinear(self.params["breakpoints"], self.params["slopes"],
+                            self.params["intercepts"])
         if self.kind == "staircase" and pwl.staircase_slope(f) is None:
             raise ParameterError("function is not a staircase")
         return f
@@ -232,6 +249,15 @@ class Layer:
                 groups.setdefault(key, (spec, []))[1].append(j)
         return tuple((spec, np.array(idx)) for spec, idx in groups.values())
 
+    def functions(self, lo: np.ndarray, hi: np.ndarray) -> list[PiecewiseLinear | None]:
+        """Each neuron's activation clipped to [lo[j], hi[j]] (None for an affine
+        neuron): one `ActivationSpec.functions` call per `spec_groups` entry."""
+        out: list[PiecewiseLinear | None] = [None] * self.out_dim
+        for spec, idx in self.spec_groups:
+            for j, f in zip(idx.tolist(), spec.functions(lo[idx], hi[idx])):
+                out[j] = f
+        return out
+
     @staticmethod
     def dense(weights, bias, activation: ActivationSpec | None) -> "Layer":
         w = np.asarray(weights, dtype=float)
@@ -263,7 +289,7 @@ class Network:
     def forward(self, x) -> np.ndarray:
         """Evaluate the network on one input (or a batch, rows = samples).
 
-        Activations are instantiated on interval pre-activation ranges. A
+        Activations are clipped to interval pre-activation ranges. A
         pre-activation escaping its activation domain raises DomainError: that
         signals stale bounds rather than a numerical issue.
         """
@@ -292,9 +318,8 @@ class Network:
         """Each layer's activations on its interval pre-activation ranges, built once."""
         from .bounds import interval_bounds  # local import to avoid a cycle
         pre = interval_bounds(self, self.input_box)
-        return tuple([None if spec is None else spec.instantiate(*pre.interval(li, j))
-                      for j, spec in enumerate(layer.activations)]
-                     for li, layer in enumerate(self.layers))
+        return tuple(layer.functions(lo, hi)
+                     for layer, lo, hi in zip(self.layers, pre.lower, pre.upper))
 
     def classify(self, x) -> int:
         return int(np.argmax(self.forward(x)))

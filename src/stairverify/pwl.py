@@ -10,7 +10,7 @@ function whose slopes all lie in {0, s} for a single common slope s (possibly
 0 or negative); being one is a property of the slopes, which
 `staircase_slope` tests. ReLU (s=1, two pieces) and uniform quantizers (s=0)
 are special cases, and `decompose_staircase` splits any other function into
-staircases.
+staircases. Clipping to a pre-activation range is `network.ActivationSpec`'s.
 """
 
 from __future__ import annotations
@@ -151,42 +151,6 @@ def dorefa(bits: int, lo: float, hi: float) -> PiecewiseLinear:
     bp = np.linspace(lo, hi, k + 1)
     levels = np.arange(k) / (k - 1)
     return PiecewiseLinear(bp, np.zeros(k), levels)
-
-
-def clip(f: PiecewiseLinear, lo: float, hi: float) -> PiecewiseLinear:
-    """Restrict f to [lo, hi], dropping pieces that fall outside.
-
-    Used when bound propagation tightens the pre-activation interval. The
-    clipped function keeps f's right-continuous piece assignment; breakpoints
-    closer than BREAKPOINT_MERGE_TOL * max(1, width) are merged to avoid
-    zero-width pieces from float noise.
-    """
-    if lo > hi:
-        raise DomainError(f"empty clip interval [{lo}, {hi}]")
-    if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
-        raise DomainError("clip interval must be inside the function's domain")
-    return PiecewiseLinear(*clip_arrays(f.breakpoints, f.slopes, f.intercepts, lo, hi))
-
-
-def clip_arrays(bp: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
-                lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`clip`'s breakpoints, slopes and intercepts, without its interval checks."""
-    f_lo, f_hi = float(bp[0]), float(bp[-1])
-    lo = max(lo, f_lo)
-    hi = min(hi, f_hi)
-    k = bp.size - 1
-    merge = BREAKPOINT_MERGE_TOL * max(1.0, f_hi - f_lo)
-    if hi - lo <= merge:
-        # degenerate pre-activation: keep a single thin piece around lo
-        if lo > f_hi:
-            raise DomainError(f"t={lo} outside [{f_lo}, {f_hi}]")
-        i = min(max(int(np.searchsorted(bp, lo, side="right")) - 1, 0), k - 1)
-        return np.array([lo, lo + merge], dtype=float), slopes[i:i + 1], intercepts[i:i + 1]
-    inner = bp[1:-1]
-    cuts = np.concatenate(([lo], inner[(inner > lo + merge) & (inner < hi - merge)], [hi]))
-    # lo >= bp[0] keeps every index >= 0; only a NaN lo would run past the end
-    idx = np.minimum(np.searchsorted(bp, cuts[:-1], side="right") - 1, k - 1)
-    return cuts, slopes[idx], intercepts[idx]
 
 
 def decompose_staircase(f: PiecewiseLinear

@@ -43,6 +43,12 @@ def random_pwl(rng, k, lo, hi, slope_pool=None, discont_prob=0.4, min_gap=1e-3):
     return pwl.PiecewiseLinear(bp, slopes, intercepts)
 
 
+def clip(f, lo, hi):
+    """f clipped to [lo, hi] by the activations' clip rule, as a declared pwl."""
+    return ActivationSpec("pwl", {"breakpoints": f.breakpoints, "slopes": f.slopes,
+                                  "intercepts": f.intercepts}).instantiate(lo, hi)
+
+
 def random_neuron(rng, n, k, s=None, pwl_activation=False, discont_prob=0.4):
     lo = rng.uniform(-2.0, 0.0, size=n)
     hi = lo + rng.uniform(0.3, 2.5, size=n)

@@ -5,7 +5,7 @@ from stairverify import pwl
 from stairverify.bounds import (PreActBounds, _LayerRelax, deeppoly_activation_relax,
                                 deeppoly_bounds, interval_bounds, output_linear_bound,
                                 relax_activation, upper_corner)
-from stairverify.errors import InputError
+from stairverify.errors import InputError, ParameterError
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, network_from_json
 
 from helpers import random_quantized_network, tanh_staircase_pair
@@ -241,7 +241,7 @@ def test_output_bound_shares_the_deeppoly_relaxation(activation, monkeypatch):
     def fail(*args):
         raise AssertionError("output_linear_bound rebuilt the deeppoly relaxation")
 
-    monkeypatch.setattr(ActivationSpec, "instantiate", fail)
+    monkeypatch.setattr(ActivationSpec, "_clip", fail)
     assert [output_linear_bound(net, net.input_box, c, dp) for c in cs] == rebuilt
 
 
@@ -384,6 +384,69 @@ def test_interval_bounds_equal_the_per_neuron_loop_on_mixed_layers():
     assert [idx.tolist() for _, idx in first.spec_groups] == [[0, 1, 2], [4]]
     assert [(spec.kind, idx.tolist()) for spec, idx in second.spec_groups] == [
         ("dorefa", [0, 6]), ("relu", [1, 4]), ("pwl", [2, 5])]
+
+
+def _function_bytes(f):
+    return None if f is None else (f.breakpoints.tobytes(), f.slopes.tobytes(),
+                                   f.intercepts.tobytes())
+
+
+def test_layer_functions_equal_per_neuron_instantiate_on_mixed_layers():
+    for net, box in _mixed_layer_nets():
+        for bounds in (interval_bounds(net, box), deeppoly_bounds(net, box)):
+            for layer, lo, hi in zip(net.layers, bounds.lower, bounds.upper):
+                ref = [None if spec is None else spec.instantiate(lo[j], hi[j])
+                       for j, spec in enumerate(layer.activations)]
+                assert list(map(_function_bytes, layer.functions(lo, hi))) == list(
+                    map(_function_bytes, ref))
+
+
+def test_deeppoly_clips_once_per_spec_group_and_layer(monkeypatch):
+    calls = []
+    clip = ActivationSpec._clip
+
+    def counted(self, lo, hi):
+        calls.append(self)
+        return clip(self, lo, hi)
+
+    def fail(*args):
+        raise AssertionError("a neuron was clipped on its own")
+
+    monkeypatch.setattr(ActivationSpec, "_clip", counted)
+    monkeypatch.setattr(ActivationSpec, "instantiate", fail)
+    for net, box in _mixed_layer_nets():
+        calls.clear()
+        dp = deeppoly_bounds(net, box)
+        groups = [spec for layer in net.layers for spec, _ in layer.spec_groups]
+        # every layer's interval ranges, then every layer's clipped functions
+        assert list(map(id, calls)) == list(map(id, groups + groups))
+        assert [f is not None for lr in dp.relaxation for f in lr.functions] == [
+            spec is not None for layer in net.layers for spec in layer.activations]
+
+
+_DECLARED_SPEC = ActivationSpec("pwl", {"breakpoints": [-1.0, 0.0, 1.0], "slopes": [0.0, 1.0],
+                                        "intercepts": [0.0, 0.0]})
+
+
+@pytest.mark.parametrize("spec, lo, hi, error, message", [
+    (_DECLARED_SPEC, -1.5, 0.5, InputError, "does not cover"),
+    (_DECLARED_SPEC, 0.5, 1.0 + 2e-9, InputError, "does not cover"),
+    (_DECLARED_SPEC, np.nan, 0.5, ParameterError, "strictly increasing"),
+    (ActivationSpec("relu", {}), -np.inf, 0.5, ParameterError, "finite"),
+    (ActivationSpec("relu", {}), 1e300, 1e300, ParameterError, "strictly increasing")],
+    ids=["below", "above", "nan", "infinite", "point-lost"])
+def test_a_layer_with_one_failing_neuron_raises_what_instantiate_raises(spec, lo, hi, error,
+                                                                        message):
+    layer = Layer.dense(np.ones((4, 1)), np.zeros(4), spec)
+    lows, highs = np.array([-0.5, 0.0, lo, 0.2]), np.array([0.5, 0.1, hi, 0.9])
+    with pytest.raises(error, match=message) as single:
+        spec.instantiate(lo, hi)
+    with pytest.raises(error) as whole:
+        layer.functions(lows, highs)
+    assert str(whole.value) == str(single.value)
+    with pytest.raises(error) as ranges:
+        spec.output_ranges(lows, highs)
+    assert str(ranges.value) == str(single.value)
 
 
 def test_bounds_reject_a_box_of_the_wrong_dimension():

@@ -11,8 +11,8 @@ from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuro
 from stairverify.oracles import enumerate_cayley_vertices
 from stairverify.separation import UPPER, is_pinned, separate_pwl
 
-from helpers import (dense_query, random_neuron, random_quantized_network, recipe_query,
-                     wide_tanh_query)
+from helpers import (clip, dense_query, random_neuron, random_quantized_network,
+                     recipe_query, wide_tanh_query)
 
 
 def _row_holds(coeffs, sense, rhs, vals, tol=1e-8):
@@ -363,7 +363,7 @@ def test_builders_clip_to_explicit_bounds():
     L = float(f.breakpoints[1])
     U = float(f.breakpoints[-2])
     for builder in (build_bigm, build_cayley):
-        model = builder(Neuron(neuron.weight, neuron.bias, pwl.clip(f, L, U), neuron.box))
+        model = builder(Neuron(neuron.weight, neuron.bias, clip(f, L, U), neuron.box))
         clipped = model.nf.neuron.activation
         assert clipped.lo == pytest.approx(L)
         assert clipped.hi == pytest.approx(U)
@@ -379,7 +379,7 @@ def test_query_model_takes_clipped_functions_from_the_bounds(monkeypatch):
     def fail(*args):
         raise AssertionError("QueryModel rebuilt an activation")
 
-    monkeypatch.setattr(ActivationSpec, "instantiate", fail)
+    monkeypatch.setattr(ActivationSpec, "_clip", fail)
     for mode in (BIGM, CAYLEY):
         model = build_query_model(q, mode, dp)
         for nf in model.activated_neurons():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from stairverify import bounds as bounds_mod
-from stairverify import pwl
 from stairverify.errors import DomainError, FormulationError, InputError
 from stairverify.formulations import (BIGM, CAYLEY, NeuronFormulation, VerificationQuery,
                                       attack_objective, build_bigm, build_cayley,
@@ -23,7 +22,7 @@ from stairverify.pwl import distinct_slopes
 from stairverify.separation import LOWER, UPPER, Cut, _slice_ends, slab_extremes
 from stairverify.verifier import VerifyConfig, _branch_pieces, verify
 
-from helpers import activation_spec, dense_query, random_neuron
+from helpers import activation_spec, clip, dense_query, random_neuron
 
 
 class _ReferenceModel:
@@ -274,7 +273,7 @@ def test_neuron_models_equal_the_per_neuron_build():
         if trial % 5 == 0:   # a thin clipped interval around one breakpoint
             f = neuron.activation
             mid = float(f.breakpoints[f.num_pieces // 2])
-            neuron = Neuron(neuron.weight, neuron.bias, pwl.clip(f, mid - 1e-12, mid + 1e-12),
+            neuron = Neuron(neuron.weight, neuron.bias, clip(f, mid - 1e-12, mid + 1e-12),
                             neuron.box)
         for mode, build in ((BIGM, build_bigm), (CAYLEY, build_cayley)):
             _assert_same_lp(build(neuron), _reference_neuron_model(neuron, mode))

@@ -122,26 +122,29 @@ def test_preact_range_alignment():
 
 # -- instantiate against a copy of the original multi-object construction ------
 
-def _reference_clip(f, lo, hi):
+def _reference_clip(f, lo, hi, point):
     if lo > hi:
         raise DomainError("empty clip interval")
     if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
         raise DomainError("clip interval must be inside the function's domain")
-    lo = max(lo, f.lo)
-    hi = min(hi, f.hi)
+    lo = min(max(lo, f.lo), f.hi)
+    hi = min(max(hi, f.lo), f.hi)
     merge = pwl.BREAKPOINT_MERGE_TOL * max(1.0, f.hi - f.lo)
+    # the first piece is f's piece past the merge band at lo, or at hi if that
+    # is nearer; a point range's is at lo
+    first = f.piece_index(lo if point else min(lo + merge, hi))
     if hi - lo <= merge:
-        i = f.piece_index(lo)
         width = max(merge, 1e-12)
-        return pwl.PiecewiseLinear([lo, lo + width], [f.slopes[i]], [f.intercepts[i]])
+        return pwl.PiecewiseLinear([lo, lo + width], [f.slopes[first]], [f.intercepts[first]])
     interior = [h for h in f.breakpoints[1:-1] if lo + merge < h < hi - merge]
     bp = np.array([lo] + interior + [hi])
-    idx = [f.piece_index(b) for b in bp[:-1]]
+    idx = [first] + [f.piece_index(b) for b in interior]
     return pwl.PiecewiseLinear(bp, f.slopes[idx], f.intercepts[idx])
 
 
 def _reference_instantiate(spec, lo, hi):
-    if hi <= lo:
+    point = hi <= lo
+    if point:
         hi = lo + 1e-9
     if spec.kind == "relu":
         return pwl.relu(lo, hi)
@@ -156,14 +159,14 @@ def _reference_instantiate(spec, lo, hi):
         if hi > bp[-1]:
             bp[-1] = hi
         widened = pwl.PiecewiseLinear(bp, f.slopes, f.intercepts)
-        return _reference_clip(widened, lo, hi)
+        return _reference_clip(widened, lo, hi, point)
     f = pwl.PiecewiseLinear(spec.params["breakpoints"], spec.params["slopes"],
                             spec.params["intercepts"])
     if spec.kind == "staircase" and pwl.staircase_slope(f) is None:
         raise ParameterError("function is not a staircase")
     if lo < f.lo - 1e-9 or hi > f.hi + 1e-9:
         raise InputError("declared domain does not cover the pre-activation range")
-    return _reference_clip(f, lo, hi)
+    return _reference_clip(f, lo, hi, point)
 
 
 _SPECS = [ActivationSpec("dorefa", {"bits": b, "lo": -1.0, "hi": 1.0}) for b in (1, 2, 3)] + [
@@ -192,7 +195,9 @@ def _instantiate_grid(spec):
              if a <= b and (a in marks or b in marks)]
     pairs += [(-0.3, 0.4), (-0.9, 0.95), (-2.5, 0.3), (-0.2, 3.0), (-5.0, 5.0),
               (2.0, 3.0), (-4.0, -2.0), (0.2, 0.2), (0.3, 0.1), (1.0, -1.0),
-              (1.0, 1.0 + 5e-13), (-1.0 - 5e-13, -1.0)]
+              (1.0, 1.0 + 5e-13), (-1.0 - 5e-13, -1.0), (1.5 + 3e-10, 1.5 + 6e-10)]
+    # thin ranges just below and just above an interior breakpoint
+    pairs += [p for h in marks[1:-1] for p in ((h - 1e-13, h - 5e-14), (h + 5e-14, h + 1e-13))]
     return pairs
 
 
@@ -211,6 +216,74 @@ def test_instantiate_matches_reference_construction(spec):
         new = _outcome(ActivationSpec.instantiate, spec, lo, hi)
         old = _outcome(_reference_instantiate, spec, lo, hi)
         assert new == old, (spec.kind, lo, hi)
+
+
+def _declared(spec, t):
+    """The declared activation at t: dorefa's outer levels extend past its domain."""
+    if spec.kind in ("relu", "identity"):
+        return max(t, 0.0) if spec.kind == "relu" else t
+    f = spec._base
+    return f(min(max(t, f.lo), f.hi))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{s.kind}{s.params.get('bits', '')}")
+def test_clipped_functions_equal_the_declared_one_outside_the_merge_band(spec):
+    # a range's clipped function may differ from the declared one only within
+    # 2 * merge of a declared breakpoint, and nowhere inside the domain on a
+    # range that holds no declared breakpoint past its lower end; a point range
+    # is checked at its point
+    bp = spec._base.breakpoints
+    checked = 0
+    for lo, hi in _instantiate_grid(spec):
+        try:
+            g = spec.instantiate(lo, hi)
+        except InputError:
+            continue
+        merge = pwl.BREAKPOINT_MERGE_TOL * max(1.0, max(bp[-1], hi) - min(bp[0], lo))
+        one_piece = not ((bp[1:-1] > lo) & (bp[1:-1] <= hi)).any()
+        ts = [lo] if hi <= lo else np.linspace(g.lo, min(hi, g.hi), 41)
+        for t in ts:
+            if (one_piece and bp[0] <= t <= bp[-1]) or np.abs(bp - t).min() > 2 * merge:
+                assert g(t) == _declared(spec, t), (lo, hi, t)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("kind", ["pwl", "staircase"])
+def test_a_range_just_past_a_declared_domain_clips_to_a_thin_end_piece(kind):
+    spec = ActivationSpec(kind, {"breakpoints": [-1.0, 0.0, 1.0], "slopes": [0.0, 0.0],
+                                 "intercepts": [0.2, 0.7]})
+    # inside the domain's 1e-9 tolerance: the last piece from the domain's end
+    f = spec.instantiate(1.0 + 3e-10, 1.0 + 6e-10)
+    assert f.breakpoints.tolist() == [1.0, 1.0 + 2e-12] and f.intercepts.tolist() == [0.7]
+    f = spec.instantiate(-1.0 - 6e-10, -1.0 - 3e-10)
+    assert f.breakpoints.tolist() == [-1.0, -1.0 + 2e-12] and f.intercepts.tolist() == [0.2]
+
+
+@pytest.mark.parametrize("weight, bias, out_weights, out_bias", [
+    # breakpoint 0 lies 1e-13 above the range's lower end; the quantizer is 1
+    # at t = 0.5 - 1e-13
+    (1.0, -1e-13, [[0.0], [1.0]], [0.5, 0.0]),
+    # t lies in [-1e-13, -5e-14], within the band below breakpoint 0; the
+    # quantizer is 0 at every t
+    (5e-14, -1e-13, [[0.0], [-1.0]], [0.5, 1.0]),
+], ids=["above-the-lower-end", "thin-range-below"])
+def test_a_breakpoint_in_the_merge_band_keeps_the_declared_level(weight, bias, out_weights,
+                                                                 out_bias):
+    from stairverify.formulations import VerificationQuery
+    from stairverify.verifier import MODES, VerifyConfig, verify
+
+    dorefa = ActivationSpec("dorefa", {"bits": 1, "lo": -1.0, "hi": 1.0})
+    net = Network((Layer.dense([[weight]], [bias], dorefa),
+                   Layer.dense(out_weights, out_bias, None)), BoxDomain([0.0], [1.0]))
+    # output 1 beats output 0 at every input of the box [0, 1]
+    assert net.forward(np.array([0.5])).tolist() == [0.5, 1.0]
+    for eps in (0.5, 0.4):
+        query = VerificationQuery(net, np.array([0.5]), eps, 0, None)
+        for mode in MODES:
+            report = verify(query, VerifyConfig(mode=mode))
+            assert report.verdict != "robust", (eps, mode)
+            assert report.verdict == ("unknown" if mode == "deeppoly" else "falsified")
 
 
 def _range_outcome(fn, spec, lo, hi):

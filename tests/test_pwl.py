@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from stairverify import pwl
-from stairverify.errors import DomainError, ParameterError
+from stairverify.errors import DomainError, InputError, ParameterError
 from stairverify.pwl import PiecewiseLinear, staircase_slope
 
-from helpers import random_pwl, tanh_staircase_pair
+from helpers import clip, random_pwl, tanh_staircase_pair
 
 
 def test_relu_evaluate_zero_piece():
@@ -165,7 +165,7 @@ def test_decompose_splits_left_value_evenly():
 
 def test_clip_drops_outside_pieces():
     f = pwl.dorefa(2, -1.0, 1.0)
-    g = pwl.clip(f, -0.4, 0.9)
+    g = clip(f, -0.4, 0.9)
     assert g.lo == -0.4 and g.hi == 0.9
     assert g.num_pieces <= f.num_pieces
     for t in np.linspace(-0.4, 0.9, 200):
@@ -174,8 +174,8 @@ def test_clip_drops_outside_pieces():
 
 def test_clip_interval_must_be_inside():
     f = pwl.relu(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        pwl.clip(f, -2.0, 1.0)
+    with pytest.raises(InputError, match=r"domain \[-1.0, 1.0\] does not cover"):
+        clip(f, -2.0, 1.0)
 
 
 @pytest.mark.parametrize("bp", [[0.0, 1.0, 0.5], [0.0, 1.0, 1.0, 2.0], [1.0, 0.0]])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -31,7 +32,7 @@ def test_compare_reports_fields_bounds_and_verdicts(capsys):
 
 
 def test_recipe_replay_runs_the_three_modes(capsys):
-    doc = replay.replay_recipe("relu", 0.05, queries=1)
+    doc = replay.replay_recipe("relu", 0.05, items=1)
     assert (doc["workload"], doc["eps"], doc["modes"]) == (
         "relu", 0.05, ["bigm-exact", "cayley-exact", "cayley-lp"])
     (item,) = doc["items"]
@@ -141,3 +142,38 @@ def test_replay_records_every_mode_bounds_and_compare_counts_a_changed_bound(cap
     replay.compare(doc, replay.replay("deeppoly-wide", 1, items=2))
     assert re.search(r"deeppoly: \d+ differing fields\n(  .*\n)*  bounds: 2 queries\n",
                      capsys.readouterr().out)
+
+
+def test_replay_records_the_relaxation_and_compare_counts_a_moved_breakpoint(capsys,
+                                                                            monkeypatch):
+    from stairverify.network import Layer
+
+    doc = replay.replay("deeppoly-wide", 1, items=1)
+    (item,) = doc["items"]
+    assert re.fullmatch(r"[0-9a-f]{64}", item["deeppoly"]["relax"])
+    assert replay.compare(doc, doc) == 0
+    assert "relax" not in capsys.readouterr().out
+    functions = Layer.functions
+
+    def moved(self, lo, hi):   # each layer's first clipped function's end one ulp down
+        out = functions(self, lo, hi)
+        f = out[0]
+        if f is not None:
+            bp = np.append(f.breakpoints[:-1], np.nextafter(f.breakpoints[-1], -np.inf))
+            out[0] = type(f)(bp, f.slopes, f.intercepts)
+        return out
+
+    monkeypatch.setattr(Layer, "functions", moved)
+    replay.compare(doc, replay.replay("deeppoly-wide", 1, items=1))
+    assert re.search(r"deeppoly: \d+ differing fields\n(  .*\n)*  relax: 1 queries\n",
+                     capsys.readouterr().out)
+
+
+def test_items_replays_a_corpus_prefix(tmp_path, capsys):
+    out = tmp_path / "replay.json"
+    assert replay.main(["--workload", "deeppoly-wide", "--items", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["workload"], len(doc["items"])) == ("deeppoly-wide", 2)
+    assert replay.main(["--workload", "relu", "--eps", "0.05", "--items", "1",
+                        "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["items"]) == 1

@@ -13,21 +13,24 @@ seed, runs every query in each of the workload's modes with its config, and
 writes every `VerifyReport.as_dict()` field except the two times, floats as
 `float.hex`, so two replays compare bit for bit. Every mode adds a `bounds`
 field, the sha256 of the query's `deeppoly_bounds` lower and upper arrays,
-and an LP mode a `model` field: the sha256 of the LP arrays (rows, senses,
+and a `relax` field, the sha256 of their relaxation: every layer's clipped
+activations (breakpoints, slopes, intercepts) and DeepPoly lines; an LP
+mode adds a `model` field: the sha256 of the LP arrays (rows, senses,
 right-hand sides, bounds and objective) of the model `verify` builds for
 the query. The off-benchmark recipes `tanh-style` and `relu`
 (`tests/helpers.recipe_query`, 5-8-8-3 nets) take `--eps` in place of a
 seed and run 12 queries in bigm-exact, cayley-exact and cayley-lp with the
-default config. Both print each mode's total time in seconds to three
+default config. `--items N` replays only the first N items or queries of
+any corpus. Both print each mode's total time in seconds to three
 significant digits (for a workload, the reports' summed solve and
 separation time), nodes, LP solves, pivots (dual plus primal) and basis
 inversions. The `oracle-sweep` workload writes each item's
 `separate_pwl` result instead: the cut (alpha, zcoef, const and y_coef, as
 `float.hex`), None, or the error. The last form prints, per mode, each
 field that differs (how many queries, and the totals of a numeric field;
-`bounds` and `model` count the queries whose digest changed), the largest
-relative change of a target bound, and every verdict change; it exits 1
-when a verdict changed. On two oracle-sweep replays it lists the items
+`bounds`, `relax` and `model` count the queries whose digest changed), the
+largest relative change of a target bound, and every verdict change; it
+exits 1 when a verdict changed. On two oracle-sweep replays it lists the items
 that differ and exits 1 when a cut appears or disappears or an error comes
 or goes.
 """
@@ -77,17 +80,25 @@ def _model_digest(query, mode: str, preact) -> str:
     return _digest((lp.rows, lp.senses.astype("U2"), lp.rhs, lp.lower, lp.upper, lp.objective))
 
 
+def _relax_digest(preact) -> str:
+    """sha256 of every layer's clipped activations (breakpoints, slopes and
+    intercepts) and DeepPoly lines (cu, bu, cl, bl) in `preact.relaxation`."""
+    return _digest([getattr(f, name) for lr in preact.relaxation for f in lr.functions
+                    if f is not None for name in ("breakpoints", "slopes", "intercepts")]
+                   + [a for lr in preact.relaxation for a in (lr.cu, lr.bu, lr.cl, lr.bl)])
+
+
 def _with_digests(modes: dict, query) -> dict:
-    """`modes` with every mode's `bounds` digest and each LP mode's `model`
-    digest (neither for a mode that raised)."""
+    """`modes` with every mode's `bounds` and `relax` digests and each LP
+    mode's `model` digest (none for a mode that raised)."""
     from stairverify.bounds import deeppoly_bounds
 
     answered = {mode: fields for mode, fields in modes.items() if "error" not in fields}
     if answered:
         preact = deeppoly_bounds(query.network, query.input_region())
-        bounds = _digest(preact.lower + preact.upper)
+        bounds, relax = _digest(preact.lower + preact.upper), _relax_digest(preact)
     for mode, fields in answered.items():
-        fields["bounds"] = bounds
+        fields["bounds"], fields["relax"] = bounds, relax
         if mode != "deeppoly":
             fields["model"] = _model_digest(query, mode, preact)
     return modes
@@ -163,15 +174,17 @@ def compare_cuts(a: dict, b: dict) -> int:
     return 1 if flips else 0
 
 
-def replay_recipe(recipe: str, eps: float, queries: int = 12) -> dict:
+def replay_recipe(recipe: str, eps: float, items: int | None = None) -> dict:
+    """Replay the recipe's 12 queries (the first `items` if given)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from helpers import recipe_query
     from stairverify.verifier import VerifyConfig, verify
 
-    out = [{} for _ in range(queries)]
+    queries = range(12)[:items]
+    out = [{} for _ in queries]
     for mode in RECIPE_MODES:
         t0 = time.perf_counter()
-        for j in range(queries):
+        for j in queries:
             out[j][mode] = _fields(verify(recipe_query(recipe, j, eps), VerifyConfig(mode=mode)))
         print(_totals(mode, time.perf_counter() - t0, out))
     for j, item in enumerate(out):
@@ -232,6 +245,7 @@ def main(argv=None) -> int:
                         + RECIPES)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--eps", type=float, default=0.05, help="ball radius of a recipe")
+    parser.add_argument("--items", type=int, help="replay only the corpus's first N items")
     parser.add_argument("--out", help="replay file to write")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two replay files")
     args = parser.parse_args(argv)
@@ -241,11 +255,11 @@ def main(argv=None) -> int:
     if not (args.workload and args.out):
         parser.error("give --workload and --out, or --compare A B")
     if args.workload in RECIPES:
-        doc = replay_recipe(args.workload, args.eps)
+        doc = replay_recipe(args.workload, args.eps, args.items)
     elif args.workload == "oracle-sweep":
-        doc = replay_cuts(args.seed)
+        doc = replay_cuts(args.seed, args.items)
     else:
-        doc = replay(args.workload, args.seed)
+        doc = replay(args.workload, args.seed, args.items)
     Path(args.out).write_text(json.dumps(doc))
     return 0
 
