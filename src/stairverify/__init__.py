@@ -5,7 +5,7 @@ from .errors import StairVerifyError
 from .formulations import VerificationQuery, build_query_model
 from .network import BoxDomain, Layer, Network, Neuron, load_network, save_network
 from .pwl import PiecewiseLinear, decompose_staircase, dorefa, relu
-from .separation import Cut, retrieve_cut, separate_pwl, separate_staircase
+from .separation import Cut, retrieve_cut, separate_pwl
 from .verifier import VerifyConfig, VerifyReport, verify
 
 __version__ = "0.1.0"
@@ -15,6 +15,5 @@ __all__ = [
     "StairVerifyError", "VerificationQuery", "VerifyConfig", "VerifyReport",
     "build_query_model", "decompose_staircase",
     "deeppoly_bounds", "dorefa", "interval_bounds", "load_network",
-    "relu", "retrieve_cut", "save_network", "separate_pwl", "separate_staircase",
-    "verify",
+    "relu", "retrieve_cut", "save_network", "separate_pwl", "verify",
 ]

@@ -42,6 +42,8 @@ class BoxDomain:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ParameterError("box lower/upper must be 1-d and of equal length")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ParameterError("box bounds must be finite")
         if np.any(self.lower > self.upper + 1e-12):
             raise ParameterError("box must satisfy lower <= upper")
 
@@ -172,7 +174,12 @@ class ActivationSpec:
         """
         if self.kind not in ("relu", "identity", "dorefa", "pwl", "staircase"):
             raise InputError(f"unknown activation kind {self.kind!r}")
-        lo = np.asarray(lo, dtype=float)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if not finite.all():
+            j = finite.argmin()
+            raise ParameterError(f"pre-activation range [{float(lo[j])}, {float(hi[j])}] "
+                                 "must be finite")
         point = hi <= lo
         hi = np.where(point, lo + 1e-9, hi)
         f = self._base

@@ -766,39 +766,6 @@ def _cut(outcomes: list[tuple[Neuron, OracleOutcome]], yhat: float, direction: s
     return Cut(direction, sum(cut.alpha for cut in cuts), sum(cut.zcoef for cut in cuts))
 
 
-def _certificate(outcomes: list[tuple[Neuron, OracleOutcome]], direction: str) -> float:
-    if not outcomes[-1][1].bounded:
-        return -np.inf if direction == UPPER else np.inf
-    total = sum(out.envelope for _, out in outcomes)
-    return total if direction == UPPER else -total
-
-
-def separate_staircase(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
-                       tol: float = VIOLATION_TOL) -> Cut | None:
-    """Return a violated cut, or None when (xhat, yhat, zhat) is inside.
-
-    One staircase separation per component (see `_component_outcomes`): an
-    unbounded component gives its ray cut in (x, z) alone; otherwise the
-    query is compared with the summed envelope and the component cuts add
-    up to the violated inequality. The formulation is expected to hold the
-    seed cuts already: alpha = a w for a = 0 and each distinct slope a, both
-    directions, z coefficients from `slab_extremes` (for a staircase of
-    slope s, alpha = 0 and alpha = s w; if s = 0, y = sum_i d_i z_i). The
-    candidate-family search is complete under that hypothesis.
-    """
-    outcomes = _component_outcomes(neuron, xhat, zhat, direction)
-    return _cut(outcomes, yhat, direction, tol)
-
-
-def membership_certificate(neuron: Neuron, xhat, zhat, direction: str) -> float:
-    """One-sided envelope value on y at (xhat, zhat); +-inf off the projection.
-
-    A query y is inside the (decomposition) hull on the given side iff it does
-    not pass this value.
-    """
-    return _certificate(_component_outcomes(neuron, xhat, zhat, direction), direction)
-
-
 def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
                     tol: float = VIOLATION_TOL) -> bool:
     """Exact inside test at a simplex vertex, answered without the oracle.
@@ -832,24 +799,34 @@ def on_vertex_graph(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
 
 def separate_pwl(neuron: Neuron, xhat, yhat: float, zhat, direction: str,
                  tol: float = VIOLATION_TOL) -> Cut | None:
-    """Separation for general piecewise-linear activations.
+    """Return a violated cut, or None when (xhat, yhat, zhat) is inside.
 
     Points on the graph at a simplex vertex are answered by `on_vertex_graph`
     without the oracle, unless the neuron is pinned: that one goes on to the
-    oracle's `DomainError`. Every other point goes to `separate_staircase`,
-    which runs one staircase separation per component of the activation.
+    oracle's `DomainError`. Every other point gets one staircase separation
+    per component of the activation (see `_component_outcomes`): an
+    unbounded component gives its ray cut in (x, z) alone; otherwise the
+    query is compared with the summed envelope and the component cuts add
+    up to the violated inequality. The formulation is expected to hold the
+    seed cuts already: alpha = a w for a = 0 and each distinct slope a, both
+    directions, z coefficients from `slab_extremes` (for a staircase of
+    slope s, alpha = 0 and alpha = s w; if s = 0, y = sum_i d_i z_i). The
+    candidate-family search is complete under that hypothesis.
     """
     if on_vertex_graph(neuron, xhat, yhat, zhat, direction, tol) and not is_pinned(neuron):
         return None
-    return separate_staircase(neuron, xhat, yhat, zhat, direction, tol)
+    return _cut(_component_outcomes(neuron, xhat, zhat, direction), yhat, direction, tol)
 
 
 def separate_with_certificate(neuron: Neuron, xhat, yhat: float, zhat,
                               direction: str) -> tuple[Cut | None, float]:
-    """`separate_pwl`'s cut and `membership_certificate`'s value from one
-    oracle pass over the components. The oracle runs before the screen, so
-    a pinned neuron meets its `DomainError` here too."""
+    """`separate_pwl`'s cut and the one-sided envelope value on y at
+    (xhat, zhat), +-inf off the projection, from one oracle pass over the
+    components. A query y is inside the (decomposition) hull on the given
+    side iff it does not pass that value. The oracle runs before the screen,
+    so a pinned neuron meets its `DomainError` here too."""
     outcomes = _component_outcomes(neuron, xhat, zhat, direction)
     screened = on_vertex_graph(neuron, xhat, yhat, zhat, direction, VIOLATION_TOL)
     cut = None if screened else _cut(outcomes, yhat, direction, VIOLATION_TOL)
-    return cut, _certificate(outcomes, direction)
+    envelope = sum(out.envelope for _, out in outcomes) if outcomes[-1][1].bounded else -np.inf
+    return cut, envelope if direction == UPPER else -envelope

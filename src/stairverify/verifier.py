@@ -1,21 +1,23 @@
-"""Inexact (LP + cutting planes) and exact (branch-and-bound) verification.
+"""DeepPoly, relaxed (LP + cutting planes) and exact (branch-and-bound) verification.
 
 A query is robust when every target-attack optimum stays below the threshold.
-Every LP mode builds one model per query and runs one loop over the targets;
-a target changes only the model's objective, so rows and pooled hull cuts
-carry over. The first LP of a query starts at a feasible forward-pass point,
-each later target's first LP at the previous target's last relaxed solution
-or branch-and-bound root, whose basis stays primal feasible. Relaxed modes
-bound a target by its LP, and cayley-lp's
-cut loop, `_solve_with_cuts`, alternates solving with per-neuron separation
-until no pooled-new cut is violated or its round cap is reached, and a flat
-staircase neuron is separated in one direction per point. Exact modes run
-best-first branch-and-bound on the piece indicators; a node is a vector of
-variable upper bounds, solved once with the model's rows (in cayley mode its
-seed cuts), and a branch bisects the pieces the least integral neuron allows
-by setting the z of each dropped piece to 0. No exact node separates: each
-neuron's y rows (its seeds, or Big-M's) pin every integral point to its
-piece, so the leaves are exact.
+`verify` runs one loop over the targets in all five modes, so the deadline,
+the threshold test and the verdict exist once. DeepPoly bounds a target by its
+back-substituted output bound and builds no model. Every LP mode builds one
+model per query; a target changes only the model's objective, so rows and
+pooled hull cuts carry over. The first LP of a query starts at a feasible
+forward-pass point, each later target's first LP at the previous target's last
+relaxed solution or branch-and-bound root, whose basis stays primal feasible.
+Relaxed modes bound a target by its LP, and cayley-lp's cut loop,
+`_solve_with_cuts`, alternates solving with per-neuron separation until no
+pooled-new cut is violated or its round cap is reached, and a flat staircase
+neuron is separated in one direction per point. Exact modes run best-first
+branch-and-bound on the piece indicators; a node is a vector of variable upper
+bounds, solved once with the model's rows (in cayley mode its seed cuts), and
+a branch bisects the pieces the least integral neuron allows by setting the z
+of each dropped piece to 0. No exact node separates: each neuron's y rows (its
+seeds, or Big-M's) pin every integral point to its piece, so the leaves are
+exact.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ MIP_GAP = 1e-9   # a node is pruned unless its bound beats the incumbent by more
 class VerifyConfig:
     """Verification settings. `max_cut_rounds` caps the cut rounds of each
     target in cayley-lp, the one mode that separates; `node_limit` caps each
-    target's distinct branch-and-bound nodes (`VerifyReport.nodes`). The y
+    target's distinct branch-and-bound nodes (`VerifyReport.nodes`);
+    `timeout` bounds every mode, DeepPoly included. The y
     rows (seeds, or Big-M's) pin every integral point to its piece, so
     branch-and-bound is exact without cuts. `cut_tol`, `timeout` and
     `node_limit` must be positive and `max_cut_rounds` nonnegative (NaN is
@@ -181,61 +184,14 @@ def _cut_round(model: QueryModel, x: np.ndarray, tol: float, report: VerifyRepor
     return added
 
 
-def _verify_targets(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    """The target loop of every LP mode, over one model built for the query.
-
-    The deadline is checked before each target. Each target's upper bound,
-    from `_solve_with_cuts` or `_branch_and_bound`, is recorded. Robust iff
-    every bound stays at or below the threshold; the first bound above it
-    ends the loop, `falsified` when `_counterexample` turns the bounding point
-    into a label flip and `unknown` otherwise. A limit's diagnostic stays on
-    the report, since a bound cut short by a limit is sound but not tight.
-    """
-    report = VerifyReport(verdict="robust")
-    t0 = time.monotonic()
-    deadline = t0 + config.timeout
-    preact = bounds_mod.deeppoly_bounds(query.network, query.input_region())
-    model = build_query_model(query, config.formulation, preact)
-    start = None   # the previous target's last relaxed solution or root solution
-    for target in query.targets():
-        if time.monotonic() > deadline:
-            report.verdict = "unknown"
-            report.diagnostic = TIMEOUT
-            break
-        model.set_target(target)
-        warm = _forward_start(model) if start is None else start
-        if config.is_exact:
-            value, sol, diag, start = _branch_and_bound(model, config, deadline, report, warm)
-        else:
-            value, sol, diag = _solve_with_cuts(model, config, report, deadline, warm)
-            start = sol
-        report.diagnostic = diag or report.diagnostic
-        if value is None:
-            report.verdict = "unknown"
-            break
-        report.target_bounds[target] = value
-        if value > query.xi + 1e-9:
-            x_cand = None if sol is None else _counterexample(model, sol.x, report)
-            if x_cand is None:
-                report.verdict = "unknown"
-                report.diagnostic = diag or (
-                    "optimum above threshold but replay failed" if config.is_exact
-                    else "relaxation bound above threshold; no counterexample found")
-            else:
-                report.verdict = "falsified"
-                report.counterexample = x_cand
-            break
-    report.solve_time = time.monotonic() - t0 - report.separation_time
-    return report
-
-
 def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyReport,
-                     deadline: float, warm: LpSolution | None = None):
+                     deadline: float, start: LpSolution):
     """Solve the relaxation; in cayley mode add violated cuts until stable.
 
-    The first solve starts from `warm`, each re-solve from the previous
-    solution. Returns (value, last LpSolution, diagnostic), value None when
-    the LP has no optimum, and adds the rounds, cuts, separation and LP
+    The first solve starts from `start`, each re-solve from the previous
+    solution. Returns (value, last LpSolution, diagnostic, last LpSolution),
+    the solution being the next target's start; value and solutions are None
+    when the LP has no optimum. Adds the rounds, cuts, separation and LP
     counts to `report`. No round runs after `config.max_cut_rounds` rounds.
     Past the deadline no round runs, and the last (sound) value comes with
     the timeout diagnostic. The objective is non-increasing round over round
@@ -243,45 +199,29 @@ def _solve_with_cuts(model: QueryModel, config: VerifyConfig, report: VerifyRepo
     """
     prev = np.inf
     rounds = 0
-    sol = warm
+    sol = start
     while True:
         sol = _solve(model.to_lp(), sol, report)
         if sol.status == "infeasible":
-            return None, None, "relaxation infeasible (stale bounds?)"
+            return None, None, "relaxation infeasible (stale bounds?)", None
         if sol.status != "optimal":
-            return None, None, f"LP {sol.status}"
+            return None, None, f"LP {sol.status}", None
         value = sol.objective
         if value > prev + 1e-9:
             raise NumericalError("cutting loop regressed the LP objective")
         prev = value
         if model.mode != CAYLEY or rounds >= config.max_cut_rounds:
-            return value, sol, ""
+            return value, sol, "", sol
         if time.monotonic() > deadline:
-            return value, sol, TIMEOUT
+            return value, sol, TIMEOUT, sol
         t0 = time.monotonic()
         added = _cut_round(model, sol.x, config.cut_tol, report)
         report.separation_time += time.monotonic() - t0
         if added == 0:
-            return value, sol, ""
+            return value, sol, "", sol
         report.cuts_added += added
         report.rounds += 1
         rounds += 1
-
-
-def _verify_deeppoly(query: VerificationQuery) -> VerifyReport:
-    report = VerifyReport(verdict="robust")
-    t0 = time.monotonic()
-    region = query.input_region()
-    preact = bounds_mod.deeppoly_bounds(query.network, region)
-    for target in query.targets():
-        c = attack_objective(query.network.output_dim, query.label, target)
-        bound = bounds_mod.output_linear_bound(query.network, region, c, preact)
-        report.target_bounds[target] = bound
-        if bound > query.xi + 1e-9:
-            report.verdict = "unknown"
-            break
-    report.solve_time = time.monotonic() - t0
-    return report
 
 
 @dataclass(order=True)
@@ -323,8 +263,8 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
     return x_cand if _replay(query.network, x_cand, query.label) else None
 
 
-def _branch_and_bound(model: QueryModel, config: VerifyConfig,
-                      deadline: float, report: VerifyReport, start: LpSolution):
+def _branch_and_bound(model: QueryModel, config: VerifyConfig, report: VerifyReport,
+                      deadline: float, start: LpSolution):
     """Best-first search; returns (upper bound, incumbent, diagnostic, root).
 
     A node is the model's variable upper bounds with the z of every piece
@@ -333,12 +273,13 @@ def _branch_and_bound(model: QueryModel, config: VerifyConfig,
     and dropped when its LP has no optimum. An integral node's LP value is
     exact, since seeds or Big-M rows pin its point to its pieces. The root
     LP starts from `start` (a `_forward_start` point, or the previous
-    target's root), node LPs from the parent's solution; `root` is the root
-    LP's optimal solution, if any. Without a limit the bound is the exact
-    optimum, attained by the incumbent LpSolution (None when no node is
-    feasible). The search stops at this target's node limit or the deadline;
-    the bound is then the larger of the best open node's bound and the
-    incumbent's value, which is sound, and the diagnostic names the limit.
+    target's root), node LPs from the parent's solution; `root`, the next
+    target's start, is the root LP's optimal solution, if any. Without a
+    limit the bound is the exact optimum, attained by the incumbent
+    LpSolution (None when no node is feasible). The search stops at this
+    target's node limit or the deadline; the bound is then the larger of the
+    best open node's bound and the incumbent's value, which is sound, and
+    the diagnostic names the limit.
     """
     serial = itertools.count()
     incumbent = -np.inf
@@ -401,8 +342,53 @@ def _gap_percent(bound: float, incumbent: float) -> float:
 
 
 def verify(query: VerificationQuery, config: VerifyConfig) -> VerifyReport:
-    """Verify `query` in `config.mode`: DeepPoly alone, an LP relaxation, or
-    branch-and-bound."""
-    if config.mode == "deeppoly":
-        return _verify_deeppoly(query)
-    return _verify_targets(query, config)
+    """Verify `query` in `config.mode`, one loop over its targets in every mode.
+
+    DeepPoly bounds each target by `bounds.output_linear_bound` and builds no
+    model; the LP modes build one model for the query and bound each target
+    by `_solve_with_cuts` or `_branch_and_bound`. The deadline is checked
+    before each target, and each target's upper bound is recorded. Robust iff
+    every bound stays at or below the threshold; the first bound above it ends
+    the loop, `falsified` when `_counterexample` turns the bounding point into
+    a label flip and `unknown` otherwise (DeepPoly has no bounding point). A
+    limit's diagnostic stays on the report, since a bound cut short by a limit
+    is sound but not tight.
+    """
+    report = VerifyReport(verdict="robust")
+    t0 = time.monotonic()
+    deadline = t0 + config.timeout
+    region = query.input_region()
+    preact = bounds_mod.deeppoly_bounds(query.network, region)
+    model = (None if config.mode == "deeppoly"
+             else build_query_model(query, config.formulation, preact))
+    bound_target = _branch_and_bound if config.is_exact else _solve_with_cuts
+    start = None   # the previous target's last relaxed solution or root solution
+    for target in query.targets():
+        if time.monotonic() > deadline:
+            report.verdict = "unknown"
+            report.diagnostic = TIMEOUT
+            break
+        if model is None:
+            c = attack_objective(query.network.output_dim, query.label, target)
+            value = bounds_mod.output_linear_bound(query.network, region, c, preact)
+            sol, diag = None, ""
+        else:
+            model.set_target(target)
+            warm = _forward_start(model) if start is None else start
+            value, sol, diag, start = bound_target(model, config, report, deadline, warm)
+        report.diagnostic = diag or report.diagnostic
+        if value is None:
+            report.verdict = "unknown"
+            break
+        report.target_bounds[target] = value
+        if value > query.xi + 1e-9:
+            x_cand = None if sol is None else _counterexample(model, sol.x, report)
+            report.verdict = "unknown" if x_cand is None else "falsified"
+            report.counterexample = x_cand
+            if x_cand is None and sol is not None:
+                report.diagnostic = diag or (
+                    "optimum above threshold but replay failed" if config.is_exact
+                    else "relaxation bound above threshold; no counterexample found")
+            break
+    report.solve_time = time.monotonic() - t0 - report.separation_time
+    return report

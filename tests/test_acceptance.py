@@ -16,25 +16,18 @@ from stairverify.oracles import (brute_min_psi, enumerate_cayley_vertices,
                                  exhaustive_verify, sample_tu_check)
 from stairverify.separation import (LOWER, THETA2_ZERO, UPPER, PsiInstance,
                                     _canonicalize, _oracle, minimize_psi_c,
-                                    round_fractional, separate_pwl,
-                                    separate_staircase)
+                                    round_fractional)
 from stairverify.verifier import VerifyConfig, verify
 
 from helpers import (random_neuron, random_pwl, random_quantized_network,
                      random_query_point, scaled_dual_lp, separation_lp, tanh_staircase_pair)
+from test_separation import _oracle_only
 
 
 def _report(name: str, ok: bool, detail: str = ""):
     state = "PASS" if ok else "FAIL"
     print(f"[{state}] {name}" + (f" — {detail}" if detail else ""))
     assert ok, f"{name}: {detail}"
-
-
-def _emitted_cut(neuron, xhat, yhat, zhat, direction):
-    f = neuron.activation
-    if pwl.staircase_slope(f) is not None:
-        return separate_staircase(neuron, xhat, yhat, zhat, direction)
-    return separate_pwl(neuron, xhat, yhat, zhat, direction)
 
 
 def _check_cut(neuron, cut, xhat, yhat, zhat, check_vertices):
@@ -49,9 +42,11 @@ def _check_cut(neuron, cut, xhat, yhat, zhat, check_vertices):
         assert slack >= -1e-7, f"cut invalid at a vertex, slack {slack}"
 
 
-def test_criterion_1_and_2_oracle_equivalence_and_cut_quality():
+def test_criterion_1_and_2_oracle_equivalence_and_cut_quality(monkeypatch):
     """Criteria 1 + 2: oracle vs simplex on 1000 staircase instances; every
-    emitted cut (plus 500 general-PWL instances) is valid and violated."""
+    emitted cut (plus 500 general-PWL instances) is valid and violated. The
+    cuts come from the oracle, with the vertex screen switched off."""
+    separate = _oracle_only(monkeypatch)
     rng = np.random.default_rng(2024)
     t0 = time.time()
     disagreements = 0
@@ -77,7 +72,7 @@ def test_criterion_1_and_2_oracle_equivalence_and_cut_quality():
         # a cut is usually emitted, then check it
         yhat = (outcome.envelope if outcome.bounded else 0.0) \
             + abs(rng.normal()) * 0.3 + 1e-4
-        cut = separate_staircase(neuron, xhat, float(yhat), zhat, UPPER)
+        cut = separate(neuron, xhat, float(yhat), zhat, UPPER)
         if cut is not None:
             _check_cut(neuron, cut, xhat, float(yhat), zhat, check_vertices=n <= 4)
             cuts_checked += 1
@@ -106,7 +101,7 @@ def test_criterion_1_and_2_oracle_equivalence_and_cut_quality():
         xhat, zhat = random_query_point(rng, neuron)
         direction = UPPER if rng.random() < 0.5 else LOWER
         yhat = float(rng.normal()) * 2.0
-        cut = _emitted_cut(neuron, xhat, yhat, zhat, direction)
+        cut = separate(neuron, xhat, yhat, zhat, direction)
         if cut is not None:
             _check_cut(neuron, cut, xhat, yhat, zhat, check_vertices=True)
             pwl_cuts += 1

@@ -431,7 +431,7 @@ _DECLARED_SPEC = ActivationSpec("pwl", {"breakpoints": [-1.0, 0.0, 1.0], "slopes
 @pytest.mark.parametrize("spec, lo, hi, error, message", [
     (_DECLARED_SPEC, -1.5, 0.5, InputError, "does not cover"),
     (_DECLARED_SPEC, 0.5, 1.0 + 2e-9, InputError, "does not cover"),
-    (_DECLARED_SPEC, np.nan, 0.5, ParameterError, "strictly increasing"),
+    (_DECLARED_SPEC, np.nan, 0.5, ParameterError, "must be finite"),
     (ActivationSpec("relu", {}), -np.inf, 0.5, ParameterError, "finite"),
     (ActivationSpec("relu", {}), 1e300, 1e300, ParameterError, "strictly increasing")],
     ids=["below", "above", "nan", "infinite", "point-lost"])

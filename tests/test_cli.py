@@ -296,13 +296,13 @@ def test_separate_runs_the_oracle_once_per_component(tmp_path, monkeypatch, yhat
     monkeypatch.setattr(sep, "_oracle", lambda canon: calls.append(1) or oracle(canon))
     code, out = _run(["separate", "--instance", str(path)])
     assert code == 0 and len(calls) == 1
-    # the one pass prints what the two library entry points answer
+    # the one pass prints separate_pwl's cut and the certificate
     neuron = Neuron.aligned(np.array([1.0, -0.5]), 0.1,
                             ActivationSpec("dorefa", {"bits": 2, "lo": -1.0, "hi": 1.0}
                                            ).instantiate, BoxDomain([-1, -1], [1, 1]))
     args = (neuron, np.array(inst["xhat"]), yhat, np.array(inst["zhat"]), UPPER)
     cut = sep.separate_pwl(*args)
-    cert = sep.membership_certificate(*args[:2], *args[3:])
+    cert = sep.separate_with_certificate(*args)[1]
     if cut is None:
         assert out == f"inside (certificate {cert:.17g})\n"
     else:
@@ -358,6 +358,22 @@ def test_bounds_rejects_a_non_finite_anchor(net_file, tmp_path, capsys, anchor):
     code, out = _run(["bounds", "--net", netp, "--input", str(inp), "--eps", "0.1"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: anchor input must be finite")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("value", ["1e999", "NaN"])
+def test_a_non_finite_input_box_exits_2_naming_the_box(net_file, dataset_file, tmp_path,
+                                                       capsys, command, value):
+    _, netp = net_file
+    doc = json.loads(Path(netp).read_text())
+    doc["input_box"]["lower"][0] = "BAD"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"BAD"', value))
+    extra = ["--dataset", dataset_file, "--eps", "0.1"] if command == "verify" else []
+    code, out = _run([command, "--net", str(bad), *extra])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: box bounds must be finite\n"
 
 
 @pytest.mark.parametrize("flag, value, message", [

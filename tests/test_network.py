@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,33 @@ def test_output_ranges_name_the_first_range_a_declared_domain_misses(spec):
 def test_output_ranges_reject_an_unknown_kind():
     with pytest.raises(InputError, match="unknown activation kind 'tanh'"):
         ActivationSpec("tanh", {}).output_ranges(np.zeros(3), np.ones(3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("end", [-np.inf, np.inf, np.nan])
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{s.kind}{s.params.get('bits', '')}")
+def test_a_range_with_a_non_finite_end_is_rejected_by_name(spec, end):
+    # rows 1 and 2 both fail; the message names row 1, before any arithmetic
+    lo, hi = np.array([-0.5, -0.5, end, 0.0]), np.array([0.5, end, 0.5, 0.2])
+    message = re.escape(f"pre-activation range [-0.5, {end}] must be finite")
+    for clip in (spec.functions, spec.output_ranges):
+        with pytest.raises(ParameterError, match=message):
+            clip(lo, hi)
+    with pytest.raises(ParameterError, match=re.escape(f"range [{end}, 0.5] must be finite")):
+        spec.instantiate(end, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [1e999, -1e999, np.nan])
+def test_box_bounds_must_be_finite(bad):
+    for lower, upper in (([0.0, bad], [1.0, 1.0]), ([0.0, 0.0], [1.0, bad])):
+        with pytest.raises(ParameterError, match="box bounds must be finite"):
+            BoxDomain(lower, upper)
+    net = random_quantized_network(np.random.default_rng(3), n_in=2, hidden=(2,), n_out=2)
+    doc = network_to_json(net)
+    doc["input_box"]["upper"][1] = bad
+    with pytest.raises(ParameterError, match="box bounds must be finite"):
+        network_from_json(doc)
 
 
 @pytest.mark.parametrize("kind", ["pwl", "staircase"])

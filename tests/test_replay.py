@@ -31,10 +31,10 @@ def test_compare_reports_fields_bounds_and_verdicts(capsys):
     assert "verdict change: item 0 cayley-exact: robust -> unknown" in capsys.readouterr().out
 
 
-def test_recipe_replay_runs_the_three_modes(capsys):
+def test_recipe_replay_runs_every_mode(capsys):
     doc = replay.replay_recipe("relu", 0.05, items=1)
     assert (doc["workload"], doc["eps"], doc["modes"]) == (
-        "relu", 0.05, ["bigm-exact", "cayley-exact", "cayley-lp"])
+        "relu", 0.05, ["deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
     (item,) = doc["items"]
     assert set(item) == set(doc["modes"])
     for report in item.values():
@@ -87,7 +87,8 @@ def _check_totals(doc, lines):
             sum(r[key] for r in reports) for key in ("nodes", "lp_solves")] + [
             sum(r["lp_dual_iterations"] + r["lp_phase2_iterations"] for r in reports),
             sum(r["lp_refactorizations"] for r in reports)]
-        assert int(counts[1]) >= int(counts[0]) and int(counts[1]) > 0
+        # every LP mode solves an LP, and DeepPoly none
+        assert int(counts[1]) >= int(counts[0]) and (int(counts[1]) > 0) == (mode != "deeppoly")
 
 
 def test_corpus_replay_prints_each_mode_time_and_nodes(capsys):

@@ -9,9 +9,9 @@ from stairverify.oracles import (brute_min_psi, enumerate_cayley_vertices,
                                  hull_envelope)
 from stairverify.separation import (LOWER, THETA2_ZERO, UPPER, PsiInstance, SweepResult,
                                     _candidates, _canonicalize, _check_candidate, _oracle,
-                                    _reconstruct, membership_certificate, minimize_psi_c,
-                                    retrieve_cut, round_fractional, separate_pwl,
-                                    separate_staircase, slab_extremes)
+                                    _reconstruct, minimize_psi_c, retrieve_cut,
+                                    round_fractional, separate_pwl, separate_with_certificate,
+                                    slab_extremes)
 
 from helpers import random_neuron, random_pwl, random_query_point, separation_lp, wide_tanh_query
 
@@ -79,7 +79,7 @@ def test_separate_rejects_bad_simplex_weights():
     neuron = Neuron(np.array([1.0]), 0.0, pwl.relu(-1.0, 1.0),
                     BoxDomain([-1.0], [1.0]))
     with pytest.raises(InputError):
-        separate_staircase(neuron, np.array([0.0]), 0.0, np.array([0.7, 0.7]), UPPER)
+        separate_pwl(neuron, np.array([0.0]), 0.0, np.array([0.7, 0.7]), UPPER)
 
 
 def test_oracle_rejects_a_wrong_length_xhat():
@@ -90,9 +90,7 @@ def test_oracle_rejects_a_wrong_length_xhat():
         with pytest.raises(InputError, match="xhat length"):
             separate_pwl(neuron, xhat, 0.0, zhat, UPPER)
         with pytest.raises(InputError, match="xhat length"):
-            separate_staircase(neuron, xhat, 0.0, zhat, LOWER)
-        with pytest.raises(InputError, match="xhat length"):
-            membership_certificate(neuron, xhat, zhat, UPPER)
+            separate_with_certificate(neuron, xhat, 0.0, zhat, LOWER)
 
 
 # -- psi minimization --------------------------------------------------------
@@ -232,7 +230,8 @@ def test_oracle_matches_separation_lp():
     assert unbounded > 20 and bounded > 20
 
 
-def test_vertices_are_never_separated():
+def test_vertices_are_never_separated(monkeypatch):
+    oracle = _oracle_only(monkeypatch)
     rng = np.random.default_rng(35)
     for _ in range(40):
         n = int(rng.integers(1, 4))
@@ -243,12 +242,12 @@ def test_vertices_are_never_separated():
         z = np.zeros(k)
         z[verts.pieces[idx]] = 1.0
         for direction in (UPPER, LOWER):
-            cut = separate_staircase(neuron, verts.xs[idx], float(verts.ys[idx]),
-                                     z, direction)
+            cut = oracle(neuron, verts.xs[idx], float(verts.ys[idx]), z, direction)
             assert cut is None
 
 
-def test_hull_midpoints_are_never_separated():
+def test_hull_midpoints_are_never_separated(monkeypatch):
+    oracle = _oracle_only(monkeypatch)
     rng = np.random.default_rng(36)
     for _ in range(40):
         n = int(rng.integers(1, 4))
@@ -263,7 +262,7 @@ def test_hull_midpoints_are_never_separated():
         z[verts.pieces[i]] += lam
         z[verts.pieces[j]] += 1 - lam
         for direction in (UPPER, LOWER):
-            assert separate_staircase(neuron, x, float(y), z, direction) is None
+            assert oracle(neuron, x, float(y), z, direction) is None
 
 
 def test_relu_verdicts_match_membership_lp():
@@ -282,7 +281,7 @@ def test_relu_verdicts_match_membership_lp():
         verts = enumerate_cayley_vertices(neuron)
         env_up = hull_envelope(verts, xhat, zhat, k, "upper")
         yhat = (env_up if np.isfinite(env_up) else 0.0) + rng.normal() * 0.3
-        cut = separate_staircase(neuron, xhat, float(yhat), zhat, UPPER)
+        cut = separate_pwl(neuron, xhat, float(yhat), zhat, UPPER)
         inside_true = np.isfinite(env_up) and yhat <= env_up + 1e-9
         if cut is None:
             assert inside_true or abs(yhat - env_up) <= 1e-6
@@ -507,10 +506,10 @@ def test_separate_pwl_on_staircase_defers():
     rng = np.random.default_rng(41)
     neuron = random_neuron(rng, 2, 3, s=1.0)
     xhat, zhat = random_query_point(rng, neuron)
-    y_in = membership_certificate(neuron, xhat, zhat, UPPER) - 0.1
+    y_in = separate_with_certificate(neuron, xhat, 0.0, zhat, UPPER)[1] - 0.1
     assert separate_pwl(neuron, xhat, y_in, zhat, UPPER) is None
     cut_a = separate_pwl(neuron, xhat, y_in + 0.2, zhat, UPPER)
-    cut_b = separate_staircase(neuron, xhat, y_in + 0.2, zhat, UPPER)
+    cut_b = separate_with_certificate(neuron, xhat, y_in + 0.2, zhat, UPPER)[0]
     if cut_a is None:
         assert cut_b is None
     else:
@@ -541,7 +540,7 @@ def test_near_staircase_is_a_pwl_of_two_components(monkeypatch):
     for t in np.linspace(-1.0, 1.0, 41):  # valid on the lifted graph
         assert cut.slack(np.array([t]), f(t), np.eye(2)[f.piece_index(t)]) >= -1e-9
     assert len(calls) == 4
-    assert membership_certificate(neuron, xhat, zhat, UPPER) == pytest.approx(0.5000045)
+    assert separate_with_certificate(neuron, xhat, 0.5, zhat, UPPER)[1] == pytest.approx(0.5000045)
 
 
 def test_separate_pwl_verdicts_and_validity():
@@ -553,7 +552,7 @@ def test_separate_pwl_verdicts_and_validity():
         neuron = random_neuron(rng, n, k, pwl_activation=True)
         xhat, zhat = random_query_point(rng, neuron)
         direction = UPPER if rng.random() < 0.5 else LOWER
-        cert = membership_certificate(neuron, xhat, zhat, direction)
+        cert = separate_with_certificate(neuron, xhat, 0.0, zhat, direction)[1]
         verts = enumerate_cayley_vertices(neuron)
         if np.isfinite(cert):
             yhat = cert + rng.normal() * 0.4
@@ -586,11 +585,11 @@ def test_lower_direction_mirrors_upper_on_negated_activation():
         neuron = random_neuron(rng, 2, 3)
         xhat, zhat = random_query_point(rng, neuron)
         yhat = float(rng.normal())
-        lo_cut = separate_staircase(neuron, xhat, yhat, zhat, LOWER)
+        lo_cut = separate_pwl(neuron, xhat, yhat, zhat, LOWER)
         f = neuron.activation
         neg = Neuron(neuron.weight, neuron.bias,
                      pwl.PiecewiseLinear(f.breakpoints, -f.slopes, -f.intercepts), neuron.box)
-        up_cut = separate_staircase(neg, xhat, -yhat, zhat, UPPER)
+        up_cut = separate_pwl(neg, xhat, -yhat, zhat, UPPER)
         assert (lo_cut is None) == (up_cut is None)
         if lo_cut is not None and lo_cut.y_coef and up_cut.y_coef:
             assert np.allclose(lo_cut.alpha, -up_cut.alpha)

@@ -10,8 +10,8 @@ from stairverify.lp import solve
 from stairverify.network import BoxDomain, Layer, Network
 from stairverify.oracles import exhaustive_verify
 from stairverify.separation import LOWER, UPPER, is_pinned
-from stairverify.verifier import (VerifyConfig, VerifyReport, _counterexample, _cut_round,
-                                  _solve_with_cuts, verify)
+from stairverify.verifier import (MODES, VerifyConfig, VerifyReport, _counterexample,
+                                  _cut_round, _solve_with_cuts, verify)
 
 from helpers import activation_spec, random_quantized_network, recipe_query, wide_tanh_query
 
@@ -320,7 +320,7 @@ def test_falling_staircases_end_to_end():
     assert searched >= 10
 
 
-@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
+@pytest.mark.parametrize("mode", MODES)
 def test_each_query_builds_its_bounds_once(mode, monkeypatch):
     rng = np.random.default_rng(73)
     net = random_quantized_network(rng, n_in=3, hidden=(3,), n_out=3)
@@ -333,14 +333,24 @@ def test_each_query_builds_its_bounds_once(mode, monkeypatch):
         calls.append(args)
         return original(*args)
 
+    built = []
+    init = formulations.QueryModel.__init__
+
+    def counted_model(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
     for owner in (bounds, formulations):
         monkeypatch.setattr(owner, "deeppoly_bounds", counted)
+    monkeypatch.setattr(formulations.QueryModel, "__init__", counted_model)
     report = verify(q, VerifyConfig(mode=mode, timeout=60))
     assert report.verdict == "robust" and len(report.target_bounds) == 2
     assert len(calls) == 1
+    # DeepPoly bounds every target from those bounds alone: it builds no model
+    assert len(built) == (0 if mode == "deeppoly" else 1)
 
 
-@pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp"])
+@pytest.mark.parametrize("mode", ["deeppoly", "bigm-lp", "cayley-lp"])
 def test_relaxed_timeout_reports_the_limit(mode):
     rng = np.random.default_rng(74)
     net = random_quantized_network(rng, n_in=3, hidden=(4,), n_out=4)
@@ -352,6 +362,7 @@ def test_relaxed_timeout_reports_the_limit(mode):
 
 
 @pytest.mark.parametrize("mode, message", [
+    ("deeppoly", ""),   # DeepPoly has no bounding point, and names none
     ("bigm-lp", "relaxation bound above threshold; no counterexample found"),
     ("cayley-lp", "relaxation bound above threshold; no counterexample found"),
     ("bigm-exact", "optimum above threshold but replay failed"),
@@ -371,11 +382,11 @@ def test_cut_loop_stops_at_the_deadline():
     q = _tiny_query(rng, hidden=(4,), bits=2, eps=0.25, weight_scale=1.5)
     tq = q.with_target(q.targets()[0])
     late, full = VerifyReport("robust"), VerifyReport("robust")
-    value, sol, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), late,
-                                        deadline=-np.inf)
+    value, sol, diag, _ = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(),
+                                           late, -np.inf, None)
     assert (diag, late.rounds) == ("timeout limit reached", 0) and sol.x is not None
-    tight, _, diag = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), full,
-                                      deadline=np.inf)
+    tight, _, diag, _ = _solve_with_cuts(build_query_model(tq, "cayley"), VerifyConfig(), full,
+                                         np.inf, None)
     assert diag == "" and full.rounds > 0 and tight < value - 1e-6
 
 
@@ -732,9 +743,9 @@ def test_first_solve_and_every_root_skip_phase_one(mode, monkeypatch):
         solves.append((warm, solve_(lp, warm, *args)))
         return solves[-1][1]
 
-    def spy_bnb(model, config, deadline, report, start):
+    def spy_bnb(model, config, report, deadline, start):
         first = len(solves)
-        out = bnb(model, config, deadline, report, start)
+        out = bnb(model, config, report, deadline, start)
         assert out[3] is solves[first][1]   # the root solution it returns
         roots.append((start, solves[first]))
         return out
@@ -778,8 +789,8 @@ def test_warm_roots_match_cold_roots(mode, monkeypatch):
     warm = [verify(q, VerifyConfig(mode=mode, timeout=60)) for q in queries]
     bnb = verifier._branch_and_bound
 
-    def cold(model, config, deadline, report, start):
-        return bnb(model, config, deadline, report, verifier._forward_start(model))
+    def cold(model, config, report, deadline, start):
+        return bnb(model, config, report, deadline, verifier._forward_start(model))
 
     monkeypatch.setattr(verifier, "_branch_and_bound", cold)
     later = 0
@@ -835,9 +846,9 @@ def test_node_limit_applies_to_each_target(monkeypatch):
     bnb = verifier._branch_and_bound
     nodes = []
 
-    def spy(model, config, deadline, report, start):
+    def spy(model, config, report, deadline, start):
         before = report.nodes
-        out = bnb(model, config, deadline, report, start)
+        out = bnb(model, config, report, deadline, start)
         nodes.append(report.nodes - before)
         return out
 
@@ -1041,8 +1052,8 @@ def test_exact_deadline_after_the_root_keeps_its_bound_open(monkeypatch):
     ticks = iter([0.0])   # the search starts before the deadline, every later reading is past it
     monkeypatch.setattr(verifier, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
     report = VerifyReport("robust")
-    value, _, diag, _ = verifier._branch_and_bound(model, VerifyConfig(mode="cayley-exact"), 1.0,
-                                                   report, verifier._forward_start(model))
+    value, _, diag, _ = verifier._branch_and_bound(model, VerifyConfig(mode="cayley-exact"),
+                                                   report, 1.0, verifier._forward_start(model))
     assert (diag, report.nodes, report.rounds) == ("timeout limit reached", 1, 0)
     assert value == pytest.approx(root_lp, rel=1e-9) and value >= exact - 1e-9
     assert report.gap_percent == float("inf")

@@ -19,8 +19,7 @@ mode adds a `model` field: the sha256 of the LP arrays (rows, senses,
 right-hand sides, bounds and objective) of the model `verify` builds for
 the query. The off-benchmark recipes `tanh-style` and `relu`
 (`tests/helpers.recipe_query`, 5-8-8-3 nets) take `--eps` in place of a
-seed and run 12 queries in bigm-exact, cayley-exact and cayley-lp with the
-default config. `--items N` replays only the first N items or queries of
+seed and run 12 queries in all five modes with the default config. `--items N` replays only the first N items or queries of
 any corpus. Both print each mode's total time in seconds to three
 significant digits (for a workload, the reports' summed solve and
 separation time), nodes, LP solves, pivots (dual plus primal) and basis
@@ -47,7 +46,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 TIMES = ("solve_time", "separation_time")
 RECIPES = ("tanh-style", "relu")
-RECIPE_MODES = ("bigm-exact", "cayley-exact", "cayley-lp")
+RECIPE_MODES = ("deeppoly", "bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact")
 
 
 def _hex(value):
