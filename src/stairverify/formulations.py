@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import PreActBounds, deeppoly_bounds
-from .errors import InputError, ParameterError
-from .lp import EQUAL, GREATER, LESS, LinearProgram, Stacked
+from .errors import InputError
+from .lp import INF, LinearProgram, Stacked, check_rows
 from .network import BoxDomain, Network, Neuron
 from .pwl import distinct_slopes
 # no model build calls retrieve_cut; the benchmark tracer (perfbench/tracing.py) wraps it here
@@ -112,7 +112,7 @@ class _RowModel:
     per layer. `_write_rows` writes every row from these arrays through
     `_write`, the one row writer, which `add_cut` uses too and which checks
     each row. The rows live in one dense matrix, grown by doubling, next to
-    their sense and right-hand side arrays: `to_lp` hands them to
+    their lower and upper bound arrays: `to_lp` hands them to
     `LinearProgram` as they are, with one `Stacked` tableau per row set.
     """
 
@@ -120,9 +120,8 @@ class _RowModel:
         if mode not in (BIGM, CAYLEY):
             raise InputError(f"mode must be '{BIGM}' or '{CAYLEY}'")
         self.mode = mode
-        self.lower, self.upper, self.rhs = np.zeros(0), np.zeros(0), np.zeros(0)
+        self.lower = self.upper = self.row_lower = self.row_upper = np.zeros(0)
         self._matrix = np.zeros((0, 0))
-        self.senses = np.zeros(0, dtype="<U2")
         self._stacked: Stacked | None = None
         self.objective: np.ndarray | None = None
         self.neurons: dict[tuple[int, int], NeuronFormulation] = {}
@@ -225,18 +224,16 @@ class _RowModel:
             (np.concatenate((hi_row, hi_row + 1) * 2), np.concatenate((z[p], z[p], ya[pa], ya[pa])),
              np.concatenate((m_hi, m_lo, np.ones(2 * p.size))))]
         rows, cols, vals = (np.concatenate([e[i] for e in entries]) for i in range(3))
-        senses = np.full(count.sum(), EQUAL, dtype="<U2")
-        senses[r + 1] = senses[hi_row + 1] = GREATER
-        senses[r + 2] = senses[hi_row] = LESS
-        rhs = np.zeros(count.sum())
-        rhs[row[affine]], rhs[r] = -bias[affine], 1.0
-        rhs[r + 1] = rhs[r + 2] = -bias[act]
+        lo, hi = np.zeros(count.sum()), np.zeros(count.sum())   # one-sided: slab and M rows
+        lo[row[affine]] = hi[row[affine]] = -bias[affine]
+        lo[r] = hi[r] = 1.0
+        lo[r + 1], hi[r + 1], lo[r + 2], hi[r + 2] = -bias[act], INF, -INF, -bias[act]
         dbar = self.slopes[p] * bias[act][pa] + self.intercepts[p]
-        rhs[hi_row], rhs[hi_row + 1] = m_hi + dbar, m_lo + dbar
+        lo[hi_row], hi[hi_row], lo[hi_row + 1], hi[hi_row + 1] = -INF, m_hi + dbar, m_lo + dbar, INF
         seeded, begin = np.flatnonzero(~flat & ~bigm), 0
-        for end, a in zip((r[seeded] + 3).tolist() + [rhs.size], seeded.tolist() + [None]):
+        for end, a in zip((r[seeded] + 3).tolist() + [lo.size], seeded.tolist() + [None]):
             on = (rows >= begin) & (rows < end)
-            self._write(rows[on] - begin, cols[on], vals[on], senses[begin:end], rhs[begin:end])
+            self._write(rows[on] - begin, cols[on], vals[on], lo[begin:end], hi[begin:end])
             if a is None:
                 break
             # the seeds: at z = e_i the pair of a_i holds y on piece i's line
@@ -246,19 +243,18 @@ class _RowModel:
                 self.add_cut(nf, Cut(UPPER, s * nf.neuron.weight, high))
                 self.add_cut(nf, Cut(LOWER, s * nf.neuron.weight, low))
 
-    def _write(self, rows, cols, vals, senses, rhs) -> None:
-        """Append len(rhs) rows holding `vals` at (`rows`, `cols`), rows counted
-        from the first new one, and zero elsewhere."""
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(rhs))):
-            raise ParameterError("row coefficients must be finite")
-        m, cap = self.rhs.size, len(self._matrix)
-        if m + len(rhs) > cap:   # double the rows; the first rows set the width
-            grown = np.zeros((cap + max(64, m + len(rhs), cap), self.num_vars()))
+    def _write(self, rows, cols, vals, lo, hi) -> None:
+        """Append len(lo) rows between `lo` and `hi`, holding `vals` at (`rows`,
+        `cols`), rows counted from the first new one, and zero elsewhere."""
+        check_rows(vals, lo, hi)
+        m, cap = self.row_lower.size, len(self._matrix)
+        if m + len(lo) > cap:   # double the rows; the first rows set the width
+            grown = np.zeros((cap + max(64, m + len(lo), cap), self.num_vars()))
             grown[:m, :self._matrix.shape[1]] = self._matrix[:m]
             self._matrix = grown
         self._matrix[m + rows, cols] = vals
-        self.senses = np.append(self.senses, senses)
-        self.rhs = np.append(self.rhs, rhs)
+        self.row_lower = np.append(self.row_lower, lo)
+        self.row_upper = np.append(self.row_upper, hi)
         self._stacked = None
 
     def add_cut(self, nf: NeuronFormulation, cut: Cut) -> bool:
@@ -266,9 +262,9 @@ class _RowModel:
         key = cut.key()
         if key in nf.pool:
             return False
-        sense = LESS if (cut.y_coef != 0.0 and cut.direction == LOWER) else GREATER
+        lo, hi = (-INF, -cut.const) if cut.y_coef and cut.direction == LOWER else (-cut.const, INF)
         self._write(0, np.concatenate((nf.x_vars, nf.z_vars, [nf.y_var])),
-                    np.concatenate((cut.alpha, cut.zcoef, [-cut.y_coef])), [sense], [-cut.const])
+                    np.concatenate((cut.alpha, cut.zcoef, [-cut.y_coef])), [lo], [hi])
         nf.pool.add(key)
         return True
 
@@ -280,9 +276,9 @@ class _RowModel:
         """The LP maximizing the objective, its rows a view of the model's (not
         to be written) and shared tableau; `upper` replaces the variable upper
         bounds (a B&B node)."""
-        rows = self._matrix[:self.rhs.size]
-        self._stacked = self._stacked or Stacked(rows, self.senses)
-        return LinearProgram("max", self.objective.copy(), rows, self.senses, self.rhs,
+        rows = self._matrix[:self.row_lower.size]
+        self._stacked = self._stacked or Stacked(rows, self.row_lower, self.row_upper)
+        return LinearProgram("max", self.objective.copy(), rows, self.row_lower, self.row_upper,
                              self.lower.copy(), self.upper.copy() if upper is None else upper,
                              self._stacked)
 
@@ -379,40 +375,38 @@ class QueryModel(_RowModel):
         """One closure branch: every activated neuron pinned to one piece.
 
         Built from the network data directly (affine rows, then per neuron w.x
-        between its piece's slab ends, y on the piece's line and z = e_piece)
-        so the exhaustive oracle does not reuse the Big-M or Cayley rows it is
-        meant to check. A positive `margin` pulls each interior slab edge in by
-        margin * max(1, |rhs|): at an upper edge the network takes the next
-        piece, and a point the LP puts on a lower edge may sit a rounding error
-        below it.
+        between its piece's slab ends in one row and y on the piece's line, its
+        z pinned at e_piece by their bounds) so the exhaustive oracle does not
+        reuse the Big-M or Cayley rows it is meant to check. A positive
+        `margin` pulls each interior slab edge in by margin * max(1, |edge|):
+        at an upper edge the network takes the next piece, and a point the LP
+        puts on a lower edge may sit a rounding error below it. A slab the
+        margin empties crosses its z's bounds, so the LP is infeasible.
         """
         if len(pattern) != len(self.activated):
             raise InputError("pattern length must match the activated neuron count")
-        act, y, bias, start, z = self._act, self._y, self._bias, self.z_starts, self.z_index
+        act, y, bias, start = self._act, self._y, self._bias, self.z_starts
         affine, k = np.setdiff1d(np.arange(y.size), act), np.diff(start)
-        owner, piece = np.repeat(np.arange(k.size), k), np.asarray(pattern, dtype=int)
-        p = start[:-1] + piece
-        lower, upper = self.left[p] - bias[act], self.right[p] - bias[act]
-        lower = np.where(piece > 0, lower + margin * np.maximum(1.0, np.abs(lower)), lower)
-        upper = np.where(piece + 1 < k, upper - margin * np.maximum(1.0, np.abs(upper)), upper)
-        row = affine.size + 3 * np.arange(k.size) + start[:-1]   # each neuron's first row
-        z_row = row[owner] + 3 + np.arange(z.size) - start[owner]
-        entries = [
-            self._x_entries(np.concatenate((np.arange(affine.size), row, row + 1, row + 2)),
-                            np.concatenate((affine, act, act, act)),
-                            np.concatenate((np.ones(affine.size + 2 * k.size), -self.slopes[p]))),
-            (np.arange(affine.size), y[affine], np.full(affine.size, -1.0)),
-            (row + 2, y[act], np.ones(k.size)), (z_row, z, np.ones(z.size))]
-        senses = np.full(affine.size + 3 * k.size + z.size, EQUAL, dtype="<U2")
-        senses[row], senses[row + 1] = GREATER, LESS
-        rhs = np.empty(senses.size)
-        rhs[:affine.size], rhs[row], rhs[row + 1] = -bias[affine], lower, upper
-        rhs[row + 2] = self.slopes[p] * bias[act] + self.intercepts[p]
-        rhs[z_row] = z_row - row[owner] - 3 == piece[owner]
-        rows = _RowModel(self.mode)   # the row writer only: none of this model's rows
-        rows.lower, rows.upper, rows.objective = self.lower, self.upper, self.objective
-        rows._write(*(np.concatenate([e[i] for e in entries]) for i in range(3)), senses, rhs)
-        return rows.to_lp()
+        piece = np.asarray(pattern, dtype=int)
+        p, na, nk = start[:-1] + piece, affine.size, k.size
+        lo, hi = self.left[p] - bias[act], self.right[p] - bias[act]
+        lo = np.where(piece > 0, lo + margin * np.maximum(1.0, np.abs(lo)), lo)
+        hi = np.where(piece + 1 < k, hi - margin * np.maximum(1.0, np.abs(hi)), hi)
+        lower, upper = self.lower.copy(), self.upper.copy()
+        upper[self.z_index] = 0.0
+        lower[self.z_index[p]], upper[self.z_index[p]] = 1.0, lo <= hi
+        # rows: the affine neurons', then every slab, then every line y - a w.x = a b + d
+        slab, line = na + np.arange(nk), na + nk + np.arange(nk)
+        rows = np.zeros((na + 2 * nk, lower.size))
+        i, j, v = self._x_entries(np.concatenate((np.arange(na), slab, line)),
+                                  np.concatenate((affine, act, act)),
+                                  np.concatenate((np.ones(na + nk), -self.slopes[p])))
+        rows[i, j] = v
+        rows[np.arange(na), y[affine]], rows[line, y[act]] = -1.0, 1.0
+        d = self.slopes[p] * bias[act] + self.intercepts[p]
+        return LinearProgram("max", self.objective.copy(), rows,
+                             np.concatenate((-bias[affine], lo, d)),
+                             np.concatenate((-bias[affine], np.maximum(lo, hi), d)), lower, upper)
 
 
 def build_query_model(query: VerificationQuery, mode: str,

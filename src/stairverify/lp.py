@@ -4,11 +4,11 @@ Instances at desk scale (hundreds of variables) do not justify sparse
 machinery, so everything is dense numpy. The solver is the single numeric
 authority for the toolkit: pivot tolerance 1e-9, feasibility tolerance 1e-7.
 
-An LP is one dense (m, n) row matrix with its row senses and right-hand
-sides, validated once when it is made. Every solve, with rows or without,
-takes one path: the tableau [A | I] appends one slack per row, bounded by the
-row's sense, to the variable bounds; a model's LPs share one `Stacked` [A | I].
-Infinite bounds use the sentinel +/-1e30, compared but never computed with.
+An LP is one dense (m, n) row matrix between row bounds, validated once when
+it is made. Every solve, with rows or without, takes one path: the tableau
+[A | I] appends one slack per row, bounded by its row's bounds, to the
+variable bounds; a model's LPs share one `Stacked` [A | I]. Infinite bounds,
+an open row side's too, use the sentinel +/-1e30, compared but not computed with.
 
 A start whose basic values lie outside their bounds (a cold start, a
 branch-and-bound child, appended cut rows, a new objective) is repaired in
@@ -23,8 +23,9 @@ takes it instead of inverting again: a copy under the same rows, bordered
 as [[B^-1, 0], [-R_B B^-1, I]] after rows R were appended. No solve inverts
 its final basis: the basic values are recomputed from the updated inverse,
 which is inverted afresh only when their row residual exceeds 1e-9 relative
-to the right-hand side, or after 64 product-form updates. An infeasibility
-proof on an updated inverse recomputes its row with one solve of B^T.
+to the right-hand side (values that still miss their rows or bounds raise
+`NumericalError`), or after 64 product-form updates. An infeasibility proof
+on an updated inverse recomputes its row with one solve of B^T.
 """
 
 from __future__ import annotations
@@ -39,28 +40,37 @@ INF = 1e30
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
-LESS, EQUAL, GREATER = "<=", "=", ">="
-
 
 class Stacked:
-    """[rows | I] of a row set; slack i >= 0 under LESS, <= 0 under GREATER, 0 under EQUAL."""
+    """[rows | I] of a row set between bounds lo and hi: rows_i.x + s_i = b_i,
+    b_i being row i's finite upper bound, else its finite lower bound, else 0,
+    and slack s_i in [b_i - hi_i, b_i - lo_i]."""
 
-    def __init__(self, rows: np.ndarray, senses: np.ndarray):
-        self.A = np.hstack([rows, np.eye(len(senses))])
-        self.lower = np.where(senses == GREATER, -INF, 0.0)
-        self.upper = np.where(senses == LESS, INF, 0.0)
+    def __init__(self, rows: np.ndarray, row_lower: np.ndarray, row_upper: np.ndarray):
+        self.A = np.hstack([rows, np.eye(len(row_lower))])
+        self.b = np.where(row_upper < INF, row_upper, np.where(row_lower > -INF, row_lower, 0.0))
+        self.lower = np.where(row_upper < INF, self.b - row_upper, -INF)
+        self.upper = np.where(row_lower > -INF, self.b - row_lower, INF)
+
+
+def check_rows(coeffs, row_lower, row_upper) -> None:
+    """Raise `ParameterError` unless all are finite (+/-INF: an open side) and lower <= upper."""
+    if not all(np.all(np.isfinite(a)) for a in (coeffs, row_lower, row_upper)):
+        raise ParameterError("row coefficients and bounds must be finite")
+    if np.any(np.asarray(row_lower) > row_upper):
+        raise ParameterError("row_lower must not exceed row_upper")
 
 
 @dataclass
 class LinearProgram:
-    """min/max c.x  subject to  rows @ x (senses) rhs  and per-variable bounds;
-    `rows` is (m, n), `senses` and `rhs` have m entries, validated once."""
+    """min/max c.x  subject to  row_lower <= rows @ x <= row_upper (+/-INF on an open side)
+    and per-variable bounds; `rows` is (m, n), the row bounds have m entries, validated once."""
 
     sense: str  # "max" | "min"
     objective: np.ndarray
     rows: np.ndarray | None = None
-    senses: np.ndarray | None = None
-    rhs: np.ndarray | None = None
+    row_lower: np.ndarray | None = None
+    row_upper: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     stacked: Stacked | None = field(default=None, repr=False, compare=False)
@@ -79,30 +89,16 @@ class LinearProgram:
         if any(np.isnan(v).any() for v in (self.objective, self.lower, self.upper)):
             raise ParameterError("objective and bounds must not be NaN")
         self.rows = np.zeros((0, n)) if self.rows is None else np.asarray(self.rows, dtype=float)
-        self.senses = np.array([] if self.senses is None else self.senses, dtype=str)
-        self.rhs = np.array([] if self.rhs is None else self.rhs, dtype=float)
-        m = self.senses.size
-        if self.rows.shape != (m, n) or self.senses.shape != (m,) or self.rhs.shape != (m,):
-            raise ParameterError("rows must be an (m, n) matrix with m senses and rhs")
-        valid = (self.senses == LESS) | (self.senses == EQUAL) | (self.senses == GREATER)
-        if not valid.all():
-            raise ParameterError(f"bad row sense '{self.senses[~valid][0]}'")
-        if not (np.all(np.isfinite(self.rows)) and np.all(np.isfinite(self.rhs))):
-            raise ParameterError("row coefficients must be finite")
+        self.row_lower, self.row_upper = (np.zeros(0) if v is None else np.asarray(v, dtype=float)
+                                          for v in (self.row_lower, self.row_upper))
+        m = self.row_lower.size
+        if self.rows.shape != (m, n) or {self.row_lower.shape, self.row_upper.shape} != {(m,)}:
+            raise ParameterError("rows must be an (m, n) matrix with m lower and upper bounds")
+        check_rows(self.rows, self.row_lower, self.row_upper)
 
     @property
     def num_vars(self) -> int:
         return self.objective.size
-
-    def add_row(self, coeffs, sense: str, rhs: float) -> None:
-        """Append one row and validate the grown LP (for LPs built by hand)."""
-        if np.shape(coeffs) != (self.num_vars,):
-            raise ParameterError("row length must match the variable count")
-        grown = LinearProgram(self.sense, self.objective, np.vstack([self.rows, coeffs]),
-                              np.append(self.senses, sense), np.append(self.rhs, rhs),
-                              self.lower, self.upper)
-        self.rows, self.senses, self.rhs = grown.rows, grown.senses, grown.rhs
-        self.stacked = None
 
 
 @dataclass
@@ -110,7 +106,7 @@ class LpSolution:
     status: str                      # optimal | infeasible | unbounded
     x: np.ndarray | None = None
     objective: float | None = None
-    duals: np.ndarray | None = None          # per row, user sense
+    duals: np.ndarray | None = None          # per row: d objective / d its binding bound
     basis: list[int] | None = None           # column indices incl. slacks
     iterations: int = 0                      # primal simplex
     dual_iterations: int = 0                 # dual simplex
@@ -125,13 +121,11 @@ class _Tableau:
     """Working state of one solve: columns = n structurals + m slacks."""
 
     def __init__(self, lp: LinearProgram):
-        m, n = lp.rows.shape
-        self.m, self.n = m, n
-        stacked = lp.stacked or Stacked(lp.rows, lp.senses)
-        self.A = stacked.A
+        self.m, self.n = lp.rows.shape
+        stacked = lp.stacked or Stacked(lp.rows, lp.row_lower, lp.row_upper)
+        self.A, self.b = stacked.A, stacked.b
         self.lower = np.concatenate([lp.lower, stacked.lower])
         self.upper = np.concatenate([lp.upper, stacked.upper])
-        self.b = lp.rhs
         self.refactorizations = 0
 
     def refactor(self):
@@ -476,13 +470,18 @@ def _solve_once(lp: LinearProgram, warm: LpSolution | None) -> LpSolution:
         return done("unbounded", iterations=iters)
     _settle_interior(tab, cost, x)
 
-    # the basic values from the updated inverse, inverted afresh only when
-    # those values miss their rows
+    # the basic values from the updated inverse, inverted afresh only when they
+    # miss their rows; an (ill-conditioned) basis they still miss is no answer
     _set_basic_values(tab, x)
     scale = max(1.0, np.abs(tab.b).max(initial=0.0))
     if np.abs(tab.A @ x - tab.b).max(initial=0.0) > 1e-9 * scale:
         tab.refactor()
         _set_basic_values(tab, x)
+        if np.abs(tab.A @ x - tab.b).max(initial=0.0) > 1e-9 * scale:
+            raise NumericalError("the final basis misses its rows")
+    xb = x[tab.basis]
+    if np.maximum(tab.lower[tab.basis] - xb, xb - tab.upper[tab.basis]).max(initial=0.0) > FEAS_TOL:
+        raise NumericalError("the final basis misses its bounds")
 
     y = cost[tab.basis] @ tab.binv
     sense_sign = 1.0 if lp.sense == "min" else -1.0

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapabilityError
-from .lp import EQUAL, LinearProgram, solve
+from .lp import INF, LinearProgram, solve
 from .network import Neuron
 from .separation import PsiInstance
 
@@ -97,11 +97,9 @@ def hull_membership_lp(vertices: VertexSet, point: np.ndarray, k: int) -> float:
     """
     P = vertices.as_points(k).T          # (dim, m)
     m = P.shape[1]
-    lp = LinearProgram("min", np.zeros(m), lower=np.zeros(m), upper=np.full(m, 1e30))
-    for r in range(P.shape[0]):
-        lp.add_row(P[r], EQUAL, float(point[r]))
-    lp.add_row(np.ones(m), EQUAL, 1.0)
-    sol = solve(lp)
+    rhs = np.append(point[:P.shape[0]], 1.0)
+    sol = solve(LinearProgram("min", np.zeros(m), np.vstack([P, np.ones(m)]), rhs, rhs,
+                              np.zeros(m), np.full(m, INF)))
     return 0.0 if sol.status == "optimal" else np.inf
 
 
@@ -110,13 +108,9 @@ def hull_envelope(vertices: VertexSet, xhat, zhat, k: int, direction: str) -> fl
     P = vertices.as_points(k)
     m = P.shape[0]
     sense = "max" if direction == "upper" else "min"
-    lp = LinearProgram(sense, P[:, len(xhat)], lower=np.zeros(m), upper=np.full(m, 1e30))
-    for j in range(len(xhat)):
-        lp.add_row(P[:, j], EQUAL, float(xhat[j]))
-    for i in range(k):
-        lp.add_row(P[:, len(xhat) + 1 + i], EQUAL, float(zhat[i]))
-    lp.add_row(np.ones(m), EQUAL, 1.0)
-    sol = solve(lp)
+    rows = np.vstack([np.delete(P, len(xhat), axis=1).T, np.ones(m)])   # x, z, the weights' sum
+    rhs = np.concatenate((xhat, zhat[:k], [1.0]))
+    sol = solve(LinearProgram(sense, P[:, len(xhat)], rows, rhs, rhs, np.zeros(m), np.full(m, INF)))
     if sol.status != "optimal":
         return -np.inf if direction == "upper" else np.inf
     return sol.objective

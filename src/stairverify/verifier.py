@@ -242,9 +242,9 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
     per neuron) and solves `pattern_lp` with the interior slab edges pulled
     in by each margin in turn, taking the first optimum above the threshold
     that replays to a flip. A larger margin only shrinks the slabs, so the
-    ladder stops at the first LP that is infeasible or has no optimum above
-    the threshold. Any input of the region that flips the label will do, so
-    the `_forward_start` corner is the last try. None if none does.
+    ladder stops at the first LP that is infeasible, fails to solve, or has
+    no optimum above the threshold. Any region input that flips the label
+    will do, so the `_forward_start` corner is the last try; else None.
     """
     query = model.query
     x_cand = model.input_point(point)
@@ -253,7 +253,10 @@ def _counterexample(model: QueryModel, point: np.ndarray, report: VerifyReport):
     pattern = [int(np.argmax(model.neuron_point(point, nf.key)[2]))
                for nf in model.activated_neurons()]
     for margin in (1e-9, 1e-7, 1e-5):
-        sol = _solve(model.pattern_lp(pattern, margin), None, report)
+        try:
+            sol = _solve(model.pattern_lp(pattern, margin), None, report)
+        except NumericalError:
+            break
         if sol.status != "optimal" or sol.objective <= query.xi + 1e-9:
             break
         x_cand = model.input_point(sol.x)

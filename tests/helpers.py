@@ -6,7 +6,7 @@ import numpy as np
 
 from stairverify import pwl
 from stairverify.formulations import VerificationQuery
-from stairverify.lp import EQUAL, LinearProgram
+from stairverify.lp import LinearProgram
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 
 
@@ -175,7 +175,7 @@ def separation_lp(canon) -> LinearProgram:
         c[o + 2 * n] = canon.zhat[i] * (canon.h[i + 1] - canon.b)
         c[o + 2 * n + 1] = -canon.zhat[i] * (canon.h[i] - canon.b)
     c[blk * k:] = canon.xhat
-    lp = LinearProgram("min", c, lower=lower, upper=upper)
+    rows, rhs = [], []
     for i in range(k):
         for j in range(n):
             row = np.zeros(nv)
@@ -185,8 +185,9 @@ def separation_lp(canon) -> LinearProgram:
             row[o + 2 * n] = canon.w[j]
             row[o + 2 * n + 1] = -canon.w[j]
             row[blk * k + j] = 1.0
-            lp.add_row(row, EQUAL, canon.a[i] * canon.w[j])
-    return lp
+            rows.append(row)
+            rhs.append(canon.a[i] * canon.w[j])
+    return LinearProgram("min", c, np.reshape(rows, (-1, nv)), rhs, rhs, lower, upper)
 
 
 def scaled_dual_lp(canon) -> LinearProgram:
@@ -206,8 +207,8 @@ def scaled_dual_lp(canon) -> LinearProgram:
         c[o + 2 * n] = canon.zhat[i] * (canon.h[i + 1] - canon.b)
         c[o + 2 * n + 1] = -canon.zhat[i] * (canon.h[i] - canon.b)
     c[blk * k:] = canon.xhat * canon.absw
-    lp = LinearProgram("min", c, lower=lower, upper=upper)
     ratio = (canon.a / canon.s) if canon.s > 0 else np.zeros(k)
+    rows, rhs = [], []
     for i in range(k):
         for j in range(n):
             row = np.zeros(nv)
@@ -217,8 +218,17 @@ def scaled_dual_lp(canon) -> LinearProgram:
             row[o + 2 * n] = canon.wbar[j]
             row[o + 2 * n + 1] = -canon.wbar[j]
             row[blk * k + j] = 1.0
-            lp.add_row(row, EQUAL, ratio[i] * canon.wbar[j])
-    return lp
+            rows.append(row)
+            rhs.append(ratio[i] * canon.wbar[j])
+    return LinearProgram("min", c, np.reshape(rows, (-1, nv)), rhs, rhs, lower, upper)
+
+
+def with_rows(lp: LinearProgram, rows, row_lower, row_upper) -> LinearProgram:
+    """A new LP: `lp` with `rows` between `row_lower` and `row_upper` below its own."""
+    return LinearProgram(lp.sense, lp.objective,
+                         np.vstack([lp.rows, np.reshape(rows, (-1, lp.num_vars))]),
+                         np.append(lp.row_lower, row_lower), np.append(lp.row_upper, row_upper),
+                         lp.lower, lp.upper)
 
 
 class NaiveSimplex:

@@ -6,22 +6,17 @@ from stairverify.bounds import deeppoly_bounds, interval_bounds
 from stairverify.errors import InputError
 from stairverify.formulations import (BIGM, CAYLEY, VerificationQuery, attack_objective,
                                       build_bigm, build_cayley, build_query_model)
-from stairverify.lp import EQUAL, GREATER, LESS, solve
+from stairverify.lp import INF, solve
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.oracles import enumerate_cayley_vertices
 from stairverify.separation import UPPER, is_pinned, separate_pwl
 
 from helpers import (clip, dense_query, random_neuron, random_quantized_network,
-                     recipe_query, wide_tanh_query)
+                     recipe_query, wide_tanh_query, with_rows)
 
 
-def _row_holds(coeffs, sense, rhs, vals, tol=1e-8):
-    lhs = float(coeffs @ vals)
-    if sense == LESS:
-        return lhs <= rhs + tol
-    if sense == GREATER:
-        return lhs >= rhs - tol
-    return abs(lhs - rhs) <= tol
+def _row_holds(coeffs, lo, hi, vals, tol=1e-8):
+    return lo - tol <= float(coeffs @ vals) <= hi + tol
 
 
 def _vertex_assignment(model, nf, x, y, piece):
@@ -44,8 +39,8 @@ def test_bigm_relu_is_textbook():
     for i in range(len(verts)):
         vals = _vertex_assignment(model, model.nf, verts.xs[i], verts.ys[i],
                                   int(verts.pieces[i]))
-        for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-            assert _row_holds(coeffs, sense, rhs, vals, tol=1e-9)
+        for coeffs, lo, hi in zip(lp.rows, lp.row_lower, lp.row_upper):
+            assert _row_holds(coeffs, lo, hi, vals, tol=1e-9)
 
 
 def _corner_m_constants(f):
@@ -69,18 +64,22 @@ def test_bigm_m_constants_match_the_corner_formula():
         model = build_bigm(neuron)
         nf = model.nf
         lp = model.to_lp()
-        m_rows = {LESS: [], GREATER: []}   # piece i's two M rows, in piece order
-        for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
+        # piece i's two M rows, in piece order: its upper one is open below,
+        # its lower one open above
+        m_rows = {"upper": [], "lower": []}
+        for coeffs, lo, hi in zip(lp.rows, lp.row_lower, lp.row_upper):
             if coeffs[nf.y_var] == 1.0:
-                m_rows[sense].append((coeffs, rhs))
+                assert (lo == -INF) != (hi == INF)
+                side = "upper" if lo == -INF else "lower"
+                m_rows[side].append((coeffs, hi if side == "upper" else lo))
         ref_low, ref_high = _corner_m_constants(f)
         dbar = neuron.dbar()
-        for sense, ref in ((GREATER, ref_low), (LESS, ref_high)):
-            assert len(m_rows[sense]) == f.num_pieces
-            for i, (coeffs, rhs) in enumerate(m_rows[sense]):
+        for side, ref in (("lower", ref_low), ("upper", ref_high)):
+            assert len(m_rows[side]) == f.num_pieces
+            for i, (coeffs, bound) in enumerate(m_rows[side]):
                 m = coeffs[nf.z_vars[i]]
-                assert abs(m - ref[i]) <= 1e-12 * max(1.0, abs(ref[i])), (trial, sense, i)
-                assert rhs == pytest.approx(ref[i] + dbar[i], rel=1e-12, abs=1e-12)
+                assert abs(m - ref[i]) <= 1e-12 * max(1.0, abs(ref[i])), (trial, side, i)
+                assert bound == pytest.approx(ref[i] + dbar[i], rel=1e-12, abs=1e-12)
 
 
 def test_bigm_constant_pieces_drop_m_rows():
@@ -91,8 +90,8 @@ def test_bigm_constant_pieces_drop_m_rows():
     lp = model.to_lp()
     # simplex + two slabs + the single y = sum d_i z_i equality
     assert len(lp.rows) == 4
-    eq_rows = [r for r in zip(lp.rows, lp.senses, lp.rhs)
-               if r[1] == EQUAL and r[0][model.nf.y_var] != 0.0]
+    eq_rows = [r for r in zip(lp.rows, lp.row_lower, lp.row_upper)
+               if r[1] == r[2] and r[0][model.nf.y_var] != 0.0]
     assert len(eq_rows) == 1
     coeffs = eq_rows[0][0]
     f = neuron.activation
@@ -112,8 +111,8 @@ def test_vertices_feasible_in_both_formulations():
             for i in range(len(verts)):
                 vals = _vertex_assignment(model, model.nf, verts.xs[i],
                                           verts.ys[i], int(verts.pieces[i]))
-                for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-                    assert _row_holds(coeffs, sense, rhs, vals, tol=1e-9)
+                for coeffs, lo, hi in zip(lp.rows, lp.row_lower, lp.row_upper):
+                    assert _row_holds(coeffs, lo, hi, vals, tol=1e-9)
 
 
 def test_cayley_alpha_zero_seed_caps_y():
@@ -126,22 +125,25 @@ def test_cayley_alpha_zero_seed_caps_y():
     assert np.all(flat.activation.slopes == 0.0)   # the draw: slopes [0, 0, 0]
     ramp = Neuron(np.array([1.0, 0.5]), 0.0, pwl.relu(-1.5, 1.5),
                   BoxDomain([-1.0, -1.0], [1.0, 1.0]))   # slopes {0, 1}
-    for neuron, y_coef, sense in ((flat, 1.0, EQUAL), (ramp, -1.0, GREATER)):
+    # an equality (0 = row = 0) on the flat one, 0 <= row <= INF on the ramp
+    for neuron, y_coef, upper in ((flat, 1.0, 0.0), (ramp, -1.0, INF)):
         model = build_cayley(neuron)
         nf = model.nf
         seed = retrieve_cut(neuron, np.zeros(2), UPPER)
         found = False
         lp = model.to_lp()
-        for coeffs, s, rhs in zip(lp.rows, lp.senses, lp.rhs):
-            if coeffs[nf.y_var] == y_coef and s == sense:
+        for coeffs, lo, hi in zip(lp.rows, lp.row_lower, lp.row_upper):
+            if coeffs[nf.y_var] == y_coef and hi == upper:
                 zc = y_coef * -coeffs[nf.z_vars]
                 if np.allclose(zc, seed.zcoef) and np.all(coeffs[nf.x_vars] == 0.0):
-                    found = rhs == 0.0
-        assert found, sense
+                    found = lo == 0.0
+        assert found, upper
         if neuron is flat:
             assert np.count_nonzero(lp.rows[:, nf.y_var]) == 1 and not nf.pool
             big = build_bigm(neuron).to_lp()
-            assert np.array_equal(lp.rows, big.rows) and np.array_equal(lp.rhs, big.rhs)
+            assert np.array_equal(lp.rows, big.rows)
+            assert np.array_equal(lp.row_lower, big.row_lower)
+            assert np.array_equal(lp.row_upper, big.row_upper)
 
 
 def test_cayley_seeds_pin_every_integral_point_to_its_piece():
@@ -167,8 +169,8 @@ def test_cayley_seeds_pin_every_integral_point_to_its_piece():
 
 
 def _same_lp(a, b) -> bool:
-    return (np.array_equal(a.rows, b.rows) and list(a.senses) == list(b.senses)
-            and np.array_equal(a.rhs, b.rhs) and np.array_equal(a.lower, b.lower)
+    return (np.array_equal(a.rows, b.rows) and np.array_equal(a.row_lower, b.row_lower)
+            and np.array_equal(a.row_upper, b.row_upper) and np.array_equal(a.lower, b.lower)
             and np.array_equal(a.upper, b.upper))
 
 
@@ -212,11 +214,9 @@ def test_relu_single_neuron_cayley_lp_is_exact_hull():
     obj[model.nf.y_var] = 1.0
     model.objective = obj
     for xfix, expect in ((0.25, 0.625), (-0.5, 0.25), (1.0, 1.0)):
-        lp = model.to_lp()
         row = np.zeros(model.num_vars())
         row[model.nf.x_vars[0]] = 1.0
-        lp.add_row(row, EQUAL, xfix)
-        sol = solve(lp)
+        sol = solve(with_rows(model.to_lp(), row, xfix, xfix))
         assert sol.objective == pytest.approx(expect, abs=1e-9)
 
 
@@ -297,8 +297,8 @@ def test_forward_traces_feasible_in_query_models():
                 vals = model.trace_assignment(x)
                 assert np.all(vals >= np.array(model.lower) - 1e-8)
                 assert np.all(vals <= np.array(model.upper) + 1e-8)
-                for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-                    assert _row_holds(coeffs, sense, rhs, vals)
+                for coeffs, lo, hi in zip(lp.rows, lp.row_lower, lp.row_upper):
+                    assert _row_holds(coeffs, lo, hi, vals)
 
 
 def test_integral_z_recovers_graph():
@@ -314,11 +314,9 @@ def test_integral_z_recovers_graph():
                 n = model.num_vars()
                 upper = np.array(model.upper)
                 upper[[z for k, z in enumerate(model.nf.z_vars) if k != piece]] = 0.0
-                lp = model.to_lp(upper)
-                for p, v in enumerate(model.nf.x_vars):
-                    row = np.zeros(n)
-                    row[v] = 1.0
-                    lp.add_row(row, EQUAL, float(x[p]))
+                rows = np.zeros((len(x), n))
+                rows[np.arange(len(x)), model.nf.x_vars] = 1.0
+                lp = with_rows(model.to_lp(upper), rows, x, x)
                 obj = np.zeros(n)
                 obj[model.nf.y_var] = 1.0
                 lp.objective = obj
@@ -452,5 +450,7 @@ def test_a_row_with_a_non_finite_entry_raises_when_written():
             model.add_cut(nf, cut)
     after = model.to_lp()
     assert nf.pool == pool and after.stacked is before.stacked
-    assert np.array_equal(after.rows, before.rows) and np.array_equal(after.rhs, before.rhs)
+    assert np.array_equal(after.rows, before.rows)
+    assert np.array_equal(after.row_lower, before.row_lower)
+    assert np.array_equal(after.row_upper, before.row_upper)
     assert solve(after).status == "optimal"

@@ -7,31 +7,39 @@ import pytest
 
 from stairverify import lp as lp_mod
 from stairverify.errors import FormulationError, NumericalError, ParameterError
-from stairverify.lp import (FEAS_TOL, INF, LESS, EQUAL, GREATER, PIVOT_TOL, LinearProgram,
-                            LpSolution, solve)
+from stairverify.lp import FEAS_TOL, INF, PIVOT_TOL, LinearProgram, LpSolution, solve
 from stairverify.separation import _slice_maxima
 
-from helpers import NaiveSimplex
+from helpers import NaiveSimplex, with_rows
+
+
+def _sense_bounds(sense, rhs):
+    """The row bounds of rows written `row.x <= rhs`, `>= rhs` or `= rhs`
+    (`sense` "<=", ">=" or "=", a string or an array of them)."""
+    sense = np.asarray(sense)
+    return np.where(sense == "<=", -INF, rhs), np.where(sense == ">=", INF, rhs)
+
+
+def _row_misses(lp, x):
+    """How far rows @ x lies outside [row_lower, row_upper], per row."""
+    act = lp.rows @ x
+    return np.maximum(lp.row_lower - act, act - lp.row_upper)
 
 
 def test_single_variable_cap():
-    lp = LinearProgram("max", [1.0], lower=np.array([0.0]), upper=np.array([10.0]))
-    lp.add_row([1.0], LESS, 3.0)
+    lp = LinearProgram("max", [1.0], [[1.0]], [-INF], [3.0], np.array([0.0]), np.array([10.0]))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert abs(sol.x[0] - 3.0) <= 1e-9 and abs(sol.objective - 3.0) <= 1e-9
 
 
 def test_infeasible_pair():
-    lp = LinearProgram("max", [1.0], lower=np.array([0.0]), upper=np.array([10.0]))
-    lp.add_row([1.0], LESS, -1.0)
+    lp = LinearProgram("max", [1.0], [[1.0]], [-INF], [-1.0], np.array([0.0]), np.array([10.0]))
     assert solve(lp).status == "infeasible"
 
 
 def test_unbounded_detection():
-    lp = LinearProgram("max", [1.0])
-    lp.add_row([1.0], GREATER, 0.0)
-    assert solve(lp).status == "unbounded"
+    assert solve(LinearProgram("max", [1.0], [[1.0]], [0.0], [INF])).status == "unbounded"
 
 
 def test_lp_without_rows_runs_the_general_path():
@@ -48,35 +56,44 @@ def test_lp_without_rows_runs_the_general_path():
                             upper=np.array([1.0, 1.0 - 2e-7]))
     assert solve(crossed).status == "infeasible"
     # crossed bounds are infeasible with rows too, before any pivoting
-    crossed.add_row([1.0, 1.0], LESS, 5.0)
-    sol = solve(crossed)
+    sol = solve(with_rows(crossed, [1.0, 1.0], -INF, 5.0))
     assert sol.status == "infeasible" and sol.iterations == sol.dual_iterations == 0
 
 
 @pytest.mark.parametrize("rows, senses, rhs, message", [
-    ([[1.0, np.nan]], [LESS], [1.0], "finite"),
-    ([[1.0, np.inf]], [LESS], [1.0], "finite"),
-    ([[1.0, 2.0]], [LESS], [np.inf], "finite"),
-    ([[1.0, 2.0]], ["<"], [1.0], "sense"),
-    ([[1.0, 2.0]], ["<=x"], [1.0], "sense"),
-    ([[1.0, 2.0, 3.0]], [LESS], [1.0], "matrix"),
-    ([[1.0, 2.0]], [LESS, EQUAL], [1.0, 2.0], "matrix"),
-    ([[1.0, 2.0]], [LESS], [1.0, 2.0], "matrix"),
+    ([[1.0, np.nan]], ["<="], [1.0], "finite"),
+    ([[1.0, np.inf]], ["<="], [1.0], "finite"),
+    ([[1.0, 2.0]], ["<="], [np.inf], "finite"),
+    ([[1.0, 2.0]], [">="], [-np.inf], "finite"),
+    ([[1.0, 2.0]], ["="], [np.nan], "finite"),
+    ([[1.0, 2.0, 3.0]], ["<="], [1.0], "matrix"),
+    ([[1.0, 2.0]], ["<=", "="], [1.0, 2.0], "matrix"),
+    ([[1.0, 2.0]], ["<="], [1.0, 2.0], "matrix"),
 ])
 def test_linear_program_rejects_bad_rows(rows, senses, rhs, message):
+    # one-sided and equality rows, given as their bounds
     with pytest.raises(ParameterError, match=message):
-        LinearProgram("max", [1.0, 1.0], rows, senses, rhs)
+        LinearProgram("max", [1.0, 1.0], rows, *_sense_bounds(senses, rhs))
 
 
-@pytest.mark.parametrize("coeffs, sense, rhs, message", [
-    ([1.0, np.nan], LESS, 1.0, "finite"), ([1.0, 2.0], LESS, np.nan, "finite"),
-    ([1.0, 2.0], "==", 1.0, "sense"), ([1.0], GREATER, 1.0, "length"),
+@pytest.mark.parametrize("rows, row_lower, row_upper, message", [
+    ([[1.0, 2.0]], [-np.inf], [1.0], "finite"),
+    ([[1.0, 2.0]], [np.nan], [1.0], "finite"),
+    ([[1.0, 2.0]], [1.0], [1.0 - 1e-12], "row_lower must not exceed row_upper"),
+    ([[1.0, 2.0], [1.0, 0.0]], [0.0, INF], [1.0, -INF], "row_lower must not exceed row_upper"),
+    ([[1.0, 2.0]], [-INF, 0.0], [1.0], "matrix"),
+    ([[1.0, 2.0]], [[-INF]], [[1.0]], "matrix"),
 ])
-def test_add_row_rejects_bad_rows(coeffs, sense, rhs, message):
-    lp = LinearProgram("max", [1.0, 1.0])
+def test_linear_program_rejects_bad_row_bounds(rows, row_lower, row_upper, message):
     with pytest.raises(ParameterError, match=message):
-        lp.add_row(coeffs, sense, rhs)
-    assert lp.rows.shape == (0, 2) and lp.senses.size == lp.rhs.size == 0
+        LinearProgram("max", [1.0, 1.0], rows, row_lower, row_upper)
+
+
+def test_open_equal_and_ranged_rows_are_accepted():
+    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 2.0]] * 4, [-INF, 0.5, -1.0, -INF],
+                       [1.0, 0.5, 2.0, INF])
+    assert lp.row_lower.tolist() == [-INF, 0.5, -1.0, -INF]
+    assert lp.row_upper.tolist() == [1.0, 0.5, 2.0, INF]
 
 
 @pytest.mark.parametrize("field", ["objective", "lower", "upper"])
@@ -97,10 +114,7 @@ def test_random_lps_match_textbook_tableau(monkeypatch):
         c = rng.normal(size=n)
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m) + 1.0
-        lp = LinearProgram("min", c, lower=np.zeros(n), upper=np.full(n, INF))
-        for i in range(m):
-            lp.add_row(A[i], LESS, float(b[i]))
-        sol = solve(lp)
+        sol = solve(LinearProgram("min", c, A, np.full(m, -INF), b, np.zeros(n), np.full(n, INF)))
         status, obj, _ = NaiveSimplex(c, A, b).solve()
         if status == "infeasible":
             assert sol.status == "infeasible"
@@ -144,10 +158,11 @@ def test_random_lps_match_textbook_tableau(monkeypatch):
                            lower=lo, upper=hi)
         for _ in range(m):
             row = rng.normal(size=n)
-            sense = [LESS, GREATER, EQUAL][int(rng.integers(3))]
-            gap = 0.0 if sense == EQUAL else float(rng.uniform(0, 1))
-            rhs = float(row @ far) + (gap if sense == LESS else -gap)
-            lp.add_row(row, sense, rhs if rng.random() < 0.8 else float(rng.normal()))
+            sense = ["<=", ">=", "="][int(rng.integers(3))]
+            gap = 0.0 if sense == "=" else float(rng.uniform(0, 1))
+            rhs = float(row @ far) + (gap if sense == "<=" else -gap)
+            lp = with_rows(lp, row, *_sense_bounds(sense, rhs if rng.random() < 0.8
+                                                   else float(rng.normal())))
         starts.clear()
         sol = solve(lp)
         status, value = _referee(lp)
@@ -168,30 +183,21 @@ def test_duality_and_feasibility_residuals():
         lo = rng.uniform(-2, 0, size=n)
         hi = lo + rng.uniform(0.5, 2, size=n)
         lp = LinearProgram("min", rng.normal(size=n), lower=lo, upper=hi)
-        senses = [LESS, GREATER, EQUAL]
         for i in range(m):
-            lp.add_row(rng.normal(size=n), senses[int(rng.integers(3))],
-                       float(rng.normal()))
+            row, sense = rng.normal(size=n), ["<=", ">=", "="][int(rng.integers(3))]
+            lp = with_rows(lp, row, *_sense_bounds(sense, float(rng.normal())))
         sol = solve(lp)
         if sol.status != "optimal":
             continue
         # primal feasibility residuals
         assert np.all(sol.x >= lo - 1e-7) and np.all(sol.x <= hi + 1e-7)
-        for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-            lhs = float(coeffs @ sol.x)
-            if sense == LESS:
-                assert lhs <= rhs + 1e-7
-            elif sense == GREATER:
-                assert lhs >= rhs - 1e-7
-            else:
-                assert abs(lhs - rhs) <= 1e-7
+        assert np.all(_row_misses(lp, sol.x) <= 1e-7)
         # duality gap
         assert abs(_dual_bound(lp, sol.duals) - sol.objective) <= 1e-6 * max(1.0, abs(sol.objective))
-        # complementary slackness on rows
-        for coeffs, sense, rhs, y in zip(lp.rows, lp.senses, lp.rhs, sol.duals):
-            slack = rhs - float(coeffs @ sol.x)
-            if sense != EQUAL:
-                assert abs(slack * y) <= 1e-6
+        # complementary slackness on rows: a dual off 0 only where a side binds
+        act = lp.rows @ sol.x
+        slack = np.minimum(act - lp.row_lower, lp.row_upper - act)
+        assert np.all(np.abs(slack * sol.duals) <= 1e-6)
 
 
 def test_optimal_solutions_are_vertices():
@@ -201,16 +207,15 @@ def test_optimal_solutions_are_vertices():
         n, m = 6, 2
         lo = np.zeros(n)
         hi = np.ones(n)
-        lp = LinearProgram("max", rng.normal(size=n), lower=lo, upper=hi)
-        for _ in range(m):
-            lp.add_row(rng.normal(size=n), LESS, 1.0)
+        lp = LinearProgram("max", rng.normal(size=n), rng.normal(size=(m, n)), np.full(m, -INF),
+                           np.ones(m), lo, hi)
         sol = solve(lp)
         if sol.status != "optimal":
             continue
         at_bound = np.sum((np.abs(sol.x - lo) <= 1e-8) | (np.abs(sol.x - hi) <= 1e-8))
         assert at_bound >= n - m
         # a warm re-solve after an appended row also ends on a vertex
-        lp.add_row(rng.normal(size=n), LESS, 0.5)
+        lp = with_rows(lp, rng.normal(size=n), -INF, 0.5)
         warm = solve(lp, sol)
         if warm.status != "optimal":
             continue
@@ -227,7 +232,7 @@ def test_optimal_solutions_are_vertices():
         lp = LinearProgram("max", rng.normal(size=n) * (rng.random(n) < 0.5), lower=lo, upper=hi)
         for _ in range(m):
             row = rng.normal(size=n) * (rng.random(n) < 0.5)
-            lp.add_row(row, LESS, float(row @ x0) + float(rng.uniform(0, 0.3)))
+            lp = with_rows(lp, row, -INF, float(row @ x0) + float(rng.uniform(0, 0.3)))
         sol = solve(lp, LpSolution("optimal", x=x0, basis=[]))
         assert sol.status == "optimal" and sol.warm_used and sol.dual_iterations == 0
         cold = solve(lp)
@@ -271,10 +276,7 @@ def test_knapsack_whole_box_slice_returns_box_optimum():
 
 
 def _slice_lp_optimum(c, w, a, b, lo, hi):
-    lp = LinearProgram("max", c, lower=lo, upper=hi)
-    lp.add_row(w, GREATER, a)
-    lp.add_row(w, LESS, b)
-    ref = solve(lp)
+    ref = solve(LinearProgram("max", c, [w], [a], [b], lo, hi))
     assert ref.status == "optimal"
     return ref.objective
 
@@ -322,10 +324,8 @@ def test_initial_point_matches_per_column_rule():
 
     lower = np.array([-INF, -INF, -3.0, -1.0, -2.0, 0.5, -0.0, 4.0])
     upper = np.array([INF, 2.0, INF, 1.0, 1.0, 3.0, 0.0, 4.0])
-    lp = LinearProgram("max", np.zeros(8), lower=lower, upper=upper)
-    for sense in (LESS, GREATER, EQUAL):
-        lp.add_row(np.ones(8), sense, 1.0)
-    tab = _Tableau(lp)
+    tab = _Tableau(LinearProgram("max", np.zeros(8), np.ones((4, 8)), [-INF, 1.0, 1.0, -2.0],
+                                 [1.0, INF, 1.0, 3.0], lower, upper))
     assert _initial_point(tab).tobytes() == reference(tab).tobytes()
 
 
@@ -333,24 +333,33 @@ def test_tableau_matches_the_per_row_form():
     from stairverify.lp import _Tableau
 
     def reference(lp):
-        m, n = len(lp.rhs), lp.num_vars
+        """Row by row: rows.x + s = b at b = the finite upper bound, else the
+        finite lower bound, else 0, and s in [b - upper, b - lower]."""
+        m, n = len(lp.rows), lp.num_vars
         A, b = np.zeros((m, n + m)), np.zeros(m)
-        lower = np.concatenate([lp.lower, np.zeros(m)])
-        upper = np.concatenate([lp.upper, np.zeros(m)])
-        for i, (coeffs, sense, rhs) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
-            A[i, :n], A[i, n + i], b[i] = coeffs, 1.0, rhs
-            if sense == LESS:
-                upper[n + i] = INF
-            elif sense == GREATER:
-                lower[n + i] = -INF
+        lower = np.concatenate([lp.lower, np.full(m, -INF)])
+        upper = np.concatenate([lp.upper, np.full(m, INF)])
+        for i, (coeffs, lo, hi) in enumerate(zip(lp.rows, lp.row_lower, lp.row_upper)):
+            A[i, :n], A[i, n + i] = coeffs, 1.0
+            b[i] = hi if hi < INF else lo if lo > -INF else 0.0
+            if hi < INF:
+                lower[n + i] = b[i] - hi
+            if lo > -INF:
+                upper[n + i] = b[i] - lo
         return A, b, lower, upper
 
     rng = np.random.default_rng(26)
     for m in (0, 1, 7):
-        lp = _random_bounded_lp(rng, 5, m)
-        tab = _Tableau(lp)
-        for got, expect in zip((tab.A, tab.b, tab.lower, tab.upper), reference(lp)):
-            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        for lp in (_random_bounded_lp(rng, 5, m), _random_ranged_lp(rng, 5, m)):
+            tab = _Tableau(lp)
+            for got, expect in zip((tab.A, tab.b, tab.lower, tab.upper), reference(lp)):
+                assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+    # a one-sided or equality row gets the slack bounds of its old sense:
+    # [0, INF] under <=, [-INF, 0] under >=, [0, 0] under =, at b = its bound
+    tab = _Tableau(LinearProgram("max", np.zeros(2), np.ones((3, 2)), [-INF, -1.5, 2.5],
+                                 [0.75, INF, 2.5]))
+    assert tab.b.tolist() == [0.75, -1.5, 2.5]
+    assert tab.lower[2:].tolist() == [0.0, -INF, 0.0] and tab.upper[2:].tolist() == [INF, 0.0, 0.0]
 
 
 # -- the array pricing and ratio test against the per-column and per-row loops ---
@@ -464,8 +473,8 @@ def _random_tableau(rng):
         elif kind != 0 or rng.random() < 0.5:
             lower[j], upper[j] = lo, lo + width
     rows = rng.integers(-2, 3, size=(m, n)).astype(float)   # small integers: exact ties
-    senses = rng.choice([LESS, EQUAL, GREATER], size=m)
-    tab = lp_mod._Tableau(LinearProgram("max", np.zeros(n), rows, senses, np.zeros(m),
+    senses = rng.choice(["<=", "=", ">="], size=m)
+    tab = lp_mod._Tableau(LinearProgram("max", np.zeros(n), rows, *_sense_bounds(senses, 0.0),
                                         lower, upper))
     tab.b = rng.normal(size=m)
     try:
@@ -600,17 +609,128 @@ def test_simplex_loop_matches_the_loop_version():
 
 
 def _random_bounded_lp(rng, n, m):
-    """Box-bounded LP with mixed row senses, feasible at a random box point."""
+    """Box-bounded LP with mixed <=, >= and = rows, feasible at a random box point."""
     lo = rng.uniform(-2, 0, size=n)
     hi = lo + rng.uniform(0.2, 2, size=n)
     x0 = rng.uniform(lo, hi)
     lp = LinearProgram(str(rng.choice(["max", "min"])), rng.normal(size=n), lower=lo, upper=hi)
     for _ in range(m):
         row = rng.normal(size=n) * (rng.random(n) < 0.6)
-        sense = [LESS, GREATER, EQUAL][int(rng.integers(3))]
-        gap = 0.0 if sense == EQUAL else float(rng.uniform(0, 0.5))
-        lp.add_row(row, sense, float(row @ x0) + (gap if sense == LESS else -gap))
+        sense = ["<=", ">=", "="][int(rng.integers(3))]
+        gap = 0.0 if sense == "=" else float(rng.uniform(0, 0.5))
+        rhs = float(row @ x0) + (gap if sense == "<=" else -gap)
+        lp = with_rows(lp, row, *_sense_bounds(sense, rhs))
     return lp
+
+
+def _random_row_bounds(rng, act):
+    """Row bounds around the activities `act`: each row <=, >=, =, two-sided
+    or free at random, a side at most 0.5 from its activity; returns
+    (row_lower, row_upper, kinds), kinds 0-4 in that order."""
+    kind = rng.integers(5, size=act.size)
+    gap_lo, gap_hi = rng.uniform(0, 0.5, size=(2, act.size))
+    row_lower = np.where((kind == 0) | (kind == 4), -INF, act - gap_lo * (kind != 2))
+    row_upper = np.where((kind == 1) | (kind == 4), INF,
+                         np.where(kind == 2, row_lower, act + gap_hi))
+    return row_lower, row_upper, kind
+
+
+def _random_ranged_lp(rng, n, m):
+    """Box-bounded LP with `_random_row_bounds` rows, feasible at a random box point."""
+    lo = rng.uniform(-2, 0, size=n)
+    hi = lo + rng.uniform(0.2, 2, size=n)
+    x0 = rng.uniform(lo, hi)
+    rows = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    row_lower, row_upper, _ = _random_row_bounds(rng, rows @ x0)
+    return LinearProgram(str(rng.choice(["max", "min"])), rng.normal(size=n), rows, row_lower,
+                         row_upper, lo, hi)
+
+
+def test_ranged_rows_match_the_textbook_referee():
+    """<=, >=, =, two-sided and free rows over free, one-sided and boxed
+    columns, some rows moved out of reach, against `NaiveSimplex` with each
+    finite side of a row a row of its own; then warm after appended ranged
+    rows."""
+    rng = np.random.default_rng(40)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    kinds = np.zeros(5, dtype=int)
+    for _ in range(150):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 9))
+        col = rng.integers(0, 4, size=n)   # free, lower only, upper only, boxed
+        lo = np.where((col == 1) | (col == 3), rng.uniform(-1, 0, size=n), -INF)
+        hi = np.where(col == 2, rng.uniform(0, 1, size=n),
+                      np.where(col == 3, lo + rng.uniform(0.5, 2, size=n), INF))
+        rows = rng.normal(size=(m, n))
+        act = rows @ np.clip(rng.uniform(-3, 3, size=n), lo, hi)
+        act = np.where(rng.random(m) < 0.8, act, 3.0 * rng.normal(size=m))
+        row_lower, row_upper, kind = _random_row_bounds(rng, act)
+        kinds += np.bincount(kind, minlength=5)
+        lp = LinearProgram(str(rng.choice(["max", "min"])), rng.normal(size=n), rows, row_lower,
+                           row_upper, lo, hi)
+        sol = solve(lp)
+        status, value = _referee(lp)
+        assert sol.status == status
+        statuses[status] += 1
+        if status != "optimal":
+            continue
+        assert abs(sol.objective - value) <= 1e-7 * max(1.0, abs(value))
+        extra = rng.normal(size=(2, n))
+        grown = with_rows(lp, extra, *_random_row_bounds(rng, extra @ sol.x - 0.3)[:2])
+        warm, (status, value) = solve(grown, sol), _referee(grown)
+        assert warm.status == status
+        if status == "optimal":
+            assert abs(warm.objective - value) <= 1e-7 * max(1.0, abs(value))
+    assert min(statuses.values()) >= 15 and kinds.min() >= 60
+
+
+def test_every_optimal_solution_meets_its_rows_and_bounds():
+    """Cold, from a start point, and warm after tightened bounds or appended
+    rows: an optimal x lies in its bounds and its rows within FEAS_TOL."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(120):
+        n, m = int(rng.integers(2, 10)), int(rng.integers(1, 10))
+        lp = (_random_ranged_lp if rng.random() < 0.5 else _random_bounded_lp)(rng, n, m)
+        sol = solve(lp)
+        point = LpSolution("optimal", x=rng.uniform(lp.lower, lp.upper), basis=[])
+        starts = [(lp, sol), (lp, solve(lp, point))]
+        if sol.status == "optimal":
+            tight = copy.deepcopy(lp)
+            j = int(rng.integers(n))
+            tight.upper[j] = 0.5 * (tight.lower[j] + sol.x[j])
+            row = rng.normal(size=n)
+            grown = with_rows(lp, row, float(row @ sol.x) + 0.2, INF)
+            starts += [(tight, solve(tight, sol)), (grown, solve(grown, sol))]
+        for problem, s in starts:
+            if s.status == "optimal":
+                assert np.all(s.x >= problem.lower - FEAS_TOL)
+                assert np.all(s.x <= problem.upper + FEAS_TOL)
+                assert np.all(_row_misses(problem, s.x) <= FEAS_TOL)
+                checked += 1
+    assert checked >= 300
+
+
+def test_a_final_basis_outside_its_bounds_raises_and_a_warm_solve_restarts_cold(monkeypatch):
+    # max x0 + x1 under x0 + x1 <= 1.5 on [0, 1]^2: one column ends nonbasic
+    # at 1, the other basic at 0.5. Moved far off, the nonbasic column drags
+    # the basic one outside its box while every row still holds.
+    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 1.0]], [-INF], [1.5], np.zeros(2), np.ones(2))
+    settle, moved = lp_mod._settle_interior, []
+
+    def push_off(tab, cost, x):
+        settle(tab, cost, x)
+        if not moved:
+            j = next(j for j in range(tab.n) if j not in tab.basis)
+            x[j] += 1e3
+            moved.append(j)
+
+    monkeypatch.setattr(lp_mod, "_settle_interior", push_off)
+    with pytest.raises(NumericalError, match="bounds"):
+        solve(lp)
+    moved.clear()
+    sol = solve(lp, LpSolution("optimal", x=np.zeros(2), basis=[]))
+    assert moved and sol.status == "optimal" and not sol.warm_used
+    assert abs(sol.objective - 1.5) <= 1e-12
 
 
 def _assert_same_solve(warm, cold, lp):
@@ -637,7 +757,7 @@ def test_warm_resolve_after_appended_rows_matches_cold():
             for _ in range(int(rng.integers(1, 4))):
                 # a cut through the current optimum, so the old basis is infeasible
                 row = rng.normal(size=n)
-                lp.add_row(row, LESS, float(row @ sol.x) - abs(float(rng.normal())) * 0.3)
+                lp = with_rows(lp, row, -INF, float(row @ sol.x) - abs(float(rng.normal())) * 0.3)
             warm, cold = solve(lp, sol), solve(lp)
             _assert_same_solve(warm, cold, lp)
             attempts += 1
@@ -683,8 +803,7 @@ def test_warm_resolve_after_tightened_bounds_matches_cold():
 
 def test_off_bound_entering_column_stops_at_its_bound():
     # optimum (1, 1) with both columns nonbasic at their upper bounds
-    lp = LinearProgram("max", [1.0, 1.0], lower=np.zeros(2), upper=np.ones(2))
-    lp.add_row([1.0, -1.0], LESS, 10.0)
+    lp = LinearProgram("max", [1.0, 1.0], [[1.0, -1.0]], [-INF], [10.0], np.zeros(2), np.ones(2))
     sol = solve(lp)
     assert sol.status == "optimal" and np.allclose(sol.x, [1.0, 1.0])
     # loosened: x0 restarts strictly inside [0, 3] and must stop at 3, not 1 + 3
@@ -773,7 +892,7 @@ def test_inverse_of_a_basis_on_repeated_equality_rows():
     # a repeated equality row: the dual start flips both columns to their
     # upper bounds, and the one dual pivot that meets the first row meets the
     # second too, whose slack stays basic at zero
-    lp = LinearProgram("max", [1.0, 2.0], [[-1.0, -1.0], [-1.0, -1.0]], [EQUAL, EQUAL],
+    lp = LinearProgram("max", [1.0, 2.0], [[-1.0, -1.0], [-1.0, -1.0]], [-1.0, -1.0],
                        [-1.0, -1.0], lower=np.zeros(2), upper=np.ones(2))
     sol = solve(lp)
     assert sol.status == "optimal" and abs(sol.objective - 2.0) <= 1e-12
@@ -796,37 +915,41 @@ def _referee(lp):
     """`NaiveSimplex`'s status and optimum of an LP, rewritten over x' >= 0 as
     x = shift + T x': a column with a finite lower bound shifted by it, one
     with only an upper bound reflected at it, a free one split as x+ - x-;
-    the finite upper bounds of boxed columns become rows."""
+    the finite upper bounds of boxed columns and each finite side of a row
+    become rows."""
     has_lo, has_hi = lp.lower > -INF, lp.upper < INF
     shift = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
     T = np.diag(np.where(has_lo | ~has_hi, 1.0, -1.0))
     T = np.hstack([T, -T[:, ~has_lo & ~has_hi]])
     A, b = [], []
-    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-        row, rhs = coeffs @ T, rhs - float(coeffs @ shift)
-        if sense != GREATER:
+    for coeffs, lo, hi in zip(lp.rows, lp.row_lower, lp.row_upper):
+        row, at_shift = coeffs @ T, float(coeffs @ shift)
+        if hi < INF:
             A.append(row)
-            b.append(rhs)
-        if sense != LESS:
+            b.append(hi - at_shift)
+        if lo > -INF:
             A.append(-row)
-            b.append(-rhs)
+            b.append(at_shift - lo)
     for j in np.flatnonzero(has_lo & has_hi):
         A.append(T[j])
         b.append(lp.upper[j] - lp.lower[j])
     sign = 1.0 if lp.sense == "min" else -1.0
-    status, obj, _ = NaiveSimplex(sign * (lp.objective @ T), np.array(A), np.array(b)).solve()
+    status, obj, _ = NaiveSimplex(sign * (lp.objective @ T), np.reshape(A, (-1, T.shape[1])),
+                                  np.array(b)).solve()
     return status, (None if obj is None else float(lp.objective @ shift) + sign * obj)
 
 
 def _fixture_lp(name):
+    """A saved LP; each row is stored sparse with a sense (<=, >= or =) and a
+    right-hand side."""
     doc = json.loads((Path(__file__).parent / "data" / name).read_text())
-    lp = LinearProgram(doc["sense"], doc["objective"], lower=np.array(doc["lower"]),
-                       upper=np.array(doc["upper"]))
-    for row in doc["rows"]:
-        coeffs = np.zeros(lp.num_vars)
+    rows = np.zeros((len(doc["rows"]), len(doc["objective"])))
+    for coeffs, row in zip(rows, doc["rows"]):
         coeffs[row["cols"]] = row["coefs"]
-        lp.add_row(coeffs, row["sense"], row["rhs"])
-    return lp
+    return LinearProgram(doc["sense"], doc["objective"], rows,
+                         *_sense_bounds([row["sense"] for row in doc["rows"]],
+                                        [row["rhs"] for row in doc["rows"]]),
+                         np.array(doc["lower"]), np.array(doc["upper"]))
 
 
 def _dual_bound(lp, duals):
@@ -839,10 +962,11 @@ def _dual_bound(lp, duals):
     """
     sign = 1.0 if lp.sense == "max" else -1.0
     duals = sign * np.asarray(duals)
-    y = np.where(lp.senses == LESS, np.maximum(duals, 0.0),
-                 np.where(lp.senses == GREATER, np.minimum(duals, 0.0), duals))
+    y = (np.where(lp.row_upper < INF, np.maximum(duals, 0.0), 0.0)
+         + np.where(lp.row_lower > -INF, np.minimum(duals, 0.0), 0.0))
     d = sign * lp.objective - lp.rows.T @ y
-    return sign * float(y @ lp.rhs + np.maximum(d * lp.lower, d * lp.upper).sum())
+    return sign * float(np.maximum(y * lp.row_lower, y * lp.row_upper).sum()
+                        + np.maximum(d * lp.lower, d * lp.upper).sum())
 
 
 def test_phase_one_refreshes_before_reporting_infeasible():
@@ -856,10 +980,7 @@ def test_phase_one_refreshes_before_reporting_infeasible():
     # a feasible point whose value meets a dual bound is optimal
     assert _dual_bound(lp, sol.duals) - sol.objective <= 1e-7 * max(1.0, abs(sol.objective))
     assert np.all(sol.x >= lp.lower - 1e-7) and np.all(sol.x <= lp.upper + 1e-7)
-    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-        lhs = float(coeffs @ sol.x)
-        assert (lhs <= rhs + 1e-7) if sense == LESS else \
-            (lhs >= rhs - 1e-7) if sense == GREATER else abs(lhs - rhs) <= 1e-7
+    assert np.all(_row_misses(lp, sol.x) <= 1e-7)
     # the textbook referee
     status, value = _referee(lp)
     assert status == "optimal"
@@ -878,7 +999,7 @@ def test_phase_one_without_a_pivot_reports_infeasible_without_inverting(monkeypa
         refactor(tab)
 
     monkeypatch.setattr(lp_mod._Tableau, "refactor", spy)
-    lp = LinearProgram("max", [1.0], [[1.0]], [GREATER], [2.0],
+    lp = LinearProgram("max", [1.0], [[1.0]], [2.0], [INF],
                        lower=np.zeros(1), upper=np.ones(1))
     sol = solve(lp)
     assert sol.status == "infeasible" and sol.dual_iterations == sol.iterations == 0
@@ -1039,14 +1160,14 @@ def test_appended_rows_border_the_inverse():
         # optimal, and its bordered inverse inverts the extended basis
         for _ in range(int(rng.integers(1, 4))):
             row = rng.normal(size=n)
-            lp.add_row(row, LESS, float(row @ sol.x) + rng.uniform(0.1, 1.0))
+            lp = with_rows(lp, row, -INF, float(row @ sol.x) + rng.uniform(0.1, 1.0))
         warm = solve(lp, sol)
         assert warm.status == "optimal" and warm.refactorizations == 0
         assert warm.iterations == warm.dual_iterations == 0
         assert np.allclose(warm.x, sol.x, rtol=0.0, atol=1e-12)
         # and a cut through the optimum, which the dual simplex repairs
         row = rng.normal(size=n)
-        lp.add_row(row, LESS, float(row @ sol.x) - 0.3)
+        lp = with_rows(lp, row, -INF, float(row @ sol.x) - 0.3)
         cut = solve(lp, warm)
         _assert_same_solve(cut, solve(lp), lp)
         for s in (warm, cut):

@@ -4,8 +4,8 @@
 a time, the rows of each neuron by `_attach_neuron`. `_reference_trace`,
 `_reference_branch_pieces` and `_reference_forward` evaluate neuron by
 neuron. The array code must give the same LPs to the last bit (rows,
-senses, right-hand sides, bounds and objective, in the same row and column
-order) and the same traces, branching pieces and network outputs.
+row bounds, variable bounds and objective, in the same row and column order,
+and the same tableau) and the same traces, branching pieces and network outputs.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from stairverify.errors import DomainError, FormulationError, InputError
 from stairverify.formulations import (BIGM, CAYLEY, NeuronFormulation, VerificationQuery,
                                       attack_objective, build_bigm, build_cayley,
                                       build_query_model)
-from stairverify.lp import EQUAL, GREATER, LESS, LinearProgram
+from stairverify.lp import INF, LinearProgram, _Tableau
 from stairverify.network import ActivationSpec, BoxDomain, Layer, Network, Neuron
 from stairverify.pwl import distinct_slopes
 from stairverify.separation import LOWER, UPPER, Cut, _slice_ends, slab_extremes
@@ -34,7 +34,7 @@ class _ReferenceModel:
         self.mode = mode
         self.lower, self.upper = [], []
         self._matrix = np.zeros((0, 0))
-        self.senses, self.rhs = [], []
+        self.row_lower, self.row_upper = [], []
         self.objective = None
         self.neurons = {}
 
@@ -43,14 +43,14 @@ class _ReferenceModel:
         self.upper.append(float(hi))
         return len(self.lower) - 1
 
-    def _add_row(self, cols, coeffs, sense, rhs):
-        m = len(self.rhs)
+    def _add_row(self, cols, coeffs, lo, hi):
+        m = len(self.row_lower)
         if m == len(self._matrix):
             width = self.num_vars() - self._matrix.shape[1]
             self._matrix = np.pad(self._matrix, ((0, max(64, m)), (0, width)))
         self._matrix[m][cols] = coeffs
-        self.senses.append(sense)
-        self.rhs.append(float(rhs))
+        self.row_lower.append(float(lo))
+        self.row_upper.append(float(hi))
 
     def num_vars(self):
         return len(self.lower)
@@ -58,21 +58,22 @@ class _ReferenceModel:
     def _attach_neuron(self, nf):
         self.neurons[nf.key] = nf
         f, w = nf.neuron.activation, nf.neuron.weight
-        self._add_row(nf.z_vars, 1.0, EQUAL, 1.0)
-        for ends, sense in ((f.breakpoints[:-1], GREATER), (f.breakpoints[1:], LESS)):
-            self._add_row(nf.x_vars + nf.z_vars, np.concatenate([w, -ends]), sense,
-                          -nf.neuron.bias)
+        self._add_row(nf.z_vars, 1.0, 1.0, 1.0)
+        b = -nf.neuron.bias
+        for ends, lo, hi in ((f.breakpoints[:-1], b, INF), (f.breakpoints[1:], -INF, b)):
+            self._add_row(nf.x_vars + nf.z_vars, np.concatenate([w, -ends]), lo, hi)
         if np.all(np.abs(f.slopes) <= 1e-12):
-            self._add_row(nf.z_vars + [nf.y_var], np.append(-f.intercepts, 1.0), EQUAL, 0.0)
+            self._add_row(nf.z_vars + [nf.y_var], np.append(-f.intercepts, 1.0), 0.0, 0.0)
         elif self.mode == BIGM or f.num_pieces == 1:
             lows, highs = slab_extremes(nf.neuron, f.slopes)
             dbar = nf.neuron.dbar()
             for i, z in enumerate(nf.z_vars):
                 line = np.append(-f.slopes[i] * w, 1.0)
-                for m, sense in ((highs[i].max() - dbar[i], LESS),
-                                 (lows[i].min() - dbar[i], GREATER)):
-                    self._add_row(nf.x_vars + [nf.y_var, z], np.append(line, m), sense,
-                                  m + dbar[i])
+                m_hi, m_lo = highs[i].max() - dbar[i], lows[i].min() - dbar[i]
+                self._add_row(nf.x_vars + [nf.y_var, z], np.append(line, m_hi), -INF,
+                              m_hi + dbar[i])
+                self._add_row(nf.x_vars + [nf.y_var, z], np.append(line, m_lo), m_lo + dbar[i],
+                              INF)
         else:
             slopes = [0.0] + distinct_slopes(f.slopes)
             for a, low, high in zip(slopes, *slab_extremes(nf.neuron, slopes)):
@@ -83,15 +84,17 @@ class _ReferenceModel:
         key = cut.key()
         if key in nf.pool:
             return False
-        sense = LESS if (cut.y_coef != 0.0 and cut.direction == LOWER) else GREATER
+        below = cut.y_coef != 0.0 and cut.direction == LOWER
         self._add_row(nf.x_vars + nf.z_vars + [nf.y_var],
-                      np.concatenate([cut.alpha, cut.zcoef, [-cut.y_coef]]), sense, -cut.const)
+                      np.concatenate([cut.alpha, cut.zcoef, [-cut.y_coef]]),
+                      -INF if below else -cut.const, -cut.const if below else INF)
         nf.pool.add(key)
         return True
 
     def to_lp(self):
-        return LinearProgram("max", self.objective.copy(), self._matrix[:len(self.rhs)],
-                             self.senses, self.rhs, np.array(self.lower), np.array(self.upper))
+        return LinearProgram("max", self.objective.copy(), self._matrix[:len(self.row_lower)],
+                             self.row_lower, self.row_upper, np.array(self.lower),
+                             np.array(self.upper))
 
     def activated_neurons(self):
         return [self.neurons[k] for k in sorted(self.neurons)]
@@ -140,7 +143,7 @@ def _reference_query_model(query, mode):
                 model._attach_neuron(activated[(li, j)])
                 continue
             model._add_row(model.layer_inputs[li] + [y], np.append(layer.weights[j], -1.0),
-                           EQUAL, -float(layer.bias[j]))
+                           -layer.bias[j], -layer.bias[j])
     model.objective = np.zeros(model.num_vars())
     if query.target is not None:
         model.objective[model.y_vars[-1]] = attack_objective(net.output_dim, query.label,
@@ -205,10 +208,12 @@ def _reference_forward(net, x):
 
 def _assert_same_lp(model, ref):
     a, b = model.to_lp(), ref.to_lp()
-    for name in ("rows", "rhs", "lower", "upper", "objective"):
+    for name in ("rows", "row_lower", "row_upper", "lower", "upper", "objective"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name   # signed zeros too
-    assert a.senses.tolist() == b.senses.tolist()
+    ta, tb = _Tableau(a), _Tableau(b)
+    for name in ("A", "b", "lower", "upper"):
+        assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes(), name
     for nf in ref.activated_neurons():
         other = model.neurons[nf.key]
         assert other.pool == nf.pool

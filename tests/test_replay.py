@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stairverify.lp import INF
+
 spec = importlib.util.spec_from_file_location(
     "replay", Path(__file__).resolve().parent.parent / "tools" / "replay.py")
 replay = importlib.util.module_from_spec(spec)
@@ -111,9 +113,12 @@ def test_replay_records_each_lp_model_and_compare_lists_a_perturbed_row(capsys, 
     assert "model" not in capsys.readouterr().out
     write_rows = formulations._RowModel._write_rows
 
-    def perturbed(self):   # the last row's right-hand side one ulp up
+    def perturbed(self):   # the last row's finite upper bound, else its lower one, one ulp up
         write_rows(self)
-        self.rhs = np.append(self.rhs[:-1], np.nextafter(self.rhs[-1], np.inf))
+        side = "row_upper" if self.row_upper[-1] < INF else "row_lower"
+        bounds = getattr(self, side).copy()
+        bounds[-1] = np.nextafter(bounds[-1], np.inf)
+        setattr(self, side, bounds)
 
     monkeypatch.setattr(formulations._RowModel, "_write_rows", perturbed)
     replay.compare(doc, replay.replay("exact-bnb", 1, items=2))

@@ -410,7 +410,7 @@ def test_retrieve_cut_unit_square_walk():
 def test_retrieve_cut_matches_slice_lp():
     # random neurons, then `_table_neuron`s (a pinned coordinate, a zero weight);
     # every third one also gets a ray cut: no activation part, a max in either direction
-    from stairverify.lp import GREATER, LESS, LinearProgram
+    from stairverify.lp import LinearProgram
     rng = np.random.default_rng(40)
     for trial in range(200):
         if trial < 120:
@@ -428,10 +428,10 @@ def test_retrieve_cut_matches_slice_lp():
             for i in range(f.num_pieces):
                 c_vec = (0.0 if ray else f.slopes[i]) * neuron.weight - alpha
                 sense = "max" if ray or direction == UPPER else "min"
-                lp = LinearProgram(sense, c_vec, lower=neuron.box.lower, upper=neuron.box.upper)
-                lp.add_row(neuron.weight, GREATER, float(f.breakpoints[i]) - neuron.bias)
-                lp.add_row(neuron.weight, LESS, float(f.breakpoints[i + 1]) - neuron.bias)
-                ref = solve(lp)
+                ref = solve(LinearProgram(sense, c_vec, [neuron.weight],
+                                          [f.breakpoints[i] - neuron.bias],
+                                          [f.breakpoints[i + 1] - neuron.bias],
+                                          neuron.box.lower, neuron.box.upper))
                 assert ref.status == "optimal"
                 assert cut.zcoef[i] == pytest.approx(ref.objective + dbar[i], abs=1e-8)
 

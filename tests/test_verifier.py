@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stairverify import bounds, formulations, pwl
-from stairverify.errors import InputError
+from stairverify.errors import InputError, NumericalError
 from stairverify.formulations import BIGM, VerificationQuery, build_query_model
-from stairverify.lp import solve
+from stairverify.lp import INF, solve
 from stairverify.network import BoxDomain, Layer, Network
 from stairverify.oracles import exhaustive_verify
 from stairverify.separation import LOWER, UPPER, is_pinned
@@ -572,17 +572,43 @@ def test_pattern_lp_margin_pulls_interior_slab_edges_in():
         pattern = [0 if side == "first" else nf.neuron.activation.num_pieces - 1
                    for nf in neurons]
         plain, pulled = model.pattern_lp(pattern), model.pattern_lp(pattern, 1e-5)
-        assert len(plain.rows) == len(pulled.rows)
+        assert np.array_equal(plain.rows, pulled.rows)
+        assert np.array_equal(plain.lower, pulled.lower)
+        assert np.array_equal(plain.upper, pulled.upper)
         moved = []
-        for c0, s0, r0, c1, s1, r1 in zip(plain.rows, plain.senses, plain.rhs,
-                                          pulled.rows, pulled.senses, pulled.rhs):
-            assert np.array_equal(c0, c1) and s0 == s1
-            if r0 != r1:
-                inward = -1.0 if s0 == "<=" else 1.0
-                assert r1 == pytest.approx(r0 + inward * 1e-5 * max(1.0, abs(r0)), abs=1e-15)
-                moved.append(s0)
+        for inward, name in ((1.0, "row_lower"), (-1.0, "row_upper")):
+            for r0, r1 in zip(getattr(plain, name), getattr(pulled, name)):
+                if r0 != r1:
+                    assert r1 == pytest.approx(r0 + inward * 1e-5 * max(1.0, abs(r0)),
+                                               abs=1e-15)
+                    moved.append(name)
         # the first piece keeps its lower edge, the last its upper edge
-        assert moved == ["<=" if side == "first" else ">="] * sum(split)
+        assert moved == ["row_upper" if side == "first" else "row_lower"] * sum(split)
+
+
+def test_pattern_lp_writes_one_slab_row_and_pins_z_by_bounds():
+    # per activated neuron one ranged slab row and one line row, no z row:
+    # z = e_piece is its bounds
+    q = _breakpoint_query()
+    model = build_query_model(q.with_target(0), BIGM)
+    neurons = model.activated_neurons()
+    affine = len(model._y) - len(neurons)
+    pattern = [nf.neuron.activation.num_pieces - 1 for nf in neurons]
+    lp = model.pattern_lp(pattern)
+    assert len(lp.rows) == affine + 2 * len(neurons)
+    assert not lp.rows[:, model.z_index].any()
+    ranged = (lp.row_lower < lp.row_upper)
+    assert ranged.sum() == len(neurons) and np.all(lp.row_upper[ranged] < INF)
+    assert np.all(lp.row_lower[ranged] > -INF)
+    for nf, piece in zip(neurons, pattern):
+        on = np.zeros(len(nf.z_vars))
+        on[piece] = 1.0
+        assert lp.lower[nf.z_vars].tolist() == lp.upper[nf.z_vars].tolist() == on.tolist()
+    # a margin that empties a slab crosses its z's bounds: infeasible before any pivot
+    crossed = model.pattern_lp(pattern, margin=10.0)
+    assert np.any(crossed.lower > crossed.upper)
+    sol = solve(crossed)
+    assert sol.status == "infeasible" and sol.iterations == sol.dual_iterations == 0
 
 
 def test_margin_ladder_stops_at_an_infeasible_pattern_lp(monkeypatch):
@@ -603,6 +629,28 @@ def test_margin_ladder_stops_at_an_infeasible_pattern_lp(monkeypatch):
     # the anchor keeps its label, so the ladder runs
     x = _counterexample(model, _pattern_point(model, q.x0, pattern), VerifyReport("robust"))
     assert margins == [1e-9]
+    assert x is None or int(np.argmax(q.network.forward(x))) != q.label
+
+
+def test_a_pattern_lp_the_solver_fails_on_ends_the_margin_ladder(monkeypatch):
+    # a pattern LP that raises in the solver counts as one without optimum
+    from stairverify import verifier
+
+    q = _breakpoint_query()
+    model = build_query_model(q.with_target(0), BIGM)
+    pattern = next(p for p in itertools.product(*model.pattern_prefilter())
+                   if solve(model.pattern_lp(p)).status == "optimal")
+    solve_, failed = verifier._solve, []
+
+    def failing(lp, warm, report):
+        if lp.stacked is None:   # a pattern LP, not one of the model's
+            failed.append(lp)
+            raise NumericalError("singular basis")
+        return solve_(lp, warm, report)
+
+    monkeypatch.setattr(verifier, "_solve", failing)
+    x = _counterexample(model, _pattern_point(model, q.x0, pattern), VerifyReport("robust"))
+    assert len(failed) == 1
     assert x is None or int(np.argmax(q.network.forward(x))) != q.label
 
 
@@ -723,14 +771,9 @@ def _start_queries():
 
 
 def _meets_every_row(lp, x, tol):
-    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
-        return False
-    for coeffs, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-        lhs = float(coeffs @ x)
-        if (lhs > rhs + tol) if sense == "<=" else \
-                (lhs < rhs - tol) if sense == ">=" else abs(lhs - rhs) > tol:
-            return False
-    return True
+    act = lp.rows @ x
+    return not (np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol)
+                or np.any(act < lp.row_lower - tol) or np.any(act > lp.row_upper + tol))
 
 
 @pytest.mark.parametrize("mode", ["bigm-lp", "cayley-lp", "bigm-exact", "cayley-exact"])
@@ -917,7 +960,7 @@ def test_cayley_exact_matches_bigm_exact_off_the_benchmark(recipe):
 def test_cayley_exact_cuts_only_at_the_roots(net, monkeypatch):
     # the only cuts of a search are those its root LP carries (the model's
     # seeds, none on a flat neuron): every node LP of a target has the root
-    # LP's rows, senses and rhs, and differs from it in its bounds alone
+    # LP's rows and row bounds, and differs from it in its variable bounds alone
     from stairverify import verifier
     bnb, solve_ = verifier._branch_and_bound, verifier._solve
     lps = []   # per target, the node LPs
@@ -941,7 +984,8 @@ def test_cayley_exact_cuts_only_at_the_roots(net, monkeypatch):
         assert any(not np.array_equal(lp.upper, root.upper) for lp in nodes)
         for lp in nodes:
             assert np.array_equal(lp.rows, root.rows)
-            assert np.array_equal(lp.senses, root.senses) and np.array_equal(lp.rhs, root.rhs)
+            assert np.array_equal(lp.row_lower, root.row_lower)
+            assert np.array_equal(lp.row_upper, root.row_upper)
             assert np.array_equal(lp.lower, root.lower)
 
 
@@ -1095,3 +1139,42 @@ def test_verify_never_raises_on_seeded_nets(kind, seed, per_eps):
                 assert cayley.target_bounds[target] == pytest.approx(bound, rel=1e-6, abs=1e-6)
             verdicts.update(r.verdict for r in reports.values())
     assert {"robust", "falsified"} <= verdicts
+
+
+def _mixed_net_query(seed):
+    """Untargeted query on a 4-5-4-3 net whose hidden neurons are each affine
+    with probability 0.25, else DoReFa, ReLU, tanh-style or a general PWL;
+    weights and biases N(0, 1.5), box [-1, 1]^4, eps 0.3."""
+    from test_model_layout import KINDS, _spec
+
+    rng = np.random.default_rng(seed)
+    layers = []
+    for n_in, n_out, hidden in ((4, 5, True), (5, 4, True), (4, 3, False)):
+        specs = tuple(None if not hidden or rng.random() < 0.25 else _spec(KINDS[rng.integers(4)])
+                      for _ in range(n_out))
+        layers.append(Layer(rng.normal(0, 1.5, (n_out, n_in)), rng.normal(0, 1.5, n_out), specs))
+    net = Network(tuple(layers), BoxDomain(-np.ones(4), np.ones(4)))
+    x0 = rng.uniform(-1, 1, 4)
+    return VerificationQuery(net, x0, 0.3, int(np.argmax(net.forward(x0))))
+
+
+@pytest.mark.parametrize("seed, verdict, optima", [
+    (35, "robust", {0: -1.528341, 1: -1.549051}),
+    (114, "falsified", {0: -0.021045, 2: 0.516577})])
+def test_a_final_basis_outside_its_bounds_is_solved_again(seed, verdict, optima):
+    # on these nets a warm solve once ended on a basis of condition ~1e11 to
+    # ~1e18 and returned a point outside its bounds as optimal: cayley-lp
+    # raised "cutting loop regressed the LP objective", and cayley-exact
+    # bounded net 35's target 0 at -1.2238 and answered unknown on net 114
+    q = _mixed_net_query(seed)
+    truth = {t: exhaustive_verify(build_query_model(q.with_target(t), BIGM)) for t in optima}
+    assert truth == pytest.approx(optima, abs=1e-6)
+    for mode in ("bigm-lp", "cayley-lp"):
+        report = verify(q, VerifyConfig(mode=mode))
+        assert report.verdict in (verdict, "unknown") and report.target_bounds
+        assert all(report.target_bounds[t] >= truth[t] - 1e-9 for t in report.target_bounds)
+    for mode in ("bigm-exact", "cayley-exact"):
+        report = verify(q, VerifyConfig(mode=mode))
+        assert report.verdict == verdict and report.target_bounds == pytest.approx(truth, abs=1e-9)
+        if verdict == "falsified":
+            assert int(np.argmax(q.network.forward(report.counterexample))) != q.label

@@ -15,12 +15,14 @@ writes every `VerifyReport.as_dict()` field except the two times, floats as
 field, the sha256 of the query's `deeppoly_bounds` lower and upper arrays,
 and a `relax` field, the sha256 of their relaxation: every layer's clipped
 activations (breakpoints, slopes, intercepts) and DeepPoly lines; an LP
-mode adds a `model` field: the sha256 of the LP arrays (rows, senses,
-right-hand sides, bounds and objective) of the model `verify` builds for
-the query. The off-benchmark recipes `tanh-style` and `relu`
-(`tests/helpers.recipe_query`, 5-8-8-3 nets) take `--eps` in place of a
-seed and run 12 queries in all five modes with the default config. `--items N` replays only the first N items or queries of
-any corpus. Both print each mode's total time in seconds to three
+mode adds a `model` field: the sha256 of the tableau that `lp._Tableau`
+builds from the LP of the model `verify` builds for the query ([A | I],
+variable and slack bounds, right-hand sides) and of its objective, so the
+digest does not depend on how `LinearProgram` names its fields. The
+off-benchmark recipes `tanh-style` and `relu` (`tests/helpers.recipe_query`,
+5-8-8-3 nets) take `--eps` in place of a seed and run 12 queries in all
+five modes with the default config. `--items N` replays only the first N
+items or queries of any corpus. Both print each mode's total time in seconds to three
 significant digits (for a workload, the reports' summed solve and
 separation time), nodes, LP solves, pivots (dual plus primal) and basis
 inversions. The `oracle-sweep` workload writes each item's
@@ -71,12 +73,15 @@ def _digest(arrays) -> str:
 
 
 def _model_digest(query, mode: str, preact) -> str:
-    """sha256 of the LP arrays of the model `verify` builds for `query` in LP `mode`."""
+    """sha256 of the tableau and objective of the model `verify` builds for
+    `query` in LP `mode`."""
     from stairverify.formulations import build_query_model
+    from stairverify.lp import _Tableau
     from stairverify.verifier import VerifyConfig
 
     lp = build_query_model(query, VerifyConfig(mode=mode).formulation, preact).to_lp()
-    return _digest((lp.rows, lp.senses.astype("U2"), lp.rhs, lp.lower, lp.upper, lp.objective))
+    tab = _Tableau(lp)
+    return _digest((tab.A, tab.lower, tab.upper, tab.b, lp.objective))
 
 
 def _relax_digest(preact) -> str:
